@@ -15,6 +15,12 @@ cargo run --release -q -p rainshine-conformance --bin conformance -- \
     --scenario scenarios/full.json --seeds 3 --baseline results/conformance.json
 cargo test -q --test determinism run_report_bytes_do_not_depend_on_thread_count
 cargo clippy --workspace --all-targets -- -D warnings
+# The benchmark package (perfbench/) builds against the public library API
+# the same way perfbench/run.py builds it, so an API change that breaks the
+# benchmark fails here; then its Python self-tests run.
+CARGO_TARGET_DIR=.bench_build cargo build --release --offline --quiet \
+    --manifest-path perfbench/Cargo.toml
+python3 -m unittest discover -s perfbench/tests
 # Rustdoc must build warning-free (broken intra-doc links fail the gate).
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 

@@ -9,18 +9,18 @@ use rainshine_cart::params::{CartParams, NominalSearch};
 use rainshine_cart::prune::{cp_sequence, cross_validate, pruned};
 use rainshine_cart::tree::Tree;
 use rainshine_parallel::Parallelism;
-use rainshine_telemetry::table::{FeatureKind, Field, Schema, Table, TableBuilder, Value};
+use rainshine_telemetry::frame::{FeatureKind, Field, Frame, FrameBuilder, Schema, Value};
 
 /// Synthetic regression table: two continuous features, one 8-way nominal,
 /// response with planted structure plus deterministic pseudo-noise.
-fn synthetic_table(rows: usize) -> Table {
+fn synthetic_table(rows: usize) -> Frame {
     let schema = Schema::new(vec![
         Field::new("x", FeatureKind::Continuous),
         Field::new("z", FeatureKind::Continuous),
         Field::new("k", FeatureKind::Nominal),
         Field::new("y", FeatureKind::Continuous),
     ]);
-    let mut b = TableBuilder::new(schema);
+    let mut b = FrameBuilder::new(schema);
     for i in 0..rows {
         let x = (i % 100) as f64;
         let z = ((i * 7) % 50) as f64;
@@ -38,7 +38,7 @@ fn synthetic_table(rows: usize) -> Table {
         ])
         .unwrap();
     }
-    b.build()
+    b.build().unwrap()
 }
 
 fn bench_fit_scaling(c: &mut Criterion) {

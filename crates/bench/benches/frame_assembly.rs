@@ -1,14 +1,13 @@
 //! Frame-assembly bench (DESIGN.md §10.1): columnar assembly through
 //! split-borrowed `ColumnBuilder`s (intern once per group, then
 //! `push_code`/`push_f64`) against the row-oriented
-//! `TableBuilder::push_row` path, which allocates a `Vec<Value>` — and a
+//! `FrameBuilder::push_row` path, which allocates a `Vec<Value>` — and a
 //! `String` per nominal cell — for every row. Both produce identical
 //! frames; the ratio is the zero-copy emission win measured by the
 //! dataset stages of `--report`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use rainshine_telemetry::frame::FrameBuilder;
-use rainshine_telemetry::table::{FeatureKind, Field, Schema, Table, TableBuilder, Value};
+use rainshine_telemetry::frame::{FeatureKind, Field, Frame, FrameBuilder, Schema, Value};
 
 /// The shape of one synthetic rack-day-like record.
 const SKUS: [&str; 7] = ["S1", "S2", "S3", "S4", "S5", "S6", "S7"];
@@ -25,8 +24,8 @@ fn schema() -> Schema {
 
 /// Row-oriented assembly: one `Vec<Value>` (with a fresh label `String`)
 /// per row.
-fn assemble_rows(rows: usize) -> Table {
-    let mut b = TableBuilder::new(schema());
+fn assemble_rows(rows: usize) -> Frame {
+    let mut b = FrameBuilder::new(schema());
     for i in 0..rows {
         b.push_row(vec![
             Value::Nominal(SKUS[i % SKUS.len()].to_owned()),
@@ -37,11 +36,11 @@ fn assemble_rows(rows: usize) -> Table {
         ])
         .unwrap();
     }
-    b.build()
+    b.build().unwrap()
 }
 
 /// Columnar assembly: codes interned once, then straight buffer appends.
-fn assemble_columns(rows: usize) -> Table {
+fn assemble_columns(rows: usize) -> Frame {
     let mut b = FrameBuilder::new(schema());
     b.reserve(rows);
     {
@@ -57,12 +56,12 @@ fn assemble_columns(rows: usize) -> Table {
             y.push_f64((i % 5) as f64);
         }
     }
-    Table::from_frame(b.build().unwrap())
+    b.build().unwrap()
 }
 
 fn bench_assembly(c: &mut Criterion) {
     // The two paths must agree before the timings mean anything.
-    assert_eq!(assemble_rows(1000).frame(), assemble_columns(1000).frame());
+    assert_eq!(assemble_rows(1000), assemble_columns(1000));
     let mut group = c.benchmark_group("frame_assembly");
     for rows in [10_000usize, 100_000] {
         group.bench_with_input(BenchmarkId::new("push_row", rows), &rows, |b, &rows| {

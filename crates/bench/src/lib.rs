@@ -17,10 +17,10 @@ use rainshine_core::evidence::{self, SeriesRow};
 use rainshine_core::tco::TcoModel;
 use rainshine_core::{q1, q2, q3};
 use rainshine_dcsim::{FleetConfig, Simulation, SimulationOutput};
+use rainshine_telemetry::frame::Frame;
 use rainshine_telemetry::ids::{DcId, Sku, Workload};
 use rainshine_telemetry::rma::{category_breakdown, HardwareFault};
 use rainshine_telemetry::schema::candidate_features;
-use rainshine_telemetry::table::Table;
 use rainshine_telemetry::time::TimeGranularity;
 
 /// All experiment ids: the paper's artifacts in paper order, followed by
@@ -100,50 +100,32 @@ pub struct ExperimentContext {
     /// built with [`ExperimentContext::new_with_obs`].
     pub obs: rainshine_obs::Obs,
     scale: Scale,
-    all_hw: Option<Table>,
-    disk: Option<Table>,
+    all_hw: Option<Frame>,
+    disk: Option<Frame>,
 }
 
 impl ExperimentContext {
-    /// Runs the simulation for `scale` with `seed`.
+    /// Runs the simulation for `scale` with `seed` on clean data, at
+    /// [`rainshine_parallel::Parallelism::Auto`], uninstrumented.
     pub fn new(scale: Scale, seed: u64) -> Self {
-        Self::new_with_parallelism(scale, seed, rainshine_parallel::Parallelism::Auto)
-    }
-
-    /// Runs the simulation for `scale` with `seed` and an explicit thread
-    /// policy for the simulation's per-rack generation loops. The ticket
-    /// stream is the same for every policy; only wall-clock time changes.
-    pub fn new_with_parallelism(
-        scale: Scale,
-        seed: u64,
-        parallelism: rainshine_parallel::Parallelism,
-    ) -> Self {
-        Self::new_with_corruption(
+        Self::new_with_obs(
             scale,
             seed,
-            parallelism,
+            rainshine_parallel::Parallelism::Auto,
             rainshine_dcsim::CorruptionConfig::default(),
+            rainshine_obs::Obs::disabled(),
         )
     }
 
-    /// Runs the simulation with a dirty-data injection profile. The injected
-    /// defects are sanitized by the ingestion pipeline before any experiment
-    /// sees the tickets; `output.quality` reports what was repaired or
-    /// quarantined.
-    pub fn new_with_corruption(
-        scale: Scale,
-        seed: u64,
-        parallelism: rainshine_parallel::Parallelism,
-        corruption: rainshine_dcsim::CorruptionConfig,
-    ) -> Self {
-        Self::new_with_obs(scale, seed, parallelism, corruption, rainshine_obs::Obs::disabled())
-    }
-
-    /// [`ExperimentContext::new_with_corruption`] with an instrumentation
-    /// handle: the simulation and every subsequent [`run_experiment`] call
-    /// record stage counts and timings into `obs`. The deterministic
-    /// section of the resulting report is byte-identical for a fixed
-    /// (scale, seed, corruption) at every `parallelism` setting.
+    /// Runs the simulation with an explicit thread policy, dirty-data
+    /// injection profile and instrumentation handle. The ticket stream is
+    /// the same for every `parallelism`; only wall-clock time changes.
+    /// Injected defects are sanitized by the ingestion pipeline before any
+    /// experiment sees the tickets; `output.quality` reports what was
+    /// repaired or quarantined. The simulation and every subsequent
+    /// [`run_experiment`] call record stage counts and timings into `obs`;
+    /// the deterministic section of the resulting report is byte-identical
+    /// for a fixed (scale, seed, corruption) at every `parallelism` setting.
     pub fn new_with_obs(
         scale: Scale,
         seed: u64,
@@ -179,7 +161,7 @@ impl ExperimentContext {
     }
 
     /// The all-hardware rack-day table (cached).
-    pub fn all_hw_table(&mut self) -> &Table {
+    pub fn all_hw_table(&mut self) -> &Frame {
         if self.all_hw.is_none() {
             self.all_hw = Some(
                 rack_day_table(&self.output, FaultFilter::AllHardware, self.day_stride())
@@ -190,7 +172,7 @@ impl ExperimentContext {
     }
 
     /// The disk-only rack-day table (cached).
-    pub fn disk_table(&mut self) -> &Table {
+    pub fn disk_table(&mut self) -> &Frame {
         if self.disk.is_none() {
             self.disk = Some(
                 rack_day_table(

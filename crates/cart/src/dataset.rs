@@ -1,6 +1,6 @@
-//! Dataset view binding a [`Table`] to a target column and feature list.
+//! Dataset view binding a [`Frame`] to a target column and feature list.
 
-use rainshine_telemetry::table::{FeatureKind, Table};
+use rainshine_telemetry::frame::{FeatureKind, Frame};
 
 use crate::{CartError, Result};
 
@@ -61,7 +61,7 @@ impl FeatureColumn<'_> {
 /// [`CartDataset::classification`].
 #[derive(Debug, Clone)]
 pub struct CartDataset<'a> {
-    table: &'a Table,
+    table: &'a Frame,
     target_name: String,
     feature_names: Vec<String>,
     is_regression: bool,
@@ -75,7 +75,7 @@ impl<'a> CartDataset<'a> {
     /// Returns an error if the table is empty, the target is missing or not
     /// continuous, the feature list is empty, any feature is missing, or
     /// the target appears among the features.
-    pub fn regression(table: &'a Table, target: &str, features: &[&str]) -> Result<Self> {
+    pub fn regression(table: &'a Frame, target: &str, features: &[&str]) -> Result<Self> {
         table.continuous(target).map_err(|_| CartError::TargetKind { expected: "continuous" })?;
         Self::new(table, target, features, true)
     }
@@ -86,12 +86,12 @@ impl<'a> CartDataset<'a> {
     ///
     /// Same conditions as [`CartDataset::regression`], with the target
     /// required to be nominal.
-    pub fn classification(table: &'a Table, target: &str, features: &[&str]) -> Result<Self> {
+    pub fn classification(table: &'a Frame, target: &str, features: &[&str]) -> Result<Self> {
         table.nominal_codes(target).map_err(|_| CartError::TargetKind { expected: "nominal" })?;
         Self::new(table, target, features, false)
     }
 
-    fn new(table: &'a Table, target: &str, features: &[&str], is_regression: bool) -> Result<Self> {
+    fn new(table: &'a Frame, target: &str, features: &[&str], is_regression: bool) -> Result<Self> {
         if table.is_empty() {
             return Err(CartError::EmptyDataset);
         }
@@ -117,7 +117,7 @@ impl<'a> CartDataset<'a> {
     }
 
     /// The underlying table.
-    pub fn table(&self) -> &'a Table {
+    pub fn table(&self) -> &'a Frame {
         self.table
     }
 
@@ -158,7 +158,7 @@ impl<'a> CartDataset<'a> {
         } else {
             Target::Classification {
                 codes: self.table.nominal_codes(&self.target_name).expect("validated"),
-                classes: self.table.categories(&self.target_name).expect("validated"),
+                classes: self.table.dictionary(&self.target_name).expect("validated").labels(),
             }
         }
     }
@@ -177,7 +177,7 @@ impl<'a> CartDataset<'a> {
 }
 
 /// Reads a column of any kind from a table as a [`FeatureColumn`].
-pub(crate) fn feature_column<'t>(table: &'t Table, name: &str) -> Result<FeatureColumn<'t>> {
+pub(crate) fn feature_column<'t>(table: &'t Frame, name: &str) -> Result<FeatureColumn<'t>> {
     let idx = table
         .schema()
         .index_of(name)
@@ -188,7 +188,7 @@ pub(crate) fn feature_column<'t>(table: &'t Table, name: &str) -> Result<Feature
         FeatureKind::Ordinal => FeatureColumn::Ordinal(table.ordinal(name)?),
         FeatureKind::Nominal => FeatureColumn::Nominal {
             codes: table.nominal_codes(name)?,
-            categories: table.categories(name)?,
+            categories: table.dictionary(name)?.labels(),
         },
     })
 }
@@ -196,16 +196,16 @@ pub(crate) fn feature_column<'t>(table: &'t Table, name: &str) -> Result<Feature
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rainshine_telemetry::table::{Field, Schema, TableBuilder, Value};
+    use rainshine_telemetry::frame::{Field, FrameBuilder, Schema, Value};
 
-    fn table() -> Table {
+    fn table() -> Frame {
         let schema = Schema::new(vec![
             Field::new("x", FeatureKind::Continuous),
             Field::new("k", FeatureKind::Nominal),
             Field::new("y", FeatureKind::Continuous),
             Field::new("label", FeatureKind::Nominal),
         ]);
-        let mut b = TableBuilder::new(schema);
+        let mut b = FrameBuilder::new(schema);
         for i in 0..10 {
             b.push_row(vec![
                 Value::Continuous(i as f64),
@@ -215,7 +215,7 @@ mod tests {
             ])
             .unwrap();
         }
-        b.build()
+        b.build().unwrap()
     }
 
     #[test]

@@ -12,14 +12,14 @@ use std::collections::HashMap;
 
 use rainshine_obs::{Collector, Obs};
 use rainshine_parallel::{derive_seed, par_map_range, Parallelism};
-use rainshine_telemetry::table::Table;
+use rainshine_telemetry::frame::Frame;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 use crate::dataset::{feature_column, CartDataset, FeatureColumn, Target};
 use crate::params::CartParams;
-use crate::tree::Tree;
+use crate::tree::{rank_importance, Tree};
 use crate::{CartError, Result};
 
 /// Ensemble hyper-parameters.
@@ -188,7 +188,7 @@ impl Forest {
     /// # Errors
     ///
     /// Returns [`CartError::MissingFeature`] if `table` lacks a feature.
-    pub fn predict(&self, table: &Table) -> Result<Vec<f64>> {
+    pub fn predict(&self, table: &Frame) -> Result<Vec<f64>> {
         let mut acc = vec![0.0f64; table.rows()];
         for tree in &self.trees {
             for (slot, p) in acc.iter_mut().zip(tree.predict(table)?) {
@@ -216,23 +216,15 @@ impl Forest {
     /// Impurity-based importance averaged over members, normalized to sum
     /// to 100.
     pub fn variable_importance(&self) -> Vec<(String, f64)> {
-        let mut acc: HashMap<String, f64> = HashMap::new();
+        let mut raw = vec![0.0; self.feature_names.len()];
         for tree in &self.trees {
             for (name, v) in tree.variable_importance() {
-                *acc.entry(name).or_insert(0.0) += v;
+                if let Some(i) = self.feature_names.iter().position(|f| *f == name) {
+                    raw[i] += v;
+                }
             }
         }
-        let total: f64 = acc.values().sum();
-        let mut out: Vec<(String, f64)> = self
-            .feature_names
-            .iter()
-            .map(|f| {
-                let v = acc.get(f).copied().unwrap_or(0.0);
-                (f.clone(), if total > 0.0 { 100.0 * v / total } else { 0.0 })
-            })
-            .collect();
-        out.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite importance"));
-        out
+        rank_importance(&self.feature_names, raw)
     }
 
     /// Permutation importance: for each feature, the relative increase in
@@ -301,7 +293,7 @@ impl Forest {
     /// Predicts `row` with `feature`'s value taken from `source_row`.
     fn predict_row_with_remap(
         &self,
-        table: &Table,
+        table: &Frame,
         row: usize,
         feature: &str,
         source_row: usize,
@@ -335,15 +327,15 @@ impl Forest {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rainshine_telemetry::table::{FeatureKind, Field, Schema, TableBuilder, Value};
+    use rainshine_telemetry::frame::{FeatureKind, Field, FrameBuilder, Schema, Value};
 
-    fn table(n: usize) -> Table {
+    fn table(n: usize) -> Frame {
         let schema = Schema::new(vec![
             Field::new("signal", FeatureKind::Continuous),
             Field::new("noise", FeatureKind::Continuous),
             Field::new("y", FeatureKind::Continuous),
         ]);
-        let mut b = TableBuilder::new(schema);
+        let mut b = FrameBuilder::new(schema);
         for i in 0..n {
             let signal = (i % 100) as f64;
             let noise = ((i * 2_654_435_761) % 997) as f64 / 997.0;
@@ -355,7 +347,7 @@ mod tests {
             ])
             .unwrap();
         }
-        b.build()
+        b.build().unwrap()
     }
 
     fn forest_params() -> ForestParams {
@@ -478,7 +470,7 @@ mod tests {
             Field::new("x", FeatureKind::Continuous),
             Field::new("c", FeatureKind::Nominal),
         ]);
-        let mut b = TableBuilder::new(schema);
+        let mut b = FrameBuilder::new(schema);
         for i in 0..50 {
             b.push_row(vec![
                 Value::Continuous(i as f64),
@@ -486,7 +478,7 @@ mod tests {
             ])
             .unwrap();
         }
-        let t = b.build();
+        let t = b.build().unwrap();
         let ds = CartDataset::classification(&t, "c", &["x"]).unwrap();
         assert!(matches!(Forest::fit(&ds, &forest_params()), Err(CartError::TargetKind { .. })));
     }

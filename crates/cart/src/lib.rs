@@ -27,7 +27,7 @@
 //! # Example: recover a planted threshold
 //!
 //! ```
-//! use rainshine_telemetry::table::{Field, FeatureKind, Schema, TableBuilder, Value};
+//! use rainshine_telemetry::frame::{Field, FeatureKind, Schema, FrameBuilder, Value};
 //! use rainshine_cart::dataset::CartDataset;
 //! use rainshine_cart::params::CartParams;
 //! use rainshine_cart::tree::Tree;
@@ -37,13 +37,13 @@
 //!     Field::new("x", FeatureKind::Continuous),
 //!     Field::new("y", FeatureKind::Continuous),
 //! ]);
-//! let mut b = TableBuilder::new(schema);
+//! let mut b = FrameBuilder::new(schema);
 //! for i in 0..100 {
 //!     let x = i as f64;
 //!     let y = if x < 50.0 { 1.0 } else { 5.0 };
 //!     b.push_row(vec![Value::Continuous(x), Value::Continuous(y)])?;
 //! }
-//! let table = b.build();
+//! let table = b.build()?;
 //! let ds = CartDataset::regression(&table, "y", &["x"])?;
 //! let tree = Tree::fit(&ds, &CartParams::default())?;
 //! assert_eq!(tree.leaf_count(), 2);

@@ -15,10 +15,9 @@
 
 use std::collections::{BTreeMap, HashMap};
 
-use rainshine_obs::Obs;
 use rainshine_parallel::{par_map, Parallelism};
 use rainshine_stats::hist::Binner;
-use rainshine_telemetry::table::Table;
+use rainshine_telemetry::frame::Frame;
 use serde::{Deserialize, Serialize};
 
 use crate::dataset::{feature_column, CartDataset, FeatureColumn};
@@ -109,7 +108,7 @@ fn walk_with_override(
 
 fn resolve_columns<'t>(
     tree: &Tree,
-    table: &'t Table,
+    table: &'t Frame,
 ) -> Result<HashMap<&'t str, FeatureColumn<'t>>>
 where
 {
@@ -133,7 +132,7 @@ where
 /// the feature of interest is not continuous in the table.
 pub fn partial_dependence_continuous(
     tree: &Tree,
-    table: &Table,
+    table: &Frame,
     feature: &str,
     grid: &[f64],
 ) -> Result<Vec<PdpPoint>> {
@@ -150,7 +149,7 @@ pub fn partial_dependence_continuous(
 /// See [`partial_dependence_continuous`].
 pub fn partial_dependence_continuous_with(
     tree: &Tree,
-    table: &Table,
+    table: &Frame,
     feature: &str,
     grid: &[f64],
     params: &PdpParams,
@@ -169,27 +168,6 @@ pub fn partial_dependence_continuous_with(
     .collect()
 }
 
-/// [`partial_dependence_continuous_with`] with observability: records a
-/// `pdp.grid` span whose item count is `grid points × rows`, plus a
-/// `pdp.grid_points` counter.
-///
-/// # Errors
-///
-/// See [`partial_dependence_continuous`].
-pub fn partial_dependence_continuous_obs(
-    tree: &Tree,
-    table: &Table,
-    feature: &str,
-    grid: &[f64],
-    params: &PdpParams,
-    obs: &Obs,
-) -> Result<Vec<PdpPoint>> {
-    let mut span = obs.span("pdp.grid");
-    span.add_items((grid.len() * table.rows()) as u64);
-    obs.incr("pdp.grid_points", grid.len() as u64);
-    partial_dependence_continuous_with(tree, table, feature, grid, params)
-}
-
 /// Grid partial dependence for a nominal feature: one mean prediction per
 /// category, returned as `(label, mean)` pairs in category order.
 ///
@@ -199,7 +177,7 @@ pub fn partial_dependence_continuous_obs(
 /// the feature of interest is not nominal in the table.
 pub fn partial_dependence_nominal(
     tree: &Tree,
-    table: &Table,
+    table: &Frame,
     feature: &str,
 ) -> Result<Vec<(String, f64)>> {
     partial_dependence_nominal_with(tree, table, feature, &PdpParams::default())
@@ -213,11 +191,11 @@ pub fn partial_dependence_nominal(
 /// See [`partial_dependence_nominal`].
 pub fn partial_dependence_nominal_with(
     tree: &Tree,
-    table: &Table,
+    table: &Frame,
     feature: &str,
     params: &PdpParams,
 ) -> Result<Vec<(String, f64)>> {
-    let categories = table.categories(feature)?.to_vec();
+    let categories = table.dictionary(feature)?.labels().to_vec();
     let columns = resolve_columns(tree, table)?;
     let n = table.rows().max(1) as f64;
     let codes: Vec<usize> = (0..categories.len()).collect();
@@ -242,7 +220,7 @@ pub fn partial_dependence_nominal_with(
 /// the feature of interest is not ordinal in the table.
 pub fn partial_dependence_ordinal(
     tree: &Tree,
-    table: &Table,
+    table: &Frame,
     feature: &str,
     levels: &[i64],
 ) -> Result<Vec<(i64, f64)>> {
@@ -257,7 +235,7 @@ pub fn partial_dependence_ordinal(
 /// See [`partial_dependence_ordinal`].
 pub fn partial_dependence_ordinal_with(
     tree: &Tree,
-    table: &Table,
+    table: &Frame,
     feature: &str,
     levels: &[i64],
     params: &PdpParams,
@@ -282,7 +260,7 @@ pub fn partial_dependence_ordinal_with(
 ///
 /// Returns an error if the column is missing/not continuous or the table is
 /// empty.
-pub fn grid_over_column(table: &Table, feature: &str, points: usize) -> Result<Vec<f64>> {
+pub fn grid_over_column(table: &Frame, feature: &str, points: usize) -> Result<Vec<f64>> {
     let values = table.continuous(feature)?;
     if values.is_empty() || points == 0 {
         return Err(CartError::EmptyDataset);
@@ -372,7 +350,7 @@ impl StratifiedEffect {
 }
 
 fn stratified_effect_impl(
-    table: &Table,
+    table: &Frame,
     target: &str,
     level_of_row: impl Fn(usize) -> usize,
     level_labels: &[String],
@@ -549,7 +527,7 @@ fn stratified_effect_impl(
 /// Returns an error if columns are missing / of the wrong kind, the feature
 /// appears among the controls, or tree fitting fails.
 pub fn stratified_effect_nominal(
-    table: &Table,
+    table: &Frame,
     target: &str,
     feature: &str,
     controls: &[&str],
@@ -559,7 +537,7 @@ pub fn stratified_effect_nominal(
         return Err(CartError::TargetIsFeature { name: feature.to_owned() });
     }
     let codes = table.nominal_codes(feature)?;
-    let labels = table.categories(feature)?.to_vec();
+    let labels = table.dictionary(feature)?.labels().to_vec();
     stratified_effect_impl(table, target, |row| codes[row] as usize, &labels, controls, params)
 }
 
@@ -571,7 +549,7 @@ pub fn stratified_effect_nominal(
 ///
 /// See [`stratified_effect_nominal`].
 pub fn stratified_effect_binned(
-    table: &Table,
+    table: &Frame,
     target: &str,
     feature: &str,
     binner: &Binner,
@@ -596,18 +574,18 @@ pub fn stratified_effect_binned(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rainshine_telemetry::table::{FeatureKind, Field, Schema, TableBuilder, Value};
+    use rainshine_telemetry::frame::{FeatureKind, Field, FrameBuilder, Schema, Value};
 
     /// y = base(z) * sku_factor, where z is a confounder: sku "bad" appears
     /// mostly at high z. Marginal bad/good ratio is inflated; the true
     /// per-stratum ratio is 2.
-    fn confounded_table() -> Table {
+    fn confounded_table() -> Frame {
         let schema = Schema::new(vec![
             Field::new("z", FeatureKind::Continuous),
             Field::new("sku", FeatureKind::Nominal),
             Field::new("y", FeatureKind::Continuous),
         ]);
-        let mut b = TableBuilder::new(schema);
+        let mut b = FrameBuilder::new(schema);
         for i in 0..600 {
             let high_z = i % 3 != 0; // 2/3 of rows high-z
             let z = if high_z { 10.0 } else { 1.0 };
@@ -618,7 +596,7 @@ mod tests {
             b.push_row(vec![Value::Continuous(z), sku.into(), Value::Continuous(base * factor)])
                 .unwrap();
         }
-        b.build()
+        b.build().unwrap()
     }
 
     #[test]
@@ -647,13 +625,13 @@ mod tests {
             Field::new("x", FeatureKind::Continuous),
             Field::new("y", FeatureKind::Continuous),
         ]);
-        let mut b = TableBuilder::new(schema);
+        let mut b = FrameBuilder::new(schema);
         for i in 0..200 {
             let x = (i % 10) as f64;
             let y = 1.0 + if x > 5.0 { 4.0 } else { 0.0 };
             b.push_row(vec![Value::Continuous(x), Value::Continuous(y)]).unwrap();
         }
-        let t = b.build();
+        let t = b.build().unwrap();
         let ds = CartDataset::regression(&t, "y", &["x"]).unwrap();
         let tree = Tree::fit(&ds, &CartParams::default().with_min_sizes(4, 2)).unwrap();
         let grid = grid_over_column(&t, "x", 10).unwrap();

@@ -253,15 +253,15 @@ pub fn cross_validate_with_obs(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rainshine_telemetry::table::{FeatureKind, Field, Schema, Table, TableBuilder, Value};
+    use rainshine_telemetry::frame::{FeatureKind, Field, Frame, FrameBuilder, Schema, Value};
 
-    fn noisy_step_table(n: usize) -> Table {
+    fn noisy_step_table(n: usize) -> Frame {
         let schema = Schema::new(vec![
             Field::new("x", FeatureKind::Continuous),
             Field::new("noise", FeatureKind::Continuous),
             Field::new("y", FeatureKind::Continuous),
         ]);
-        let mut b = TableBuilder::new(schema);
+        let mut b = FrameBuilder::new(schema);
         // Deterministic pseudo-noise so the test has no RNG dependency.
         for i in 0..n {
             let x = (i % 100) as f64;
@@ -270,7 +270,7 @@ mod tests {
             b.push_row(vec![Value::Continuous(x), Value::Continuous(noise), Value::Continuous(y)])
                 .unwrap();
         }
-        b.build()
+        b.build().unwrap()
     }
 
     #[test]
@@ -343,11 +343,11 @@ mod tests {
             Field::new("x", FeatureKind::Continuous),
             Field::new("y", FeatureKind::Continuous),
         ]);
-        let mut b = TableBuilder::new(schema);
+        let mut b = FrameBuilder::new(schema);
         for i in 0..30 {
             b.push_row(vec![Value::Continuous(i as f64), Value::Continuous(1.0)]).unwrap();
         }
-        let t = b.build();
+        let t = b.build().unwrap();
         let ds = CartDataset::regression(&t, "y", &["x"]).unwrap();
         let tree = Tree::fit(&ds, &CartParams::default()).unwrap();
         let seq = cp_sequence(&tree);

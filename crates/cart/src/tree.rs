@@ -3,7 +3,7 @@
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
-use rainshine_telemetry::table::Table;
+use rainshine_telemetry::frame::Frame;
 use serde::{Deserialize, Serialize};
 
 use crate::dataset::{feature_column, CartDataset, FeatureColumn, Target};
@@ -368,7 +368,7 @@ impl Tree {
     }
 
     /// Resolves the feature columns the tree needs from `table`.
-    fn resolve_columns<'t>(&self, table: &'t Table) -> Result<HashMap<&str, FeatureColumn<'t>>> {
+    fn resolve_columns<'t>(&self, table: &'t Frame) -> Result<HashMap<&str, FeatureColumn<'t>>> {
         let mut map = HashMap::new();
         for name in &self.feature_names {
             if table.schema().index_of(name).is_none() {
@@ -389,7 +389,7 @@ impl Tree {
     /// Returns [`CartError::MissingFeature`] if `table` lacks a feature the
     /// tree references, or [`CartError::ColumnKindMismatch`] if a feature's
     /// kind drifted from the fit-time schema.
-    pub fn leaf_assignments(&self, table: &Table) -> Result<Vec<usize>> {
+    pub fn leaf_assignments(&self, table: &Frame) -> Result<Vec<usize>> {
         let columns = self.resolve_columns(table)?;
         (0..table.rows()).map(|row| self.walk(&columns, row)).collect()
     }
@@ -416,7 +416,7 @@ impl Tree {
     /// # Errors
     ///
     /// See [`Tree::leaf_assignments`].
-    pub fn predict(&self, table: &Table) -> Result<Vec<f64>> {
+    pub fn predict(&self, table: &Frame) -> Result<Vec<f64>> {
         Ok(self
             .leaf_assignments(table)?
             .into_iter()
@@ -434,7 +434,7 @@ impl Tree {
     /// # Panics
     ///
     /// Panics if a row index is out of bounds.
-    pub fn predict_rows(&self, table: &Table, rows: &[usize]) -> Result<Vec<f64>> {
+    pub fn predict_rows(&self, table: &Frame, rows: &[usize]) -> Result<Vec<f64>> {
         let columns = self.resolve_columns(table)?;
         rows.iter()
             .map(|&row| self.walk(&columns, row).map(|leaf| self.nodes[leaf].prediction))
@@ -445,23 +445,15 @@ impl Tree {
     /// across all splits, normalized to sum to 100. Features never used
     /// score 0. Sorted descending.
     pub fn variable_importance(&self) -> Vec<(String, f64)> {
-        let mut raw: HashMap<&str, f64> = HashMap::new();
+        let mut raw = vec![0.0; self.feature_names.len()];
         for node in &self.nodes {
             if let Some(rule) = &node.rule {
-                *raw.entry(rule.feature()).or_insert(0.0) += node.improvement;
+                if let Some(i) = self.feature_names.iter().position(|n| n == rule.feature()) {
+                    raw[i] += node.improvement;
+                }
             }
         }
-        let total: f64 = raw.values().sum();
-        let mut out: Vec<(String, f64)> = self
-            .feature_names
-            .iter()
-            .map(|name| {
-                let v = raw.get(name.as_str()).copied().unwrap_or(0.0);
-                (name.clone(), if total > 0.0 { 100.0 * v / total } else { 0.0 })
-            })
-            .collect();
-        out.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite importance"));
-        out
+        rank_importance(&self.feature_names, raw)
     }
 
     /// The chain of split descriptions from the root down to `leaf_id`,
@@ -598,19 +590,33 @@ fn stable_partition(seg: &mut [usize], goes_left: &[bool], scratch: &mut Vec<usi
     left_n
 }
 
+/// Normalizes per-feature scores (given in `names` order) to sum to 100
+/// and sorts them descending, ties in feature order. The total is summed
+/// in feature order, so the result is bit-identical across runs.
+pub(crate) fn rank_importance(names: &[String], scores: Vec<f64>) -> Vec<(String, f64)> {
+    let total: f64 = scores.iter().sum();
+    let mut out: Vec<(String, f64)> = names
+        .iter()
+        .zip(scores)
+        .map(|(name, v)| (name.clone(), if total > 0.0 { 100.0 * v / total } else { 0.0 }))
+        .collect();
+    out.sort_by(|a, b| b.1.total_cmp(&a.1));
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rainshine_telemetry::table::{FeatureKind, Field, Schema, TableBuilder, Value};
+    use rainshine_telemetry::frame::{FeatureKind, Field, FrameBuilder, Schema, Value};
 
     /// y = 1 for x<30; 5 for 30<=x<70 and k=="a"; 9 otherwise.
-    fn step_table(n: usize) -> Table {
+    fn step_table(n: usize) -> Frame {
         let schema = Schema::new(vec![
             Field::new("x", FeatureKind::Continuous),
             Field::new("k", FeatureKind::Nominal),
             Field::new("y", FeatureKind::Continuous),
         ]);
-        let mut b = TableBuilder::new(schema);
+        let mut b = FrameBuilder::new(schema);
         for i in 0..n {
             let x = (i % 100) as f64;
             let k = if i % 2 == 0 { "a" } else { "b" };
@@ -623,7 +629,7 @@ mod tests {
             };
             b.push_row(vec![Value::Continuous(x), k.into(), Value::Continuous(y)]).unwrap();
         }
-        b.build()
+        b.build().unwrap()
     }
 
     #[test]
@@ -668,6 +674,55 @@ mod tests {
     }
 
     #[test]
+    fn importance_is_bit_identical_and_sums_in_feature_order() {
+        // y depends on three features, so at least three split on them.
+        let schema = Schema::new(vec![
+            Field::new("a", FeatureKind::Continuous),
+            Field::new("b", FeatureKind::Continuous),
+            Field::new("c", FeatureKind::Nominal),
+            Field::new("y", FeatureKind::Continuous),
+        ]);
+        let mut fb = FrameBuilder::new(schema);
+        for i in 0..600 {
+            let a = (i % 10) as f64;
+            let b = ((i / 10) % 7) as f64;
+            let c = ["p", "q", "r"][(i / 70) % 3];
+            let y = 0.3 * a + if b > 3.0 { 2.1 } else { 0.0 } + if c == "q" { 1.7 } else { 0.0 };
+            fb.push_row(vec![a.into(), b.into(), c.into(), y.into()]).unwrap();
+        }
+        let t = fb.build().unwrap();
+        let ds = CartDataset::regression(&t, "y", &["a", "b", "c"]).unwrap();
+        let mut tree = Tree::fit(&ds, &CartParams::default().with_cp(0.0001)).unwrap();
+
+        // Give each feature's first split an improvement whose sum depends
+        // on the summation order (0.1 + 0.2 + 0.3 != 0.3 + 0.2 + 0.1) and
+        // zero the rest, so any order other than feature order shows.
+        let mut raw = vec![0.0; 3];
+        for node in &mut tree.nodes {
+            if let Some(rule) = &node.rule {
+                let i = tree.feature_names.iter().position(|n| n == rule.feature()).unwrap();
+                node.improvement = if raw[i] == 0.0 { [0.1, 0.2, 0.3][i] } else { 0.0 };
+                raw[i] += node.improvement;
+            }
+        }
+        assert_eq!(raw, [0.1, 0.2, 0.3], "not every feature split");
+        let total = raw[0] + raw[1] + raw[2];
+        assert_ne!(total, raw[2] + raw[1] + raw[0]);
+
+        let bits = |imp: &[(String, f64)]| -> Vec<(String, u64)> {
+            imp.iter().map(|(n, v)| (n.clone(), v.to_bits())).collect()
+        };
+        let first = tree.variable_importance();
+        for _ in 0..20 {
+            assert_eq!(bits(&tree.variable_importance()), bits(&first));
+        }
+        for (name, v) in &first {
+            let i = tree.feature_names.iter().position(|n| n == name).unwrap();
+            assert_eq!(v.to_bits(), (100.0 * raw[i] / total).to_bits(), "{name}");
+        }
+    }
+
+    #[test]
     fn cp_controls_tree_size() {
         let t = step_table(400);
         let ds = CartDataset::regression(&t, "y", &["x", "k"]).unwrap();
@@ -692,11 +747,11 @@ mod tests {
             Field::new("x", FeatureKind::Continuous),
             Field::new("y", FeatureKind::Continuous),
         ]);
-        let mut b = TableBuilder::new(schema);
+        let mut b = FrameBuilder::new(schema);
         for i in 0..50 {
             b.push_row(vec![Value::Continuous(i as f64), Value::Continuous(3.0)]).unwrap();
         }
-        let t = b.build();
+        let t = b.build().unwrap();
         let ds = CartDataset::regression(&t, "y", &["x"]).unwrap();
         let tree = Tree::fit(&ds, &CartParams::default()).unwrap();
         assert_eq!(tree.leaf_count(), 1);
@@ -709,13 +764,13 @@ mod tests {
             Field::new("x", FeatureKind::Continuous),
             Field::new("c", FeatureKind::Nominal),
         ]);
-        let mut b = TableBuilder::new(schema);
+        let mut b = FrameBuilder::new(schema);
         for i in 0..200 {
             let x = i as f64;
             let c = if x < 100.0 { "low" } else { "high" };
             b.push_row(vec![Value::Continuous(x), c.into()]).unwrap();
         }
-        let t = b.build();
+        let t = b.build().unwrap();
         let ds = CartDataset::classification(&t, "c", &["x"]).unwrap();
         let tree = Tree::fit(&ds, &CartParams::default()).unwrap();
         assert_eq!(tree.kind(), TreeKind::Classification);
@@ -779,11 +834,11 @@ mod tests {
         let t = step_table(100);
         let ds = CartDataset::regression(&t, "y", &["x", "k"]).unwrap();
         let tree = Tree::fit(&ds, &CartParams::default()).unwrap();
-        // Table with only "y".
+        // A frame with only "y".
         let schema = Schema::new(vec![Field::new("y", FeatureKind::Continuous)]);
-        let mut b = TableBuilder::new(schema);
+        let mut b = FrameBuilder::new(schema);
         b.push_row(vec![Value::Continuous(0.0)]).unwrap();
-        let other = b.build();
+        let other = b.build().unwrap();
         assert!(matches!(tree.predict(&other), Err(CartError::MissingFeature { .. })));
     }
 
@@ -799,9 +854,9 @@ mod tests {
             Field::new("k", FeatureKind::Nominal),
             Field::new("y", FeatureKind::Continuous),
         ]);
-        let mut b = TableBuilder::new(schema);
+        let mut b = FrameBuilder::new(schema);
         b.push_row(vec!["10".into(), "a".into(), Value::Continuous(1.0)]).unwrap();
-        let drifted = b.build();
+        let drifted = b.build().unwrap();
         match tree.predict(&drifted) {
             Err(CartError::ColumnKindMismatch { feature, expected, found }) => {
                 assert_eq!(feature, "x");

@@ -5,16 +5,16 @@ use rainshine_cart::dataset::CartDataset;
 use rainshine_cart::params::CartParams;
 use rainshine_cart::prune::{cp_sequence, pruned};
 use rainshine_cart::tree::Tree;
-use rainshine_telemetry::table::{FeatureKind, Field, Schema, Table, TableBuilder, Value};
+use rainshine_telemetry::frame::{FeatureKind, Field, Frame, FrameBuilder, Schema, Value};
 
 /// Builds a random regression table from generated (x, k, y) triples.
-fn table_from(rows: &[(f64, u8, f64)]) -> Table {
+fn table_from(rows: &[(f64, u8, f64)]) -> Frame {
     let schema = Schema::new(vec![
         Field::new("x", FeatureKind::Continuous),
         Field::new("k", FeatureKind::Nominal),
         Field::new("y", FeatureKind::Continuous),
     ]);
-    let mut b = TableBuilder::new(schema);
+    let mut b = FrameBuilder::new(schema);
     for (x, k, y) in rows {
         b.push_row(vec![
             Value::Continuous(*x),
@@ -23,7 +23,7 @@ fn table_from(rows: &[(f64, u8, f64)]) -> Table {
         ])
         .unwrap();
     }
-    b.build()
+    b.build().unwrap()
 }
 
 fn rows_strategy() -> impl Strategy<Value = Vec<(f64, u8, f64)>> {

@@ -17,10 +17,10 @@ use rainshine_core::q3::{dc_subset, env_analysis};
 use rainshine_core::tco::TcoModel;
 use rainshine_core::{evidence, q1, q2};
 use rainshine_dcsim::{Simulation, SimulationOutput};
+use rainshine_telemetry::frame::Frame;
 use rainshine_telemetry::metrics::{self, SpatialGranularity};
 use rainshine_telemetry::rma::{FaultKind, HardwareFault};
 use rainshine_telemetry::schema::columns;
-use rainshine_telemetry::table::Table;
 use rainshine_telemetry::time::TimeGranularity;
 
 use crate::scenario::{parse_workload, Claim, Scenario};
@@ -50,7 +50,7 @@ impl Measurement {
     }
 }
 
-/// Table cache key: fault filter × day stride.
+/// Rack-day table cache key: fault filter × day stride.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum TableKind {
     AllHardware(usize),
@@ -64,7 +64,7 @@ pub struct SeedRun {
     /// The simulation output all claims read.
     pub output: SimulationOutput,
     day_stride: usize,
-    tables: RefCell<BTreeMap<TableKind, Rc<Table>>>,
+    tables: RefCell<BTreeMap<TableKind, Rc<Frame>>>,
 }
 
 impl SeedRun {
@@ -92,7 +92,7 @@ impl SeedRun {
         SeedRun { seed, output, day_stride, tables: RefCell::new(BTreeMap::new()) }
     }
 
-    fn table(&self, kind: TableKind) -> std::result::Result<Rc<Table>, String> {
+    fn table(&self, kind: TableKind) -> std::result::Result<Rc<Frame>, String> {
         if let Some(t) = self.tables.borrow().get(&kind) {
             return Ok(Rc::clone(t));
         }
@@ -107,7 +107,7 @@ impl SeedRun {
         Ok(table)
     }
 
-    fn hw_table(&self) -> std::result::Result<Rc<Table>, String> {
+    fn hw_table(&self) -> std::result::Result<Rc<Frame>, String> {
         self.table(TableKind::AllHardware(self.day_stride))
     }
 
@@ -411,7 +411,7 @@ impl SeedRun {
         dc: &str,
         stride: usize,
         cart: &crate::scenario::CartSpec,
-    ) -> std::result::Result<(rainshine_core::q3::EnvAnalysis, Table), String> {
+    ) -> std::result::Result<(rainshine_core::q3::EnvAnalysis, Frame), String> {
         let disk = self.table(TableKind::Disk(stride))?;
         let subset = dc_subset(&disk, dc).map_err(|e| e.to_string())?;
         let analysis = env_analysis(dc, &subset, &cart.params()).map_err(|e| e.to_string())?;
@@ -440,7 +440,7 @@ fn series_mean(rows: &[evidence::SeriesRow], label: &str) -> std::result::Result
 /// Raw hot/cool failure-rate step at `threshold_f`, mirroring the Fig. 18
 /// grouping in `q3::env_analysis` but at an arbitrary threshold so the
 /// step can be checked for whichever discovered rule the claim selected.
-fn hot_cool_step(table: &Table, threshold_f: f64) -> std::result::Result<f64, String> {
+fn hot_cool_step(table: &Frame, threshold_f: f64) -> std::result::Result<f64, String> {
     let y = table.continuous(columns::FAILURE_RATE).map_err(|e| e.to_string())?;
     let temp = table.continuous(columns::TEMPERATURE_F).map_err(|e| e.to_string())?;
     let (mut cool_sum, mut cool_n, mut hot_sum, mut hot_n) = (0.0_f64, 0u64, 0.0_f64, 0u64);

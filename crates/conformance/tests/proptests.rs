@@ -8,7 +8,7 @@ use rainshine_conformance::scenario::{
     CartSpec, Claim, ClaimSpec, EffectToggles, Expect, Scenario,
 };
 use rainshine_conformance::{cell_divergence, DiffOracle, DivergenceBound};
-use rainshine_telemetry::table::{FeatureKind, Field, Schema, Table, TableBuilder, Value};
+use rainshine_telemetry::frame::{FeatureKind, Field, Frame, FrameBuilder, Schema, Value};
 
 const LABELS: [&str; 8] = ["W2", "W3", "S2", "S4", "DC1", "DC2", "software", "rack_7-b"];
 
@@ -129,16 +129,16 @@ fn scenario() -> impl Strategy<Value = Scenario> {
         })
 }
 
-fn two_col_table(xs: &[f64], labels: &[String]) -> Table {
+fn two_col_table(xs: &[f64], labels: &[String]) -> Frame {
     let schema = Schema::new(vec![
         Field { name: "x".into(), kind: FeatureKind::Continuous },
         Field { name: "label".into(), kind: FeatureKind::Nominal },
     ]);
-    let mut b = TableBuilder::new(schema);
+    let mut b = FrameBuilder::new(schema);
     for (x, l) in xs.iter().zip(labels) {
         b.push_row(vec![Value::Continuous(*x), Value::Nominal(l.clone())]).unwrap();
     }
-    b.build()
+    b.build().unwrap()
 }
 
 proptest! {

@@ -14,11 +14,10 @@ use std::collections::{BTreeMap, HashMap};
 
 use rainshine_dcsim::topology::RackInfo;
 use rainshine_dcsim::SimulationOutput;
-use rainshine_telemetry::frame::{ColumnBuilder, FrameBuilder};
+use rainshine_telemetry::frame::{ColumnBuilder, Frame, FrameBuilder};
 use rainshine_telemetry::ids::RackId;
 use rainshine_telemetry::rma::{FaultKind, HardwareFault, RmaTicket};
 use rainshine_telemetry::schema::analysis_schema;
-use rainshine_telemetry::table::Table;
 use rainshine_telemetry::time::SimTime;
 
 use crate::{AnalysisError, Result};
@@ -85,7 +84,7 @@ pub fn rack_day_table(
     output: &SimulationOutput,
     filter: FaultFilter,
     day_stride: usize,
-) -> Result<Table> {
+) -> Result<Frame> {
     if day_stride == 0 {
         return Err(AnalysisError::InvalidParameter { name: "day_stride", value: 0.0 });
     }
@@ -116,7 +115,7 @@ pub fn rack_day_table(
     if rows == 0 {
         return Err(AnalysisError::NoData { what: "no active rack-days in span".into() });
     }
-    Ok(Table::from_frame(builder.build()?))
+    Ok(builder.build()?)
 }
 
 /// Nominal codes for one rack's static features, interned once and reused
@@ -134,7 +133,7 @@ struct RackCodes {
 /// The 15 analysis-schema column builders, split-borrowed so the emission
 /// loop can append to all of them without per-row [`Value`] vectors.
 ///
-/// [`Value`]: rainshine_telemetry::table::Value
+/// [`Value`]: rainshine_telemetry::frame::Value
 struct AnalysisCols<'a> {
     sku: &'a mut ColumnBuilder,
     age: &'a mut ColumnBuilder,
@@ -219,7 +218,8 @@ impl<'a> AnalysisCols<'a> {
 
 /// Builds a rack-level table: one row per rack carrying its static features,
 /// its mean environment over the active span, and the caller-supplied
-/// response (racks missing from `response` are skipped).
+/// response (racks missing from `response` are skipped). Returns the table
+/// with the id of the rack behind each row, in row order.
 ///
 /// Time features are taken at the midpoint of the rack's active span (age)
 /// or zeroed (calendar ordinals are meaningless for a whole-span summary).
@@ -227,11 +227,14 @@ impl<'a> AnalysisCols<'a> {
 /// # Errors
 ///
 /// Returns [`AnalysisError::NoData`] if no rack has a response.
-pub fn rack_table(output: &SimulationOutput, response: &HashMap<RackId, f64>) -> Result<Table> {
+pub fn rack_table(
+    output: &SimulationOutput,
+    response: &HashMap<RackId, f64>,
+) -> Result<(Frame, Vec<RackId>)> {
     let mut builder = FrameBuilder::new(analysis_schema());
     let start_day = output.config.start.days() as i64;
     let end_day = output.config.end.days() as i64;
-    let mut rows = 0usize;
+    let mut racks = Vec::new();
     {
         let mut cols = AnalysisCols::split(&mut builder);
         for rack in &output.fleet.racks {
@@ -263,13 +266,13 @@ pub fn rack_table(output: &SimulationOutput, response: &HashMap<RackId, f64>) ->
             let (temp, rh) = if n > 0.0 { (temp / n, rh / n) } else { (65.0, 45.0) };
             let codes = cols.intern_rack(rack);
             cols.push(codes, rack, t, temp, rh, resp);
-            rows += 1;
+            racks.push(rack.id);
         }
     }
-    if rows == 0 {
+    if racks.is_empty() {
         return Err(AnalysisError::NoData { what: "no racks with responses".into() });
     }
-    Ok(Table::from_frame(builder.build()?))
+    Ok((builder.build()?, racks))
 }
 
 #[cfg(test)]
@@ -311,7 +314,7 @@ mod tests {
         let out = sim();
         let all = rack_day_table(&out, FaultFilter::AllHardware, 2).unwrap();
         let disks = rack_day_table(&out, FaultFilter::Component(HardwareFault::Disk), 2).unwrap();
-        let sum = |t: &Table| t.continuous(columns::FAILURE_RATE).unwrap().iter().sum::<f64>();
+        let sum = |t: &Frame| t.continuous(columns::FAILURE_RATE).unwrap().iter().sum::<f64>();
         assert!(sum(&disks) < sum(&all));
         assert!(sum(&disks) > 0.0);
     }
@@ -334,11 +337,14 @@ mod tests {
                 resp.insert(r.id, i as f64);
             }
         }
-        let t = rack_table(&out, &resp).unwrap();
+        let (t, racks) = rack_table(&out, &resp).unwrap();
         assert_eq!(t.rows(), resp.len());
+        for (row, rack) in racks.iter().enumerate() {
+            assert_eq!(t.nominal_label(columns::RACK, row).unwrap(), rack.to_string());
+        }
         // Nominal features preserved.
-        assert!(t.categories(columns::SKU).unwrap().len() >= 2);
-        assert_eq!(t.categories(columns::DATACENTER).unwrap().len(), 2);
+        assert!(t.dictionary(columns::SKU).unwrap().labels().len() >= 2);
+        assert_eq!(t.dictionary(columns::DATACENTER).unwrap().labels().len(), 2);
     }
 
     #[test]

@@ -8,8 +8,8 @@
 
 use rainshine_stats::hist::{Binner, GroupedMeans};
 use rainshine_stats::running::Welford;
+use rainshine_telemetry::frame::Frame;
 use rainshine_telemetry::schema::columns;
-use rainshine_telemetry::table::Table;
 use rainshine_telemetry::time::DayOfWeek;
 
 use crate::{AnalysisError, Result};
@@ -41,10 +41,10 @@ pub fn normalize(rows: &mut [SeriesRow]) {
 }
 
 /// Groups λ by a nominal column, in category order.
-pub fn by_nominal(table: &Table, column: &str) -> Result<Vec<SeriesRow>> {
+pub fn by_nominal(table: &Frame, column: &str) -> Result<Vec<SeriesRow>> {
     let y = table.continuous(columns::FAILURE_RATE)?;
     let codes = table.nominal_codes(column)?;
-    let cats = table.categories(column)?;
+    let cats = table.dictionary(column)?.labels();
     let mut accs = vec![Welford::new(); cats.len()];
     for (i, &c) in codes.iter().enumerate() {
         accs[c as usize].push(y[i]);
@@ -66,7 +66,7 @@ pub fn by_nominal(table: &Table, column: &str) -> Result<Vec<SeriesRow>> {
 /// Groups λ by bins of a continuous column. Rows whose factor value is not
 /// finite (e.g. a sensor-blackout NaN) are excluded — they cannot be
 /// assigned to a bin.
-pub fn by_binned(table: &Table, column: &str, binner: &Binner) -> Result<Vec<SeriesRow>> {
+pub fn by_binned(table: &Frame, column: &str, binner: &Binner) -> Result<Vec<SeriesRow>> {
     let y = table.continuous(columns::FAILURE_RATE)?;
     let x = table.continuous(column)?;
     let (x, y): (Vec<f64>, Vec<f64>) =
@@ -82,7 +82,7 @@ pub fn by_binned(table: &Table, column: &str, binner: &Binner) -> Result<Vec<Ser
 /// Groups λ by an ordinal column, optionally restricted to one calendar
 /// year, labelling levels with `labeler`.
 pub fn by_ordinal(
-    table: &Table,
+    table: &Frame,
     column: &str,
     year: Option<i64>,
     labeler: impl Fn(i64) -> String,
@@ -116,19 +116,19 @@ pub fn by_ordinal(
 }
 
 /// Fig. 2 — λ by DC region (`DC1-1` … `DC2-3`).
-pub fn by_region(table: &Table) -> Result<Vec<SeriesRow>> {
+pub fn by_region(table: &Frame) -> Result<Vec<SeriesRow>> {
     by_nominal(table, columns::REGION)
 }
 
 /// Fig. 3 — λ by day of week for one year offset (0 = 2012).
-pub fn by_day_of_week(table: &Table, year: i64) -> Result<Vec<SeriesRow>> {
+pub fn by_day_of_week(table: &Frame, year: i64) -> Result<Vec<SeriesRow>> {
     by_ordinal(table, columns::DAY_OF_WEEK, Some(year), |lvl| {
         DayOfWeek::ALL.get(lvl as usize).map(|d| d.to_string()).unwrap_or_else(|| lvl.to_string())
     })
 }
 
 /// Fig. 4 — λ by month of year for one year offset (0 = 2012).
-pub fn by_month(table: &Table, year: i64) -> Result<Vec<SeriesRow>> {
+pub fn by_month(table: &Frame, year: i64) -> Result<Vec<SeriesRow>> {
     const MONTHS: [&str; 12] =
         ["Jan", "Feb", "Mar", "Apr", "May", "Jun", "Jul", "Aug", "Sep", "Oct", "Nov", "Dec"];
     by_ordinal(table, columns::MONTH, Some(year), |lvl| {
@@ -140,27 +140,27 @@ pub fn by_month(table: &Table, year: i64) -> Result<Vec<SeriesRow>> {
 }
 
 /// Fig. 5 — λ by relative-humidity bin (`<20`, `20-30`, …, `>=70`).
-pub fn by_rh_bin(table: &Table) -> Result<Vec<SeriesRow>> {
+pub fn by_rh_bin(table: &Frame) -> Result<Vec<SeriesRow>> {
     let binner = Binner::from_edges(vec![20.0, 30.0, 40.0, 50.0, 60.0, 70.0])?;
     by_binned(table, columns::RELATIVE_HUMIDITY, &binner)
 }
 
 /// Fig. 6 — λ by workload (W1–W7).
-pub fn by_workload(table: &Table) -> Result<Vec<SeriesRow>> {
+pub fn by_workload(table: &Frame) -> Result<Vec<SeriesRow>> {
     let mut rows = by_nominal(table, columns::WORKLOAD)?;
     rows.sort_by(|a, b| a.label.cmp(&b.label));
     Ok(rows)
 }
 
 /// Fig. 7 — λ by SKU.
-pub fn by_sku(table: &Table) -> Result<Vec<SeriesRow>> {
+pub fn by_sku(table: &Frame) -> Result<Vec<SeriesRow>> {
     let mut rows = by_nominal(table, columns::SKU)?;
     rows.sort_by(|a, b| a.label.cmp(&b.label));
     Ok(rows)
 }
 
 /// Fig. 8 — λ by rack rated power (one bin per observed kW value).
-pub fn by_power(table: &Table) -> Result<Vec<SeriesRow>> {
+pub fn by_power(table: &Frame) -> Result<Vec<SeriesRow>> {
     // kW ratings are discrete (4–15); bin at integer boundaries.
     let binner =
         Binner::from_edges(vec![5.0, 6.0, 7.0, 8.0, 9.0, 10.0, 11.0, 12.0, 13.0, 14.0, 15.0])?;
@@ -171,7 +171,7 @@ pub fn by_power(table: &Table) -> Result<Vec<SeriesRow>> {
 }
 
 /// Fig. 9 — λ by equipment age in 5-month bins (0–40 months).
-pub fn by_age(table: &Table) -> Result<Vec<SeriesRow>> {
+pub fn by_age(table: &Frame) -> Result<Vec<SeriesRow>> {
     let binner = Binner::from_edges(vec![5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0])?;
     by_binned(table, columns::AGE_MONTHS, &binner)
 }
@@ -182,7 +182,7 @@ mod tests {
     use crate::dataset::{rack_day_table, FaultFilter};
     use rainshine_dcsim::{FleetConfig, Simulation};
 
-    fn table() -> Table {
+    fn table() -> Frame {
         let out = Simulation::new(FleetConfig::small(), 21).run();
         rack_day_table(&out, FaultFilter::AllHardware, 1).unwrap()
     }

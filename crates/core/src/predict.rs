@@ -18,9 +18,8 @@ use rainshine_cart::dataset::CartDataset;
 use rainshine_cart::params::CartParams;
 use rainshine_cart::tree::Tree;
 use rainshine_dcsim::SimulationOutput;
-use rainshine_telemetry::frame::FrameBuilder;
+use rainshine_telemetry::frame::{FeatureKind, Field, Frame, FrameBuilder, Schema};
 use rainshine_telemetry::schema::columns;
-use rainshine_telemetry::table::{FeatureKind, Field, Schema, Table};
 use rainshine_telemetry::time::SimTime;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -206,7 +205,7 @@ pub const PREDICTION_FEATURES: &[&str] = &[
 fn build_prediction_table(
     output: &SimulationOutput,
     config: &PredictionConfig,
-) -> Result<(Table, Vec<u64>)> {
+) -> Result<(Frame, Vec<u64>)> {
     let tickets = output.true_positives();
     let counts = ticket_counts_by_rack_day(&tickets, FaultFilter::AllHardware);
     let start_day = output.config.start.days();
@@ -275,7 +274,7 @@ fn build_prediction_table(
             }
         }
     }
-    let table = Table::from_frame(builder.build()?);
+    let table = builder.build()?;
     if table.is_empty() {
         return Err(AnalysisError::NoData { what: "no eligible rack-days for prediction".into() });
     }
@@ -308,7 +307,7 @@ pub fn predict_failures(
     let split_day = start_day + ((end_day - start_day) as f64 * config.train_fraction) as u64;
 
     let labels = table.nominal_codes(history_columns::LABEL)?;
-    let classes = table.categories(history_columns::LABEL)?;
+    let classes = table.dictionary(history_columns::LABEL)?.labels();
     let fail_code = classes.iter().position(|c| c == "fail").map(|i| i as u32);
     let Some(fail_code) = fail_code else {
         return Err(AnalysisError::NoData { what: "no positive examples in span".into() });

@@ -245,6 +245,29 @@ fn cdf_points(values: &[f64]) -> Vec<(f64, f64)> {
     }
 }
 
+/// MF clustering: fits CART on each rack's required spare fraction and
+/// groups the racks' deficits by the leaf they land in. The map is a
+/// `BTreeMap` because callers iterate it into order-sensitive float sums
+/// and the cluster listing, so leaves must come out sorted.
+fn mf_clusters<'d>(
+    output: &SimulationOutput,
+    deficits: &'d [RackDeficits],
+    params: &ProvisionParams,
+) -> Result<(Tree, BTreeMap<usize, Vec<&'d RackDeficits>>)> {
+    let response: HashMap<RackId, f64> =
+        deficits.iter().map(|r| (r.rack, r.fraction(params.coverage))).collect();
+    let (table, racks) = rack_table(output, &response)?;
+    let ds = CartDataset::regression(&table, columns::FAILURE_RATE, CLUSTER_FEATURES)?;
+    let tree = Tree::fit(&ds, &params.cart)?;
+    let leaves = tree.leaf_assignments(&table)?;
+    let by_id: HashMap<RackId, &RackDeficits> = deficits.iter().map(|r| (r.rack, r)).collect();
+    let mut clusters: BTreeMap<usize, Vec<&RackDeficits>> = BTreeMap::new();
+    for (leaf, rack) in leaves.into_iter().zip(racks) {
+        clusters.entry(leaf).or_default().push(by_id[&rack]);
+    }
+    Ok((tree, clusters))
+}
+
 /// Runs the full LB / SF / MF server-level provisioning comparison for one
 /// workload.
 ///
@@ -269,24 +292,7 @@ pub fn provision_servers(
     let sf_spares = sf_fraction * servers;
 
     // MF: cluster racks with CART on per-rack required fraction.
-    let response: HashMap<RackId, f64> =
-        deficits.iter().map(|r| (r.rack, r.fraction(params.coverage))).collect();
-    let table = rack_table(output, &response)?;
-    let ds = CartDataset::regression(&table, columns::FAILURE_RATE, CLUSTER_FEATURES)?;
-    let tree = Tree::fit(&ds, &params.cart)?;
-    let leaves = tree.leaf_assignments(&table)?;
-    let rack_col = table.categories(columns::RACK)?;
-    let rack_codes = table.nominal_codes(columns::RACK)?;
-    let by_id: HashMap<RackId, &RackDeficits> = deficits.iter().map(|r| (r.rack, r)).collect();
-
-    // BTreeMap: iterated below, and the float accumulation plus cluster
-    // listing are order-sensitive — keys must come out sorted.
-    let mut cluster_map: BTreeMap<usize, Vec<&RackDeficits>> = BTreeMap::new();
-    for row in 0..table.rows() {
-        let label = &rack_col[rack_codes[row] as usize];
-        let rack_id = RackId(label.trim_start_matches('R').parse().expect("rack label"));
-        cluster_map.entry(leaves[row]).or_default().push(by_id[&rack_id]);
-    }
+    let (tree, cluster_map) = mf_clusters(output, &deficits, params)?;
     let mut mf_spares = 0.0;
     let mut clusters = Vec::new();
     for (leaf, members) in &cluster_map {
@@ -446,22 +452,7 @@ fn spares_triple(
     let all: Vec<&RackDeficits> = deficits.iter().collect();
     let sf = pooled_fraction_quantile(&all, params.coverage) * servers;
     // MF clustering on this filter's per-rack fractions.
-    let response: HashMap<RackId, f64> =
-        deficits.iter().map(|r| (r.rack, r.fraction(params.coverage))).collect();
-    let table = rack_table(output, &response)?;
-    let ds = CartDataset::regression(&table, columns::FAILURE_RATE, CLUSTER_FEATURES)?;
-    let tree = Tree::fit(&ds, &params.cart)?;
-    let leaves = tree.leaf_assignments(&table)?;
-    let rack_col = table.categories(columns::RACK)?;
-    let rack_codes = table.nominal_codes(columns::RACK)?;
-    let by_id: HashMap<RackId, &RackDeficits> = deficits.iter().map(|r| (r.rack, r)).collect();
-    // BTreeMap: values() feeds an order-sensitive float sum below.
-    let mut cluster_map: BTreeMap<usize, Vec<&RackDeficits>> = BTreeMap::new();
-    for row in 0..table.rows() {
-        let label = &rack_col[rack_codes[row] as usize];
-        let rack_id = RackId(label.trim_start_matches('R').parse().expect("rack label"));
-        cluster_map.entry(leaves[row]).or_default().push(by_id[&rack_id]);
-    }
+    let (_, cluster_map) = mf_clusters(output, &deficits, params)?;
     let mut mf = 0.0;
     for members in cluster_map.values() {
         let fraction = pooled_fraction_quantile(members, params.coverage);

@@ -12,9 +12,8 @@ use rainshine_cart::params::CartParams;
 use rainshine_cart::tree::Tree;
 use rainshine_cart::SplitRule;
 use rainshine_stats::hist::Binner;
-use rainshine_telemetry::frame::FrameBuilder;
+use rainshine_telemetry::frame::{FeatureKind, Field, Frame, FrameBuilder, Schema};
 use rainshine_telemetry::schema::columns;
-use rainshine_telemetry::table::{FeatureKind, Field, Schema, Table};
 use serde::{Deserialize, Serialize};
 
 use crate::evidence::{by_binned, SeriesRow};
@@ -29,7 +28,7 @@ pub fn fig16_binner() -> Binner {
 /// Fig. 16 / Fig. 17 — failure rate by operating-temperature bin. Pass an
 /// all-hardware rack-day table for Fig. 16 or a disk-only table for
 /// Fig. 17.
-pub fn rate_by_temperature(table: &Table) -> Result<Vec<SeriesRow>> {
+pub fn rate_by_temperature(table: &Frame) -> Result<Vec<SeriesRow>> {
     by_binned(table, columns::TEMPERATURE_F, &fig16_binner())
 }
 
@@ -149,7 +148,7 @@ fn group_of(values: &[f64]) -> SeriesGroup {
 
 /// Normalizes the response by the control-tree stratum means, returning a
 /// two-feature (temperature, RH) table with the normalized response.
-fn normalized_env_table(table: &Table, cart: &CartParams) -> Result<Table> {
+fn normalized_env_table(table: &Frame, cart: &CartParams) -> Result<Frame> {
     let ds = CartDataset::regression(table, columns::FAILURE_RATE, ENV_CONTROLS)?;
     let control_tree = Tree::fit(&ds, cart)?;
     let strata = control_tree.leaf_assignments(table)?;
@@ -185,7 +184,7 @@ fn normalized_env_table(table: &Table, cart: &CartParams) -> Result<Table> {
             resp_col.push_f64(normalized);
         }
     }
-    Ok(Table::from_frame(b.build()?))
+    Ok(b.build()?)
 }
 
 /// Extracts environmental threshold rules from a tree fitted on the
@@ -210,13 +209,13 @@ fn discover_rules(tree: &Tree) -> Vec<DiscoveredRule> {
 /// Runs the Fig. 18 analysis for one DC's disk-failure rack-day table.
 ///
 /// `table` must contain only that DC's rows (filter upstream with
-/// [`Table::filter_nominal`] + [`Table::subset`]).
+/// [`Frame::filter_nominal`] + [`Frame::subset`]).
 ///
 /// # Errors
 ///
 /// Returns [`AnalysisError::NoData`] for an empty table, or any underlying
 /// tree error.
-pub fn env_analysis(dc_label: &str, table: &Table, cart: &CartParams) -> Result<EnvAnalysis> {
+pub fn env_analysis(dc_label: &str, table: &Frame, cart: &CartParams) -> Result<EnvAnalysis> {
     if table.is_empty() {
         return Err(AnalysisError::NoData { what: format!("no rows for {dc_label}") });
     }
@@ -338,7 +337,7 @@ impl Default for SetpointModel {
 ///
 /// Returns [`AnalysisError::NoData`] for an empty table.
 pub fn setpoint_tradeoff(
-    table: &Table,
+    table: &Frame,
     caps_f: &[f64],
     model: &SetpointModel,
     cart: &CartParams,
@@ -415,7 +414,7 @@ pub fn setpoint_tradeoff(
 /// # Errors
 ///
 /// Returns [`AnalysisError::NoData`] if the DC has no rows.
-pub fn dc_subset(table: &Table, dc_label: &str) -> Result<Table> {
+pub fn dc_subset(table: &Frame, dc_label: &str) -> Result<Frame> {
     let rows = table.filter_nominal(columns::DATACENTER, dc_label)?;
     if rows.is_empty() {
         return Err(AnalysisError::NoData { what: format!("no rows for {dc_label}") });
@@ -430,7 +429,7 @@ mod tests {
     use rainshine_dcsim::{FleetConfig, Simulation};
     use rainshine_telemetry::rma::HardwareFault;
 
-    fn disk_table() -> Table {
+    fn disk_table() -> Frame {
         // A full year so summer heat is in the data.
         let out = Simulation::new(FleetConfig::medium(), 31).run();
         rack_day_table(&out, FaultFilter::Component(HardwareFault::Disk), 1).unwrap()

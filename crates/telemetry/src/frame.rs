@@ -1,17 +1,22 @@
-//! Zero-copy columnar frames.
+//! Zero-copy typed columnar frames.
 //!
-//! [`Frame`] is the workspace's columnar storage primitive: each column is
-//! one contiguous typed buffer (`Vec<f64>` / `Vec<i64>` / `Vec<u32>` codes),
-//! nominal columns share their category labels through a reference-counted
-//! [`Dictionary`], and row subsets are either *borrowed* ([`FrameView`] — no
-//! copying at all) or *materialized* ([`Frame::subset`] — values gathered,
+//! CART (and the analysis framework generally) consumes datasets whose
+//! columns are **continuous**, **nominal** (categorical without order, e.g.
+//! SKU or DC), or **ordinal** (categorical with order, e.g. day-of-week) —
+//! exactly the three feature types of the paper's Table III. [`Frame`] is
+//! the workspace's one table type: each column is one contiguous typed
+//! buffer (`Vec<f64>` / `Vec<i64>` / `Vec<u32>` codes), nominal columns
+//! share their category labels through a reference-counted [`Dictionary`],
+//! and row subsets are either *borrowed* ([`FrameView`] — no copying at
+//! all) or *materialized* ([`Frame::subset`] — values gathered,
 //! dictionaries and schema shared, never cloned).
 //!
-//! [`crate::table::Table`] is a thin wrapper over `Frame` that keeps the
-//! original row-oriented convenience API; hot paths (the simulator's
-//! rack-day emission, CART fitting) go straight to the columns via
-//! [`FrameBuilder::columns_mut`] and the typed accessors, so no per-row
-//! `Vec<Value>` or label `String` is ever allocated there.
+//! Hot paths (the simulator's rack-day emission, CART fitting) assemble
+//! frames column-wise via [`FrameBuilder::columns_mut`] and read them
+//! through the typed accessors, so no per-row `Vec<Value>` or label
+//! `String` is ever allocated there. [`FrameBuilder::push_row`] is the
+//! row-oriented reference path that tests and differential oracles
+//! compare the columnar path against.
 //!
 //! # Ownership and borrowing rules
 //!
@@ -24,10 +29,134 @@
 //!   across a frame and all its subsets.
 
 use std::collections::HashMap;
+use std::fmt;
 use std::sync::Arc;
 
-use crate::table::{FeatureKind, Schema, Value};
+use serde::{Deserialize, Serialize};
+
 use crate::{Result, TelemetryError};
+
+/// The type of a feature column (Table III's C / N / O).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+pub enum FeatureKind {
+    /// Real-valued (temperature, age, rated power).
+    Continuous,
+    /// Categorical without implicit order (SKU, workload, DC, rack).
+    Nominal,
+    /// Categorical with order (day, week, month, year).
+    Ordinal,
+}
+
+impl FeatureKind {
+    fn name(&self) -> &'static str {
+        match self {
+            FeatureKind::Continuous => "continuous",
+            FeatureKind::Nominal => "nominal",
+            FeatureKind::Ordinal => "ordinal",
+        }
+    }
+}
+
+impl fmt::Display for FeatureKind {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.name())
+    }
+}
+
+/// A named, typed column declaration.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub struct Field {
+    /// Column name, unique within a schema.
+    pub name: String,
+    /// Column type.
+    pub kind: FeatureKind,
+}
+
+impl Field {
+    /// Creates a field.
+    pub fn new(name: impl Into<String>, kind: FeatureKind) -> Self {
+        Field { name: name.into(), kind }
+    }
+}
+
+/// An ordered set of fields.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
+pub struct Schema {
+    fields: Vec<Field>,
+}
+
+impl Schema {
+    /// Creates a schema from fields.
+    ///
+    /// # Panics
+    ///
+    /// Panics if two fields share a name.
+    pub fn new(fields: Vec<Field>) -> Self {
+        for (i, f) in fields.iter().enumerate() {
+            assert!(
+                !fields[..i].iter().any(|g| g.name == f.name),
+                "duplicate field name `{}`",
+                f.name
+            );
+        }
+        Schema { fields }
+    }
+
+    /// The fields in declaration order.
+    pub fn fields(&self) -> &[Field] {
+        &self.fields
+    }
+
+    /// Number of columns.
+    pub fn len(&self) -> usize {
+        self.fields.len()
+    }
+
+    /// Whether the schema has no columns.
+    pub fn is_empty(&self) -> bool {
+        self.fields.is_empty()
+    }
+
+    /// Index of the column named `name`.
+    pub fn index_of(&self, name: &str) -> Option<usize> {
+        self.fields.iter().position(|f| f.name == name)
+    }
+}
+
+/// A single cell value, used when assembling rows.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub enum Value {
+    /// A continuous observation.
+    Continuous(f64),
+    /// A nominal category label (interned on insert).
+    Nominal(String),
+    /// An ordinal level.
+    Ordinal(i64),
+}
+
+impl From<f64> for Value {
+    fn from(v: f64) -> Self {
+        Value::Continuous(v)
+    }
+}
+
+impl From<&str> for Value {
+    fn from(v: &str) -> Self {
+        Value::Nominal(v.to_owned())
+    }
+}
+
+impl From<String> for Value {
+    fn from(v: String) -> Self {
+        Value::Nominal(v)
+    }
+}
+
+impl From<i64> for Value {
+    fn from(v: i64) -> Self {
+        Value::Ordinal(v)
+    }
+}
 
 /// An immutable, shareable set of interned category labels.
 ///
@@ -147,9 +276,9 @@ impl Column {
     }
 }
 
-// Serialized exactly like the pre-frame derived column enum, so `Table`
-// JSON (and every results file) keeps its shape: the dictionary appears
-// under the `categories` key as a plain label array.
+// Serialized as an externally tagged enum, so frame JSON (and every
+// results file) keeps its `{ schema, columns, rows }` shape: the
+// dictionary appears under the `categories` key as a plain label array.
 impl serde::Serialize for Column {
     fn to_value(&self) -> serde::Value {
         let (tag, inner) = match self {
@@ -187,8 +316,27 @@ impl serde::Deserialize for Column {
 
 /// An immutable typed columnar frame.
 ///
-/// Construct one with [`FrameBuilder`] (columnar, zero per-row overhead)
-/// or through [`crate::table::TableBuilder`] (row-oriented convenience).
+/// Construct one with [`FrameBuilder`], column-wise (zero per-row
+/// overhead) or row by row through [`FrameBuilder::push_row`].
+///
+/// # Example
+///
+/// ```
+/// use rainshine_telemetry::frame::{FeatureKind, Field, FrameBuilder, Schema, Value};
+///
+/// let schema = Schema::new(vec![
+///     Field::new("temp", FeatureKind::Continuous),
+///     Field::new("sku", FeatureKind::Nominal),
+/// ]);
+/// let mut b = FrameBuilder::new(schema);
+/// b.push_row(vec![Value::Continuous(72.0), Value::Nominal("S1".into())])?;
+/// b.push_row(vec![Value::Continuous(80.5), Value::Nominal("S2".into())])?;
+/// let frame = b.build()?;
+/// assert_eq!(frame.rows(), 2);
+/// assert_eq!(frame.continuous("temp")?[1], 80.5);
+/// assert_eq!(frame.nominal_label("sku", 1)?, "S2");
+/// # Ok::<(), rainshine_telemetry::TelemetryError>(())
+/// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Frame {
     schema: Arc<Schema>,
@@ -316,6 +464,38 @@ impl Frame {
         }
     }
 
+    /// The nominal label of `row` in column `name`.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if the column is missing or not nominal.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row` is out of bounds.
+    pub fn nominal_label(&self, name: &str, row: usize) -> Result<&str> {
+        let code = self.nominal_codes(name)?[row];
+        Ok(&self.dictionary(name)?.labels()[code as usize])
+    }
+
+    /// Row indices whose nominal column equals `label`; empty if the label
+    /// never occurs.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if the column is missing or not nominal.
+    pub fn filter_nominal(&self, name: &str, label: &str) -> Result<Vec<usize>> {
+        let Some(code) = self.dictionary(name)?.code_of(label) else {
+            return Ok(Vec::new());
+        };
+        Ok(self
+            .nominal_codes(name)?
+            .iter()
+            .enumerate()
+            .filter_map(|(i, &c)| (c == code).then_some(i))
+            .collect())
+    }
+
     /// Materializes a new frame containing only `rows` (in the given
     /// order). Schema and dictionaries are shared, not cloned.
     ///
@@ -336,8 +516,7 @@ impl Frame {
     }
 }
 
-// Serialized as `{ schema, columns, rows }`, byte-compatible with the
-// pre-frame derived `Table` representation.
+// Serialized as `{ schema, columns, rows }`.
 impl serde::Serialize for Frame {
     fn to_value(&self) -> serde::Value {
         serde::Value::Object(vec![
@@ -369,12 +548,7 @@ impl serde::Deserialize for Frame {
 }
 
 fn kind_mismatch(name: &str, requested: &'static str, actual: &Column) -> TelemetryError {
-    let actual = match actual {
-        Column::Continuous(_) => "continuous",
-        Column::Nominal { .. } => "nominal",
-        Column::Ordinal(_) => "ordinal",
-    };
-    TelemetryError::KindMismatch { name: name.to_owned(), requested, actual }
+    TelemetryError::KindMismatch { name: name.to_owned(), requested, actual: actual.kind().name() }
 }
 
 /// A borrowed row subset of a [`Frame`]: the frame and the index slice
@@ -603,8 +777,7 @@ impl ColumnBuilder {
 /// # Example
 ///
 /// ```
-/// use rainshine_telemetry::frame::FrameBuilder;
-/// use rainshine_telemetry::table::{Field, FeatureKind, Schema};
+/// use rainshine_telemetry::frame::{FeatureKind, Field, FrameBuilder, Schema};
 ///
 /// let schema = Schema::new(vec![
 ///     Field::new("temp", FeatureKind::Continuous),
@@ -666,8 +839,8 @@ impl FrameBuilder {
         }
     }
 
-    /// Appends one row from cell values (the row-oriented compatibility
-    /// path used by [`crate::table::TableBuilder`]).
+    /// Appends one row from cell values: the row-oriented reference path
+    /// that the columnar [`ColumnBuilder`] pushes are checked against.
     ///
     /// # Errors
     ///
@@ -721,7 +894,6 @@ impl FrameBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::table::Field;
 
     fn sample_schema() -> Schema {
         Schema::new(vec![
@@ -747,9 +919,60 @@ mod tests {
         let f = sample_frame();
         assert_eq!(f.rows(), 4);
         assert_eq!(f.continuous("x").unwrap(), &[1.0, 2.0, 3.0, 4.0]);
+        // Interning reuses the first-seen code for a repeated label.
         assert_eq!(f.nominal_codes("k").unwrap(), &[0, 1, 0, 2]);
         assert_eq!(f.dictionary("k").unwrap().labels(), &["a", "b", "c"]);
+        assert_eq!(f.nominal_label("k", 3).unwrap(), "c");
         assert_eq!(f.ordinal("o").unwrap(), &[0, 1, 2, 0]);
+
+        let mut b = FrameBuilder::new(sample_schema());
+        for (x, k, o) in [(1.0, "a", 0i64), (2.0, "b", 1), (3.0, "a", 2), (4.0, "c", 0)] {
+            b.push_row(vec![x.into(), k.into(), o.into()]).unwrap();
+        }
+        assert_eq!(b.build().unwrap(), f);
+    }
+
+    #[test]
+    fn kind_mismatch_errors() {
+        let f = sample_frame();
+        assert!(matches!(f.continuous("k"), Err(TelemetryError::KindMismatch { .. })));
+        assert!(matches!(f.nominal_codes("x"), Err(TelemetryError::KindMismatch { .. })));
+        assert!(matches!(f.nominal_label("o", 0), Err(TelemetryError::KindMismatch { .. })));
+        assert!(matches!(f.ordinal("k"), Err(TelemetryError::KindMismatch { .. })));
+        assert!(matches!(f.continuous("nope"), Err(TelemetryError::UnknownColumn { .. })));
+    }
+
+    #[test]
+    fn push_row_validates_arity_and_kind() {
+        let mut b = FrameBuilder::new(Schema::new(vec![Field::new("x", FeatureKind::Continuous)]));
+        assert!(matches!(
+            b.push_row(vec![]),
+            Err(TelemetryError::RowArity { expected: 1, got: 0 })
+        ));
+        assert!(matches!(
+            b.push_row(vec![Value::Nominal("a".into())]),
+            Err(TelemetryError::ValueKind { column: 0 })
+        ));
+        // Failed pushes leave the builder usable.
+        b.push_row(vec![Value::Continuous(1.0)]).unwrap();
+        assert_eq!(b.build().unwrap().rows(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate field name")]
+    fn schema_rejects_duplicates() {
+        Schema::new(vec![
+            Field::new("x", FeatureKind::Continuous),
+            Field::new("x", FeatureKind::Nominal),
+        ]);
+    }
+
+    #[test]
+    fn filter_nominal_selects_matching_rows() {
+        let f = sample_frame();
+        assert_eq!(f.filter_nominal("k", "a").unwrap(), vec![0, 2]);
+        assert_eq!(f.filter_nominal("k", "zzz").unwrap(), Vec::<usize>::new());
+        assert!(matches!(f.filter_nominal("x", "a"), Err(TelemetryError::KindMismatch { .. })));
     }
 
     #[test]
@@ -779,6 +1002,7 @@ mod tests {
         assert_eq!(s.rows(), 2);
         assert_eq!(s.continuous("x").unwrap(), &[4.0, 1.0]);
         assert_eq!(s.nominal_codes("k").unwrap(), &[2, 0]);
+        assert_eq!(s.nominal_label("k", 0).unwrap(), "c");
         assert!(s.dictionary("k").unwrap().same_allocation(f.dictionary("k").unwrap()));
         assert!(Arc::ptr_eq(&s.schema, &f.schema));
     }

@@ -11,11 +11,10 @@
 //!   aggregation windows ([`time::TimeGranularity`]);
 //! * [`rma`] — RMA failure tickets with the paper's Table II taxonomy
 //!   (software / boot / hardware / other, with per-category fault types);
-//! * [`frame`] — zero-copy columnar frames: contiguous typed column
-//!   buffers, shared category dictionaries, borrowed row views;
-//! * [`table`] — a typed columnar table (continuous / nominal / ordinal
-//!   columns) used as the dataset representation for CART, a thin wrapper
-//!   over [`frame::Frame`];
+//! * [`frame`] — the typed columnar table ([`frame::Frame`]: continuous /
+//!   nominal / ordinal columns) used as the dataset representation for
+//!   CART: contiguous typed column buffers, shared category dictionaries,
+//!   borrowed row views;
 //! * [`schema`] — the canonical candidate-feature schema (Table III);
 //! * [`metrics`] — the paper's two failure metrics: generation rate λ and
 //!   concurrent-failure count μ, at arbitrary spatial × temporal
@@ -30,7 +29,6 @@ pub mod metrics;
 pub mod quality;
 pub mod rma;
 pub mod schema;
-pub mod table;
 pub mod time;
 
 mod error;

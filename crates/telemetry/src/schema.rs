@@ -4,7 +4,7 @@
 //! names; keeping them here makes the simulator, the dataset builder, and
 //! the CART feature lists agree by construction.
 
-use crate::table::{FeatureKind, Field, Schema};
+use crate::frame::{FeatureKind, Field, Schema};
 
 /// Canonical column names for the analysis dataset.
 pub mod columns {

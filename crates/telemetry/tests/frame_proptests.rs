@@ -1,11 +1,12 @@
-//! Property tests for the `Table` ↔ `Frame` round-trip: converting a table
-//! into its backing frame and wrapping the frame back must preserve every
-//! value (including NaN cells), the column kinds, and the category
-//! dictionaries — and the dictionaries must round-trip without copying.
+//! Property tests for the two frame assembly paths: building a frame row
+//! by row through `FrameBuilder::push_row` and column by column through
+//! the typed `ColumnBuilder` pushes must preserve every value (including
+//! NaN and signed-zero cells bit for bit), the column kinds, and the
+//! category dictionaries — and subsets must share those dictionaries
+//! without copying.
 
 use proptest::prelude::*;
-use rainshine_telemetry::frame::Frame;
-use rainshine_telemetry::table::{FeatureKind, Field, Schema, Table, TableBuilder, Value};
+use rainshine_telemetry::frame::{FeatureKind, Field, Frame, FrameBuilder, Schema, Value};
 
 /// Label pool for nominal cells.
 const LABELS: [&str; 5] = ["alpha", "beta", "gamma", "delta", "epsilon"];
@@ -33,16 +34,35 @@ fn cell(kind: FeatureKind, (f_idx, l_idx, ord): CellSeed) -> Value {
     }
 }
 
-/// Assembles a table through the row-oriented builder from generic seeds.
-fn build_table(kinds: &[u8], rows: &[Vec<CellSeed>]) -> Table {
-    let fields =
-        kinds.iter().enumerate().map(|(i, &k)| Field::new(format!("c{i}"), kind_of(k))).collect();
-    let mut builder = TableBuilder::new(Schema::new(fields));
+fn schema(kinds: &[u8]) -> Schema {
+    Schema::new(
+        kinds.iter().enumerate().map(|(i, &k)| Field::new(format!("c{i}"), kind_of(k))).collect(),
+    )
+}
+
+/// Assembles a frame through the row-oriented `push_row` path.
+fn build_by_rows(kinds: &[u8], rows: &[Vec<CellSeed>]) -> Frame {
+    let mut builder = FrameBuilder::new(schema(kinds));
     for row in rows {
         let values = kinds.iter().zip(row).map(|(&k, &seed)| cell(kind_of(k), seed)).collect();
         builder.push_row(values).expect("generated row matches schema");
     }
-    builder.build()
+    builder.build().expect("push_row keeps columns aligned")
+}
+
+/// Assembles the same frame column by column through the typed pushes.
+fn build_by_columns(kinds: &[u8], rows: &[Vec<CellSeed>]) -> Frame {
+    let mut builder = FrameBuilder::new(schema(kinds));
+    for (i, (col, &k)) in builder.columns_mut().iter_mut().zip(kinds).enumerate() {
+        for row in rows {
+            match cell(kind_of(k), row[i]) {
+                Value::Continuous(x) => col.push_f64(x),
+                Value::Nominal(label) => col.push_label(&label),
+                Value::Ordinal(x) => col.push_i64(x),
+            }
+        }
+    }
+    builder.build().expect("every column received one value per row")
 }
 
 /// Bit-level float slice equality: NaN == NaN, +0.0 != -0.0.
@@ -52,44 +72,48 @@ fn bits_equal(a: &[f64], b: &[f64]) -> bool {
 
 proptest! {
     #[test]
-    fn table_frame_roundtrip_preserves_everything(
+    fn row_and_column_assembly_agree(
         kinds in prop::collection::vec(0u8..3, 1..5),
         rows in prop::collection::vec(prop::collection::vec((0u8..8, 0u8..7, -3i64..7), 4), 0..25),
     ) {
-        let table = build_table(&kinds, &rows);
-        let frame: Frame = table.frame().clone();
-        let rebuilt = Table::from_frame(frame);
+        let by_rows = build_by_rows(&kinds, &rows);
+        let by_cols = build_by_columns(&kinds, &rows);
+        // Subsets (here: every row, reversed) share the parent's dictionaries.
+        let reversed: Vec<usize> = (0..by_rows.rows()).rev().collect();
+        let subset = by_rows.subset(&reversed);
 
-        prop_assert_eq!(table.schema(), rebuilt.schema());
-        prop_assert_eq!(table.rows(), rebuilt.rows());
+        prop_assert_eq!(by_rows.schema(), by_cols.schema());
+        prop_assert_eq!(by_rows.rows(), rows.len());
+        prop_assert_eq!(by_cols.rows(), rows.len());
 
         for (i, &k) in kinds.iter().enumerate() {
             let name = format!("c{i}");
             match kind_of(k) {
                 FeatureKind::Continuous => {
-                    let a = table.continuous(&name).expect("continuous column");
-                    let b = rebuilt.continuous(&name).expect("continuous column");
+                    let a = by_rows.continuous(&name).expect("continuous column");
+                    let b = by_cols.continuous(&name).expect("continuous column");
                     prop_assert!(bits_equal(a, b), "column {} diverged", name);
+                    let rev: Vec<f64> = a.iter().rev().copied().collect();
+                    let s = subset.continuous(&name).expect("continuous column");
+                    prop_assert!(bits_equal(&rev, s), "subset of {} diverged", name);
                 }
                 FeatureKind::Nominal => {
                     prop_assert_eq!(
-                        table.nominal_codes(&name).expect("codes"),
-                        rebuilt.nominal_codes(&name).expect("codes")
+                        by_rows.nominal_codes(&name).expect("codes"),
+                        by_cols.nominal_codes(&name).expect("codes")
                     );
-                    prop_assert_eq!(
-                        table.categories(&name).expect("categories"),
-                        rebuilt.categories(&name).expect("categories")
-                    );
-                    // Zero-copy: the rebuilt table shares the original
-                    // dictionary allocation instead of cloning labels.
-                    let a = table.frame().dictionary(&name).expect("dictionary");
-                    let b = rebuilt.frame().dictionary(&name).expect("dictionary");
-                    prop_assert!(a.same_allocation(b), "dictionary {} copied", name);
+                    let a = by_rows.dictionary(&name).expect("dictionary");
+                    let b = by_cols.dictionary(&name).expect("dictionary");
+                    prop_assert_eq!(a.labels(), b.labels());
+                    // Zero-copy: the subset shares the original dictionary
+                    // allocation instead of cloning labels.
+                    let s = subset.dictionary(&name).expect("dictionary");
+                    prop_assert!(a.same_allocation(s), "dictionary {} copied", name);
                 }
                 FeatureKind::Ordinal => {
                     prop_assert_eq!(
-                        table.ordinal(&name).expect("ordinal column"),
-                        rebuilt.ordinal(&name).expect("ordinal column")
+                        by_rows.ordinal(&name).expect("ordinal column"),
+                        by_cols.ordinal(&name).expect("ordinal column")
                     );
                 }
             }
@@ -104,16 +128,13 @@ proptest! {
         // Seeds start at 1 for the float index: serialized NaN is exercised
         // by the dedicated serde round-trip suite; here every cell must
         // compare equal after a serialize/deserialize cycle.
-        let table = build_table(&kinds, &rows);
-        let json = serde_json::to_string(&table).expect("table serializes");
-        let back: Table = serde_json::from_str(&json).expect("table deserializes");
-        prop_assert_eq!(table.schema(), back.schema());
-        prop_assert_eq!(table.rows(), back.rows());
-        // A table and its backing frame serialize identically — the wrapper
-        // adds no bytes.
-        let frame_json = serde_json::to_string(table.frame()).expect("frame serializes");
-        prop_assert_eq!(&json, &frame_json);
-        let frame_back: Frame = serde_json::from_str(&frame_json).expect("frame deserializes");
-        prop_assert_eq!(back.frame(), &frame_back);
+        let frame = build_by_rows(&kinds, &rows);
+        let json = serde_json::to_string(&frame).expect("frame serializes");
+        let back: Frame = serde_json::from_str(&json).expect("frame deserializes");
+        prop_assert_eq!(&back, &frame);
+        // Both assembly paths serialize to the same bytes.
+        let column_json =
+            serde_json::to_string(&build_by_columns(&kinds, &rows)).expect("frame serializes");
+        prop_assert_eq!(&json, &column_json);
     }
 }

@@ -16,6 +16,7 @@ use rainshine::analysis::q1::{provision_servers, ProvisionParams};
 use rainshine::analysis::q3::{dc_subset, env_analysis};
 use rainshine::cart::params::CartParams;
 use rainshine::dcsim::{CorruptionConfig, FleetConfig, Simulation, SimulationOutput};
+use rainshine::obs::Obs;
 use rainshine::parallel::Parallelism;
 use rainshine::telemetry::ids::Workload;
 use rainshine::telemetry::quality::{DataQualityReport, DefectClass};
@@ -161,11 +162,12 @@ fn sanitized_stream_is_fully_valid() {
 fn full_experiment_suite_never_panics_on_dirty_data() {
     use rainshine_bench::{run_experiment, ExperimentContext, Scale, ALL_EXPERIMENTS};
     let dir = std::env::temp_dir().join("rainshine-dirty-suite");
-    let mut ctx = ExperimentContext::new_with_corruption(
+    let mut ctx = ExperimentContext::new_with_obs(
         Scale::Small,
         SEED,
         Parallelism::Auto,
         CorruptionConfig::dirty_default(),
+        Obs::disabled(),
     );
     assert!(ctx.output.quality.tickets_seen > ctx.output.quality.tickets_kept, "defects injected");
     for id in ALL_EXPERIMENTS {

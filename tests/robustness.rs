@@ -78,7 +78,7 @@ fn degenerate_single_value_features_do_not_break_cart() {
     // Rack table with constant response: tree must be a single leaf.
     let constant: std::collections::HashMap<_, _> =
         out.fleet.racks.iter().map(|r| (r.id, 1.0)).collect();
-    let table = rack_table(&out, &constant).unwrap();
+    let (table, _) = rack_table(&out, &constant).unwrap();
     let ds = CartDataset::regression(
         &table,
         columns::FAILURE_RATE,
