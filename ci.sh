@@ -11,7 +11,7 @@ cargo test --workspace -q
 # full-scenario sweep plus the differential oracle suite, byte-compared
 # against the committed baseline report (regenerate with the same flags
 # plus --report results/conformance.json after an intentional change).
-cargo run --release -q -p rainshine-conformance --bin conformance -- \
+cargo run --release -q -p rainshine-bench -- conformance \
     --scenario scenarios/full.json --seeds 3 --baseline results/conformance.json
 cargo test -q --test determinism run_report_bytes_do_not_depend_on_thread_count
 cargo clippy --workspace --all-targets -- -D warnings

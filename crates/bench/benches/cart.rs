@@ -8,6 +8,7 @@ use rainshine_cart::forest::{Forest, ForestParams};
 use rainshine_cart::params::{CartParams, NominalSearch};
 use rainshine_cart::prune::{cp_sequence, cross_validate, pruned};
 use rainshine_cart::tree::Tree;
+use rainshine_obs::Obs;
 use rainshine_parallel::Parallelism;
 use rainshine_telemetry::frame::{FeatureKind, Field, Frame, FrameBuilder, Schema, Value};
 
@@ -76,7 +77,7 @@ fn bench_prune_and_cv(c: &mut Criterion) {
     c.bench_function("cp_sequence", |b| b.iter(|| cp_sequence(&tree)));
     c.bench_function("prune_at_cp", |b| b.iter(|| pruned(&tree, 0.01)));
     c.bench_function("cross_validate_5fold", |b| {
-        b.iter(|| cross_validate(&ds, &params, 5, 42).unwrap())
+        b.iter(|| cross_validate(&ds, &params, 5, 42, &Obs::disabled()).unwrap())
     });
 }
 
@@ -107,7 +108,9 @@ fn bench_forest_threads(c: &mut Criterion) {
             tree_params: CartParams::default().with_min_sizes(100, 50),
             ..ForestParams::default()
         };
-        group.bench_function(name, |b| b.iter(|| Forest::fit(&ds, &params).unwrap()));
+        group.bench_function(name, |b| {
+            b.iter(|| Forest::fit(&ds, &params, &Obs::disabled()).unwrap())
+        });
     }
     group.finish();
 }

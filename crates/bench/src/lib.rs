@@ -3,15 +3,16 @@
 //! Each experiment id (`t1`–`t4`, `f1`–`f18`) maps to one artifact of the
 //! paper's evaluation (see `DESIGN.md` §4). [`run_experiment`] computes the
 //! artifact from a simulation run, writes a CSV under the output directory,
-//! and returns a printable preview. The `experiments` binary drives all of
-//! them; the Criterion benches reuse the same context for performance
-//! measurements.
+//! and returns a printable preview. The `rainshine experiments` subcommand
+//! drives all of them; the Criterion benches reuse the same context for
+//! performance measurements.
 
 use std::fmt::Write as _;
 use std::fs;
 use std::path::Path;
 
 use rainshine_cart::params::CartParams;
+use rainshine_conformance::Scenario;
 use rainshine_core::dataset::{rack_day_table, FaultFilter};
 use rainshine_core::evidence::{self, SeriesRow};
 use rainshine_core::tco::TcoModel;
@@ -54,7 +55,8 @@ impl Scale {
         }
     }
 
-    fn config(self) -> FleetConfig {
+    /// The clean fleet configuration of this scale.
+    pub fn config(self) -> FleetConfig {
         match self {
             Scale::Small => FleetConfig::small(),
             Scale::Medium => FleetConfig::medium(),
@@ -260,9 +262,7 @@ fn dispatch(
         "f18" => f18(ctx, out_dir),
         "p1" => p1(ctx, out_dir),
         "p2" => p2(ctx, out_dir),
-        "a1" => ablation(out_dir, "a1", AblationKind::EnvironmentOff),
-        "a2" => ablation(out_dir, "a2", AblationKind::BurstsOff),
-        "a3" => ablation(out_dir, "a3", AblationKind::CalendarOff),
+        "a1" | "a2" | "a3" => ablation(out_dir, id),
         other => Err(format!("unknown experiment id `{other}`").into()),
     }
 }
@@ -702,33 +702,22 @@ fn p2(ctx: &mut ExperimentContext, dir: &Path) -> Result<String, ExperimentError
     Ok(preview)
 }
 
-/// Which planted effect a negative-control ablation disables.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AblationKind {
-    /// Zero out every environmental hazard effect.
-    EnvironmentOff,
-    /// Remove the correlated-burst channel.
-    BurstsOff,
-    /// Flatten the weekday and seasonal cycles.
-    CalendarOff,
+/// The checked-in scenario spec behind each negative-control ablation:
+/// the `medium` fleet with exactly one effect disabled.
+fn ablation_scenario(id: &str) -> Result<Scenario, ExperimentError> {
+    let text = match id {
+        "a1" => include_str!("../../../scenarios/env_off.json"),
+        "a2" => include_str!("../../../scenarios/bursts_off.json"),
+        _ => include_str!("../../../scenarios/calendar_off.json"),
+    };
+    Ok(Scenario::from_json(text)?)
 }
 
-/// Builds the medium-scale config with one effect disabled, via the
-/// [`rainshine_dcsim::hazard::HazardConfig`] ablation hooks.
-pub fn ablated_config(kind: AblationKind) -> FleetConfig {
-    let mut config = FleetConfig::medium();
-    match kind {
-        AblationKind::EnvironmentOff => config.hazard.ablate_environment(),
-        AblationKind::BurstsOff => config.hazard.ablate_bursts(),
-        AblationKind::CalendarOff => config.hazard.ablate_calendar(),
-    }
-    config
-}
-
-fn ablation(dir: &Path, id: &str, kind: AblationKind) -> Result<String, ExperimentError> {
-    let output = Simulation::new(ablated_config(kind), 42).run();
-    match kind {
-        AblationKind::EnvironmentOff => {
+fn ablation(dir: &Path, id: &str) -> Result<String, ExperimentError> {
+    let scenario = ablation_scenario(id)?;
+    let output = Simulation::new(scenario.fleet_config()?, scenario.seed_base).run();
+    match id {
+        "a1" => {
             let disk = rack_day_table(&output, FaultFilter::Component(HardwareFault::Disk), 1)?;
             let cart = CartParams::default().with_min_sizes(400, 200).with_cp(0.002);
             let dc1 = q3::dc_subset(&disk, "DC1")?;
@@ -744,7 +733,7 @@ fn ablation(dir: &Path, id: &str, kind: AblationKind) -> Result<String, Experime
                 ratio
             ))
         }
-        AblationKind::BurstsOff => {
+        "a2" => {
             let params = q1::ProvisionParams::new(1.0, TimeGranularity::Daily);
             let r = q1::provision_servers(&output, Workload::W6, &params)?;
             let rows = vec![format!(
@@ -759,7 +748,7 @@ fn ablation(dir: &Path, id: &str, kind: AblationKind) -> Result<String, Experime
                 r.lb.overprovision_pct, r.mf.overprovision_pct, r.sf.overprovision_pct
             ))
         }
-        AblationKind::CalendarOff => {
+        _ => {
             let table = rack_day_table(&output, FaultFilter::AllHardware, 1)?;
             let dow = evidence::by_day_of_week(&table, 0)?;
             let max = dow.iter().map(|r| r.mean).fold(0.0f64, f64::max);
@@ -801,20 +790,22 @@ mod tests {
     }
 
     #[test]
-    fn ablated_configs_disable_exactly_one_channel() {
-        let base = FleetConfig::medium();
-        let env = ablated_config(AblationKind::EnvironmentOff);
-        assert_eq!(env.hazard.disk_hot_factor, 1.0);
-        assert_eq!(env.hazard.burst_base, base.hazard.burst_base, "bursts untouched");
-
-        let bursts = ablated_config(AblationKind::BurstsOff);
-        assert_eq!(bursts.hazard.burst_base, 0.0);
-        assert_eq!(bursts.hazard.disk_hot_factor, base.hazard.disk_hot_factor);
-
-        let cal = ablated_config(AblationKind::CalendarOff);
-        assert_eq!(cal.hazard.weekday_factor, 1.0);
-        assert_eq!(cal.hazard.season_amplitude, 0.0);
-        assert!(cal.validate().is_ok());
+    fn ablation_scenarios_disable_exactly_one_channel() {
+        use rainshine_dcsim::hazard::HazardConfig;
+        let medium_with = |ablate: fn(&mut HazardConfig)| {
+            let mut config = FleetConfig::medium();
+            ablate(&mut config.hazard);
+            config
+        };
+        for (id, expected) in [
+            ("a1", medium_with(HazardConfig::ablate_environment)),
+            ("a2", medium_with(HazardConfig::ablate_bursts)),
+            ("a3", medium_with(HazardConfig::ablate_calendar)),
+        ] {
+            let scenario = ablation_scenario(id).unwrap();
+            assert_eq!(scenario.fleet_config().unwrap(), expected, "{id}");
+            assert_eq!(scenario.seed_base, 42, "{id}");
+        }
     }
 
     #[test]

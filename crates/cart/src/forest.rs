@@ -79,19 +79,9 @@ pub struct Forest {
 }
 
 impl Forest {
-    /// Fits a bagged forest on a regression dataset.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for invalid parameters, a classification dataset,
-    /// or an empty dataset.
-    pub fn fit(dataset: &CartDataset<'_>, params: &ForestParams) -> Result<Self> {
-        Self::fit_with_obs(dataset, params, &Obs::disabled())
-    }
-
-    /// [`Forest::fit`] with observability: records a `forest.fit` span,
-    /// one `forest.fit_tree` stage call per member tree (timed inside the
-    /// worker), and a `forest.tree_nodes` histogram.
+    /// Fits a bagged forest on a regression dataset, recording into `obs` a
+    /// `forest.fit` span, one `forest.fit_tree` stage call per member tree
+    /// (timed inside the worker), and a `forest.tree_nodes` histogram.
     ///
     /// Workers write into **local** collectors which are merged in
     /// tree-index order before being absorbed into `obs`, so everything
@@ -99,12 +89,9 @@ impl Forest {
     ///
     /// # Errors
     ///
-    /// Same conditions as [`Forest::fit`].
-    pub fn fit_with_obs(
-        dataset: &CartDataset<'_>,
-        params: &ForestParams,
-        obs: &Obs,
-    ) -> Result<Self> {
+    /// Returns an error for invalid parameters, a classification dataset,
+    /// or an empty dataset.
+    pub fn fit(dataset: &CartDataset<'_>, params: &ForestParams, obs: &Obs) -> Result<Self> {
         let mut fit_span = obs.span("forest.fit");
         params.validate()?;
         let Target::Regression(y) = dataset.target() else {
@@ -364,7 +351,7 @@ mod tests {
     fn forest_fits_and_predicts_signal() {
         let t = table(600);
         let ds = CartDataset::regression(&t, "y", &["signal", "noise"]).unwrap();
-        let forest = Forest::fit(&ds, &forest_params()).unwrap();
+        let forest = Forest::fit(&ds, &forest_params(), &Obs::disabled()).unwrap();
         assert_eq!(forest.trees().len(), 15);
         let preds = forest.predict(&t).unwrap();
         let y = t.continuous("y").unwrap();
@@ -377,7 +364,7 @@ mod tests {
     fn oob_r2_high_for_learnable_signal() {
         let t = table(600);
         let ds = CartDataset::regression(&t, "y", &["signal", "noise"]).unwrap();
-        let forest = Forest::fit(&ds, &forest_params()).unwrap();
+        let forest = Forest::fit(&ds, &forest_params(), &Obs::disabled()).unwrap();
         let r2 = forest.oob_r2().expect("oob coverage");
         assert!(r2 > 0.8, "oob r2 {r2}");
         assert!(forest.oob_mse().unwrap() > 0.0);
@@ -387,7 +374,7 @@ mod tests {
     fn permutation_importance_separates_signal_from_noise() {
         let t = table(600);
         let ds = CartDataset::regression(&t, "y", &["signal", "noise"]).unwrap();
-        let forest = Forest::fit(&ds, &forest_params()).unwrap();
+        let forest = Forest::fit(&ds, &forest_params(), &Obs::disabled()).unwrap();
         let imp = forest.permutation_importance(&ds, 11).unwrap();
         let get = |n: &str| imp.iter().find(|(f, _)| f == n).unwrap().1;
         assert!(get("signal") > 10.0 * get("noise").max(1e-6), "{imp:?}");
@@ -400,12 +387,12 @@ mod tests {
     fn forest_is_seed_deterministic() {
         let t = table(300);
         let ds = CartDataset::regression(&t, "y", &["signal", "noise"]).unwrap();
-        let a = Forest::fit(&ds, &forest_params()).unwrap();
-        let b = Forest::fit(&ds, &forest_params()).unwrap();
+        let a = Forest::fit(&ds, &forest_params(), &Obs::disabled()).unwrap();
+        let b = Forest::fit(&ds, &forest_params(), &Obs::disabled()).unwrap();
         assert_eq!(a, b);
         let mut other = forest_params();
         other.seed = 99;
-        let c = Forest::fit(&ds, &other).unwrap();
+        let c = Forest::fit(&ds, &other, &Obs::disabled()).unwrap();
         assert_ne!(a, c);
     }
 
@@ -415,10 +402,10 @@ mod tests {
         let ds = CartDataset::regression(&t, "y", &["signal", "noise"]).unwrap();
         let mut params = forest_params();
         params.parallelism = Parallelism::Sequential;
-        let sequential = Forest::fit(&ds, &params).unwrap();
+        let sequential = Forest::fit(&ds, &params, &Obs::disabled()).unwrap();
         for parallelism in [Parallelism::Threads(2), Parallelism::Threads(4), Parallelism::Auto] {
             params.parallelism = parallelism;
-            let threaded = Forest::fit(&ds, &params).unwrap();
+            let threaded = Forest::fit(&ds, &params, &Obs::disabled()).unwrap();
             assert_eq!(sequential, threaded, "forest differs under {parallelism:?}");
             assert_eq!(sequential.oob_mse(), threaded.oob_mse());
         }
@@ -437,7 +424,7 @@ mod tests {
             let mut p = forest_params();
             p.parallelism = par;
             let obs = rainshine_obs::Obs::enabled();
-            Forest::fit_with_obs(&ds, &p, &obs).unwrap();
+            Forest::fit(&ds, &p, &obs).unwrap();
             let report = rainshine_obs::RunReport::from_collector(&obs.snapshot());
             report.deterministic_json()
         };
@@ -455,13 +442,13 @@ mod tests {
         let ds = CartDataset::regression(&t, "y", &["signal"]).unwrap();
         let mut p = forest_params();
         p.trees = 0;
-        assert!(Forest::fit(&ds, &p).is_err());
+        assert!(Forest::fit(&ds, &p, &Obs::disabled()).is_err());
         let mut p = forest_params();
         p.sample_fraction = 0.0;
-        assert!(Forest::fit(&ds, &p).is_err());
+        assert!(Forest::fit(&ds, &p, &Obs::disabled()).is_err());
         let mut p = forest_params();
         p.sample_fraction = 1.5;
-        assert!(Forest::fit(&ds, &p).is_err());
+        assert!(Forest::fit(&ds, &p, &Obs::disabled()).is_err());
     }
 
     #[test]
@@ -480,6 +467,9 @@ mod tests {
         }
         let t = b.build().unwrap();
         let ds = CartDataset::classification(&t, "c", &["x"]).unwrap();
-        assert!(matches!(Forest::fit(&ds, &forest_params()), Err(CartError::TargetKind { .. })));
+        assert!(matches!(
+            Forest::fit(&ds, &forest_params(), &Obs::disabled()),
+            Err(CartError::TargetKind { .. })
+        ));
     }
 }

@@ -11,6 +11,7 @@
 //! the node with minimal `g`, producing a nested sequence of subtrees indexed
 //! by the complexity parameter `cp = g / R(root)`.
 
+use rainshine_obs::Obs;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
@@ -163,7 +164,8 @@ fn holdout_error(tree: &Tree, dataset: &CartDataset<'_>, rows: &[usize]) -> Resu
 /// Candidate `cp` values are the geometric midpoints of adjacent steps of
 /// the full tree's pruning sequence (rpart's scheme). For each fold the tree
 /// is re-fitted on the training rows, pruned at every candidate, and scored
-/// on the held-out rows.
+/// on the held-out rows. Records a `prune.cross_validate` span on `obs`
+/// whose item count is `folds × candidate cp values`.
 ///
 /// # Errors
 ///
@@ -174,22 +176,7 @@ pub fn cross_validate(
     params: &CartParams,
     folds: usize,
     seed: u64,
-) -> Result<CvResult> {
-    cross_validate_with_obs(dataset, params, folds, seed, &rainshine_obs::Obs::disabled())
-}
-
-/// [`cross_validate`] with observability: records a `prune.cross_validate`
-/// span whose item count is `folds × candidate cp values`.
-///
-/// # Errors
-///
-/// Same conditions as [`cross_validate`].
-pub fn cross_validate_with_obs(
-    dataset: &CartDataset<'_>,
-    params: &CartParams,
-    folds: usize,
-    seed: u64,
-    obs: &rainshine_obs::Obs,
+    obs: &Obs,
 ) -> Result<CvResult> {
     let mut span = obs.span("prune.cross_validate");
     let n = dataset.len();
@@ -308,7 +295,7 @@ mod tests {
     fn cross_validation_prefers_signal_over_noise() {
         let t = noisy_step_table(300);
         let ds = CartDataset::regression(&t, "y", &["x", "noise"]).unwrap();
-        let cv = cross_validate(&ds, &CartParams::default(), 5, 7).unwrap();
+        let cv = cross_validate(&ds, &CartParams::default(), 5, 7, &Obs::disabled()).unwrap();
         assert!(!cv.points.is_empty());
         let best = cv.best_cp();
         let tree = Tree::fit(&ds, &CartParams::default().with_cp(0.0001)).unwrap();
@@ -328,11 +315,11 @@ mod tests {
         let t = noisy_step_table(50);
         let ds = CartDataset::regression(&t, "y", &["x"]).unwrap();
         assert!(matches!(
-            cross_validate(&ds, &CartParams::default(), 1, 0),
+            cross_validate(&ds, &CartParams::default(), 1, 0, &Obs::disabled()),
             Err(CartError::TooManyFolds { .. })
         ));
         assert!(matches!(
-            cross_validate(&ds, &CartParams::default(), 51, 0),
+            cross_validate(&ds, &CartParams::default(), 51, 0, &Obs::disabled()),
             Err(CartError::TooManyFolds { .. })
         ));
     }

@@ -23,7 +23,7 @@
 //! [`report::ConformanceReport`] aggregates all of it with the same
 //! deterministic/wall split as [`rainshine_obs::RunReport`]: the
 //! deterministic section is byte-identical across thread counts and is
-//! what the `conformance` bin gates against a committed baseline.
+//! what `rainshine conformance` gates against a committed baseline.
 
 pub mod error;
 pub mod eval;

@@ -192,7 +192,7 @@ mod tests {
     #[test]
     fn sweep_is_identical_across_parallelism() {
         let scenario = tiny_scenario();
-        let seeds: Vec<u64> = scenario.seeds(3);
+        let seeds: Vec<u64> = scenario.seeds(3).unwrap();
         let seq = run_scenario(&scenario, &seeds, Parallelism::Sequential, &Obs::disabled())
             .expect("sequential sweep");
         let par = run_scenario(&scenario, &seeds, Parallelism::Threads(3), &Obs::disabled())

@@ -3,7 +3,7 @@
 //! Mirrors the deterministic/wall split of [`rainshine_obs::RunReport`]:
 //! scenario outcomes, oracle reports, and run counters are pure functions
 //! of (scenario, seeds) and land in [`ConformanceDeterministic`] — the
-//! bytes the `conformance` bin writes with `--report` and gates with
+//! bytes `rainshine conformance` writes with `--report` and gates with
 //! `--baseline`. Wall-clock stage timings stay in the human summary.
 
 use rainshine_obs::{Collector, DeterministicReport, RunReport, WallTimes};

@@ -379,8 +379,19 @@ impl Scenario {
     }
 
     /// The seed sweep for an `n`-seed run: `seed_base .. seed_base + n`.
-    pub fn seeds(&self, n: usize) -> Vec<u64> {
-        (0..n as u64).map(|i| self.seed_base + i).collect()
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ConformanceError::InvalidScenario`] if the sweep would run
+    /// past `u64::MAX`.
+    pub fn seeds(&self, n: usize) -> Result<Vec<u64>> {
+        (0..n as u64)
+            .map(|i| {
+                self.seed_base.checked_add(i).ok_or_else(|| ConformanceError::InvalidScenario {
+                    what: format!("seed_base {} + {n} seeds overflows u64", self.seed_base),
+                })
+            })
+            .collect()
     }
 
     fn base_config(scale: &str) -> Option<FleetConfig> {
@@ -507,6 +518,14 @@ mod tests {
         let text = minimal().to_json().replace("\"sku_spread\": 1.0,", "");
         let err = Scenario::from_json(&text).unwrap_err();
         assert!(err.to_string().contains("non-finite"), "{err}");
+    }
+
+    #[test]
+    fn seed_sweep_overflow_is_an_error() {
+        let mut s = minimal();
+        s.seed_base = u64::MAX;
+        assert_eq!(s.seeds(1).unwrap(), vec![u64::MAX]);
+        assert!(matches!(s.seeds(2), Err(ConformanceError::InvalidScenario { .. })));
     }
 
     #[test]

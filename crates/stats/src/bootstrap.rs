@@ -114,41 +114,14 @@ where
 /// assembled in replicate order before sorting — so the interval is a
 /// pure function of `(data, resamples, level, seed)` and identical at
 /// every thread count. Unlike [`bootstrap_ci`], it is also independent
-/// of whatever else a shared `&mut rng` was used for.
-///
-/// # Errors
-///
-/// Same conditions as [`bootstrap_ci`].
-pub fn bootstrap_ci_seeded<F>(
-    data: &[f64],
-    resamples: usize,
-    level: f64,
-    seed: u64,
-    parallelism: Parallelism,
-    statistic: F,
-) -> Result<ConfidenceInterval>
-where
-    F: Fn(&[f64]) -> f64 + Sync,
-{
-    bootstrap_ci_seeded_with_obs(
-        data,
-        resamples,
-        level,
-        seed,
-        parallelism,
-        &Obs::disabled(),
-        statistic,
-    )
-}
-
-/// [`bootstrap_ci_seeded`] with observability: records a
+/// of whatever else a shared `&mut rng` was used for. Records a
 /// `stats.bootstrap_ci` span plus `bootstrap.replicates` /
 /// `bootstrap.non_finite_replicates` counters on `obs`.
 ///
 /// # Errors
 ///
-/// Same conditions as [`bootstrap_ci_seeded`].
-pub fn bootstrap_ci_seeded_with_obs<F>(
+/// Same conditions as [`bootstrap_ci`].
+pub fn bootstrap_ci_seeded<F>(
     data: &[f64],
     resamples: usize,
     level: f64,
@@ -304,6 +277,18 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// The seeded interval, unobserved.
+    fn ci_seeded(
+        data: &[f64],
+        resamples: usize,
+        level: f64,
+        seed: u64,
+        parallelism: Parallelism,
+        statistic: impl Fn(&[f64]) -> f64 + Sync,
+    ) -> Result<ConfidenceInterval> {
+        bootstrap_ci_seeded(data, resamples, level, seed, parallelism, &Obs::disabled(), statistic)
+    }
+
     #[test]
     fn ci_covers_true_mean() {
         let data: Vec<f64> = (0..200).map(|i| (i % 10) as f64).collect();
@@ -346,27 +331,25 @@ mod tests {
     fn seeded_bootstrap_matches_across_thread_counts() {
         let data: Vec<f64> = (0..150).map(|i| ((i * 37) % 100) as f64).collect();
         let stat = |s: &[f64]| describe::mean(s).unwrap();
-        let seq_ci =
-            bootstrap_ci_seeded(&data, 400, 0.95, 11, Parallelism::Sequential, stat).unwrap();
+        let seq_ci = ci_seeded(&data, 400, 0.95, 11, Parallelism::Sequential, stat).unwrap();
         let seq_se = bootstrap_se_seeded(&data, 400, 11, Parallelism::Sequential, stat).unwrap();
         for par in [Parallelism::Threads(2), Parallelism::Threads(4), Parallelism::Auto] {
-            let ci = bootstrap_ci_seeded(&data, 400, 0.95, 11, par, stat).unwrap();
+            let ci = ci_seeded(&data, 400, 0.95, 11, par, stat).unwrap();
             let se = bootstrap_se_seeded(&data, 400, 11, par, stat).unwrap();
             assert_eq!(seq_ci, ci, "{par:?}");
             assert_eq!(seq_se, se, "{par:?}");
         }
         // A different seed gives a different interval.
-        let other =
-            bootstrap_ci_seeded(&data, 400, 0.95, 12, Parallelism::Sequential, stat).unwrap();
+        let other = ci_seeded(&data, 400, 0.95, 12, Parallelism::Sequential, stat).unwrap();
         assert_ne!((seq_ci.lower, seq_ci.upper), (other.lower, other.upper));
     }
 
     #[test]
     fn seeded_bootstrap_rejects_bad_arguments() {
         let stat = |_: &[f64]| 0.0;
-        assert!(bootstrap_ci_seeded(&[], 10, 0.95, 0, Parallelism::Sequential, stat).is_err());
-        assert!(bootstrap_ci_seeded(&[1.0], 0, 0.95, 0, Parallelism::Sequential, stat).is_err());
-        assert!(bootstrap_ci_seeded(&[1.0], 10, 1.5, 0, Parallelism::Sequential, stat).is_err());
+        assert!(ci_seeded(&[], 10, 0.95, 0, Parallelism::Sequential, stat).is_err());
+        assert!(ci_seeded(&[1.0], 0, 0.95, 0, Parallelism::Sequential, stat).is_err());
+        assert!(ci_seeded(&[1.0], 10, 1.5, 0, Parallelism::Sequential, stat).is_err());
         assert!(bootstrap_se_seeded(&[1.0], 1, 0, Parallelism::Sequential, stat).is_err());
     }
 
@@ -383,7 +366,7 @@ mod tests {
                 f64::NAN
             }
         };
-        let ci = bootstrap_ci_seeded(&data, 300, 0.95, 5, Parallelism::Sequential, stat).unwrap();
+        let ci = ci_seeded(&data, 300, 0.95, 5, Parallelism::Sequential, stat).unwrap();
         assert!(ci.non_finite_replicates > 0, "{ci:?}");
         assert!(ci.non_finite_replicates < 300, "{ci:?}");
         assert!(ci.lower.is_finite() && ci.upper.is_finite());
@@ -396,8 +379,7 @@ mod tests {
     #[test]
     fn non_finite_estimate_is_a_typed_error() {
         let data = vec![1.0, 2.0, 3.0];
-        let err = bootstrap_ci_seeded(&data, 10, 0.95, 0, Parallelism::Sequential, |_| f64::NAN)
-            .unwrap_err();
+        let err = ci_seeded(&data, 10, 0.95, 0, Parallelism::Sequential, |_| f64::NAN).unwrap_err();
         assert_eq!(err, StatsError::NonFiniteStatistic { what: "the original sample" });
     }
 
@@ -413,8 +395,7 @@ mod tests {
                 f64::NAN
             }
         };
-        let err =
-            bootstrap_ci_seeded(&data, 50, 0.95, 9, Parallelism::Sequential, stat).unwrap_err();
+        let err = ci_seeded(&data, 50, 0.95, 9, Parallelism::Sequential, stat).unwrap_err();
         assert_eq!(err, StatsError::NonFiniteStatistic { what: "every bootstrap replicate" });
     }
 
@@ -422,15 +403,9 @@ mod tests {
     fn obs_records_bootstrap_replicate_counters() {
         let data: Vec<f64> = (0..60).map(|i| i as f64).collect();
         let obs = rainshine_obs::Obs::enabled();
-        let ci = bootstrap_ci_seeded_with_obs(
-            &data,
-            200,
-            0.95,
-            11,
-            Parallelism::Sequential,
-            &obs,
-            |s| describe::mean(s).unwrap(),
-        )
+        let ci = bootstrap_ci_seeded(&data, 200, 0.95, 11, Parallelism::Sequential, &obs, |s| {
+            describe::mean(s).unwrap()
+        })
         .unwrap();
         let snap = obs.snapshot();
         assert_eq!(snap.counters["bootstrap.replicates"], 200);

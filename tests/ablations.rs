@@ -24,7 +24,7 @@ fn assert_scenario(name: &str) {
     let path = format!("{}/scenarios/{name}.json", env!("CARGO_MANIFEST_DIR"));
     let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {path}: {e}"));
     let scenario = Scenario::from_json(&text).unwrap_or_else(|e| panic!("parse {path}: {e}"));
-    let seeds = scenario.seeds(SEEDS);
+    let seeds = scenario.seeds(SEEDS).expect("seed sweep");
     let outcome =
         run_scenario(&scenario, &seeds, Parallelism::Auto, &Obs::disabled()).expect("sweep");
     assert!(outcome.pass, "scenario `{name}` failed claims: {:?}", outcome.failed_claims());

@@ -17,7 +17,7 @@ fn load(name: &str) -> Scenario {
 /// thread count.
 fn smoke_report(threads: Parallelism) -> ConformanceReport {
     let scenario = load("smoke");
-    let seeds = scenario.seeds(3);
+    let seeds = scenario.seeds(3).expect("seed sweep");
     let obs = Obs::enabled();
     let outcome = run_scenario(&scenario, &seeds, threads, &obs).expect("sweep");
     let oracles = standard_oracles(&scenario, scenario.seed_base).expect("oracles");

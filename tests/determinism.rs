@@ -14,6 +14,7 @@ use rainshine::cart::params::CartParams;
 use rainshine::cart::pdp::{grid_over_column, partial_dependence_continuous_with, PdpParams};
 use rainshine::cart::tree::Tree;
 use rainshine::dcsim::{FleetConfig, Simulation};
+use rainshine::obs::Obs;
 use rainshine::parallel::Parallelism;
 use rainshine::stats::bootstrap::bootstrap_ci_seeded;
 use rainshine::telemetry::ids::{Sku, Workload};
@@ -45,7 +46,7 @@ fn pipeline(parallelism: Parallelism) -> Vec<(&'static str, String)> {
     let tree_params = CartParams::default().with_min_sizes(100, 50).with_cp(0.001);
     let forest_params =
         ForestParams { trees: 8, parallelism, tree_params, ..ForestParams::default() };
-    let forest = Forest::fit(&ds, &forest_params).expect("forest fits");
+    let forest = Forest::fit(&ds, &forest_params, &Obs::disabled()).expect("forest fits");
     stages.push(("cart/forest", json(&forest)));
 
     let tree = Tree::fit(&ds, &tree_params).expect("tree fits");
@@ -83,7 +84,7 @@ fn pipeline(parallelism: Parallelism) -> Vec<(&'static str, String)> {
     // stats: seeded bootstrap fans out per replicate.
     let rates: Vec<f64> =
         table.continuous(columns::FAILURE_RATE).expect("response column").to_vec();
-    let ci = bootstrap_ci_seeded(&rates, 200, 0.95, 7, parallelism, |xs| {
+    let ci = bootstrap_ci_seeded(&rates, 200, 0.95, 7, parallelism, &Obs::disabled(), |xs| {
         xs.iter().sum::<f64>() / xs.len() as f64
     })
     .expect("bootstrap runs");
@@ -112,7 +113,6 @@ mod erased {
 #[test]
 fn run_report_bytes_do_not_depend_on_thread_count() {
     use rainshine::dcsim::CorruptionConfig;
-    use rainshine::obs::Obs;
     use rainshine_bench::{run_experiment, run_report, ExperimentContext, Scale};
 
     let report_for = |parallelism: Parallelism| {

@@ -26,7 +26,7 @@ fn outcome() -> &'static ScenarioOutcome {
             std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/scenarios/full.json"))
                 .expect("read scenarios/full.json");
         let scenario = Scenario::from_json(&text).expect("parse full scenario");
-        let seeds = scenario.seeds(SEEDS);
+        let seeds = scenario.seeds(SEEDS).expect("seed sweep");
         run_scenario(&scenario, &seeds, Parallelism::Auto, &Obs::disabled()).expect("sweep")
     })
 }
