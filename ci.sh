@@ -6,6 +6,9 @@ set -eu
 
 cargo fmt --check
 cargo build --release --workspace
+# Paper-scale differential oracle for the μ engine (about 1 s to simulate in
+# release; too slow for the debug suite, so it is #[ignore]d there).
+cargo test --release -q --test mu_engine -- --ignored
 cargo test --workspace -q
 # Fast-tier statistical conformance gate: 3-seed prefix of the calibrated
 # full-scenario sweep plus the differential oracle suite, byte-compared

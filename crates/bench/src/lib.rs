@@ -7,6 +7,7 @@
 //! drives all of them; the Criterion benches reuse the same context for
 //! performance measurements.
 
+use std::collections::btree_map::{BTreeMap, Entry};
 use std::fmt::Write as _;
 use std::fs;
 use std::path::Path;
@@ -104,6 +105,9 @@ pub struct ExperimentContext {
     scale: Scale,
     all_hw: Option<Frame>,
     disk: Option<Frame>,
+    /// Server provisioning results by (workload, SLA bits, granularity):
+    /// T4, F1, F10–F12 repeat most of each other's inputs.
+    provisioning: BTreeMap<(Workload, u64, TimeGranularity), q1::ServerProvisioning>,
 }
 
 impl ExperimentContext {
@@ -144,6 +148,7 @@ impl ExperimentContext {
             scale,
             all_hw: None,
             disk: None,
+            provisioning: BTreeMap::new(),
         }
     }
 
@@ -305,14 +310,20 @@ fn t3(dir: &Path) -> Result<String, ExperimentError> {
     Ok(format!("Table III — {} candidate features\n", rows.len()))
 }
 
+/// Server provisioning for one input, computed once per context.
 fn provisioning_for(
     ctx: &mut ExperimentContext,
     workload: Workload,
     sla: f64,
     granularity: TimeGranularity,
-) -> Result<q1::ServerProvisioning, ExperimentError> {
-    let params = q1::ProvisionParams::new(sla, granularity);
-    Ok(q1::provision_servers(&ctx.output, workload, &params)?)
+) -> Result<&q1::ServerProvisioning, ExperimentError> {
+    Ok(match ctx.provisioning.entry((workload, sla.to_bits(), granularity)) {
+        Entry::Occupied(e) => e.into_mut(),
+        Entry::Vacant(e) => {
+            let params = q1::ProvisionParams::new(sla, granularity);
+            e.insert(q1::provision_servers(&ctx.output, workload, &params)?)
+        }
+    })
 }
 
 fn t4(ctx: &mut ExperimentContext, dir: &Path) -> Result<String, ExperimentError> {
@@ -323,7 +334,7 @@ fn t4(ctx: &mut ExperimentContext, dir: &Path) -> Result<String, ExperimentError
         for workload in [Workload::W1, Workload::W6] {
             for sla in [0.90, 0.95, 1.00] {
                 let r = provisioning_for(ctx, workload, sla, granularity)?;
-                let savings = 100.0 * q1::tco_savings(&r, &tco);
+                let savings = 100.0 * q1::tco_savings(r, &tco);
                 let g = if granularity == TimeGranularity::Daily { "daily" } else { "hourly" };
                 rows.push(format!("{g},{workload},{:.0},{savings:.2}", sla * 100.0));
                 let _ = writeln!(
@@ -778,6 +789,29 @@ mod tests {
                 .unwrap_or_else(|e| panic!("experiment {id} failed: {e}"));
             assert!(!preview.is_empty(), "{id} produced empty preview");
             assert!(dir.join(format!("{id}.csv")).exists(), "{id} wrote no csv");
+        }
+    }
+
+    #[test]
+    fn provisioning_memo_is_transparent() {
+        let ids = ["t4", "f10", "f12", "f1", "f11"];
+        let root = std::env::temp_dir().join("rainshine-memo-test");
+        let shared_dir = root.join("shared");
+        let mut shared = ExperimentContext::new(Scale::Small, 5);
+        for id in ids {
+            run_experiment(id, &mut shared, &shared_dir).unwrap();
+        }
+        // T4 computes every input the others ask for.
+        assert_eq!(shared.provisioning.len(), 12);
+        for id in ids {
+            let alone_dir = root.join(id);
+            run_experiment(id, &mut ExperimentContext::new(Scale::Small, 5), &alone_dir).unwrap();
+            let csv = format!("{id}.csv");
+            assert_eq!(
+                fs::read(shared_dir.join(&csv)).unwrap(),
+                fs::read(alone_dir.join(&csv)).unwrap(),
+                "{id}"
+            );
         }
     }
 

@@ -309,8 +309,7 @@ pub fn provision_servers(
             cdf: cdf_points(&per_rack_pct),
         });
     }
-    clusters
-        .sort_by(|a, b| a.spare_fraction.partial_cmp(&b.spare_fraction).expect("finite fractions"));
+    clusters.sort_by(|a, b| a.spare_fraction.total_cmp(&b.spare_fraction));
     for (i, c) in clusters.iter_mut().enumerate() {
         c.id = i + 1;
     }

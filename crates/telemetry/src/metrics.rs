@@ -208,6 +208,15 @@ pub fn lambda(
 /// opening window.
 ///
 /// See [`peak_concurrency`] for the instantaneous-overlap variant.
+///
+/// The engine clamps each in-span ticket to an inclusive window range and
+/// sorts the `(unit, device, first, last)` ranges once. Per unit, it merges
+/// each device's overlapping or touching ranges into runs, so a device
+/// counts once per window, and sweeps the runs' ±1 boundary events in
+/// window order, emitting each non-zero window's device count as it goes:
+/// `O(n log n + non-zero windows)` for `n` tickets, with no per-window set.
+/// A unit with an in-span ticket is present even when its series is empty
+/// (a zero-window span).
 pub fn mu(
     tickets: &[&RmaTicket],
     spatial: SpatialGranularity,
@@ -217,35 +226,65 @@ pub fn mu(
 ) -> BTreeMap<SpatialKey, WindowedSeries> {
     let windows = temporal.window_count(start, end);
     let base = temporal.window_of(start);
-    // (unit, window) -> distinct devices.
-    let mut per_unit: BTreeMap<SpatialKey, BTreeMap<u64, std::collections::BTreeSet<u64>>> =
-        BTreeMap::new();
+    // (unit, device, first window, last window); an empty range (first >
+    // last) keeps the unit without touching any window.
+    let mut ranges: Vec<(SpatialKey, u64, u64, u64)> = Vec::with_capacity(tickets.len());
     for t in tickets {
         if t.resolved < start || t.opened >= end {
             continue;
         }
         let open = t.opened.hours().max(start.hours());
         let close = t.resolved.hours().clamp(open + 1, end.hours().max(open + 1));
-        let w_from = temporal.window_of(SimTime(open)).saturating_sub(base);
-        let w_to = temporal
-            .window_of(SimTime(close - 1))
-            .saturating_sub(base)
-            .min(windows.saturating_sub(1));
-        let unit = per_unit.entry(spatial.key(&t.location)).or_default();
-        for w in w_from..=w_to {
-            unit.entry(w).or_default().insert(t.device.0);
-        }
+        let (w_from, w_to) = match windows.checked_sub(1) {
+            Some(last) => (
+                temporal.window_of(SimTime(open)).saturating_sub(base),
+                temporal.window_of(SimTime(close - 1)).saturating_sub(base).min(last),
+            ),
+            None => (1, 0),
+        };
+        ranges.push((spatial.key(&t.location), t.device.0, w_from, w_to));
     }
-    per_unit
-        .into_iter()
-        .map(|(key, by_window)| {
-            let mut series = WindowedSeries::zeros(windows);
-            for (w, devices) in by_window {
-                series.add(w, devices.len() as u64);
+    ranges.sort_unstable();
+
+    let mut out = Vec::new();
+    let mut events: Vec<(u64, i64)> = Vec::new();
+    for unit in ranges.chunk_by(|a, b| a.0 == b.0) {
+        events.clear();
+        for device in unit.chunk_by(|a, b| a.1 == b.1) {
+            // Ranges arrive sorted by first window: merge overlapping or
+            // touching ones into runs of the device being down.
+            let mut run: Option<(u64, u64)> = None;
+            for &(_, _, from, to) in device.iter().filter(|r| r.2 <= r.3) {
+                run = match run {
+                    Some((a, b)) if from <= b + 1 => Some((a, b.max(to))),
+                    _ => {
+                        if let Some((a, b)) = run {
+                            events.extend([(a, 1), (b + 1, -1)]);
+                        }
+                        Some((from, to))
+                    }
+                };
             }
-            (key, series)
-        })
-        .collect()
+            if let Some((a, b)) = run {
+                events.extend([(a, 1), (b + 1, -1)]);
+            }
+        }
+        events.sort_unstable();
+        let mut nonzero = Vec::new();
+        let mut down: i64 = 0;
+        for (i, &(w, delta)) in events.iter().enumerate() {
+            down += delta;
+            // The count holds from `w` up to the next boundary; the last
+            // event always closes a run, so it never leaves a tail.
+            if let Some(&(next, _)) = events.get(i + 1) {
+                if down > 0 {
+                    nonzero.extend((w..next).map(|w| (w, down as u64)));
+                }
+            }
+        }
+        out.push((unit[0].0, WindowedSeries { windows, nonzero: nonzero.into_iter().collect() }));
+    }
+    out.into_iter().collect()
 }
 
 /// Peak instantaneous concurrency of open tickets per (spatial unit, time
@@ -446,6 +485,59 @@ mod tests {
             mu(&refs, SpatialGranularity::Rack, TimeGranularity::Hourly, SimTime(0), SimTime(24));
         let key = SpatialGranularity::Rack.key(&tickets[0].location);
         assert_eq!(map[&key].nonzero[&5], 1);
+    }
+
+    #[test]
+    fn mu_overlapping_tickets_on_one_device_count_once() {
+        // Device 1 has two overlapping outages; device 2 overlaps both.
+        let tickets = [ticket(1, 1, 2, 10), ticket(1, 1, 5, 12), ticket(1, 2, 8, 9)];
+        let refs: Vec<&RmaTicket> = tickets.iter().collect();
+        let map =
+            mu(&refs, SpatialGranularity::Rack, TimeGranularity::Hourly, SimTime(0), SimTime(24));
+        let key = SpatialGranularity::Rack.key(&tickets[0].location);
+        let expected: BTreeMap<u64, u64> =
+            (2..12).map(|w| (w, if w == 8 { 2 } else { 1 })).collect();
+        assert_eq!(map[&key].nonzero, expected);
+    }
+
+    #[test]
+    fn mu_back_to_back_tickets_merge_into_one_run() {
+        // [2, 5) and [5, 8) touch: one device down through hours 2..=7,
+        // never counted twice at the seam.
+        let tickets = [ticket(1, 1, 5, 8), ticket(1, 1, 2, 5)];
+        let refs: Vec<&RmaTicket> = tickets.iter().collect();
+        let map =
+            mu(&refs, SpatialGranularity::Rack, TimeGranularity::Hourly, SimTime(0), SimTime(24));
+        let key = SpatialGranularity::Rack.key(&tickets[0].location);
+        let expected: BTreeMap<u64, u64> = (2..8).map(|w| (w, 1)).collect();
+        assert_eq!(map[&key].nonzero, expected);
+    }
+
+    #[test]
+    fn mu_ticket_open_past_end_fills_through_last_window() {
+        let tickets = [ticket(1, 1, 40, 1_000)];
+        let refs: Vec<&RmaTicket> = tickets.iter().collect();
+        let map =
+            mu(&refs, SpatialGranularity::Rack, TimeGranularity::Hourly, SimTime(0), SimTime(48));
+        let key = SpatialGranularity::Rack.key(&tickets[0].location);
+        let expected: BTreeMap<u64, u64> = (40..48).map(|w| (w, 1)).collect();
+        assert_eq!(map[&key].windows, 48);
+        assert_eq!(map[&key].nonzero, expected);
+    }
+
+    #[test]
+    fn mu_inverted_span_keeps_straddling_unit_with_empty_series() {
+        // opened < end <= start <= resolved: the ticket qualifies, but the
+        // span has no windows to put it in.
+        let tickets = [ticket(1, 1, 5, 50)];
+        let refs: Vec<&RmaTicket> = tickets.iter().collect();
+        let key = SpatialGranularity::Rack.key(&tickets[0].location);
+        for end in [SimTime(10), SimTime(24)] {
+            let map =
+                mu(&refs, SpatialGranularity::Rack, TimeGranularity::Hourly, SimTime(24), end);
+            assert_eq!(map.len(), 1);
+            assert_eq!(map[&key], WindowedSeries::zeros(0));
+        }
     }
 
     #[test]
