@@ -1,11 +1,17 @@
 #!/usr/bin/env sh
-# Local CI gate: formatting, release build, full test suite, the dirty-
-# pipeline e2e gate, lint-clean clippy. Run from the repository root.
+# Local CI gate: formatting, release build, the examples, full test suite,
+# the dirty-pipeline e2e gate, lint-clean clippy. Run from the repository root.
 # Fails fast on the first broken step.
 set -eu
 
 cargo fmt --check
 cargo build --release --workspace
+# The examples are callers of the library API, so each must run to
+# completion, not just compile (about 1 s for all six in release).
+for example in climate_control fleet_explorer lifetime_analysis quickstart \
+    spare_provisioning vendor_selection; do
+    cargo run --release -q --example "$example" >/dev/null
+done
 # Paper-scale differential oracle for the μ engine (about 1 s to simulate in
 # release; too slow for the debug suite, so it is #[ignore]d there).
 cargo test --release -q --test mu_engine -- --ignored

@@ -1,9 +1,8 @@
 //! Classification and Regression Trees (CART) for the `rainshine` workspace.
 //!
 //! The paper builds its multi-factor analysis on CART (Breiman, Friedman,
-//! Olshen & Stone 1984) as implemented by R's `rpart` package, plus partial
-//! dependence analysis (Hastie, Tibshirani & Friedman). This crate is a
-//! from-scratch Rust implementation of the pieces the paper uses:
+//! Olshen & Stone 1984) as implemented by R's `rpart` package. This crate
+//! is a from-scratch Rust implementation of the pieces the paper uses:
 //!
 //! * **regression trees** (`rpart` `method = "anova"`): within-node variance
 //!   as impurity, used to cluster racks by failure behaviour (Q1) —
@@ -13,13 +12,9 @@
 //!   with an exhaustive-subset option for ablation ([`params::NominalSearch`]);
 //! * rpart-style stopping rules: `min_split`, `min_leaf`, `max_depth`, and
 //!   the complexity parameter `cp` ([`params::CartParams`]);
-//! * cost-complexity (weakest-link) pruning with k-fold cross-validation
-//!   ([`prune`]);
 //! * variable importance rankings ([`tree::Tree::variable_importance`]);
-//! * partial dependence: both the classic grid PDP and the paper's
-//!   "`Metric ~ X1, N(X2), …, N(Xn)`" stratified normalization ([`pdp`]);
-//! * bagged ensembles with out-of-bag error and permutation importance
-//!   ([`forest`]) — a robustness extension beyond the paper's single trees.
+//! * the paper's "`Metric ~ X1, N(X2), …, N(Xn)`" stratified
+//!   normalization of a nominal feature's effect ([`pdp`]).
 //!
 //! Missing-data surrogate splits are *not* implemented: the simulator's
 //! datasets are complete by construction.
@@ -51,10 +46,8 @@
 //! ```
 
 pub mod dataset;
-pub mod forest;
 pub mod params;
 pub mod pdp;
-pub mod prune;
 pub mod tree;
 
 mod error;

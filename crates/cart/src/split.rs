@@ -64,7 +64,7 @@ impl SplitRule {
     }
 
     /// The column kind this rule expects to test.
-    pub fn expected_kind(&self) -> &'static str {
+    fn expected_kind(&self) -> &'static str {
         match self {
             SplitRule::ContinuousThreshold { .. } => "continuous",
             SplitRule::OrdinalThreshold { .. } => "ordinal",

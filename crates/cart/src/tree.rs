@@ -74,8 +74,8 @@ impl Tree {
         Self::fit_on_rows(dataset, params, &rows)
     }
 
-    /// Fits a tree using only the given training rows (cross-validation
-    /// folds and bootstrap resamples use this; `rows` may repeat).
+    /// Fits a tree using only the given training rows (`rows` may
+    /// repeat).
     ///
     /// Growth uses the presort-once / partition-many scheme: each
     /// ordered feature is stably sorted **once** over `rows` into an
@@ -156,7 +156,7 @@ impl Tree {
                 .map(|(_, c)| c)
                 .expect("split rule references a known feature");
             // The rule is a pure function of a row's value, so one flag
-            // per row id routes every occurrence (bootstrap duplicates
+            // per row id routes every occurrence (repeated rows
             // included) consistently.
             for &r in &rows_arr[lo..hi] {
                 goes_left[r] = split.rule.goes_left(column, r);
@@ -332,11 +332,6 @@ impl Tree {
         &self.nodes[0]
     }
 
-    /// Risk of the root node (total deviance / Gini mass).
-    pub fn root_risk(&self) -> f64 {
-        self.root_risk
-    }
-
     /// Class labels (empty for regression).
     pub fn classes(&self) -> &[String] {
         &self.classes
@@ -424,23 +419,6 @@ impl Tree {
             .collect())
     }
 
-    /// Predicted values for the given rows of `table`, in order — like
-    /// `predict(&table.subset(rows))` without materializing the subset.
-    ///
-    /// # Errors
-    ///
-    /// See [`Tree::leaf_assignments`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if a row index is out of bounds.
-    pub fn predict_rows(&self, table: &Frame, rows: &[usize]) -> Result<Vec<f64>> {
-        let columns = self.resolve_columns(table)?;
-        rows.iter()
-            .map(|&row| self.walk(&columns, row).map(|leaf| self.nodes[leaf].prediction))
-            .collect()
-    }
-
     /// Variable importance: total risk decrease attributed to each feature
     /// across all splits, normalized to sum to 100. Features never used
     /// score 0. Sorted descending.
@@ -453,7 +431,17 @@ impl Tree {
                 }
             }
         }
-        rank_importance(&self.feature_names, raw)
+        // The total is summed in feature order and ties sort in feature
+        // order, so the ranking is bit-identical across runs.
+        let total: f64 = raw.iter().sum();
+        let mut out: Vec<(String, f64)> = self
+            .feature_names
+            .iter()
+            .zip(raw)
+            .map(|(name, v)| (name.clone(), if total > 0.0 { 100.0 * v / total } else { 0.0 }))
+            .collect();
+        out.sort_by(|a, b| b.1.total_cmp(&a.1));
+        out
     }
 
     /// The chain of split descriptions from the root down to `leaf_id`,
@@ -517,48 +505,6 @@ impl Tree {
             }
         }
     }
-
-    /// Replaces the subtree rooted at `node_id` with a leaf (used by
-    /// pruning). Descendant nodes become unreachable but remain in the
-    /// arena; [`Tree::compact`] removes them.
-    pub(crate) fn collapse(&mut self, node_id: usize) {
-        let node = &mut self.nodes[node_id];
-        node.rule = None;
-        node.left = None;
-        node.right = None;
-        node.improvement = 0.0;
-    }
-
-    /// Rebuilds the node arena dropping unreachable nodes and renumbering
-    /// ids (root stays 0).
-    pub(crate) fn compact(&mut self) {
-        let mut keep = Vec::new();
-        let mut remap: HashMap<usize, usize> = HashMap::new();
-        let mut stack = vec![0usize];
-        // DFS preserving a stable order.
-        while let Some(id) = stack.pop() {
-            if remap.contains_key(&id) {
-                continue;
-            }
-            remap.insert(id, keep.len());
-            keep.push(id);
-            let node = &self.nodes[id];
-            if let (Some(l), Some(r)) = (node.left, node.right) {
-                stack.push(r);
-                stack.push(l);
-            }
-        }
-        let mut new_nodes = Vec::with_capacity(keep.len());
-        for &old_id in &keep {
-            let mut node = self.nodes[old_id].clone();
-            node.id = remap[&old_id];
-            node.left = node.left.map(|l| remap[&l]);
-            node.right = node.right.map(|r| remap[&r]);
-            new_nodes.push(node);
-        }
-        new_nodes.sort_by_key(|n| n.id);
-        self.nodes = new_nodes;
-    }
 }
 
 /// One pending node on the presort fitter's growth stack: node id, its
@@ -588,20 +534,6 @@ fn stable_partition(seg: &mut [usize], goes_left: &[bool], scratch: &mut Vec<usi
         }
     }
     left_n
-}
-
-/// Normalizes per-feature scores (given in `names` order) to sum to 100
-/// and sorts them descending, ties in feature order. The total is summed
-/// in feature order, so the result is bit-identical across runs.
-pub(crate) fn rank_importance(names: &[String], scores: Vec<f64>) -> Vec<(String, f64)> {
-    let total: f64 = scores.iter().sum();
-    let mut out: Vec<(String, f64)> = names
-        .iter()
-        .zip(scores)
-        .map(|(name, v)| (name.clone(), if total > 0.0 { 100.0 * v / total } else { 0.0 }))
-        .collect();
-    out.sort_by(|a, b| b.1.total_cmp(&a.1));
-    out
 }
 
 #[cfg(test)]
@@ -810,17 +742,6 @@ mod tests {
     }
 
     #[test]
-    fn predict_rows_matches_subset_predict() {
-        let t = step_table(200);
-        let ds = CartDataset::regression(&t, "y", &["x", "k"]).unwrap();
-        let tree = Tree::fit(&ds, &CartParams::default()).unwrap();
-        let rows: Vec<usize> = (0..t.rows()).step_by(7).collect();
-        let direct = tree.predict_rows(&t, &rows).unwrap();
-        let via_subset = tree.predict(&t.subset(&rows)).unwrap();
-        assert_eq!(direct, via_subset);
-    }
-
-    #[test]
     fn fit_on_rows_uses_subset_only() {
         let t = step_table(400);
         let ds = CartDataset::regression(&t, "y", &["x", "k"]).unwrap();
@@ -864,29 +785,6 @@ mod tests {
                 assert_eq!(found, "nominal");
             }
             other => panic!("expected ColumnKindMismatch, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn collapse_and_compact_keep_tree_valid() {
-        let t = step_table(400);
-        let ds = CartDataset::regression(&t, "y", &["x", "k"]).unwrap();
-        let mut tree = Tree::fit(&ds, &CartParams::default().with_cp(0.001)).unwrap();
-        let before_leaves = tree.leaf_count();
-        // Collapse the root's left child if it's internal, else right.
-        let root = tree.root().clone();
-        let target =
-            [root.left, root.right].into_iter().flatten().find(|&c| !tree.nodes()[c].is_leaf());
-        if let Some(c) = target {
-            tree.collapse(c);
-            tree.compact();
-            assert!(tree.leaf_count() < before_leaves);
-            // Tree still predicts on the full table.
-            assert_eq!(tree.predict(&t).unwrap().len(), t.rows());
-            // ids are consistent after renumbering.
-            for (i, n) in tree.nodes().iter().enumerate() {
-                assert_eq!(n.id, i);
-            }
         }
     }
 }

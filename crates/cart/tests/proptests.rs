@@ -3,7 +3,6 @@
 use proptest::prelude::*;
 use rainshine_cart::dataset::CartDataset;
 use rainshine_cart::params::CartParams;
-use rainshine_cart::prune::{cp_sequence, pruned};
 use rainshine_cart::tree::Tree;
 use rainshine_telemetry::frame::{FeatureKind, Field, Frame, FrameBuilder, Schema, Value};
 
@@ -85,36 +84,6 @@ proptest! {
                 prop_assert!(node.improvement >= -1e-9);
             }
         }
-    }
-
-    #[test]
-    fn pruning_is_monotone_in_cp(rows in rows_strategy()) {
-        let table = table_from(&rows);
-        let ds = CartDataset::regression(&table, "y", &["x", "k"]).unwrap();
-        let tree =
-            Tree::fit(&ds, &CartParams::default().with_min_sizes(10, 5).with_cp(0.0001)).unwrap();
-        let mut last = usize::MAX;
-        for cp in [0.0, 0.001, 0.01, 0.1, 1.0] {
-            let p = pruned(&tree, cp);
-            prop_assert!(p.leaf_count() <= last);
-            last = p.leaf_count();
-        }
-        prop_assert_eq!(pruned(&tree, 1.0).leaf_count(), 1);
-    }
-
-    #[test]
-    fn cp_sequence_is_well_formed(rows in rows_strategy()) {
-        let table = table_from(&rows);
-        let ds = CartDataset::regression(&table, "y", &["x", "k"]).unwrap();
-        let tree =
-            Tree::fit(&ds, &CartParams::default().with_min_sizes(10, 5).with_cp(0.0001)).unwrap();
-        let seq = cp_sequence(&tree);
-        prop_assert!(!seq.is_empty());
-        for w in seq.windows(2) {
-            prop_assert!(w[0].cp <= w[1].cp + 1e-9);
-            prop_assert!(w[0].leaves >= w[1].leaves);
-        }
-        prop_assert_eq!(seq.last().unwrap().leaves, 1);
     }
 
     #[test]

@@ -323,9 +323,7 @@ impl SeedRun {
                     temp_rules
                         .iter()
                         .filter(|rule| !in_band || (*lo_f..=*hi_f).contains(&rule.threshold))
-                        .max_by(|a, b| {
-                            a.improvement.partial_cmp(&b.improvement).expect("finite improvement")
-                        })
+                        .max_by(|a, b| a.improvement.total_cmp(&b.improvement))
                         .copied()
                 };
                 let Some(rule) = best(true).or_else(|| best(false)) else {

@@ -189,7 +189,7 @@ mod tests {
         c.set_gauge("quality.drop_fraction", 0.125);
         c.observe("tree.depth", 9);
         c.record_stage("dcsim.generate", 42, 1_500_000);
-        c.record_stage("forest.fit_tree", 8, 3_000_000);
+        c.record_stage("experiment.f18", 1, 3_000_000);
         c
     }
 

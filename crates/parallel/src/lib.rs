@@ -1,8 +1,8 @@
-//! Deterministic data-parallel execution for the analysis hot paths.
+//! Deterministic data-parallel execution.
 //!
-//! Every parallel stage in this workspace (forest fitting, PDP grids,
-//! bootstrap resampling, per-rack ticket generation) follows the same
-//! recipe:
+//! Every parallel stage in this workspace (the simulator's per-rack and
+//! per-DC ticket generation, the conformance runner's per-seed sweep)
+//! follows the same recipe:
 //!
 //! 1. each work item is *independent* and carries its own derived RNG
 //!    seed (see [`derive_seed`]), so no item observes another item's

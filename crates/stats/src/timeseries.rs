@@ -1,85 +1,7 @@
-//! Time-series diagnostics: autocorrelation and the Ljung–Box portmanteau
-//! test.
-//!
-//! The paper's Cat. 1 discussion notes that "aggregate behaviors on
-//! predictability (say patterns in error occurrences) could … be used to
-//! optimize dynamic mitigation techniques". These tools quantify such
-//! patterns: significant positive autocorrelation in a rack's daily
-//! failure counts means failures cluster in time (and a spare freed today
-//! is likelier to be needed again tomorrow).
+//! Isotonic regression over ordered series ([`isotonic_regression`]).
 
 use crate::error::ensure_sample;
-use crate::htest::TestResult;
-use crate::special::chi_square_cdf;
 use crate::{Result, StatsError};
-
-/// Sample autocorrelation function up to `max_lag` (inclusive).
-///
-/// `acf[0]` is always `1.0`. Uses the biased (1/n) covariance normalizer,
-/// the standard choice that keeps the sequence positive semi-definite.
-///
-/// # Errors
-///
-/// Returns an error for empty/non-finite input, a constant series, or
-/// `max_lag >= len`.
-pub fn acf(data: &[f64], max_lag: usize) -> Result<Vec<f64>> {
-    ensure_sample(data)?;
-    if max_lag >= data.len() {
-        return Err(StatsError::InvalidParameter { name: "max_lag", value: max_lag as f64 });
-    }
-    let n = data.len() as f64;
-    let mean = data.iter().sum::<f64>() / n;
-    let var: f64 = data.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / n;
-    if var == 0.0 {
-        return Err(StatsError::DegenerateDimension { what: "constant series has no acf" });
-    }
-    let mut out = Vec::with_capacity(max_lag + 1);
-    for lag in 0..=max_lag {
-        let cov: f64 =
-            data.iter().zip(&data[lag..]).map(|(a, b)| (a - mean) * (b - mean)).sum::<f64>() / n;
-        out.push(cov / var);
-    }
-    Ok(out)
-}
-
-/// Ljung–Box test for autocorrelation up to `lags`.
-///
-/// Null hypothesis: the series is white noise (no autocorrelation at lags
-/// 1..=`lags`). The statistic is asymptotically chi-square with `lags`
-/// degrees of freedom.
-///
-/// # Errors
-///
-/// Same conditions as [`acf`], plus `lags >= 1`.
-pub fn ljung_box(data: &[f64], lags: usize) -> Result<TestResult> {
-    if lags == 0 {
-        return Err(StatsError::InvalidParameter { name: "lags", value: 0.0 });
-    }
-    let rho = acf(data, lags)?;
-    let n = data.len() as f64;
-    let statistic = n
-        * (n + 2.0)
-        * rho[1..].iter().enumerate().map(|(k, r)| r * r / (n - (k + 1) as f64)).sum::<f64>();
-    let df = lags as f64;
-    let p_value = 1.0 - chi_square_cdf(statistic.max(0.0), df);
-    Ok(TestResult { statistic, p_value, df })
-}
-
-/// Index of dispersion (variance-to-mean ratio) of event counts: `1.0` for
-/// Poisson arrivals, `> 1` for burst-clustered (over-dispersed) arrivals —
-/// a one-number summary of temporal failure correlation.
-///
-/// # Errors
-///
-/// Returns an error for empty/non-finite input or a zero-mean series.
-pub fn dispersion_index(counts: &[f64]) -> Result<f64> {
-    ensure_sample(counts)?;
-    let summary = crate::describe::Summary::from_slice(counts)?;
-    if summary.mean() == 0.0 {
-        return Err(StatsError::DegenerateDimension { what: "zero-mean count series" });
-    }
-    Ok(summary.sample_variance() / summary.mean())
-}
 
 /// Weighted isotonic regression (pool-adjacent-violators): the closest
 /// non-decreasing sequence to `values` in weighted least squares.
@@ -136,80 +58,6 @@ pub fn isotonic_regression(values: &[f64], weights: &[f64]) -> Result<Vec<f64>> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-
-    fn white_noise(n: usize, seed: u64) -> Vec<f64> {
-        let mut rng = StdRng::seed_from_u64(seed);
-        (0..n).map(|_| rng.gen::<f64>() - 0.5).collect()
-    }
-
-    #[test]
-    fn acf_lag_zero_is_one() {
-        let data = white_noise(500, 1);
-        let rho = acf(&data, 10).unwrap();
-        assert_eq!(rho[0], 1.0);
-        assert_eq!(rho.len(), 11);
-        for r in &rho[1..] {
-            assert!(r.abs() < 0.15, "white-noise acf {r}");
-        }
-    }
-
-    #[test]
-    fn acf_detects_persistence() {
-        // AR(1)-ish: x_t = 0.8 x_{t-1} + noise.
-        let noise = white_noise(2000, 2);
-        let mut x = vec![0.0f64];
-        for e in &noise {
-            let prev = *x.last().expect("non-empty");
-            x.push(0.8 * prev + e);
-        }
-        let rho = acf(&x, 3).unwrap();
-        assert!(rho[1] > 0.6, "lag-1 acf {}", rho[1]);
-        assert!(rho[2] > rho[3], "acf should decay");
-    }
-
-    #[test]
-    fn ljung_box_rejects_ar_accepts_noise() {
-        let noise = white_noise(500, 3);
-        let lb = ljung_box(&noise, 10).unwrap();
-        assert!(lb.p_value > 0.01, "white noise p {}", lb.p_value);
-
-        let mut x = vec![0.0f64];
-        for e in &noise {
-            let prev = *x.last().expect("non-empty");
-            x.push(0.7 * prev + e);
-        }
-        let lb = ljung_box(&x, 10).unwrap();
-        assert!(lb.significant_at(1e-6), "AR p {}", lb.p_value);
-    }
-
-    #[test]
-    fn dispersion_of_poisson_counts_near_one() {
-        use crate::dist::{DiscreteDistribution, Poisson};
-        let d = Poisson::new(3.0).unwrap();
-        let mut rng = StdRng::seed_from_u64(4);
-        let counts: Vec<f64> = (0..5000).map(|_| d.sample(&mut rng) as f64).collect();
-        let di = dispersion_index(&counts).unwrap();
-        assert!((di - 1.0).abs() < 0.1, "dispersion {di}");
-    }
-
-    #[test]
-    fn dispersion_detects_bursts() {
-        // Mixture: mostly 0, occasionally 20 — heavily over-dispersed.
-        let counts: Vec<f64> = (0..1000).map(|i| if i % 50 == 0 { 20.0 } else { 0.0 }).collect();
-        let di = dispersion_index(&counts).unwrap();
-        assert!(di > 5.0, "dispersion {di}");
-    }
-
-    #[test]
-    fn degenerate_inputs_rejected() {
-        assert!(acf(&[1.0, 1.0, 1.0], 1).is_err());
-        assert!(acf(&[1.0, 2.0], 5).is_err());
-        assert!(ljung_box(&[1.0, 2.0, 3.0], 0).is_err());
-        assert!(dispersion_index(&[0.0, 0.0]).is_err());
-    }
-
     #[test]
     fn isotonic_leaves_monotone_input_unchanged() {
         let v = vec![1.0, 2.0, 2.0, 5.0];

@@ -9,10 +9,10 @@
 //!
 //! * [`parallel`] — deterministic parallel-execution layer ([`parallel::Parallelism`])
 //! * [`obs`] — offline structured observability: spans, counters, run reports ([`obs::Obs`])
-//! * [`stats`] — statistics substrate (ECDF, distributions, tests, …)
+//! * [`stats`] — statistics substrate (ECDF, distributions, survival, …)
 //! * [`telemetry`] — data model: columnar tables, calendar, RMA tickets, λ/μ metrics
 //! * [`dcsim`] — generative fleet simulator (topology, climate, hazards, tickets)
-//! * [`cart`] — classification and regression trees + partial dependence
+//! * [`cart`] — classification and regression trees + stratified partial dependence
 //! * [`analysis`] — the paper's framework: Q1 spares, Q2 SKUs, Q3 environment, TCO
 //!
 //! # Quickstart
