@@ -5,6 +5,16 @@
 set -eu
 
 cargo fmt --check
+# Panic-site ratchet: lines before the first `#[cfg(test)]` of each library
+# source file that call `expect`/`unwrap` or `panic!`/`assert!` may not grow
+# past MAX_PANIC_SITES. Lower it when a change removes sites.
+MAX_PANIC_SITES=81
+panic_sites=$(find crates/*/src -name '*.rs' -exec sed '/#\[cfg(test)\]/,$d' {} \; |
+    grep -cE '\.(expect|unwrap)\(|\b(panic|assert)!\(' || true)
+if [ "$panic_sites" -gt "$MAX_PANIC_SITES" ]; then
+    echo "ci: $panic_sites non-test panic sites, above the ratchet of $MAX_PANIC_SITES" >&2
+    exit 1
+fi
 cargo build --release --workspace
 # The examples are callers of the library API, so each must run to
 # completion, not just compile (about 1 s for all six in release).

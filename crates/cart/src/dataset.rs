@@ -18,16 +18,6 @@ pub enum Target<'a> {
     },
 }
 
-impl Target<'_> {
-    /// Number of classes; 0 for regression.
-    pub fn class_count(&self) -> usize {
-        match self {
-            Target::Regression(_) => 0,
-            Target::Classification { classes, .. } => classes.len(),
-        }
-    }
-}
-
 /// A feature column borrowed from the table.
 #[derive(Debug, Clone, PartialEq)]
 pub enum FeatureColumn<'a> {

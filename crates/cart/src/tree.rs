@@ -1,7 +1,6 @@
 //! Tree fitting, prediction, and inspection.
 
 use std::collections::HashMap;
-use std::fmt::Write as _;
 
 use rainshine_telemetry::frame::Frame;
 use serde::{Deserialize, Serialize};
@@ -472,39 +471,6 @@ impl Tree {
         path.reverse();
         path
     }
-
-    /// A compact text rendering of the tree, one node per line.
-    pub fn format_text(&self) -> String {
-        let mut out = String::new();
-        self.format_node(0, 0, &mut out);
-        out
-    }
-
-    fn format_node(&self, id: usize, indent: usize, out: &mut String) {
-        let node = &self.nodes[id];
-        let pad = "  ".repeat(indent);
-        match &node.rule {
-            Some(rule) => {
-                let _ = writeln!(
-                    out,
-                    "{pad}[{id}] n={} risk={:.3} pred={:.4} split: {}",
-                    node.n,
-                    node.risk,
-                    node.prediction,
-                    rule.describe()
-                );
-                self.format_node(node.left.expect("split has left"), indent + 1, out);
-                self.format_node(node.right.expect("split has right"), indent + 1, out);
-            }
-            None => {
-                let _ = writeln!(
-                    out,
-                    "{pad}[{id}] n={} risk={:.3} pred={:.4} (leaf)",
-                    node.n, node.risk, node.prediction
-                );
-            }
-        }
-    }
 }
 
 /// One pending node on the presort fitter's growth stack: node id, its
@@ -569,7 +535,7 @@ mod tests {
         let t = step_table(400);
         let ds = CartDataset::regression(&t, "y", &["x", "k"]).unwrap();
         let tree = Tree::fit(&ds, &CartParams::default()).unwrap();
-        assert!(tree.leaf_count() >= 3, "tree: {}", tree.format_text());
+        assert!(tree.leaf_count() >= 3, "leaves: {}", tree.leaf_count());
         // Predictions reproduce the generating rule exactly (pure leaves).
         let preds = tree.predict(&t).unwrap();
         let y = t.continuous("y").unwrap();

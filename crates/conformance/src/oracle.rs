@@ -16,13 +16,16 @@
 //! NaNs) diverge by 0, a NaN facing a number diverges infinitely, and
 //! numeric pairs diverge by absolute difference.
 
+use std::collections::BTreeMap;
+
 use rainshine_cart::dataset::CartDataset;
 use rainshine_cart::params::CartParams;
 use rainshine_cart::tree::Tree;
-use rainshine_core::dataset::{rack_day_table, ticket_counts_by_rack_day, FaultFilter};
+use rainshine_core::dataset::{rack_day_table, FaultFilter};
 use rainshine_dcsim::{Simulation, SimulationOutput};
 use rainshine_parallel::Parallelism;
 use rainshine_telemetry::frame::{FeatureKind, Frame, FrameBuilder, Value};
+use rainshine_telemetry::ids::RackId;
 use rainshine_telemetry::quality::{Sanitizer, SanitizerConfig};
 use rainshine_telemetry::schema::{analysis_schema, columns};
 
@@ -219,11 +222,17 @@ pub fn row_path_rack_day_table(
     filter: FaultFilter,
     day_stride: usize,
 ) -> Result<Frame> {
-    let tickets = output.true_positives();
-    let counts = ticket_counts_by_rack_day(&tickets, filter);
+    // Counted independently of `core::dataset::RackDayCounts`, so this
+    // rebuild is a differential check of the count index too.
+    let mut counts: BTreeMap<(RackId, u64), u64> = BTreeMap::new();
+    for t in output.true_positives() {
+        if filter.matches(t.fault) {
+            *counts.entry((t.location.rack, t.opened.days())).or_insert(0) += 1;
+        }
+    }
     let mut builder = FrameBuilder::new(analysis_schema());
     let mut push_error: Option<String> = None;
-    output.for_each_active_rack_day(day_stride, |rack, t, env| {
+    output.for_each_active_rack_day(day_stride, |_, rack, t, env| {
         if push_error.is_some() {
             return;
         }

@@ -1,8 +1,10 @@
 //! Analysis-dataset assembly.
 //!
 //! Turns a [`SimulationOutput`] into the typed tables the framework
-//! consumes:
+//! consumes, all of them on the ingested (sanitized) environment view:
 //!
+//! * [`RackDayCounts`] — matching ticket counts per (rack, day), the one
+//!   count index behind λ here, Q3's per-disk rates and P1's history;
 //! * [`rack_day_table`] — one row per active (rack, day) with every
 //!   Table III candidate feature plus the day's failure count (the λ
 //!   response at rack/day granularity, the paper's default);
@@ -10,13 +12,13 @@
 //!   environment, and a caller-supplied response (used by Q1 to cluster
 //!   racks by provisioning need).
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
 use rainshine_dcsim::topology::RackInfo;
 use rainshine_dcsim::SimulationOutput;
 use rainshine_telemetry::frame::{ColumnBuilder, Frame, FrameBuilder};
 use rainshine_telemetry::ids::RackId;
-use rainshine_telemetry::rma::{FaultKind, HardwareFault, RmaTicket};
+use rainshine_telemetry::rma::{FaultKind, HardwareFault};
 use rainshine_telemetry::schema::analysis_schema;
 use rainshine_telemetry::time::SimTime;
 
@@ -53,21 +55,61 @@ impl FaultFilter {
     }
 }
 
-/// Counts matching true-positive tickets per (rack, day).
+/// Matching true-positive ticket counts per (rack, day) over the span: the
+/// λ response and the failure-history features all read this one index.
 ///
-/// Returned as a [`BTreeMap`] so that callers iterating the counts (rather
-/// than just probing them) see a deterministic key order.
-pub fn ticket_counts_by_rack_day(
-    tickets: &[&RmaTicket],
-    filter: FaultFilter,
-) -> BTreeMap<(RackId, u64), u64> {
-    let mut counts = BTreeMap::new();
-    for t in tickets {
-        if filter.matches(t.fault) {
-            *counts.entry((t.location.rack, t.opened.days())).or_insert(0) += 1;
+/// Racks are addressed by their index in `output.fleet.racks`, days by
+/// absolute day number. Tickets opened outside the span, or on a rack the
+/// fleet does not list, are not counted.
+#[derive(Debug, Clone)]
+pub struct RackDayCounts {
+    start_day: u64,
+    days: u64,
+    /// Per rack, `days + 1` running totals: entry `d` counts the tickets of
+    /// the span's first `d` days.
+    running: Vec<u32>,
+}
+
+impl RackDayCounts {
+    /// Counts the tickets matching `filter` in one pass over
+    /// [`SimulationOutput::true_positives`].
+    pub fn new(output: &SimulationOutput, filter: FaultFilter) -> Self {
+        let start_day = output.config.start.days();
+        let days = output.config.end.days().saturating_sub(start_day);
+        let width = days as usize + 1;
+        let index: HashMap<RackId, usize> =
+            output.fleet.racks.iter().enumerate().map(|(i, rack)| (rack.id, i)).collect();
+        let mut running = vec![0u32; output.fleet.racks.len() * width];
+        for t in output.true_positives() {
+            let rack = index.get(&t.location.rack);
+            let day = t.opened.days().checked_sub(start_day).filter(|&day| day < days);
+            if let (Some(&rack), Some(day), true) = (rack, day, filter.matches(t.fault)) {
+                running[rack * width + day as usize + 1] += 1;
+            }
+        }
+        for row in running.chunks_exact_mut(width) {
+            for d in 1..width {
+                row[d] += row[d - 1];
+            }
+        }
+        RackDayCounts { start_day, days, running }
+    }
+
+    /// Tickets on `rack` opened on `day` (0 outside the span).
+    pub fn on(&self, rack: usize, day: u64) -> u32 {
+        self.between(rack, day, day.saturating_add(1))
+    }
+
+    /// Tickets on `rack` opened on days `from..to`, clamped to the span (0
+    /// for an empty or inverted range and for an unknown rack index).
+    pub fn between(&self, rack: usize, from: u64, to: u64) -> u32 {
+        let offset = |day: u64| day.saturating_sub(self.start_day).min(self.days) as usize;
+        let (lo, hi) = (offset(from), offset(to));
+        match self.running.chunks_exact(self.days as usize + 1).nth(rack) {
+            Some(row) if lo < hi => row[hi] - row[lo],
+            _ => 0,
         }
     }
-    counts
 }
 
 /// Builds the rack-day analysis table.
@@ -88,27 +130,22 @@ pub fn rack_day_table(
     if day_stride == 0 {
         return Err(AnalysisError::InvalidParameter { name: "day_stride", value: 0.0 });
     }
-    let tickets = output.true_positives();
-    let counts = ticket_counts_by_rack_day(&tickets, filter);
+    let counts = RackDayCounts::new(output, filter);
     let mut builder = FrameBuilder::new(analysis_schema());
     let rows = {
         let mut cols = AnalysisCols::split(&mut builder);
         // Per-rack nominal codes, interned on the rack's first active day so
         // code assignment matches first-seen row order.
-        let mut cached: Option<(RackId, RackCodes)> = None;
-        output.for_each_active_rack_day(day_stride, |rack, t, env| {
+        let mut cached: Option<(usize, RackCodes)> = None;
+        output.for_each_active_rack_day(day_stride, |index, rack, t, env| {
             let codes = match cached {
-                Some((id, codes)) if id == rack.id => codes,
-                _ => {
-                    let codes = cols.intern_rack(rack);
-                    cached = Some((rack.id, codes));
-                    codes
-                }
+                Some((i, codes)) if i == index => codes,
+                _ => cached.insert((index, cols.intern_rack(rack))).1,
             };
             // Ingested (sanitized) environment: spikes winsorized, blackout
             // cells NaN — the NaN-tolerant CART and the evidence series
             // handle missing readings downstream.
-            let count = counts.get(&(rack.id, t.days())).copied().unwrap_or(0) as f64;
+            let count = f64::from(counts.on(index, t.days()));
             cols.push(codes, rack, t, env.temp_f, env.rh, count);
         })
     };
@@ -251,8 +288,7 @@ pub fn rack_table(
             let mut temp = 0.0;
             let mut rh = 0.0;
             let mut n = 0.0;
-            let mut day = active_start as u64;
-            while (day as i64) < end_day {
+            for day in (active_start as u64..end_day as u64).step_by(30) {
                 let env = output.ingested_daily_env(rack.dc, rack.region, day);
                 // Skip blacked-out samples; the mean comes from the days the
                 // sensors actually reported.
@@ -261,7 +297,6 @@ pub fn rack_table(
                     rh += env.rh;
                     n += 1.0;
                 }
-                day += 30;
             }
             let (temp, rh) = if n > 0.0 { (temp / n, rh / n) } else { (65.0, 45.0) };
             let codes = cols.intern_rack(rack);

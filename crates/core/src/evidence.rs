@@ -27,6 +27,14 @@ pub struct SeriesRow {
     pub n: usize,
 }
 
+impl SeriesRow {
+    /// The bar of one group's accumulated λ values; `None` if it is empty.
+    fn of(label: String, acc: &Welford) -> Option<Self> {
+        let s = acc.summary()?;
+        Some(SeriesRow { label, mean: s.mean(), sd: s.sample_stddev(), n: s.count() })
+    }
+}
+
 /// Scales rows so the largest mean is `1.0` (the paper normalizes "with
 /// respect to their maximum value"). Standard deviations scale by the same
 /// factor. No-op on an empty series.
@@ -52,14 +60,7 @@ pub fn by_nominal(table: &Frame, column: &str) -> Result<Vec<SeriesRow>> {
     Ok(cats
         .iter()
         .zip(&accs)
-        .filter_map(|(label, acc)| {
-            acc.summary().map(|s| SeriesRow {
-                label: label.clone(),
-                mean: s.mean(),
-                sd: s.sample_stddev(),
-                n: s.count(),
-            })
-        })
+        .filter_map(|(label, acc)| SeriesRow::of(label.clone(), acc))
         .collect())
 }
 
@@ -71,12 +72,16 @@ pub fn by_binned(table: &Frame, column: &str, binner: &Binner) -> Result<Vec<Ser
     let x = table.continuous(column)?;
     let (x, y): (Vec<f64>, Vec<f64>) =
         x.iter().zip(y).filter(|(xv, _)| xv.is_finite()).map(|(xv, yv)| (*xv, *yv)).unzip();
-    let grouped = GroupedMeans::new(binner.clone(), &x, &y)?;
-    Ok(grouped
+    Ok(binned_rows(&GroupedMeans::new(binner.clone(), &x, &y)?))
+}
+
+/// The non-empty bins of `grouped` as figure rows, in bin order.
+pub(crate) fn binned_rows(grouped: &GroupedMeans) -> Vec<SeriesRow> {
+    grouped
         .rows()
         .into_iter()
         .map(|(label, mean, sd, n)| SeriesRow { label, mean, sd, n })
-        .collect())
+        .collect()
 }
 
 /// Groups λ by an ordinal column, optionally restricted to one calendar
@@ -102,17 +107,7 @@ pub fn by_ordinal(
     if accs.is_empty() {
         return Err(AnalysisError::NoData { what: format!("no rows for year {year:?}") });
     }
-    Ok(accs
-        .into_iter()
-        .filter_map(|(level, acc)| {
-            acc.summary().map(|s| SeriesRow {
-                label: labeler(level),
-                mean: s.mean(),
-                sd: s.sample_stddev(),
-                n: s.count(),
-            })
-        })
-        .collect())
+    Ok(accs.into_iter().filter_map(|(level, acc)| SeriesRow::of(labeler(level), &acc)).collect())
 }
 
 /// Fig. 2 — λ by DC region (`DC1-1` … `DC2-3`).

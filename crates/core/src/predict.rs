@@ -6,9 +6,10 @@
 //! failures for pro-active maintenance" as future work. This module builds
 //! that pipeline:
 //!
-//! 1. a rack-day classification dataset (Table III features plus
-//!    recent-failure-history features) labelled with "does this rack
-//!    generate a hardware failure within the next *horizon* days?";
+//! 1. a rack-day classification dataset labelled with "does this rack
+//!    generate a hardware failure within the next *horizon* days?": Table
+//!    III features with the environment as ingested (NaN in a sensor
+//!    blackout), plus recent-failure history from [`RackDayCounts`];
 //! 2. a **time-ordered** train/test split (no peeking at the future);
 //! 3. **majority-class downsampling** on the training split only;
 //! 4. a Gini classification tree, evaluated on the untouched test split
@@ -25,7 +26,7 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
-use crate::dataset::{ticket_counts_by_rack_day, FaultFilter};
+use crate::dataset::{FaultFilter, RackDayCounts};
 use crate::{AnalysisError, Result};
 
 /// History-feature column names added on top of the Table III schema.
@@ -89,22 +90,12 @@ pub struct Confusion {
 impl Confusion {
     /// Precision = TP / (TP + FP); 0 when nothing was predicted positive.
     pub fn precision(&self) -> f64 {
-        let denom = self.true_positives + self.false_positives;
-        if denom == 0 {
-            0.0
-        } else {
-            self.true_positives as f64 / denom as f64
-        }
+        ratio(self.true_positives, self.true_positives + self.false_positives)
     }
 
     /// Recall = TP / (TP + FN); 0 when there were no positives.
     pub fn recall(&self) -> f64 {
-        let denom = self.true_positives + self.false_negatives;
-        if denom == 0 {
-            0.0
-        } else {
-            self.true_positives as f64 / denom as f64
-        }
+        ratio(self.true_positives, self.true_positives + self.false_negatives)
     }
 
     /// F1 — harmonic mean of precision and recall.
@@ -120,24 +111,12 @@ impl Confusion {
 
     /// Overall accuracy.
     pub fn accuracy(&self) -> f64 {
-        let total =
-            self.true_positives + self.false_positives + self.true_negatives + self.false_negatives;
-        if total == 0 {
-            0.0
-        } else {
-            (self.true_positives + self.true_negatives) as f64 / total as f64
-        }
+        ratio(self.true_positives + self.true_negatives, self.total())
     }
 
     /// Base rate of positives in the test split.
     pub fn base_rate(&self) -> f64 {
-        let total =
-            self.true_positives + self.false_positives + self.true_negatives + self.false_negatives;
-        if total == 0 {
-            0.0
-        } else {
-            (self.true_positives + self.false_negatives) as f64 / total as f64
-        }
+        ratio(self.true_positives + self.false_negatives, self.total())
     }
 
     /// Lift of precision over the base rate (1.0 = no better than guessing).
@@ -148,6 +127,19 @@ impl Confusion {
         } else {
             self.precision() / base
         }
+    }
+
+    fn total(&self) -> u64 {
+        self.true_positives + self.false_positives + self.true_negatives + self.false_negatives
+    }
+}
+
+/// `part / whole` as a share; 0 when `whole` is 0.
+fn ratio(part: u64, whole: u64) -> f64 {
+    if whole == 0 {
+        0.0
+    } else {
+        part as f64 / whole as f64
     }
 }
 
@@ -206,8 +198,7 @@ fn build_prediction_table(
     output: &SimulationOutput,
     config: &PredictionConfig,
 ) -> Result<(Frame, Vec<u64>)> {
-    let tickets = output.true_positives();
-    let counts = ticket_counts_by_rack_day(&tickets, FaultFilter::AllHardware);
+    let counts = RackDayCounts::new(output, FaultFilter::AllHardware);
     let start_day = output.config.start.days();
     let end_day = output.config.end.days();
     let (short, long) = config.history_days;
@@ -219,58 +210,39 @@ fn build_prediction_table(
         else {
             unreachable!("prediction schema has 12 columns")
         };
-        for rack in &output.fleet.racks {
-            // Prefix sums of this rack's daily counts for O(1) history lookups.
-            let days = (end_day - start_day) as usize;
-            let mut prefix = vec![0u64; days + 1];
-            for d in 0..days {
-                let c = counts.get(&(rack.id, start_day + d as u64)).copied().unwrap_or(0);
-                prefix[d + 1] = prefix[d] + c;
-            }
-            let window_sum = |from_day: i64, to_day: i64| -> f64 {
-                let lo = from_day.clamp(0, days as i64) as usize;
-                let hi = to_day.clamp(0, days as i64) as usize;
-                (prefix[hi] - prefix[lo]) as f64
-            };
+        for (index, rack) in output.fleet.racks.iter().enumerate() {
+            let window = |from: u64, to: u64| f64::from(counts.between(index, from, to));
             // Static nominal codes, interned on the rack's first emitted row.
             let mut rack_codes: Option<(u32, u32, u32, u32)> = None;
+            // Past commissioning, so every visited day is an active one.
             let first_eligible = start_day.max(rack.commissioned_day.max(0) as u64) + long;
-            let mut day = first_eligible;
-            while day + config.horizon_days < end_day {
+            let labelled_end = end_day.saturating_sub(config.horizon_days);
+            for day in (first_eligible..labelled_end).step_by(config.day_stride) {
                 let t = SimTime::from_days(day);
-                if rack.is_active(t) {
-                    let rel = (day - start_day) as i64;
-                    let label_window = window_sum(rel + 1, rel + 1 + config.horizon_days as i64);
-                    let env = output.env.daily_mean(rack.dc, rack.region, day);
-                    let (sku, workload, dc, region) = match rack_codes {
-                        Some(codes) => codes,
-                        None => {
-                            let codes = (
-                                sku_c.intern(&rack.sku.to_string()),
-                                workload_c.intern(&rack.workload.to_string()),
-                                dc_c.intern(&rack.dc.to_string()),
-                                region_c.intern(&format!("{}-{}", rack.dc, rack.region.0)),
-                            );
-                            rack_codes = Some(codes);
-                            codes
-                        }
-                    };
-                    sku_c.push_code(sku);
-                    age_c.push_f64(rack.age_months(t));
-                    power_c.push_f64(rack.power_kw);
-                    workload_c.push_code(workload);
-                    temp_c.push_f64(env.temp_f);
-                    rh_c.push_f64(env.rh);
-                    dc_c.push_code(dc);
-                    region_c.push_code(region);
-                    dow_c.push_i64(t.day_of_week().index() as i64);
-                    short_c.push_f64(window_sum(rel - short as i64 + 1, rel + 1));
-                    long_c.push_f64(window_sum(rel - long as i64 + 1, rel + 1));
-                    let label = label_c.intern(if label_window > 0.0 { "fail" } else { "ok" });
-                    label_c.push_code(label);
-                    day_of_row.push(day);
-                }
-                day += config.day_stride as u64;
+                let env = output.ingested_daily_env(rack.dc, rack.region, day);
+                let (sku, workload, dc, region) = *rack_codes.get_or_insert_with(|| {
+                    (
+                        sku_c.intern(&rack.sku.to_string()),
+                        workload_c.intern(&rack.workload.to_string()),
+                        dc_c.intern(&rack.dc.to_string()),
+                        region_c.intern(&format!("{}-{}", rack.dc, rack.region.0)),
+                    )
+                });
+                sku_c.push_code(sku);
+                age_c.push_f64(rack.age_months(t));
+                power_c.push_f64(rack.power_kw);
+                workload_c.push_code(workload);
+                temp_c.push_f64(env.temp_f);
+                rh_c.push_f64(env.rh);
+                dc_c.push_code(dc);
+                region_c.push_code(region);
+                dow_c.push_i64(t.day_of_week().index() as i64);
+                short_c.push_f64(window((day + 1).saturating_sub(short), day + 1));
+                long_c.push_f64(window((day + 1).saturating_sub(long), day + 1));
+                let fails = window(day + 1, day + 1 + config.horizon_days) > 0.0;
+                let label = label_c.intern(if fails { "fail" } else { "ok" });
+                label_c.push_code(label);
+                day_of_row.push(day);
             }
         }
     }
@@ -307,26 +279,14 @@ pub fn predict_failures(
     let split_day = start_day + ((end_day - start_day) as f64 * config.train_fraction) as u64;
 
     let labels = table.nominal_codes(history_columns::LABEL)?;
-    let classes = table.dictionary(history_columns::LABEL)?.labels();
-    let fail_code = classes.iter().position(|c| c == "fail").map(|i| i as u32);
-    let Some(fail_code) = fail_code else {
+    let Some(fail_code) = table.dictionary(history_columns::LABEL)?.code_of("fail") else {
         return Err(AnalysisError::NoData { what: "no positive examples in span".into() });
     };
 
-    let mut train_pos = Vec::new();
-    let mut train_neg = Vec::new();
-    let mut test_rows = Vec::new();
-    for row in 0..table.rows() {
-        if day_of_row[row] < split_day {
-            if labels[row] == fail_code {
-                train_pos.push(row);
-            } else {
-                train_neg.push(row);
-            }
-        } else {
-            test_rows.push(row);
-        }
-    }
+    let (train_rows, test_rows): (Vec<usize>, Vec<usize>) =
+        (0..table.rows()).partition(|&row| day_of_row[row] < split_day);
+    let (train_pos, mut train_neg): (Vec<usize>, Vec<usize>) =
+        train_rows.into_iter().partition(|&row| labels[row] == fail_code);
     if train_pos.is_empty() || train_neg.is_empty() || test_rows.is_empty() {
         return Err(AnalysisError::NoData {
             what: "train/test splits need both classes and a test period".into(),
@@ -335,18 +295,12 @@ pub fn predict_failures(
 
     // Balance by downsampling the majority (negatives are the majority in
     // any realistic run).
-    let mut rng = rand::rngs::StdRng::seed_from_u64(config.seed);
-    let train: Vec<usize> = match config.downsample_ratio {
-        Some(ratio) => {
-            let keep =
-                ((train_pos.len() as f64 * ratio).round() as usize).clamp(1, train_neg.len());
-            let mut neg = train_neg.clone();
-            neg.shuffle(&mut rng);
-            neg.truncate(keep);
-            train_pos.iter().chain(neg.iter()).copied().collect()
-        }
-        None => train_pos.iter().chain(train_neg.iter()).copied().collect(),
-    };
+    if let Some(ratio) = config.downsample_ratio {
+        let keep = ((train_pos.len() as f64 * ratio).round() as usize).clamp(1, train_neg.len());
+        train_neg.shuffle(&mut rand::rngs::StdRng::seed_from_u64(config.seed));
+        train_neg.truncate(keep);
+    }
+    let train: Vec<usize> = train_pos.iter().chain(&train_neg).copied().collect();
     let train_positive_share = train_pos.len() as f64 / train.len() as f64;
 
     let ds = CartDataset::classification(&table, history_columns::LABEL, PREDICTION_FEATURES)?;
@@ -378,7 +332,9 @@ pub fn predict_failures(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rainshine_dcsim::{FleetConfig, Simulation};
+    use std::collections::HashMap;
+
+    use rainshine_dcsim::{CorruptionConfig, FleetConfig, Simulation};
 
     fn sim() -> SimulationOutput {
         Simulation::new(FleetConfig::medium(), 47).run()
@@ -435,6 +391,34 @@ mod tests {
             unbalanced.confusion.recall(),
             balanced.confusion.recall()
         );
+    }
+
+    #[test]
+    fn blacked_out_rows_carry_no_environment() {
+        let mut config = FleetConfig::medium();
+        config.corruption = CorruptionConfig::dirty_default();
+        let out = Simulation::new(config, 47).run();
+        let (table, days) = build_prediction_table(&out, &PredictionConfig::default()).unwrap();
+        // A region label ("DC1-3") names both the DC and the region.
+        let ids: HashMap<_, _> =
+            out.fleet.racks.iter().map(|r| (format!("{}-{}", r.dc, r.region.0), r)).collect();
+        let blacked_out: Vec<usize> = (0..table.rows())
+            .filter(|&row| {
+                let rack = ids[table.nominal_label(columns::REGION, row).unwrap()];
+                out.sensor_faults.is_blacked_out(rack.dc, rack.region, days[row])
+            })
+            .collect();
+        assert!(!blacked_out.is_empty(), "no prediction row falls in a blackout");
+        let temp = table.continuous(columns::TEMPERATURE_F).unwrap();
+        let rh = table.continuous(columns::RELATIVE_HUMIDITY).unwrap();
+        for row in blacked_out {
+            assert!(
+                temp[row].is_nan() && rh[row].is_nan(),
+                "row {row}: {} °F, {} %",
+                temp[row],
+                rh[row]
+            );
+        }
     }
 
     #[test]

@@ -16,7 +16,7 @@ use rainshine_telemetry::frame::{FeatureKind, Field, Frame, FrameBuilder, Schema
 use rainshine_telemetry::schema::columns;
 use serde::{Deserialize, Serialize};
 
-use crate::evidence::{by_binned, SeriesRow};
+use crate::evidence::{binned_rows, by_binned, SeriesRow};
 use crate::{AnalysisError, Result};
 
 /// The temperature bins of Figs. 16–17 (`<60`, `60-65`, `65-70`, `70-75`,
@@ -48,45 +48,30 @@ pub fn disk_rate_by_temperature(
     output: &rainshine_dcsim::SimulationOutput,
     day_stride: usize,
 ) -> Result<Vec<SeriesRow>> {
-    use crate::dataset::{ticket_counts_by_rack_day, FaultFilter};
+    use crate::dataset::{FaultFilter, RackDayCounts};
     use rainshine_stats::hist::GroupedMeans;
     use rainshine_telemetry::rma::HardwareFault;
 
     if day_stride == 0 {
         return Err(AnalysisError::InvalidParameter { name: "day_stride", value: 0.0 });
     }
-    let tickets = output.true_positives();
-    let counts = ticket_counts_by_rack_day(&tickets, FaultFilter::Component(HardwareFault::Disk));
+    let counts = RackDayCounts::new(output, FaultFilter::Component(HardwareFault::Disk));
     let mut temps = Vec::new();
     let mut rates = Vec::new();
-    let start_day = output.config.start.days();
-    let end_day = output.config.end.days();
-    for rack in &output.fleet.racks {
-        let disks = (rack.servers * rack.sku_spec().disks_per_server).max(1) as f64;
-        for day in (start_day..end_day).step_by(day_stride) {
-            if !rack.is_active(rainshine_telemetry::time::SimTime::from_days(day)) {
-                continue;
-            }
-            let env = output.ingested_daily_env(rack.dc, rack.region, day);
-            // Sensor blackouts leave NaN cells; those rack-days cannot be
-            // attributed to a temperature bin.
-            if !env.temp_f.is_finite() {
-                continue;
-            }
-            let failures = counts.get(&(rack.id, day)).copied().unwrap_or(0) as f64;
-            temps.push(env.temp_f);
-            rates.push(1000.0 * failures / disks);
+    output.for_each_active_rack_day(day_stride, |index, rack, t, env| {
+        // Sensor blackouts leave NaN cells; those rack-days cannot be
+        // attributed to a temperature bin.
+        if !env.temp_f.is_finite() {
+            return;
         }
-    }
+        let disks = (rack.servers * rack.sku_spec().disks_per_server).max(1) as f64;
+        temps.push(env.temp_f);
+        rates.push(1000.0 * f64::from(counts.on(index, t.days())) / disks);
+    });
     if temps.is_empty() {
         return Err(AnalysisError::NoData { what: "no active rack-days".into() });
     }
-    let grouped = GroupedMeans::new(fig16_binner(), &temps, &rates)?;
-    Ok(grouped
-        .rows()
-        .into_iter()
-        .map(|(label, mean, sd, n)| SeriesRow { label, mean, sd, n })
-        .collect())
+    Ok(binned_rows(&GroupedMeans::new(fig16_binner(), &temps, &rates)?))
 }
 
 /// Control features normalized before environmental threshold discovery.

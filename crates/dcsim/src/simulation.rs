@@ -254,16 +254,6 @@ impl SimulationOutput {
         self.fleet.rack(id)
     }
 
-    /// Daily mean inlet conditions for a rack.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the rack id is unknown.
-    pub fn rack_daily_env(&self, rack: RackId, day: u64) -> InletConditions {
-        let info = self.fleet.rack(rack).unwrap_or_else(|| panic!("unknown {rack}"));
-        self.env.daily_mean(info.dc, info.region, day)
-    }
-
     /// Daily mean inlet conditions *as the sensors reported them*: NaN
     /// during a blackout window, spiked during a spike cell, otherwise the
     /// true environment.
@@ -282,8 +272,9 @@ impl SimulationOutput {
     }
 
     /// Streams every active (rack, day) in rack-major, day-ascending order,
-    /// stepping days by `day_stride`, handing each visit the rack, the day's
-    /// [`SimTime`], and the ingested (sanitized) inlet conditions.
+    /// stepping days by `day_stride`, handing each visit the rack's index in
+    /// `fleet.racks`, the rack, the day's [`SimTime`], and the ingested
+    /// (sanitized) inlet conditions.
     ///
     /// This is the zero-copy emission path for columnar dataset assembly:
     /// callers append straight into column builders instead of materializing
@@ -294,20 +285,20 @@ impl SimulationOutput {
     /// Panics if `day_stride == 0`.
     pub fn for_each_active_rack_day<F>(&self, day_stride: usize, mut emit: F) -> usize
     where
-        F: FnMut(&crate::topology::RackInfo, SimTime, InletConditions),
+        F: FnMut(usize, &crate::topology::RackInfo, SimTime, InletConditions),
     {
         assert!(day_stride > 0, "day_stride must be positive");
         let start_day = self.config.start.days();
         let end_day = self.config.end.days();
         let mut visited = 0usize;
-        for rack in &self.fleet.racks {
+        for (index, rack) in self.fleet.racks.iter().enumerate() {
             for day in (start_day..end_day).step_by(day_stride) {
                 let t = SimTime::from_days(day);
                 if !rack.is_active(t) {
                     continue;
                 }
                 let env = self.ingested_daily_env(rack.dc, rack.region, day);
-                emit(rack, t, env);
+                emit(index, rack, t, env);
                 visited += 1;
             }
         }
@@ -381,14 +372,5 @@ mod tests {
                 "no hardware tickets in {dc}"
             );
         }
-    }
-
-    #[test]
-    fn rack_env_lookup_works() {
-        let out = Simulation::new(FleetConfig::small(), 5).run();
-        let rack = out.fleet.racks[0].id;
-        let env = out.rack_daily_env(rack, 10);
-        assert!((56.0..=90.0).contains(&env.temp_f));
-        assert!((5.0..=87.0).contains(&env.rh));
     }
 }

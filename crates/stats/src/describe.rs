@@ -13,9 +13,9 @@ use crate::Result;
 /// ```
 /// use rainshine_stats::describe::Summary;
 ///
-/// let s = Summary::from_slice(&[2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0])?;
-/// assert_eq!(s.mean(), 5.0);
-/// assert_eq!(s.population_stddev(), 2.0);
+/// let s = Summary::from_slice(&[2.0, 4.0, 6.0])?;
+/// assert_eq!(s.mean(), 4.0);
+/// assert_eq!(s.sample_stddev(), 2.0);
 /// # Ok::<(), rainshine_stats::StatsError>(())
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -66,19 +66,9 @@ impl Summary {
         }
     }
 
-    /// Population (n) variance.
-    pub fn population_variance(&self) -> f64 {
-        self.m2 / self.count as f64
-    }
-
     /// Unbiased sample standard deviation.
     pub fn sample_stddev(&self) -> f64 {
         self.sample_variance().sqrt()
-    }
-
-    /// Population standard deviation.
-    pub fn population_stddev(&self) -> f64 {
-        self.population_variance().sqrt()
     }
 
     /// Smallest observation.
@@ -89,16 +79,6 @@ impl Summary {
     /// Largest observation.
     pub fn max(&self) -> f64 {
         self.max
-    }
-
-    /// Coefficient of variation (sample stddev / mean); `None` if the mean
-    /// is zero.
-    pub fn coefficient_of_variation(&self) -> Option<f64> {
-        if self.mean == 0.0 {
-            None
-        } else {
-            Some(self.sample_stddev() / self.mean.abs())
-        }
     }
 }
 
@@ -147,32 +127,6 @@ pub fn median(data: &[f64]) -> Result<f64> {
     }
 }
 
-/// Sample skewness (adjusted Fisher–Pearson, g1 with bias correction).
-///
-/// Returns `0.0` when the standard deviation is zero.
-///
-/// # Errors
-///
-/// Returns an error for samples with fewer than 3 observations, or empty /
-/// non-finite input.
-pub fn skewness(data: &[f64]) -> Result<f64> {
-    ensure_sample(data)?;
-    let n = data.len();
-    if n < 3 {
-        return Err(crate::StatsError::DegenerateDimension {
-            what: "skewness needs at least 3 observations",
-        });
-    }
-    let m = mean(data)?;
-    let sd = Summary::from_slice(data)?.population_stddev();
-    if sd == 0.0 {
-        return Ok(0.0);
-    }
-    let nf = n as f64;
-    let m3 = data.iter().map(|&v| ((v - m) / sd).powi(3)).sum::<f64>() / nf;
-    Ok((nf * (nf - 1.0)).sqrt() / (nf - 2.0) * m3)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -191,31 +145,12 @@ mod tests {
     fn single_observation_has_zero_variance() {
         let s = Summary::from_slice(&[42.0]).unwrap();
         assert_eq!(s.sample_variance(), 0.0);
-        assert_eq!(s.population_variance(), 0.0);
     }
 
     #[test]
     fn median_even_and_odd() {
         assert_eq!(median(&[3.0, 1.0, 2.0]).unwrap(), 2.0);
         assert_eq!(median(&[4.0, 1.0, 3.0, 2.0]).unwrap(), 2.5);
-    }
-
-    #[test]
-    fn skewness_of_symmetric_sample_is_zero() {
-        let sk = skewness(&[1.0, 2.0, 3.0, 4.0, 5.0]).unwrap();
-        assert!(sk.abs() < 1e-12);
-    }
-
-    #[test]
-    fn skewness_sign_for_right_tail() {
-        let sk = skewness(&[1.0, 1.0, 1.0, 1.0, 10.0]).unwrap();
-        assert!(sk > 0.0);
-    }
-
-    #[test]
-    fn cv_none_for_zero_mean() {
-        let s = Summary::from_slice(&[-1.0, 1.0]).unwrap();
-        assert_eq!(s.coefficient_of_variation(), None);
     }
 
     #[test]

@@ -232,14 +232,6 @@ impl Poisson {
         }
         Ok(Poisson { lambda })
     }
-
-    /// Probability mass function `P(X = k)`.
-    pub fn pmf(&self, k: u64) -> f64 {
-        if self.lambda == 0.0 {
-            return if k == 0 { 1.0 } else { 0.0 };
-        }
-        (k as f64 * self.lambda.ln() - self.lambda - ln_gamma(k as f64 + 1.0)).exp()
-    }
 }
 
 impl DiscreteDistribution for Poisson {
@@ -454,15 +446,6 @@ mod tests {
         let d = Poisson::new(0.0).unwrap();
         let mut r = rng();
         assert_eq!(d.sample(&mut r), 0);
-        assert_eq!(d.pmf(0), 1.0);
-        assert_eq!(d.pmf(3), 0.0);
-    }
-
-    #[test]
-    fn poisson_pmf_sums_to_one() {
-        let d = Poisson::new(4.5).unwrap();
-        let total: f64 = (0..100).map(|k| d.pmf(k)).sum();
-        assert!((total - 1.0).abs() < 1e-9);
     }
 
     #[test]

@@ -4,8 +4,6 @@
 //! "bin a factor, average the failure rate per bin" plots; [`Binner`] and
 //! [`GroupedMeans`] are the machinery behind them.
 
-use std::collections::BTreeMap;
-
 use crate::describe::Summary;
 use crate::error::ensure_finite;
 use crate::running::Welford;
@@ -139,14 +137,6 @@ impl Histogram {
         self.total
     }
 
-    /// Relative frequency per bin (empty histogram yields all zeros).
-    pub fn frequencies(&self) -> Vec<f64> {
-        if self.total == 0 {
-            return vec![0.0; self.counts.len()];
-        }
-        self.counts.iter().map(|&c| c as f64 / self.total as f64).collect()
-    }
-
     /// The binner used.
     pub fn binner(&self) -> &Binner {
         &self.binner
@@ -200,24 +190,6 @@ impl GroupedMeans {
     }
 }
 
-/// Counts of occurrences per discrete category key.
-///
-/// # Example
-///
-/// ```
-/// use rainshine_stats::hist::category_counts;
-///
-/// let counts = category_counts(["a", "b", "a"].iter());
-/// assert_eq!(counts[&"a"], 2);
-/// ```
-pub fn category_counts<K: Ord, I: IntoIterator<Item = K>>(items: I) -> BTreeMap<K, u64> {
-    let mut map = BTreeMap::new();
-    for k in items {
-        *map.entry(k).or_insert(0) += 1;
-    }
-    map
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -259,12 +231,11 @@ mod tests {
     }
 
     #[test]
-    fn histogram_counts_and_frequencies() {
+    fn histogram_counts() {
         let b = Binner::from_edges(vec![1.0, 2.0]).unwrap();
         let h = Histogram::new(b, &[0.5, 1.5, 1.7, 2.5]).unwrap();
         assert_eq!(h.counts(), &[1, 2, 1]);
         assert_eq!(h.total(), 4);
-        assert_eq!(h.frequencies(), vec![0.25, 0.5, 0.25]);
     }
 
     #[test]
@@ -282,12 +253,5 @@ mod tests {
     fn grouped_means_length_mismatch() {
         let b = Binner::from_edges(vec![10.0]).unwrap();
         assert!(GroupedMeans::new(b, &[1.0], &[]).is_err());
-    }
-
-    #[test]
-    fn category_counts_orders_keys() {
-        let c = category_counts(vec![3, 1, 3, 2, 3]);
-        assert_eq!(c.keys().copied().collect::<Vec<_>>(), vec![1, 2, 3]);
-        assert_eq!(c[&3], 3);
     }
 }

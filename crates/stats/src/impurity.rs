@@ -52,24 +52,6 @@ pub fn sum_squared_deviation(values: &[f64]) -> f64 {
     values.iter().map(|&v| (v - mean).powi(2)).sum()
 }
 
-/// Weighted impurity decrease of a binary split.
-///
-/// `parent_impurity − (n_l/n)·left − (n_r/n)·right`, the quantity CART
-/// maximizes over candidate splits. Weights are observation counts.
-pub fn impurity_decrease(
-    parent_impurity: f64,
-    left_impurity: f64,
-    left_n: f64,
-    right_impurity: f64,
-    right_n: f64,
-) -> f64 {
-    let n = left_n + right_n;
-    if n <= 0.0 {
-        return 0.0;
-    }
-    parent_impurity - (left_n / n) * left_impurity - (right_n / n) * right_impurity
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -95,22 +77,5 @@ mod tests {
         assert_eq!(sum_squared_deviation(&[]), 0.0);
         assert_eq!(sum_squared_deviation(&[3.0, 3.0]), 0.0);
         assert_eq!(sum_squared_deviation(&[1.0, 3.0]), 2.0);
-    }
-
-    #[test]
-    fn perfect_split_decrease_equals_parent() {
-        // Parent 50/50, split into two pure halves.
-        let parent = gini(&[5.0, 5.0]);
-        let d = impurity_decrease(parent, 0.0, 5.0, 0.0, 5.0);
-        assert!((d - parent).abs() < 1e-12);
-    }
-
-    #[test]
-    fn useless_split_zero_decrease() {
-        let parent = gini(&[5.0, 5.0]);
-        let half = gini(&[2.5, 2.5]);
-        let d = impurity_decrease(parent, half, 5.0, half, 5.0);
-        assert!(d.abs() < 1e-12);
-        assert_eq!(impurity_decrease(0.5, 0.0, 0.0, 0.0, 0.0), 0.0);
     }
 }
