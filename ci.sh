@@ -8,7 +8,7 @@ cargo fmt --check
 # Panic-site ratchet: lines before the first `#[cfg(test)]` of each library
 # source file that call `expect`/`unwrap` or `panic!`/`assert!` may not grow
 # past MAX_PANIC_SITES. Lower it when a change removes sites.
-MAX_PANIC_SITES=81
+MAX_PANIC_SITES=75
 panic_sites=$(find crates/*/src -name '*.rs' -exec sed '/#\[cfg(test)\]/,$d' {} \; |
     grep -cE '\.(expect|unwrap)\(|\b(panic|assert)!\(' || true)
 if [ "$panic_sites" -gt "$MAX_PANIC_SITES" ]; then
@@ -22,9 +22,11 @@ for example in climate_control fleet_explorer lifetime_analysis quickstart \
     spare_provisioning vendor_selection; do
     cargo run --release -q --example "$example" >/dev/null
 done
-# Paper-scale differential oracle for the μ engine (about 1 s to simulate in
-# release; too slow for the debug suite, so it is #[ignore]d there).
+# Paper-scale differential oracles for the μ engine and the hoisted hazard
+# (about 1 s and 3 s in release; too slow for the debug suite, so they are
+# #[ignore]d there).
 cargo test --release -q --test mu_engine -- --ignored
+cargo test --release -q --test hazard_prefix -- --ignored
 cargo test --workspace -q
 # Fast-tier statistical conformance gate: 3-seed prefix of the calibrated
 # full-scenario sweep plus the differential oracle suite, byte-compared

@@ -111,6 +111,65 @@ impl EnvModel {
     }
 }
 
+/// Daily means of every (DC, region) over a span of days, sampled once.
+///
+/// The hazard of every rack-day and every rack-day analysis row reads its
+/// region's daily mean, and hundreds of racks share each of a handful of
+/// regions, so [`crate::Simulation`] samples each (DC, region, day) cell
+/// once into this dense slab (region-major, days contiguous) and readers
+/// index it. [`Self::daily_mean`] answers cells outside the slab by
+/// sampling, so a lookup never fails and always equals
+/// [`EnvModel::daily_mean`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct DailyEnvSlab {
+    start_day: u64,
+    days: usize,
+    /// Per DC: its id, its region count and the index of its first cell.
+    dcs: Vec<(DcId, u8, usize)>,
+    cells: Vec<InletConditions>,
+}
+
+impl DailyEnvSlab {
+    /// Samples `env`'s daily mean for regions `1..=regions` of each listed
+    /// DC over the days `start_day..end_day`.
+    pub fn build(env: &EnvModel, dcs: &[(DcId, u8)], start_day: u64, end_day: u64) -> Self {
+        let days = end_day.saturating_sub(start_day) as usize;
+        let mut layout = Vec::with_capacity(dcs.len());
+        let mut cells = Vec::new();
+        for &(dc, regions) in dcs {
+            layout.push((dc, regions, cells.len()));
+            for region in 1..=regions {
+                cells.extend(
+                    (start_day..end_day).map(|day| env.daily_mean(dc, RegionId(region), day)),
+                );
+            }
+        }
+        DailyEnvSlab { start_day, days, dcs: layout, cells }
+    }
+
+    /// The slab's cell for a (DC, region, day), if it covers it.
+    fn get(&self, dc: DcId, region: RegionId, day: u64) -> Option<InletConditions> {
+        let &(_, regions, first) = self.dcs.iter().find(|&&(id, _, _)| id == dc)?;
+        let offset = day.checked_sub(self.start_day)? as usize;
+        if region.0 == 0 || region.0 > regions || offset >= self.days {
+            return None;
+        }
+        self.cells.get(first + (region.0 as usize - 1) * self.days + offset).copied()
+    }
+
+    /// Mean inlet conditions for a region over one day: the slab's cell, or
+    /// `env`'s sample for a cell outside the slab.
+    pub fn daily_mean(
+        &self,
+        env: &EnvModel,
+        dc: DcId,
+        region: RegionId,
+        day: u64,
+    ) -> InletConditions {
+        self.get(dc, region, day).unwrap_or_else(|| env.daily_mean(dc, region, day))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -169,6 +228,28 @@ mod tests {
         let lo = samples.iter().copied().fold(f64::INFINITY, f64::min);
         let hi = samples.iter().copied().fold(f64::NEG_INFINITY, f64::max);
         assert!(mean.temp_f >= lo && mean.temp_f <= hi);
+    }
+
+    #[test]
+    fn slab_matches_sampling_inside_and_outside_its_span() {
+        let env = EnvModel::paper_layout(9);
+        let slab = DailyEnvSlab::build(&env, &[(DcId(1), 4), (DcId(2), 3)], 10, 40);
+        let bits = |c: InletConditions| (c.temp_f.to_bits(), c.rh.to_bits());
+        for (dc, regions) in [(DcId(1), 4u8), (DcId(2), 3)] {
+            for region in (0..=regions + 1).map(RegionId) {
+                for day in [0, 9, 10, 25, 39, 40, 400] {
+                    assert_eq!(
+                        bits(slab.daily_mean(&env, dc, region, day)),
+                        bits(env.daily_mean(dc, region, day)),
+                        "{dc} {region:?} day {day}"
+                    );
+                }
+            }
+        }
+        assert!(slab.get(DcId(2), RegionId(3), 39).is_some());
+        for (dc, region, day) in [(3, 1, 20), (2, 4, 39), (1, 0, 20), (1, 1, 9), (1, 1, 40)] {
+            assert_eq!(slab.get(DcId(dc), RegionId(region), day), None);
+        }
     }
 
     #[test]

@@ -6,12 +6,21 @@
 //! ```text
 //! rate = units(c) · base(c)
 //!        · f_sku · f_workload(c) · f_age · f_dow · f_season
-//!        · f_env(c, T, RH) · f_power · f_region · frailty
+//!        · f_env(c, T, RH) · f_power · f_region · f_dc(c) · frailty
 //! ```
 //!
 //! Every factor mirrors an effect the paper reports (DESIGN.md §3 maps each
 //! to its figure). All effect sizes are plain struct fields so ablation
 //! benches can switch them off individually.
+//!
+//! [`RackHazard`] evaluates the product for one rack at the granularity
+//! each factor varies on: `units · base · f_sku · f_workload(c)` and the
+//! trailing `f_power · f_region · f_dc(c) · frailty` once per rack,
+//! `f_age · f_dow · f_season` once per rack-day, `f_env(c, T, RH)` per
+//! class. It multiplies them out left to right in the order above, so each
+//! rate is bit-identical to the single expression; regrouping the product
+//! would change low bits of rates and with them the Poisson draws.
+//! [`HazardConfig::rack_day_rate`] is its one-off form.
 
 use rainshine_telemetry::ids::DcId;
 use rainshine_telemetry::time::SimTime;
@@ -395,6 +404,9 @@ impl HazardConfig {
     /// Expected failures of `class` on `rack` during the day containing
     /// `day_start`, given that day's mean inlet conditions. Zero before the
     /// rack is commissioned.
+    ///
+    /// One-off form of [`RackHazard`]; loops over many days of one rack
+    /// should build the evaluator once instead.
     pub fn rack_day_rate(
         &self,
         rack: &RackInfo,
@@ -402,31 +414,8 @@ impl HazardConfig {
         env: InletConditions,
         day_start: SimTime,
     ) -> f64 {
-        if !rack.is_active(day_start) {
-            return 0.0;
-        }
-        let spec = rack.sku_spec();
-        let wl = workload::spec_of(rack.workload);
-        let stress = match class {
-            ComponentClass::Disk => wl.disk_stress,
-            ComponentClass::Dimm => wl.memory_stress,
-            ComponentClass::Power | ComponentClass::ServerOther | ComponentClass::Network => {
-                wl.server_stress
-            }
-        };
-        let units = rack.servers as f64 * self.units_per_server(rack, class);
-        units
-            * self.base_rate(class)
-            * self.sku_reliability(spec.reliability_factor)
-            * stress
-            * self.age_factor(rack.age_months(day_start))
-            * self.dow_factor(day_start, wl.weekday_sensitivity)
-            * self.season_factor(day_start)
-            * self.env_factor(class, env)
-            * self.power_factor(rack.power_kw)
-            * self.region_factor(rack.dc, rack.region.0)
-            * self.dc_component_factor(rack.dc, class)
-            * rack.frailty
+        let hazard = RackHazard::new(self, rack);
+        hazard.day(day_start).map_or(0.0, |day| hazard.rate(class, &day, env))
     }
 
     /// Expected correlated-failure bursts for `rack` during one day.
@@ -499,6 +488,98 @@ impl HazardConfig {
         } else {
             1.0
         }
+    }
+}
+
+/// The hazard of one rack, split by the granularity each factor varies on
+/// (DESIGN.md §3).
+///
+/// [`RackHazard::new`] evaluates everything fixed for the rack's lifetime
+/// once: the per-class prefix `units · base · f_sku · f_workload` and the
+/// trailing power, region, DC-component and frailty factors.
+/// [`RackHazard::day`] adds the factors that move with the day (age, day of
+/// week, season), and [`RackHazard::rate`] multiplies them out per class in
+/// the same left-to-right order as the formula above, so every rate is
+/// bit-identical to evaluating the whole product in one expression.
+#[derive(Debug, Clone)]
+pub struct RackHazard<'a> {
+    config: &'a HazardConfig,
+    rack: &'a RackInfo,
+    /// `units · base · f_sku · f_workload` per class, indexed like
+    /// [`ComponentClass::ALL`].
+    prefix: [f64; 5],
+    /// The DC component factor per class, indexed like
+    /// [`ComponentClass::ALL`].
+    dc_component: [f64; 5],
+    power: f64,
+    region: f64,
+    weekday_sensitivity: f64,
+}
+
+/// The day-varying factors of one active rack-day (see
+/// [`RackHazard::day`]).
+#[derive(Debug, Clone, Copy)]
+pub struct RackDayFactors {
+    age: f64,
+    dow: f64,
+    season: f64,
+}
+
+impl<'a> RackHazard<'a> {
+    /// Evaluates the rack-constant factors of `rack` under `config`.
+    pub fn new(config: &'a HazardConfig, rack: &'a RackInfo) -> Self {
+        let sku = config.sku_reliability(rack.sku_spec().reliability_factor);
+        let wl = workload::spec_of(rack.workload);
+        let prefix = ComponentClass::ALL.map(|class| {
+            let stress = match class {
+                ComponentClass::Disk => wl.disk_stress,
+                ComponentClass::Dimm => wl.memory_stress,
+                ComponentClass::Power | ComponentClass::ServerOther | ComponentClass::Network => {
+                    wl.server_stress
+                }
+            };
+            let units = rack.servers as f64 * config.units_per_server(rack, class);
+            units * config.base_rate(class) * sku * stress
+        });
+        RackHazard {
+            config,
+            rack,
+            prefix,
+            dc_component: ComponentClass::ALL.map(|c| config.dc_component_factor(rack.dc, c)),
+            power: config.power_factor(rack.power_kw),
+            region: config.region_factor(rack.dc, rack.region.0),
+            weekday_sensitivity: wl.weekday_sensitivity,
+        }
+    }
+
+    /// The day-varying factors for the day containing `day_start`, or `None`
+    /// before the rack is commissioned (its hazard is zero then).
+    pub fn day(&self, day_start: SimTime) -> Option<RackDayFactors> {
+        if !self.rack.is_active(day_start) {
+            return None;
+        }
+        Some(RackDayFactors {
+            age: self.config.age_factor(self.rack.age_months(day_start)),
+            dow: self.config.dow_factor(day_start, self.weekday_sensitivity),
+            season: self.config.season_factor(day_start),
+        })
+    }
+
+    /// Expected failures of `class` on the rack-day `day`, given that
+    /// day's mean inlet conditions.
+    pub fn rate(&self, class: ComponentClass, day: &RackDayFactors, env: InletConditions) -> f64 {
+        let i = class as usize;
+        // Left-associated in the formula's order: reassociating changes
+        // the low bits of the rate and with them the Poisson draws.
+        self.prefix[i]
+            * day.age
+            * day.dow
+            * day.season
+            * self.config.env_factor(class, env)
+            * self.power
+            * self.region
+            * self.dc_component[i]
+            * self.rack.frailty
     }
 }
 

@@ -12,7 +12,7 @@ use rand::SeedableRng;
 use crate::config::FleetConfig;
 use crate::cooling::InletConditions;
 use crate::corruption::{self, InjectionLog, SensorFaultPlan};
-use crate::environment::EnvModel;
+use crate::environment::{DailyEnvSlab, EnvModel};
 use crate::tickets;
 use crate::topology::Fleet;
 
@@ -79,14 +79,23 @@ impl Simulation {
             Fleet::build(&self.config)
         };
         obs.incr("fleet.racks", fleet.racks.len() as u64);
-        let env = {
+        let (env, daily_env) = {
             let _span = obs.span("dcsim.env_model");
-            EnvModel::paper_layout(self.seed)
+            let env = EnvModel::paper_layout(self.seed);
+            let daily_env = tickets::daily_env_slab(&fleet, &self.config, &env);
+            (env, daily_env)
         };
         let par = self.config.parallelism;
         let mut all = {
             let mut span = obs.span("dcsim.tickets_hardware");
-            let hw = tickets::generate_hardware_par(&fleet, &self.config, &env, self.seed, par);
+            let hw = tickets::generate_hardware_par(
+                &fleet,
+                &self.config,
+                &env,
+                &daily_env,
+                self.seed,
+                par,
+            );
             span.add_items(hw.len() as u64);
             hw
         };
@@ -187,7 +196,7 @@ impl Simulation {
                             quality.record(DefectClass::SensorBlackout, false);
                             continue;
                         }
-                        let clean = env.daily_mean(d.id, region, day);
+                        let clean = daily_env.daily_mean(&env, d.id, region, day);
                         let temp = clean.temp_f
                             + sensor_faults.spike_delta(d.id, region, day).unwrap_or(0.0);
                         if bounds.winsorize_temp(temp).1 || bounds.winsorize_rh(clean.rh).1 {
@@ -204,6 +213,7 @@ impl Simulation {
             seed: self.seed,
             fleet,
             env,
+            daily_env,
             tickets,
             sensor_faults,
             injection,
@@ -223,6 +233,9 @@ pub struct SimulationOutput {
     pub fleet: Fleet,
     /// The environment model (queryable for any rack-hour).
     pub env: EnvModel,
+    /// `env`'s daily means over the run's span, sampled once; the
+    /// `*_daily_env` views read it.
+    daily_env: DailyEnvSlab,
     /// The sanitized RMA ticket stream, sorted by open time. Flagged false
     /// positives are included; injected defects have been repaired or
     /// quarantined (see [`Self::quality`]).
@@ -256,15 +269,16 @@ impl SimulationOutput {
 
     /// Daily mean inlet conditions *as the sensors reported them*: NaN
     /// during a blackout window, spiked during a spike cell, otherwise the
-    /// true environment.
+    /// true environment ([`EnvModel::daily_mean`], read from the run's
+    /// daily slab inside its span).
     pub fn observed_daily_env(&self, dc: DcId, region: RegionId, day: u64) -> InletConditions {
         if self.sensor_faults.is_empty() {
-            return self.env.daily_mean(dc, region, day);
+            return self.daily_env.daily_mean(&self.env, dc, region, day);
         }
         if self.sensor_faults.is_blacked_out(dc, region, day) {
             return InletConditions { temp_f: f64::NAN, rh: f64::NAN };
         }
-        let mut cond = self.env.daily_mean(dc, region, day);
+        let mut cond = self.daily_env.daily_mean(&self.env, dc, region, day);
         if let Some(delta) = self.sensor_faults.spike_delta(dc, region, day) {
             cond.temp_f += delta;
         }

@@ -6,6 +6,8 @@
 //! reliability multiplier — the quantity Q2 tries to estimate — and unit
 //! costs with the paper's server:disk:DIMM = 100:2:10 ratio.
 
+use std::sync::LazyLock;
+
 use rainshine_telemetry::ids::Sku;
 use serde::{Deserialize, Serialize};
 
@@ -35,7 +37,7 @@ pub const DISK_COST: f64 = 2.0;
 /// Relative cost of one memory DIMM (paper ratio 100:2:10).
 pub const DIMM_COST: f64 = 10.0;
 
-/// The full S1–S7 catalog.
+/// The full S1–S7 catalog, in [`Sku::ALL`] order.
 pub fn catalog() -> Vec<SkuSpec> {
     vec![
         SkuSpec {
@@ -104,9 +106,12 @@ pub fn catalog() -> Vec<SkuSpec> {
     ]
 }
 
+/// The catalog, built once; entry `i` describes `Sku::ALL[i]`.
+static CATALOG: LazyLock<Vec<SkuSpec>> = LazyLock::new(catalog);
+
 /// Looks up the spec of one SKU.
-pub fn spec_of(sku: Sku) -> SkuSpec {
-    catalog().into_iter().find(|s| s.sku == sku).expect("catalog covers all SKUs")
+pub fn spec_of(sku: Sku) -> &'static SkuSpec {
+    &CATALOG[sku.index()]
 }
 
 #[cfg(test)]
@@ -120,6 +125,7 @@ mod tests {
         assert_eq!(cat.len(), Sku::ALL.len());
         for sku in Sku::ALL {
             assert!(cat.iter().any(|s| s.sku == sku));
+            assert_eq!(spec_of(sku).sku, sku, "catalog is in Sku::ALL order");
         }
     }
 

@@ -3,7 +3,11 @@
 //! Hardware tickets are sampled from the multi-factor hazard model
 //! ([`crate::hazard`]) via per-rack-day Poisson draws (a thinned
 //! non-homogeneous Poisson process at daily resolution, with failures
-//! placed at a uniform hour within the day). Software, boot, and "other"
+//! placed at a uniform hour within the day). Each rack evaluates its
+//! hazard through one [`RackHazard`], so the rack-constant factors are
+//! computed once per rack and the day-varying ones once per rack-day, and
+//! reads its region's daily inlet conditions from a [`DailyEnvSlab`]. Only
+//! a finite, positive rate makes a Poisson draw. Software, boot, and "other"
 //! tickets — which the paper reports in Table II but does not analyze
 //! further — are generated to match Table II's per-DC category shares
 //! exactly in expectation, anchored to the realized hardware count.
@@ -21,8 +25,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::config::FleetConfig;
-use crate::environment::EnvModel;
-use crate::hazard::ComponentClass;
+use crate::environment::{DailyEnvSlab, EnvModel};
+use crate::hazard::{ComponentClass, RackHazard};
+use crate::sku::SkuSpec;
 use crate::topology::{Fleet, RackInfo};
 
 /// Stream tags for [`derive_seed`]: each generation stage draws from its
@@ -97,6 +102,9 @@ fn repair_profile(fault: FaultKind) -> (f64, f64) {
 /// Longest permitted outage (hours); extreme log-normal draws are clamped.
 const MAX_REPAIR_HOURS: f64 = 21.0 * 24.0;
 
+/// Probability that a hardware ticket is a repeat of an earlier fault.
+const REPEAT_PROBABILITY: f64 = 0.1;
+
 fn sample_repair<R: Rng + ?Sized>(fault: FaultKind, rng: &mut R) -> u64 {
     let (median, spread) = repair_profile(fault);
     let dist = LogNormal::from_median_spread(median, spread).expect("static profile is valid");
@@ -118,6 +126,7 @@ pub fn device_id(server: u32, class: ComponentClass, unit: u32) -> DeviceId {
 
 fn make_hardware_ticket<R: Rng + ?Sized>(
     rack: &RackInfo,
+    spec: &SkuSpec,
     class: ComponentClass,
     day: u64,
     rng: &mut R,
@@ -125,10 +134,9 @@ fn make_hardware_ticket<R: Rng + ?Sized>(
 ) -> RmaTicket {
     let server_index = rng.gen_range(0..rack.servers);
     let location = rack.server_location(server_index);
-    let units = rack.sku_spec();
     let unit_count = match class {
-        ComponentClass::Disk => units.disks_per_server,
-        ComponentClass::Dimm => units.dimms_per_server,
+        ComponentClass::Disk => spec.disks_per_server,
+        ComponentClass::Dimm => spec.dimms_per_server,
         _ => 1,
     };
     let unit = rng.gen_range(0..unit_count.max(1));
@@ -137,46 +145,58 @@ fn make_hardware_ticket<R: Rng + ?Sized>(
     let repair = sample_repair(fault, rng);
     let resolved =
         SimTime(opened.hours().saturating_add(repair).min(end.hours()).max(opened.hours() + 1));
-    let repeat = Bernoulli::new(0.1).expect("valid p");
+    // The same single uniform draw `Bernoulli::sample` makes.
+    let repeat = rng.gen::<f64>() < REPEAT_PROBABILITY;
     RmaTicket {
         device: device_id(location.server.0, class, unit),
         location,
         fault,
         opened,
         resolved,
-        repeat_count: if repeat.sample(rng) { rng.gen_range(1..=3) } else { 0 },
+        repeat_count: if repeat { rng.gen_range(1..=3) } else { 0 },
         false_positive: false,
     }
 }
 
-/// Hardware tickets for one rack over the whole observation span.
+/// Hardware tickets for one rack over the whole observation span, with
+/// each day's inlet conditions read from `daily` (sampled from `env`
+/// outside it).
 fn hardware_for_rack<R: Rng + ?Sized>(
     rack: &RackInfo,
     config: &FleetConfig,
     env: &EnvModel,
+    daily: &DailyEnvSlab,
     rng: &mut R,
 ) -> Vec<RmaTicket> {
-    let start_day = config.start.days();
-    let end_day = config.end.days();
+    let hazard = RackHazard::new(&config.hazard, rack);
+    let spec = rack.sku_spec();
     let mut out = Vec::new();
-    for day in start_day..end_day {
+    for day in config.start.days()..config.end.days() {
         let day_start = SimTime::from_days(day);
-        if !rack.is_active(day_start) {
+        let Some(factors) = hazard.day(day_start) else {
             continue;
-        }
-        let conditions = env.daily_mean(rack.dc, rack.region, day);
+        };
+        let conditions = daily.daily_mean(env, rack.dc, rack.region, day);
         for class in ComponentClass::ALL {
-            let rate = config.hazard.rack_day_rate(rack, class, conditions, day_start);
-            if rate <= 0.0 {
+            // `Poisson::new` rejects a negative or non-finite rate, and a
+            // zero rate samples 0 without touching the RNG: only a finite,
+            // positive rate makes a draw.
+            let Ok(poisson) = Poisson::new(hazard.rate(class, &factors, conditions)) else {
                 continue;
-            }
-            let n = Poisson::new(rate).expect("rate is positive finite").sample(rng);
-            for _ in 0..n {
-                out.push(make_hardware_ticket(rack, class, day, rng, config.end));
+            };
+            for _ in 0..poisson.sample(rng) {
+                out.push(make_hardware_ticket(rack, spec, class, day, rng, config.end));
             }
         }
     }
     out
+}
+
+/// The slab of daily inlet conditions hardware generation reads: every
+/// region of `fleet` over `config`'s span.
+pub(crate) fn daily_env_slab(fleet: &Fleet, config: &FleetConfig, env: &EnvModel) -> DailyEnvSlab {
+    let dcs: Vec<_> = fleet.datacenters.iter().map(|d| (d.id, d.regions)).collect();
+    DailyEnvSlab::build(env, &dcs, config.start.days(), config.end.days())
 }
 
 /// Generates hardware tickets for the whole observation span from one
@@ -187,26 +207,30 @@ pub fn generate_hardware<R: Rng + ?Sized>(
     env: &EnvModel,
     rng: &mut R,
 ) -> Vec<RmaTicket> {
+    let daily = daily_env_slab(fleet, config, env);
     let mut out = Vec::new();
     for rack in &fleet.racks {
-        out.extend(hardware_for_rack(rack, config, env, rng));
+        out.extend(hardware_for_rack(rack, config, env, &daily, rng));
     }
     out
 }
 
 /// Generates hardware tickets with one seed-derived RNG stream per rack,
 /// so racks evaluate in parallel; results merge in rack order, making
-/// the stream a pure function of `seed` regardless of thread count.
+/// the stream a pure function of `seed` regardless of thread count. Daily
+/// inlet conditions come from `daily`, and from `env` for any cell outside
+/// it.
 pub fn generate_hardware_par(
     fleet: &Fleet,
     config: &FleetConfig,
     env: &EnvModel,
+    daily: &DailyEnvSlab,
     seed: u64,
     parallelism: Parallelism,
 ) -> Vec<RmaTicket> {
     let per_rack = par_map_range(parallelism, fleet.racks.len(), |rack_index| {
         let mut rng = StdRng::seed_from_u64(derive_seed(seed, STREAM_HARDWARE, rack_index as u64));
-        hardware_for_rack(&fleet.racks[rack_index], config, env, &mut rng)
+        hardware_for_rack(&fleet.racks[rack_index], config, env, daily, &mut rng)
     });
     per_rack.into_iter().flatten().collect()
 }
@@ -572,6 +596,24 @@ mod tests {
         for t in &tickets {
             assert!(t.outage_hours() >= 1 || t.resolved == config.end);
             assert!(t.outage_hours() <= MAX_REPAIR_HOURS as u64);
+        }
+    }
+
+    #[test]
+    fn rates_that_are_not_finite_and_positive_make_no_draw() {
+        let (fleet, mut config, env) = setup();
+        config.hazard.dc2_network_factor = f64::NAN;
+        config.hazard.dc2_power_infra_factor = f64::INFINITY;
+        config.hazard.dimm_base = -1.0;
+        let tickets = generate_hardware(&fleet, &config, &env, &mut StdRng::seed_from_u64(7));
+        assert!(!tickets.is_empty());
+        for t in &tickets {
+            let dc2_network_or_power = t.location.dc == DcId(2)
+                && matches!(
+                    t.fault,
+                    FaultKind::Hardware(HardwareFault::Network | HardwareFault::Power)
+                );
+            assert!(!dc2_network_or_power && t.fault != FaultKind::Hardware(HardwareFault::Memory));
         }
     }
 

@@ -98,7 +98,7 @@ impl RackInfo {
     }
 
     /// The rack's SKU spec.
-    pub fn sku_spec(&self) -> SkuSpec {
+    pub fn sku_spec(&self) -> &'static SkuSpec {
         sku::spec_of(self.sku)
     }
 }

@@ -6,6 +6,8 @@
 //! matches Fig. 6: W2 (batch compute) highest, W3 (HPC) lowest, storage-data
 //! (W5, W6) below storage-compute (W4, W7).
 
+use std::sync::LazyLock;
+
 use rainshine_telemetry::ids::Workload;
 use serde::{Deserialize, Serialize};
 
@@ -34,7 +36,7 @@ impl WorkloadSpec {
     }
 }
 
-/// The full W1–W7 catalog.
+/// The full W1–W7 catalog, in [`Workload::ALL`] order.
 pub fn catalog() -> Vec<WorkloadSpec> {
     vec![
         WorkloadSpec {
@@ -89,9 +91,12 @@ pub fn catalog() -> Vec<WorkloadSpec> {
     ]
 }
 
+/// The catalog, built once; entry `i` describes `Workload::ALL[i]`.
+static CATALOG: LazyLock<Vec<WorkloadSpec>> = LazyLock::new(catalog);
+
 /// Looks up the spec of one workload.
-pub fn spec_of(workload: Workload) -> WorkloadSpec {
-    catalog().into_iter().find(|s| s.workload == workload).expect("catalog covers all workloads")
+pub fn spec_of(workload: Workload) -> &'static WorkloadSpec {
+    &CATALOG[workload.index()]
 }
 
 #[cfg(test)]
@@ -104,6 +109,7 @@ mod tests {
         assert_eq!(cat.len(), Workload::ALL.len());
         for w in Workload::ALL {
             assert!(cat.iter().any(|s| s.workload == w));
+            assert_eq!(spec_of(w).workload, w, "catalog is in Workload::ALL order");
         }
     }
 

@@ -120,9 +120,9 @@ impl Sku {
         }
     }
 
-    /// Stable 0-based index in [`Sku::ALL`].
+    /// Stable 0-based index in [`Sku::ALL`] (the declaration order).
     pub fn index(&self) -> usize {
-        Sku::ALL.iter().position(|s| s == self).expect("all variants listed")
+        *self as usize
     }
 }
 
@@ -190,9 +190,9 @@ impl Workload {
         }
     }
 
-    /// Stable 0-based index in [`Workload::ALL`].
+    /// Stable 0-based index in [`Workload::ALL`] (the declaration order).
     pub fn index(&self) -> usize {
-        Workload::ALL.iter().position(|w| w == self).expect("all variants listed")
+        *self as usize
     }
 }
 

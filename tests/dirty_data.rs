@@ -18,8 +18,8 @@ use rainshine::cart::params::CartParams;
 use rainshine::dcsim::{CorruptionConfig, FleetConfig, Simulation, SimulationOutput};
 use rainshine::obs::Obs;
 use rainshine::parallel::Parallelism;
-use rainshine::telemetry::ids::Workload;
-use rainshine::telemetry::quality::{DataQualityReport, DefectClass};
+use rainshine::telemetry::ids::{DcId, RegionId, Workload};
+use rainshine::telemetry::quality::{DataQualityReport, DefectClass, SensorBounds};
 use rainshine::telemetry::rma::{self, HardwareFault};
 use rainshine::telemetry::time::TimeGranularity;
 
@@ -194,5 +194,51 @@ fn dirty_pipeline_is_bit_identical_across_parallelism_and_repeats() {
         assert_eq!(a.quality, other.quality);
         assert_eq!(a.injection, other.injection);
         assert_eq!(a.sensor_faults, other.sensor_faults);
+    }
+}
+
+/// The environment views as they were computed before the daily slab: a
+/// fresh `EnvModel::daily_mean` sample per call, then the sensor faults,
+/// then (ingested only) the physical-bounds winsorising.
+fn sampled_views(out: &SimulationOutput, dc: DcId, region: RegionId, day: u64) -> [f64; 4] {
+    let clean = out.env.daily_mean(dc, region, day);
+    if out.sensor_faults.is_empty() {
+        return [clean.temp_f, clean.rh, clean.temp_f, clean.rh];
+    }
+    if out.sensor_faults.is_blacked_out(dc, region, day) {
+        return [f64::NAN; 4];
+    }
+    let temp_f = clean.temp_f + out.sensor_faults.spike_delta(dc, region, day).unwrap_or(0.0);
+    let bounds = SensorBounds::default();
+    [temp_f, clean.rh, bounds.winsorize_temp(temp_f).0, bounds.winsorize_rh(clean.rh).0]
+}
+
+#[test]
+fn daily_env_views_match_per_call_sampling() {
+    let same = |a: f64, b: f64| a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan());
+    for out in [clean(), dirty()] {
+        let (start, end) = (out.config.start.days(), out.config.end.days());
+        // The whole span, plus days either side of it that the views
+        // answer by sampling.
+        let days: Vec<u64> =
+            [0, start.saturating_sub(1), end, end + 30].into_iter().chain(start..end).collect();
+        let mut nan_cells = 0;
+        for d in &out.fleet.datacenters {
+            for region in (1..=d.regions).map(RegionId) {
+                for &day in &days {
+                    let observed = out.observed_daily_env(d.id, region, day);
+                    let ingested = out.ingested_daily_env(d.id, region, day);
+                    let got = [observed.temp_f, observed.rh, ingested.temp_f, ingested.rh];
+                    let want = sampled_views(out, d.id, region, day);
+                    assert!(
+                        got.iter().zip(&want).all(|(&g, &w)| same(g, w)),
+                        "{} {region:?} day {day}: {got:?} vs {want:?}",
+                        d.id
+                    );
+                    nan_cells += usize::from(ingested.temp_f.is_nan());
+                }
+            }
+        }
+        assert_eq!(nan_cells > 0, !out.sensor_faults.is_empty(), "blackouts reach the views");
     }
 }
