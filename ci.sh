@@ -1,6 +1,7 @@
 #!/usr/bin/env sh
 # Local CI gate: formatting, release build, the examples, full test suite,
-# the dirty-pipeline e2e gate, lint-clean clippy. Run from the repository root.
+# the dirty-pipeline e2e gate, lint-clean clippy, the benchmark quick tier.
+# Run from the repository root.
 # Fails fast on the first broken step.
 set -eu
 
@@ -42,6 +43,21 @@ cargo clippy --workspace --all-targets -- -D warnings
 CARGO_TARGET_DIR=.bench_build cargo build --release --offline --quiet \
     --manifest-path perfbench/Cargo.toml
 python3 -m unittest discover -s perfbench/tests
+# Quick tier of the benchmark: one untraced and one traced pass per
+# workload, each digest-checked against perfbench/reference/digests.json.
+# It gates on correctness only, never on time (about 6 s).
+for workload_seed in "dirty_export 1" "paper_reproduce 2"; do
+    set -- $workload_seed
+    result=$(python3 perfbench/run.py --workload "$1" --seed "$2" --seconds 0 --trace 1 |
+        tail -n 1)
+    case "$result" in
+    '{"correct": true,'*) ;;
+    *)
+        echo "ci: perfbench $1 --seed $2 is not correct: $result" >&2
+        exit 1
+        ;;
+    esac
+done
 # Rustdoc must build warning-free (broken intra-doc links fail the gate).
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 

@@ -4,8 +4,8 @@
 //! paper's evaluation (see `DESIGN.md` §4). [`run_experiment`] computes the
 //! artifact from a simulation run, writes a CSV under the output directory,
 //! and returns a printable preview. The `rainshine experiments` subcommand
-//! drives all of them; the Criterion benches reuse the same context for
-//! performance measurements.
+//! drives all of them; the `perfbench/` benchmark reuses the same context
+//! for its per-layer timings.
 
 use std::collections::btree_map::{BTreeMap, Entry};
 use std::fmt::Write as _;
@@ -152,7 +152,9 @@ impl ExperimentContext {
         }
     }
 
-    fn day_stride(&self) -> usize {
+    /// Day stride of the cached rack-day tables (public for experiments
+    /// that build their own series).
+    pub fn day_stride_pub(&self) -> usize {
         match self.scale {
             Scale::Small | Scale::Medium => 1,
             Scale::Paper => 2,
@@ -162,7 +164,7 @@ impl ExperimentContext {
     /// CART parameters scaled to the rack-day table size.
     pub fn rack_day_cart(&self) -> CartParams {
         let rows = self.output.fleet.racks.len() as u64 * self.output.config.span_days()
-            / self.day_stride() as u64;
+            / self.day_stride_pub() as u64;
         let min_leaf = (rows / 1500).max(30) as usize;
         CartParams::default().with_min_sizes(min_leaf * 2, min_leaf).with_cp(0.0005)
     }
@@ -171,7 +173,7 @@ impl ExperimentContext {
     pub fn all_hw_table(&mut self) -> &Frame {
         if self.all_hw.is_none() {
             self.all_hw = Some(
-                rack_day_table(&self.output, FaultFilter::AllHardware, self.day_stride())
+                rack_day_table(&self.output, FaultFilter::AllHardware, self.day_stride_pub())
                     .expect("simulation produced rack-days"),
             );
         }
@@ -185,7 +187,7 @@ impl ExperimentContext {
                 rack_day_table(
                     &self.output,
                     FaultFilter::Component(HardwareFault::Disk),
-                    self.day_stride(),
+                    self.day_stride_pub(),
                 )
                 .expect("simulation produced rack-days"),
             );
@@ -562,7 +564,7 @@ fn f16(ctx: &mut ExperimentContext, dir: &Path) -> Result<String, ExperimentErro
 }
 
 fn f17(ctx: &mut ExperimentContext, dir: &Path) -> Result<String, ExperimentError> {
-    let mut rows = q3::disk_rate_by_temperature(&ctx.output, ctx.day_stride())?;
+    let mut rows = q3::disk_rate_by_temperature(&ctx.output, ctx.day_stride_pub())?;
     evidence::normalize(&mut rows);
     write_csv(dir, "f17", "label,mean,sd,n", &series_csv(&rows))?;
     Ok(series_preview("Fig 17 — temperature vs per-disk failure rate", &rows))
@@ -604,14 +606,6 @@ fn f18(ctx: &mut ExperimentContext, dir: &Path) -> Result<String, ExperimentErro
     }
     write_csv(dir, "f18", "dc,group,mean_norm,sd_norm,n", &rows)?;
     Ok(preview)
-}
-
-impl ExperimentContext {
-    /// Day stride used for cached tables (public for experiments that build
-    /// their own series).
-    pub fn day_stride_pub(&self) -> usize {
-        self.day_stride()
-    }
 }
 
 fn p1(ctx: &mut ExperimentContext, dir: &Path) -> Result<String, ExperimentError> {

@@ -8,8 +8,8 @@
 //!   as impurity, used to cluster racks by failure behaviour (Q1) —
 //!   [`tree::Tree`] with [`tree::TreeKind::Regression`];
 //! * **classification trees** (Gini impurity) — [`tree::TreeKind::Classification`];
-//! * nominal (unordered categorical) splits via the ordered-by-mean theorem,
-//!   with an exhaustive-subset option for ablation ([`params::NominalSearch`]);
+//! * nominal (unordered categorical) splits via the ordered-by-mean theorem
+//!   (exact for both impurities, Breiman et al. 1984, Thm. 4.5);
 //! * rpart-style stopping rules: `min_split`, `min_leaf`, `max_depth`, and
 //!   the complexity parameter `cp` ([`params::CartParams`]);
 //! * variable importance rankings ([`tree::Tree::variable_importance`]);

@@ -4,22 +4,6 @@ use serde::{Deserialize, Serialize};
 
 use crate::{CartError, Result};
 
-/// Strategy for searching splits on nominal (unordered categorical)
-/// features.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum NominalSearch {
-    /// Order categories by mean response (regression) or first-class
-    /// proportion (classification), then scan like an ordered feature.
-    ///
-    /// For regression with variance impurity and for two-class Gini this is
-    /// *exact* (Breiman et al. 1984, Thm. 4.5) and costs `O(k log k)`.
-    OrderedByResponse,
-    /// Exhaustively evaluate all `2^(k−1) − 1` binary partitions of the
-    /// categories. Exponential; only sensible for small `k` (an ablation
-    /// option — see DESIGN.md §5).
-    Exhaustive,
-}
-
 /// Hyper-parameters controlling tree growth.
 ///
 /// Defaults mirror `rpart.control`: `min_split = 20`, `min_leaf = 7`
@@ -35,23 +19,11 @@ pub struct CartParams {
     /// Complexity parameter: a split must decrease the overall relative
     /// risk by at least `cp` (as a fraction of the root risk).
     pub cp: f64,
-    /// Nominal split search strategy.
-    pub nominal_search: NominalSearch,
-    /// Cap on category count for [`NominalSearch::Exhaustive`]; features
-    /// with more categories fall back to ordered search.
-    pub exhaustive_limit: usize,
 }
 
 impl Default for CartParams {
     fn default() -> Self {
-        CartParams {
-            min_split: 20,
-            min_leaf: 7,
-            max_depth: 30,
-            cp: 0.01,
-            nominal_search: NominalSearch::OrderedByResponse,
-            exhaustive_limit: 10,
-        }
+        CartParams { min_split: 20, min_leaf: 7, max_depth: 30, cp: 0.01 }
     }
 }
 

@@ -8,9 +8,7 @@
 //!
 //! Continuous and ordinal features are scanned over sorted distinct values.
 //! Nominal features are scanned over categories ordered by mean response
-//! (exact for these two criteria — Breiman et al. 1984, Thm. 4.5), or
-//! exhaustively when [`NominalSearch::Exhaustive`] is selected and the
-//! category count permits.
+//! (exact for these two criteria — Breiman et al. 1984, Thm. 4.5).
 
 use std::collections::BTreeSet;
 
@@ -18,7 +16,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::dataset::{FeatureColumn, Target};
 use crate::error::CartError;
-use crate::params::{CartParams, NominalSearch};
+use crate::params::CartParams;
 
 /// A fitted split rule. Rows satisfying the rule go to the **left** child.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -419,7 +417,10 @@ where
     })
 }
 
-/// Scans a nominal feature.
+/// Scans a nominal feature: orders the categories present in the node by
+/// [`RiskAcc::ordering_key`] and scans the `k − 1` prefixes of that order,
+/// which is exact for both risks (Breiman et al. 1984, Thm. 4.5) and costs
+/// `O(k log k)` on top of the row passes.
 fn scan_nominal(
     target: &Target<'_>,
     rows: &[usize],
@@ -445,39 +446,9 @@ fn scan_nominal(
     if per_cat.len() < 2 {
         return None;
     }
-    let exhaustive = params.nominal_search == NominalSearch::Exhaustive
-        && per_cat.len() <= params.exhaustive_limit;
-    if exhaustive {
-        scan_nominal_exhaustive(
-            target,
-            rows,
-            parent_risk,
-            params,
-            name,
-            codes,
-            categories,
-            &per_cat,
-        )
-    } else {
-        scan_nominal_ordered(target, rows, parent_risk, params, name, codes, categories, &per_cat)
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn scan_nominal_ordered(
-    target: &Target<'_>,
-    rows: &[usize],
-    parent_risk: f64,
-    params: &CartParams,
-    name: &str,
-    codes: &[u32],
-    categories: &[String],
-    per_cat: &[(u32, RiskAcc)],
-) -> Option<BestSplit> {
-    let mut ordered: Vec<&(u32, RiskAcc)> = per_cat.iter().collect();
     // total_cmp so a non-finite ordering key (possible only with a dirty
     // target) degrades the category order instead of panicking the fit.
-    ordered.sort_by(|a, b| a.1.ordering_key().total_cmp(&b.1.ordering_key()).then(a.0.cmp(&b.0)));
+    per_cat.sort_by(|a, b| a.1.ordering_key().total_cmp(&b.1.ordering_key()).then(a.0.cmp(&b.0)));
     let mut total = RiskAcc::empty_like(target);
     for &r in rows {
         total.add_row(target, r);
@@ -486,8 +457,8 @@ fn scan_nominal_ordered(
     let mut left = RiskAcc::empty_like(target);
     let mut left_codes: BTreeSet<u32> = BTreeSet::new();
     let mut best: Option<(f64, BTreeSet<u32>)> = None;
-    for (k, (code, _)) in ordered.iter().enumerate().take(ordered.len() - 1) {
-        // Move category k into the left side.
+    for (code, _) in &per_cat[..per_cat.len() - 1] {
+        // Move the next category into the left side.
         for &r in rows {
             if codes[r] == *code {
                 left.add_row(target, r);
@@ -496,7 +467,6 @@ fn scan_nominal_ordered(
         left_codes.insert(*code);
         let left_n = left.n() as usize;
         let right_n = n - left_n;
-        let _ = k;
         if left_n < params.min_leaf || right_n < params.min_leaf {
             continue;
         }
@@ -515,66 +485,62 @@ fn scan_nominal_ordered(
     })
 }
 
-#[allow(clippy::too_many_arguments)]
-fn scan_nominal_exhaustive(
-    target: &Target<'_>,
-    rows: &[usize],
-    parent_risk: f64,
-    params: &CartParams,
-    name: &str,
-    codes: &[u32],
-    categories: &[String],
-    per_cat: &[(u32, RiskAcc)],
-) -> Option<BestSplit> {
-    let cats: Vec<u32> = per_cat.iter().map(|(c, _)| *c).collect();
-    let k = cats.len();
-    let mut total = RiskAcc::empty_like(target);
-    for &r in rows {
-        total.add_row(target, r);
-    }
-    let n = rows.len();
-    let mut best: Option<(f64, BTreeSet<u32>)> = None;
-    // Iterate proper non-empty subsets; fix category 0 on the right to halve
-    // the space (masks over cats[1..]).
-    for mask in 1u64..(1 << (k - 1)) {
-        let mut left = RiskAcc::empty_like(target);
-        let mut set = BTreeSet::new();
-        for (bit, &cat) in cats[1..].iter().enumerate() {
-            if mask & (1 << bit) != 0 {
-                set.insert(cat);
-            }
-        }
-        for &r in rows {
-            if set.contains(&codes[r]) {
-                left.add_row(target, r);
-            }
-        }
-        let left_n = left.n() as usize;
-        let right_n = n - left_n;
-        if left_n < params.min_leaf || right_n < params.min_leaf {
-            continue;
-        }
-        let improvement = parent_risk - left.risk() - left.complement_risk(&total);
-        if improvement > best.as_ref().map_or(0.0, |b| b.0) {
-            best = Some((improvement, set));
-        }
-    }
-    best.map(|(improvement, set)| BestSplit {
-        rule: SplitRule::NominalSubset {
-            feature: name.to_owned(),
-            left_labels: set.iter().map(|&c| categories[c as usize].clone()).collect(),
-            left_codes: set,
-        },
-        improvement,
-    })
-}
-
 #[cfg(test)]
 mod tests {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
     use super::*;
 
     fn reg_target(values: &[f64]) -> Target<'_> {
         Target::Regression(values)
+    }
+
+    /// Exhaustive reference for the nominal scan: evaluates all
+    /// `2^(k−1) − 1` binary partitions of the `k` categories present in the
+    /// node and returns the best improvement with its left category set.
+    fn scan_nominal_exhaustive(
+        target: &Target<'_>,
+        rows: &[usize],
+        parent_risk: f64,
+        params: &CartParams,
+        codes: &[u32],
+    ) -> Option<(f64, BTreeSet<u32>)> {
+        let cats: Vec<u32> =
+            rows.iter().map(|&r| codes[r]).collect::<BTreeSet<_>>().into_iter().collect();
+        let k = cats.len();
+        let mut total = RiskAcc::empty_like(target);
+        for &r in rows {
+            total.add_row(target, r);
+        }
+        let n = rows.len();
+        let mut best: Option<(f64, BTreeSet<u32>)> = None;
+        // Iterate proper non-empty subsets; fix category 0 on the right to
+        // halve the space (masks over cats[1..]).
+        for mask in 1u64..(1 << (k - 1)) {
+            let mut left = RiskAcc::empty_like(target);
+            let mut set = BTreeSet::new();
+            for (bit, &cat) in cats[1..].iter().enumerate() {
+                if mask & (1 << bit) != 0 {
+                    set.insert(cat);
+                }
+            }
+            for &r in rows {
+                if set.contains(&codes[r]) {
+                    left.add_row(target, r);
+                }
+            }
+            let left_n = left.n() as usize;
+            let right_n = n - left_n;
+            if left_n < params.min_leaf || right_n < params.min_leaf {
+                continue;
+            }
+            let improvement = parent_risk - left.risk() - left.complement_risk(&total);
+            if improvement > best.as_ref().map_or(0.0, |b| b.0) {
+                best = Some((improvement, set));
+            }
+        }
+        best
     }
 
     #[test]
@@ -642,20 +608,64 @@ mod tests {
         for &r in &rows {
             parent.add_row(&t, r);
         }
-        let mut params = CartParams::default().with_min_sizes(2, 1);
+        let params = CartParams::default().with_min_sizes(2, 1);
         let features =
             vec![("k".to_owned(), FeatureColumn::Nominal { codes: &codes, categories: &cats })];
 
         let ordered = best_split(&t, &features, &rows, parent.risk(), &params).unwrap();
-        params.nominal_search = NominalSearch::Exhaustive;
-        let exhaustive = best_split(&t, &features, &rows, parent.risk(), &params).unwrap();
-        assert!((ordered.improvement - exhaustive.improvement).abs() < 1e-9);
+        let exhaustive =
+            scan_nominal_exhaustive(&t, &rows, parent.risk(), &params, &codes).unwrap();
+        assert!((ordered.improvement - exhaustive.0).abs() < 1e-9);
         match &ordered.rule {
             SplitRule::NominalSubset { left_codes, .. } => {
                 // Low-mean side: categories a (0) and c (2).
                 assert_eq!(left_codes.iter().copied().collect::<Vec<_>>(), vec![0, 2]);
             }
             _ => panic!("expected nominal rule"),
+        }
+    }
+
+    /// Breiman et al. 1984, Thm. 4.5: ordering categories by mean response
+    /// (regression) or first-class proportion (two-class Gini) and scanning
+    /// the prefixes finds the best of all binary partitions.
+    #[test]
+    fn nominal_ordered_matches_exhaustive_on_random_nodes() {
+        let mut rng = StdRng::seed_from_u64(45);
+        let params = CartParams::default().with_min_sizes(2, 1);
+        let classes: Vec<String> = vec!["0".into(), "1".into()];
+        for case in 0..200 {
+            let k = rng.gen_range(2..=6usize);
+            let n = rng.gen_range(k..=40);
+            let cats: Vec<String> = (0..k).map(|c| format!("c{c}")).collect();
+            // Every category is present at least once.
+            let codes: Vec<u32> =
+                (0..n).map(|i| if i < k { i as u32 } else { rng.gen_range(0..k as u32) }).collect();
+            let means: Vec<f64> = (0..k).map(|_| rng.gen_range(0.0..10.0)).collect();
+            let y: Vec<f64> =
+                codes.iter().map(|&c| means[c as usize] + rng.gen_range(-2.0..2.0)).collect();
+            let p_first: Vec<f64> = (0..k).map(|_| rng.gen_range(0.0..1.0)).collect();
+            let labels: Vec<u32> =
+                codes.iter().map(|&c| u32::from(!rng.gen_bool(p_first[c as usize]))).collect();
+            let rows: Vec<usize> = (0..n).collect();
+            let features =
+                vec![("k".to_owned(), FeatureColumn::Nominal { codes: &codes, categories: &cats })];
+            for t in [
+                Target::Regression(&y),
+                Target::Classification { codes: &labels, classes: &classes },
+            ] {
+                let mut parent = RiskAcc::empty_like(&t);
+                for &r in &rows {
+                    parent.add_row(&t, r);
+                }
+                let ordered = best_split(&t, &features, &rows, parent.risk(), &params)
+                    .map_or(0.0, |b| b.improvement);
+                let exhaustive = scan_nominal_exhaustive(&t, &rows, parent.risk(), &params, &codes)
+                    .map_or(0.0, |b| b.0);
+                assert!(
+                    (ordered - exhaustive).abs() < 1e-9,
+                    "case {case} (k = {k}, n = {n}): ordered {ordered} vs exhaustive {exhaustive}"
+                );
+            }
         }
     }
 

@@ -198,8 +198,9 @@ impl Tree {
 
     /// The pre-refactor fitter, which re-sorts every ordered feature at
     /// every node. Kept as the reference implementation for the
-    /// presort-equivalence regression test and the `split_scan`
-    /// microbench; analysis code should use [`Tree::fit_on_rows`].
+    /// presort-equivalence regression test and the
+    /// `cart_presort_vs_per_node_sort` conformance oracle; analysis code
+    /// should use [`Tree::fit_on_rows`].
     ///
     /// # Errors
     ///

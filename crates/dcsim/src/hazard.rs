@@ -11,7 +11,7 @@
 //!
 //! Every factor mirrors an effect the paper reports (DESIGN.md §3 maps each
 //! to its figure). All effect sizes are plain struct fields so ablation
-//! benches can switch them off individually.
+//! scenarios (`scenarios/*.json`) can switch them off individually.
 //!
 //! [`RackHazard`] evaluates the product for one rack at the granularity
 //! each factor varies on: `units · base · f_sku · f_workload(c)` and the

@@ -71,7 +71,7 @@ impl SpatialGranularity {
     }
 }
 
-/// A sparse per-window count distribution (λ) or max-concurrency
+/// A sparse per-window count distribution (λ) or distinct-device
 /// distribution (μ) over a fixed number of windows.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct WindowedSeries {
@@ -110,16 +110,6 @@ impl WindowedSeries {
         }
         let w = w.min(self.windows - 1);
         *self.nonzero.entry(w).or_insert(0) += delta;
-    }
-
-    /// Raises window `w` to at least `value`, clamping like [`Self::add`].
-    pub fn record_max(&mut self, w: u64, value: u64) {
-        if self.windows == 0 || value == 0 {
-            return;
-        }
-        let w = w.min(self.windows - 1);
-        let slot = self.nonzero.entry(w).or_insert(0);
-        *slot = (*slot).max(value);
     }
 
     /// Sample standard deviation per window (zero-inclusive). Zero for
@@ -207,8 +197,6 @@ pub fn lambda(
 /// are clamped; a ticket with `resolved == opened` still occupies its
 /// opening window.
 ///
-/// See [`peak_concurrency`] for the instantaneous-overlap variant.
-///
 /// The engine clamps each in-span ticket to an inclusive window range and
 /// sorts the `(unit, device, first, last)` ranges once. Per unit, it merges
 /// each device's overlapping or touching ranges into runs, so a device
@@ -285,68 +273,6 @@ pub fn mu(
         out.push((unit[0].0, WindowedSeries { windows, nonzero: nonzero.into_iter().collect() }));
     }
     out.into_iter().collect()
-}
-
-/// Peak instantaneous concurrency of open tickets per (spatial unit, time
-/// window): within a window the value is the *maximum* number of
-/// simultaneously open tickets. Unlike [`mu`], non-overlapping outages in
-/// the same window do not stack.
-pub fn peak_concurrency(
-    tickets: &[&RmaTicket],
-    spatial: SpatialGranularity,
-    temporal: TimeGranularity,
-    start: SimTime,
-    end: SimTime,
-) -> BTreeMap<SpatialKey, WindowedSeries> {
-    let windows = temporal.window_count(start, end);
-    let base = temporal.window_of(start);
-    // Group intervals per unit.
-    let mut per_unit: BTreeMap<SpatialKey, Vec<(u64, u64)>> = BTreeMap::new();
-    for t in tickets {
-        if t.resolved < start || t.opened >= end {
-            continue;
-        }
-        let open = t.opened.hours().max(start.hours());
-        // Half-open [open, close), minimum one hour of occupancy.
-        let close = t.resolved.hours().clamp(open + 1, end.hours().max(open + 1));
-        per_unit.entry(spatial.key(&t.location)).or_default().push((open, close));
-    }
-    let mut out = BTreeMap::new();
-    for (key, intervals) in per_unit {
-        let mut series = WindowedSeries::zeros(windows);
-        // Event sweep: +1 at open, −1 at close.
-        let mut events: Vec<(u64, i64)> = Vec::with_capacity(intervals.len() * 2);
-        for (open, close) in &intervals {
-            events.push((*open, 1));
-            events.push((*close, -1));
-        }
-        events.sort_unstable();
-        let mut concurrency: i64 = 0;
-        let mut i = 0;
-        while i < events.len() {
-            let t = events[i].0;
-            // Apply all events at this instant.
-            while i < events.len() && events[i].0 == t {
-                concurrency += events[i].1;
-                i += 1;
-            }
-            if concurrency <= 0 {
-                continue;
-            }
-            // Concurrency holds on [t, next_event_or_end).
-            let span_end = if i < events.len() { events[i].0 } else { end.hours() };
-            let w_from = temporal.window_of(SimTime(t)).saturating_sub(base);
-            let w_to = temporal
-                .window_of(SimTime(span_end.max(t + 1) - 1))
-                .saturating_sub(base)
-                .min(windows.saturating_sub(1));
-            for w in w_from..=w_to {
-                series.record_max(w, concurrency as u64);
-            }
-        }
-        out.insert(key, series);
-    }
-    out
 }
 
 /// Adds all-zero series for every unit in `units` missing from `map`, so
@@ -460,21 +386,6 @@ mod tests {
             mu(&refs, SpatialGranularity::Rack, TimeGranularity::Daily, SimTime(0), SimTime(24));
         let key = SpatialGranularity::Rack.key(&tickets[0].location);
         assert_eq!(daily[&key].max(), 1);
-    }
-
-    #[test]
-    fn peak_concurrency_ignores_non_overlap() {
-        let tickets = [ticket(1, 1, 1, 3), ticket(1, 2, 10, 12)];
-        let refs: Vec<&RmaTicket> = tickets.iter().collect();
-        let daily = peak_concurrency(
-            &refs,
-            SpatialGranularity::Rack,
-            TimeGranularity::Daily,
-            SimTime(0),
-            SimTime(24),
-        );
-        let key = SpatialGranularity::Rack.key(&tickets[0].location);
-        assert_eq!(daily[&key].max(), 1, "never simultaneously open");
     }
 
     #[test]
@@ -616,14 +527,13 @@ mod tests {
     fn add_clamps_out_of_range_windows() {
         let mut s = WindowedSeries::zeros(4);
         s.add(99, 2);
-        s.record_max(1_000_000, 5);
+        s.add(1_000_000, 3);
         assert_eq!(s.nonzero.len(), 1);
         assert_eq!(s.nonzero[&3], 5);
         assert_eq!(s.max(), 5);
         // Zero-window spans swallow writes instead of panicking.
         let mut empty = WindowedSeries::zeros(0);
         empty.add(0, 1);
-        empty.record_max(0, 1);
         assert!(empty.nonzero.is_empty());
     }
 
