@@ -16,6 +16,9 @@ use rainshine_cart::params::CartParams;
 use rainshine_conformance::Scenario;
 use rainshine_core::dataset::{rack_day_table, FaultFilter};
 use rainshine_core::evidence::{self, SeriesRow};
+use rainshine_core::predict::{
+    build_prediction_table, evaluate_prediction, Confusion, PredictionConfig,
+};
 use rainshine_core::tco::TcoModel;
 use rainshine_core::{q1, q2, q3};
 use rainshine_dcsim::{FleetConfig, Simulation, SimulationOutput};
@@ -171,28 +174,59 @@ impl ExperimentContext {
 
     /// The all-hardware rack-day table (cached).
     pub fn all_hw_table(&mut self) -> &Frame {
-        if self.all_hw.is_none() {
-            self.all_hw = Some(
-                rack_day_table(&self.output, FaultFilter::AllHardware, self.day_stride_pub())
-                    .expect("simulation produced rack-days"),
-            );
-        }
-        self.all_hw.as_ref().expect("populated above")
+        self.rack_days(Cached::AllHardware).map(|(_, t)| t).expect("simulation produced rack-days")
     }
 
     /// The disk-only rack-day table (cached).
     pub fn disk_table(&mut self) -> &Frame {
-        if self.disk.is_none() {
-            self.disk = Some(
-                rack_day_table(
-                    &self.output,
-                    FaultFilter::Component(HardwareFault::Disk),
-                    self.day_stride_pub(),
-                )
-                .expect("simulation produced rack-days"),
+        self.rack_days(Cached::Disk).map(|(_, t)| t).expect("simulation produced rack-days")
+    }
+
+    /// A cached rack-day table next to the simulation output it was built
+    /// from: a split borrow, so an experiment reads both without cloning
+    /// the table. When the thread policy resolves to more than one thread,
+    /// the first request for either table builds both, one per thread;
+    /// otherwise each is built on its first request.
+    fn rack_days(&mut self, which: Cached) -> Result<(&SimulationOutput, &Frame), ExperimentError> {
+        let stride = self.day_stride_pub();
+        let ExperimentContext { output, all_hw, disk, .. } = self;
+        let output = &*output;
+        let build = |cached: Cached| rack_day_table(output, cached.filter(), stride);
+        let parallelism = output.config.parallelism;
+        if parallelism.resolve_threads() > 1 && all_hw.is_none() && disk.is_none() {
+            let (a, d) = rainshine_parallel::join(
+                parallelism,
+                || build(Cached::AllHardware),
+                || build(Cached::Disk),
             );
+            *all_hw = Some(a?);
+            *disk = Some(d?);
         }
-        self.disk.as_ref().expect("populated above")
+        let slot = match which {
+            Cached::AllHardware => all_hw,
+            Cached::Disk => disk,
+        };
+        let table = match slot {
+            Some(table) => table,
+            None => slot.insert(build(which)?),
+        };
+        Ok((output, table))
+    }
+}
+
+/// The rack-day tables an [`ExperimentContext`] caches.
+#[derive(Debug, Clone, Copy)]
+enum Cached {
+    AllHardware,
+    Disk,
+}
+
+impl Cached {
+    fn filter(self) -> FaultFilter {
+        match self {
+            Cached::AllHardware => FaultFilter::AllHardware,
+            Cached::Disk => FaultFilter::Component(HardwareFault::Disk),
+        }
     }
 }
 
@@ -328,7 +362,39 @@ fn provisioning_for(
     })
 }
 
+/// Fills the provisioning memo for every input `t4` reads that it lacks,
+/// through one `par_map` under the context's thread policy. The inputs
+/// alternate daily and hourly, so each static chunk gets a share of the
+/// dearer hourly ones.
+fn fill_provisioning(ctx: &mut ExperimentContext) -> Result<(), ExperimentError> {
+    let mut missing = Vec::new();
+    for sla in [0.90, 0.95, 1.00] {
+        for workload in [Workload::W1, Workload::W6] {
+            for granularity in [TimeGranularity::Daily, TimeGranularity::Hourly] {
+                let key = (workload, f64::to_bits(sla), granularity);
+                if !ctx.provisioning.contains_key(&key) {
+                    missing.push(key);
+                }
+            }
+        }
+    }
+    let output = &ctx.output;
+    let results = rainshine_parallel::par_map(
+        output.config.parallelism,
+        &missing,
+        |&(workload, sla, granularity)| {
+            let params = q1::ProvisionParams::new(f64::from_bits(sla), granularity);
+            q1::provision_servers(output, workload, &params)
+        },
+    );
+    for (key, result) in missing.into_iter().zip(results) {
+        ctx.provisioning.insert(key, result?);
+    }
+    Ok(())
+}
+
 fn t4(ctx: &mut ExperimentContext, dir: &Path) -> Result<String, ExperimentError> {
+    fill_provisioning(ctx)?;
     let tco = TcoModel::default();
     let mut rows = Vec::new();
     let mut preview = String::from("Table IV — TCO savings of MF over SF (percent)\n");
@@ -357,7 +423,7 @@ fn evidence_fig(
     id: &str,
     which: &str,
 ) -> Result<String, ExperimentError> {
-    let table = ctx.all_hw_table();
+    let (_, table) = ctx.rack_days(Cached::AllHardware)?;
     let (title, mut rows) = match which {
         "region" => ("Fig 2 — λ by DC region", evidence::by_region(table)?),
         "dow" => ("Fig 3 — λ by day of week (2012)", evidence::by_day_of_week(table, 0)?),
@@ -505,9 +571,13 @@ fn f14(ctx: &mut ExperimentContext, dir: &Path) -> Result<String, ExperimentErro
 
 fn f15(ctx: &mut ExperimentContext, dir: &Path) -> Result<String, ExperimentError> {
     let cart = ctx.rack_day_cart();
-    let table = ctx.all_hw_table().clone();
-    let mf = q2::mf_comparison(&ctx.output, &table, &cart)?;
-    let sf = q2::sf_comparison(&ctx.output, &[Sku::S2, Sku::S4])?;
+    let (output, table) = ctx.rack_days(Cached::AllHardware)?;
+    let (mf, sf) = rainshine_parallel::join(
+        output.config.parallelism,
+        || q2::mf_comparison(output, table, &cart),
+        || q2::sf_comparison(output, &[Sku::S2, Sku::S4]),
+    );
+    let (mf, sf) = (mf?, sf?);
     let mut rows = Vec::new();
     let mut preview = String::from("Fig 15 — SKU comparison, MF (normalized effects)\n");
     for label in ["S2", "S4"] {
@@ -534,7 +604,7 @@ fn f15(ctx: &mut ExperimentContext, dir: &Path) -> Result<String, ExperimentErro
         &mf,
         &TcoModel::default(),
         &[1.0, 1.5],
-        ctx.output.config.span_days() as f64,
+        output.config.span_days() as f64,
     )?;
     for s in &scenarios {
         rows.push(format!(
@@ -556,7 +626,7 @@ fn f15(ctx: &mut ExperimentContext, dir: &Path) -> Result<String, ExperimentErro
 }
 
 fn f16(ctx: &mut ExperimentContext, dir: &Path) -> Result<String, ExperimentError> {
-    let table = ctx.all_hw_table();
+    let (_, table) = ctx.rack_days(Cached::AllHardware)?;
     let mut rows = q3::rate_by_temperature(table)?;
     evidence::normalize(&mut rows);
     write_csv(dir, "f16", "label,mean,sd,n", &series_csv(&rows))?;
@@ -572,14 +642,14 @@ fn f17(ctx: &mut ExperimentContext, dir: &Path) -> Result<String, ExperimentErro
 
 fn f18(ctx: &mut ExperimentContext, dir: &Path) -> Result<String, ExperimentError> {
     let cart = ctx.rack_day_cart();
-    let disk = ctx.disk_table().clone();
+    let (_, disk) = ctx.rack_days(Cached::Disk)?;
     let mut rows = Vec::new();
     let mut preview = String::from("Fig 18 — HDD failures vs temperature and RH (MF)\n");
     // Normalization anchor: DC1's hot+dry subgroup mean (the paper's note).
     let mut anchor = None;
     let mut analyses = Vec::new();
     for dc in ["DC1", "DC2"] {
-        let subset = q3::dc_subset(&disk, dc)?;
+        let subset = q3::dc_subset(disk, dc)?;
         let r = q3::env_analysis(dc, &subset, &cart)?;
         if dc == "DC1" && r.hot_dry.n > 0 {
             anchor = Some(r.hot_dry.mean);
@@ -608,13 +678,10 @@ fn f18(ctx: &mut ExperimentContext, dir: &Path) -> Result<String, ExperimentErro
     Ok(preview)
 }
 
-fn p1(ctx: &mut ExperimentContext, dir: &Path) -> Result<String, ExperimentError> {
-    use rainshine_core::predict::{predict_failures, PredictionConfig};
-    let config = PredictionConfig::default();
-    let r = predict_failures(&ctx.output, &config)?;
-    let c = &r.confusion;
-    let rows = vec![format!(
-        "balanced,{},{},{},{},{:.4},{:.4},{:.4},{:.4},{:.4}",
+/// One P1 result row: `variant` and the confusion-matrix metrics.
+fn p1_row(variant: &str, c: &Confusion) -> String {
+    format!(
+        "{variant},{},{},{},{},{:.4},{:.4},{:.4},{:.4},{:.4}",
         c.true_positives,
         c.false_positives,
         c.true_negatives,
@@ -624,7 +691,23 @@ fn p1(ctx: &mut ExperimentContext, dir: &Path) -> Result<String, ExperimentError
         c.f1(),
         c.base_rate(),
         c.lift()
-    )];
+    )
+}
+
+fn p1(ctx: &mut ExperimentContext, dir: &Path) -> Result<String, ExperimentError> {
+    let config = PredictionConfig::default();
+    // Unbalanced ablation in the same artifact (the paper's warning); both
+    // variants share the one table.
+    let unbalanced_config = PredictionConfig { downsample_ratio: None, ..config.clone() };
+    let table = build_prediction_table(&ctx.output, &config)?;
+    let (balanced, unbalanced) = rainshine_parallel::join(
+        ctx.output.config.parallelism,
+        || evaluate_prediction(&table, &config),
+        || evaluate_prediction(&table, &unbalanced_config),
+    );
+    let (r, unbalanced) = (balanced?, unbalanced?);
+    let (c, u) = (&r.confusion, &unbalanced.confusion);
+    let rows = vec![p1_row("balanced", c), p1_row("unbalanced", u)];
     let mut preview = format!(
         "P1 — failure prediction (horizon {}d, balanced training)
   precision {:.3}           recall {:.3}  F1 {:.3}  base rate {:.3}  lift {:.2}x
@@ -643,23 +726,6 @@ fn p1(ctx: &mut ExperimentContext, dir: &Path) -> Result<String, ExperimentError
             .collect::<Vec<_>>()
             .join(", ")
     );
-    // Unbalanced ablation in the same artifact (the paper's warning).
-    let unbalanced =
-        predict_failures(&ctx.output, &PredictionConfig { downsample_ratio: None, ..config })?;
-    let u = &unbalanced.confusion;
-    let mut rows = rows;
-    rows.push(format!(
-        "unbalanced,{},{},{},{},{:.4},{:.4},{:.4},{:.4},{:.4}",
-        u.true_positives,
-        u.false_positives,
-        u.true_negatives,
-        u.false_negatives,
-        u.precision(),
-        u.recall(),
-        u.f1(),
-        u.base_rate(),
-        u.lift()
-    ));
     let _ = writeln!(
         preview,
         "  without balancing: recall drops {:.3} -> {:.3} (the Section V caveat)",
@@ -673,8 +739,8 @@ fn p1(ctx: &mut ExperimentContext, dir: &Path) -> Result<String, ExperimentError
 fn p2(ctx: &mut ExperimentContext, dir: &Path) -> Result<String, ExperimentError> {
     use rainshine_core::q3::{dc_subset, setpoint_tradeoff, SetpointModel};
     let cart = ctx.rack_day_cart();
-    let disk = ctx.disk_table().clone();
-    let dc1 = dc_subset(&disk, "DC1")?;
+    let (_, disk) = ctx.rack_days(Cached::Disk)?;
+    let dc1 = dc_subset(disk, "DC1")?;
     let model = SetpointModel::default();
     let caps = [72.0, 74.0, 76.0, 78.0, 80.0, 82.0, f64::INFINITY];
     let rows_data = setpoint_tradeoff(&dc1, &caps, &model, &cart)?;

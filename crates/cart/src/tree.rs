@@ -419,6 +419,25 @@ impl Tree {
             .collect())
     }
 
+    /// [`Tree::predict`] for the listed `rows` of `table` only, in `rows`
+    /// order; the other rows are never walked.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CartError::InvalidParameter`] for a row outside `table`,
+    /// otherwise see [`Tree::leaf_assignments`].
+    pub fn predict_rows(&self, table: &Frame, rows: &[usize]) -> Result<Vec<f64>> {
+        let columns = self.resolve_columns(table)?;
+        rows.iter()
+            .map(|&row| {
+                if row >= table.rows() {
+                    return Err(CartError::InvalidParameter { name: "row", value: row as f64 });
+                }
+                Ok(self.nodes[self.walk(&columns, row)?].prediction)
+            })
+            .collect()
+    }
+
     /// Variable importance: total risk decrease attributed to each feature
     /// across all splits, normalized to sum to 100. Features never used
     /// score 0. Sorted descending.
@@ -715,6 +734,22 @@ mod tests {
         let rows: Vec<usize> = (0..100).collect();
         let tree = Tree::fit_on_rows(&ds, &CartParams::default(), &rows).unwrap();
         assert_eq!(tree.root().n, 100);
+    }
+
+    #[test]
+    fn predict_rows_reads_only_the_listed_rows() {
+        let t = step_table(400);
+        let ds = CartDataset::regression(&t, "y", &["x", "k"]).unwrap();
+        let tree = Tree::fit(&ds, &CartParams::default()).unwrap();
+        let whole = tree.predict(&t).unwrap();
+        let rows = [399, 0, 57, 57, 130];
+        let want: Vec<f64> = rows.iter().map(|&row| whole[row]).collect();
+        assert_eq!(tree.predict_rows(&t, &rows).unwrap(), want);
+        assert!(tree.predict_rows(&t, &[]).unwrap().is_empty());
+        assert!(matches!(
+            tree.predict_rows(&t, &[3, 400]),
+            Err(CartError::InvalidParameter { name: "row", .. })
+        ));
     }
 
     #[test]

@@ -22,6 +22,12 @@ pub enum AnalysisError {
         /// The offending value.
         value: f64,
     },
+    /// A prebuilt table was built with a different value of a shape
+    /// parameter than the config that evaluates it.
+    TableMismatch {
+        /// The config parameter that differs.
+        parameter: &'static str,
+    },
 }
 
 impl fmt::Display for AnalysisError {
@@ -33,6 +39,9 @@ impl fmt::Display for AnalysisError {
             AnalysisError::NoData { what } => write!(f, "no data: {what}"),
             AnalysisError::InvalidParameter { name, value } => {
                 write!(f, "parameter `{name}` has invalid value {value}")
+            }
+            AnalysisError::TableMismatch { parameter } => {
+                write!(f, "table was built with a different `{parameter}`")
             }
         }
     }

@@ -14,6 +14,11 @@
 //! 3. **majority-class downsampling** on the training split only;
 //! 4. a Gini classification tree, evaluated on the untouched test split
 //!    with the usual detection metrics.
+//!
+//! Step 1 is [`build_prediction_table`] and steps 2–4 are
+//! [`evaluate_prediction`], so configs that differ only in the split,
+//! the balancing, the tree or the seed share one table;
+//! [`predict_failures`] runs both for one config.
 
 use rainshine_cart::dataset::CartDataset;
 use rainshine_cart::params::CartParams;
@@ -192,12 +197,66 @@ pub const PREDICTION_FEATURES: &[&str] = &[
     history_columns::RECENT_LONG,
 ];
 
-/// Builds the labelled rack-day table plus the day index of each row (for
-/// the time-ordered split).
-fn build_prediction_table(
+/// The labelled rack-day table of a prediction study plus the day of each
+/// row (for the time-ordered split). One table serves every
+/// [`PredictionConfig`] that shares its horizon, history windows and day
+/// stride; [`evaluate_prediction`] rejects any other.
+#[derive(Debug)]
+pub struct PredictionTable {
+    table: Frame,
+    day_of_row: Vec<u64>,
+    start_day: u64,
+    end_day: u64,
+    horizon_days: u64,
+    history_days: (u64, u64),
+    day_stride: usize,
+}
+
+impl PredictionTable {
+    /// The first config parameter whose value differs from the one the
+    /// table was built with.
+    fn mismatch(&self, config: &PredictionConfig) -> Option<&'static str> {
+        if config.horizon_days != self.horizon_days {
+            Some("horizon_days")
+        } else if config.history_days != self.history_days {
+            Some("history_days")
+        } else if config.day_stride != self.day_stride {
+            Some("day_stride")
+        } else {
+            None
+        }
+    }
+}
+
+impl PredictionConfig {
+    fn validate(&self) -> Result<()> {
+        if self.day_stride == 0 {
+            return Err(AnalysisError::InvalidParameter { name: "day_stride", value: 0.0 });
+        }
+        if !(0.0 < self.train_fraction && self.train_fraction < 1.0) {
+            return Err(AnalysisError::InvalidParameter {
+                name: "train_fraction",
+                value: self.train_fraction,
+            });
+        }
+        Ok(())
+    }
+}
+
+/// Builds the labelled rack-day table of a prediction study: the stage
+/// every config with the same horizon, history windows and day stride can
+/// share.
+///
+/// # Errors
+///
+/// Returns [`AnalysisError::InvalidParameter`] for a zero `day_stride` or
+/// a `train_fraction` outside (0, 1), and [`AnalysisError::NoData`] if the
+/// span is too short for the history + horizon windows.
+pub fn build_prediction_table(
     output: &SimulationOutput,
     config: &PredictionConfig,
-) -> Result<(Frame, Vec<u64>)> {
+) -> Result<PredictionTable> {
+    config.validate()?;
     let counts = RackDayCounts::new(output, FaultFilter::AllHardware);
     let start_day = output.config.start.days();
     let end_day = output.config.end.days();
@@ -250,32 +309,36 @@ fn build_prediction_table(
     if table.is_empty() {
         return Err(AnalysisError::NoData { what: "no eligible rack-days for prediction".into() });
     }
-    Ok((table, day_of_row))
+    Ok(PredictionTable {
+        table,
+        day_of_row,
+        start_day,
+        end_day,
+        horizon_days: config.horizon_days,
+        history_days: config.history_days,
+        day_stride: config.day_stride,
+    })
 }
 
-/// Runs the full prediction study.
+/// Splits, balances, fits and scores one config on a table built by
+/// [`build_prediction_table`]: the stage that differs between configs.
 ///
 /// # Errors
 ///
-/// Returns [`AnalysisError::NoData`] if the span is too short for the
-/// history + horizon windows, or if either split ends up empty or
-/// single-class.
-pub fn predict_failures(
-    output: &SimulationOutput,
+/// Returns [`AnalysisError::TableMismatch`] if `table` was built with a
+/// different `horizon_days`, `history_days` or `day_stride` than `config`
+/// names, [`AnalysisError::InvalidParameter`] as
+/// [`build_prediction_table`] does, and [`AnalysisError::NoData`] if
+/// either split ends up empty or single-class.
+pub fn evaluate_prediction(
+    table: &PredictionTable,
     config: &PredictionConfig,
 ) -> Result<PredictionReport> {
-    if config.day_stride == 0 {
-        return Err(AnalysisError::InvalidParameter { name: "day_stride", value: 0.0 });
+    config.validate()?;
+    if let Some(parameter) = table.mismatch(config) {
+        return Err(AnalysisError::TableMismatch { parameter });
     }
-    if !(0.0 < config.train_fraction && config.train_fraction < 1.0) {
-        return Err(AnalysisError::InvalidParameter {
-            name: "train_fraction",
-            value: config.train_fraction,
-        });
-    }
-    let (table, day_of_row) = build_prediction_table(output, config)?;
-    let start_day = output.config.start.days();
-    let end_day = output.config.end.days();
+    let PredictionTable { table, day_of_row, start_day, end_day, .. } = table;
     let split_day = start_day + ((end_day - start_day) as f64 * config.train_fraction) as u64;
 
     let labels = table.nominal_codes(history_columns::LABEL)?;
@@ -303,14 +366,14 @@ pub fn predict_failures(
     let train: Vec<usize> = train_pos.iter().chain(&train_neg).copied().collect();
     let train_positive_share = train_pos.len() as f64 / train.len() as f64;
 
-    let ds = CartDataset::classification(&table, history_columns::LABEL, PREDICTION_FEATURES)?;
+    let ds = CartDataset::classification(table, history_columns::LABEL, PREDICTION_FEATURES)?;
     let tree = Tree::fit_on_rows(&ds, &config.cart, &train)?;
 
     // Evaluate on the untouched, unbalanced test split.
-    let predictions = tree.predict(&table)?;
+    let predictions = tree.predict_rows(table, &test_rows)?;
     let mut confusion = Confusion::default();
-    for &row in &test_rows {
-        let predicted_fail = predictions[row] as u32 == fail_code;
+    for (&row, &prediction) in test_rows.iter().zip(&predictions) {
+        let predicted_fail = prediction as u32 == fail_code;
         let actually_failed = labels[row] == fail_code;
         match (predicted_fail, actually_failed) {
             (true, true) => confusion.true_positives += 1,
@@ -327,6 +390,21 @@ pub fn predict_failures(
         tree_leaves: tree.leaf_count(),
         importance: tree.variable_importance(),
     })
+}
+
+/// Runs the full prediction study: [`build_prediction_table`] then
+/// [`evaluate_prediction`].
+///
+/// # Errors
+///
+/// Returns [`AnalysisError::NoData`] if the span is too short for the
+/// history + horizon windows, or if either split ends up empty or
+/// single-class.
+pub fn predict_failures(
+    output: &SimulationOutput,
+    config: &PredictionConfig,
+) -> Result<PredictionReport> {
+    evaluate_prediction(&build_prediction_table(output, config)?, config)
 }
 
 #[cfg(test)]
@@ -398,7 +476,8 @@ mod tests {
         let mut config = FleetConfig::medium();
         config.corruption = CorruptionConfig::dirty_default();
         let out = Simulation::new(config, 47).run();
-        let (table, days) = build_prediction_table(&out, &PredictionConfig::default()).unwrap();
+        let built = build_prediction_table(&out, &PredictionConfig::default()).unwrap();
+        let (table, days) = (&built.table, &built.day_of_row);
         // A region label ("DC1-3") names both the DC and the region.
         let ids: HashMap<_, _> =
             out.fleet.racks.iter().map(|r| (format!("{}-{}", r.dc, r.region.0), r)).collect();
@@ -419,6 +498,61 @@ mod tests {
                 rh[row]
             );
         }
+    }
+
+    #[test]
+    fn one_table_serves_both_variants() {
+        let out = sim();
+        let balanced = PredictionConfig::default();
+        let unbalanced = PredictionConfig { downsample_ratio: None, ..balanced.clone() };
+        let table = build_prediction_table(&out, &balanced).unwrap();
+        for config in [&balanced, &unbalanced] {
+            assert_eq!(
+                evaluate_prediction(&table, config).unwrap(),
+                predict_failures(&out, config).unwrap(),
+                "{config:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn test_row_predictions_match_the_whole_table() {
+        let out = sim();
+        let config = PredictionConfig::default();
+        let built = build_prediction_table(&out, &config).unwrap();
+        let table = &built.table;
+        let (start, end) = (out.config.start.days(), out.config.end.days());
+        let split_day = start + ((end - start) as f64 * config.train_fraction) as u64;
+        let (train, test_rows): (Vec<usize>, Vec<usize>) =
+            (0..table.rows()).partition(|&row| built.day_of_row[row] < split_day);
+        assert!(!train.is_empty() && !test_rows.is_empty());
+        let ds = CartDataset::classification(table, history_columns::LABEL, PREDICTION_FEATURES)
+            .unwrap();
+        let tree = Tree::fit_on_rows(&ds, &config.cart, &train).unwrap();
+        assert!(tree.leaf_count() > 1);
+        let whole = tree.predict(table).unwrap();
+        let at_rows: Vec<f64> = test_rows.iter().map(|&row| whole[row]).collect();
+        assert_eq!(tree.predict_rows(table, &test_rows).unwrap(), at_rows);
+    }
+
+    #[test]
+    fn mismatched_table_is_a_typed_error() {
+        let out = sim();
+        let config = PredictionConfig::default();
+        let table = build_prediction_table(&out, &config).unwrap();
+        for (parameter, other) in [
+            ("horizon_days", PredictionConfig { horizon_days: 14, ..config.clone() }),
+            ("history_days", PredictionConfig { history_days: (7, 14), ..config.clone() }),
+            ("day_stride", PredictionConfig { day_stride: 2, ..config.clone() }),
+        ] {
+            assert_eq!(
+                evaluate_prediction(&table, &other),
+                Err(AnalysisError::TableMismatch { parameter })
+            );
+        }
+        // The split, balancing, tree and seed are the evaluation's own.
+        let own = PredictionConfig { train_fraction: 0.6, seed: 3, ..config };
+        assert!(evaluate_prediction(&table, &own).is_ok());
     }
 
     #[test]

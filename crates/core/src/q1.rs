@@ -15,15 +15,16 @@
 //! cover the `coverage`-quantile of each window's deficit ("at all times" →
 //! coverage = 1.0, the default).
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, HashSet};
 
 use rainshine_cart::dataset::CartDataset;
 use rainshine_cart::params::CartParams;
 use rainshine_cart::tree::Tree;
 use rainshine_dcsim::sku::{DIMM_COST, DISK_COST};
+use rainshine_dcsim::topology::RackInfo;
 use rainshine_dcsim::SimulationOutput;
 use rainshine_telemetry::ids::{RackId, Workload};
-use rainshine_telemetry::metrics::{self, SpatialGranularity};
+use rainshine_telemetry::metrics::{self, SpatialGranularity, SpatialKey, WindowedSeries};
 use rainshine_telemetry::rma::{HardwareFault, RmaTicket};
 use rainshine_telemetry::schema::columns;
 use rainshine_telemetry::time::TimeGranularity;
@@ -130,6 +131,38 @@ fn pooled_fraction_quantile(racks: &[&RackDeficits], q: f64) -> f64 {
     rainshine_stats::ecdf::quantile_with_zeros(&fractions, total, q)
 }
 
+/// The μ key of a rack.
+fn rack_key(rack: &RackInfo) -> SpatialKey {
+    SpatialGranularity::Rack.key(&rack.server_location(0))
+}
+
+/// Rack-granularity μ over the hardware tickets that match `filter` and
+/// fall on one of `racks`. μ is computed independently for each rack key,
+/// so every series of `racks` equals the fleet-wide computation's; the
+/// other racks' tickets are skipped instead of swept.
+fn provisioned_mu(
+    output: &SimulationOutput,
+    racks: &[&RackInfo],
+    filter: FaultFilter,
+    granularity: TimeGranularity,
+) -> BTreeMap<SpatialKey, WindowedSeries> {
+    let keys: HashSet<SpatialKey> = racks.iter().map(|r| rack_key(r)).collect();
+    let tickets: Vec<&RmaTicket> = output
+        .hardware_tickets()
+        .into_iter()
+        .filter(|t| {
+            filter.matches(t.fault) && keys.contains(&SpatialGranularity::Rack.key(&t.location))
+        })
+        .collect();
+    metrics::mu(
+        &tickets,
+        SpatialGranularity::Rack,
+        granularity,
+        output.config.start,
+        output.config.end,
+    )
+}
+
 /// Computes per-rack deficits for the racks of one workload under `filter`.
 pub fn rack_deficits(
     output: &SimulationOutput,
@@ -138,7 +171,7 @@ pub fn rack_deficits(
     params: &ProvisionParams,
 ) -> Result<Vec<RackDeficits>> {
     params.validate()?;
-    let racks: Vec<&rainshine_dcsim::topology::RackInfo> = output
+    let racks: Vec<&RackInfo> = output
         .fleet
         .racks_hosting(workload)
         .filter(|r| r.commissioned_day < output.config.end.days() as i64)
@@ -146,15 +179,7 @@ pub fn rack_deficits(
     if racks.is_empty() {
         return Err(AnalysisError::NoData { what: format!("no racks host {workload}") });
     }
-    let tickets: Vec<&RmaTicket> =
-        output.hardware_tickets().into_iter().filter(|t| filter.matches(t.fault)).collect();
-    let mu = metrics::mu(
-        &tickets,
-        SpatialGranularity::Rack,
-        params.granularity,
-        output.config.start,
-        output.config.end,
-    );
+    let mu = provisioned_mu(output, &racks, filter, params.granularity);
     let total_windows = params.granularity.window_count(output.config.start, output.config.end);
     let start_window = params.granularity.window_of(output.config.start);
     let mut out = Vec::with_capacity(racks.len());
@@ -171,9 +196,8 @@ pub fn rack_deficits(
                 .saturating_sub(start_window)
         };
         let active_windows = total_windows.saturating_sub(commission_window);
-        let key = SpatialGranularity::Rack.key(&rack.server_location(0));
         let deficits: Vec<u64> = mu
-            .get(&key)
+            .get(&rack_key(rack))
             .map(|series| {
                 series
                     .nonzero
@@ -377,21 +401,15 @@ pub fn pooling_comparison(
     let dedicated: f64 = deficits.iter().map(|r| r.quantile(params.coverage) as f64).sum();
 
     // Re-derive per-window deficits (window-aligned across racks) and sum.
-    let tickets: Vec<&RmaTicket> = output.hardware_tickets();
-    let mu = metrics::mu(
-        &tickets,
-        SpatialGranularity::Rack,
-        params.granularity,
-        output.config.start,
-        output.config.end,
-    );
+    let rack_ids: HashSet<RackId> = deficits.iter().map(|r| r.rack).collect();
+    let racks: Vec<&RackInfo> =
+        output.fleet.racks.iter().filter(|r| rack_ids.contains(&r.id)).collect();
+    let mu = provisioned_mu(output, &racks, FaultFilter::AllHardware, params.granularity);
     let windows = params.granularity.window_count(output.config.start, output.config.end);
     let mut total_by_window: HashMap<u64, u64> = HashMap::new();
-    let rack_ids: std::collections::HashSet<RackId> = deficits.iter().map(|r| r.rack).collect();
-    for rack in output.fleet.racks.iter().filter(|r| rack_ids.contains(&r.id)) {
+    for rack in racks {
         let allowed = ((1.0 - params.sla) * rack.servers as f64).floor() as u64;
-        let key = SpatialGranularity::Rack.key(&rack.server_location(0));
-        if let Some(series) = mu.get(&key) {
+        if let Some(series) = mu.get(&rack_key(rack)) {
             for (&w, &v) in &series.nonzero {
                 if v > allowed {
                     *total_by_window.entry(w).or_insert(0) += v - allowed;

@@ -1,10 +1,9 @@
 //! The metric store: counters, gauges, histograms, and per-stage stats.
 //!
-//! A [`Collector`] is plain owned data with no interior mutability, so a
-//! parallel stage can hand each worker its own collector and merge them
-//! back afterwards. Every map is a `BTreeMap`, so iteration — and
-//! therefore serialization and [`Collector::merge`] — happens in stable
-//! key order regardless of the order metrics were first touched.
+//! A [`Collector`] is plain owned data with no interior mutability. Every
+//! map is a `BTreeMap`, so iteration — and therefore serialization —
+//! happens in stable key order regardless of the order metrics were first
+//! touched.
 //!
 //! Determinism contract: counters, gauges, histograms, and the
 //! `calls`/`items` halves of [`StageStats`] are pure functions of the
@@ -34,8 +33,8 @@ pub struct StageStats {
 ///
 /// Bucket `b` holds values `v` with `bit_width(v) == b`, i.e. bucket 0 is
 /// exactly zero, bucket 1 is `{1}`, bucket 2 is `{2, 3}`, bucket `b` is
-/// `[2^(b-1), 2^b)`. Coarse, allocation-light, and — because every field
-/// is an integer — merge order cannot change the result.
+/// `[2^(b-1), 2^b)`. Coarse and allocation-light; every field is an
+/// integer.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Histogram {
     /// Number of observations.
@@ -72,25 +71,6 @@ impl Histogram {
         }
         self.sum as f64 / self.count as f64
     }
-
-    /// Folds another histogram into this one.
-    pub fn merge(&mut self, other: &Histogram) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            self.min = other.min;
-            self.max = other.max;
-        } else {
-            self.min = self.min.min(other.min);
-            self.max = self.max.max(other.max);
-        }
-        self.count += other.count;
-        self.sum = self.sum.saturating_add(other.sum);
-        for (&bucket, &n) in &other.buckets {
-            *self.buckets.entry(bucket).or_insert(0) += n;
-        }
-    }
 }
 
 /// Bucket index of a value: its bit width (`0` for zero).
@@ -98,7 +78,7 @@ fn bucket_of(value: u64) -> u8 {
     (u64::BITS - value.leading_zeros()) as u8
 }
 
-/// An owned set of metrics: the unit of collection and merging.
+/// An owned set of metrics: the unit of collection.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct Collector {
     /// Monotonic counters.
@@ -148,31 +128,6 @@ impl Collector {
             && self.histograms.is_empty()
             && self.stages.is_empty()
     }
-
-    /// Folds `other` into `self`, visiting every map in ascending key order.
-    ///
-    /// Counters, histograms, and stage calls/items/wall sum; gauges from
-    /// `other` overwrite. Because all summed quantities are integers,
-    /// merging per-worker collectors in *any* fixed order yields the same
-    /// totals — stages that want the stronger "stable order" guarantee
-    /// (e.g. for gauges) merge worker collectors in worker-index order.
-    pub fn merge(&mut self, other: &Collector) {
-        for (name, &delta) in &other.counters {
-            *self.counters.entry(name.clone()).or_insert(0) += delta;
-        }
-        for (name, &value) in &other.gauges {
-            self.gauges.insert(name.clone(), value);
-        }
-        for (name, hist) in &other.histograms {
-            self.histograms.entry(name.clone()).or_default().merge(hist);
-        }
-        for (name, stats) in &other.stages {
-            let s = self.stages.entry(name.clone()).or_default();
-            s.calls += stats.calls;
-            s.items += stats.items;
-            s.wall_nanos += stats.wall_nanos;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -195,45 +150,6 @@ mod tests {
         assert_eq!(h.buckets[&4], 1); // {8..15}
         assert_eq!(h.buckets[&11], 1); // {1024..2047}
         assert!((h.mean() - 1049.0 / 8.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn merge_is_grouping_invariant() {
-        // Simulate 6 work items spread over workers in two different ways:
-        // the merged collector must be identical.
-        let item = |i: u64| {
-            let mut c = Collector::new();
-            c.incr("items", 1);
-            c.observe("value", i * i);
-            c.record_stage("stage", 1, 0);
-            c
-        };
-        let mut by_pairs = Collector::new();
-        for chunk in [[0u64, 1], [2, 3], [4, 5]] {
-            let mut w = Collector::new();
-            for i in chunk {
-                w.merge(&item(i));
-            }
-            by_pairs.merge(&w);
-        }
-        let mut flat = Collector::new();
-        for i in 0..6u64 {
-            flat.merge(&item(i));
-        }
-        assert_eq!(by_pairs, flat);
-        assert_eq!(flat.counters["items"], 6);
-        assert_eq!(flat.stages["stage"].calls, 6);
-        assert_eq!(flat.stages["stage"].items, 6);
-    }
-
-    #[test]
-    fn gauges_last_write_wins_on_merge() {
-        let mut a = Collector::new();
-        a.set_gauge("g", 1.0);
-        let mut b = Collector::new();
-        b.set_gauge("g", 2.0);
-        a.merge(&b);
-        assert_eq!(a.gauges["g"], 2.0);
     }
 
     #[test]

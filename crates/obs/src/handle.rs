@@ -2,10 +2,7 @@
 //!
 //! [`Obs`] is a cheap clonable handle that is either *disabled* (every
 //! call is a no-op — no lock, no clock read, no allocation) or *enabled*
-//! (writes go to a shared [`Collector`] behind a mutex). Parallel stages
-//! that need stronger ordering than the lock provides record into local
-//! per-worker collectors and fold them back with [`Obs::absorb`] in
-//! worker-index order.
+//! (writes go to a shared [`Collector`] behind a mutex).
 
 use std::borrow::Cow;
 use std::sync::{Arc, Mutex};
@@ -74,17 +71,6 @@ impl Obs {
             name,
             items: 0,
             started: if self.shared.is_some() { Some(Instant::now()) } else { None },
-        }
-    }
-
-    /// Folds a locally-accumulated collector into the shared one.
-    ///
-    /// Callers that fan out across workers must absorb per-worker
-    /// collectors in a stable order (e.g. worker index) so last-write-wins
-    /// gauges resolve identically at every thread count.
-    pub fn absorb(&self, local: &Collector) {
-        if let Some(shared) = &self.shared {
-            shared.lock().unwrap().merge(local);
         }
     }
 
@@ -172,19 +158,6 @@ mod tests {
             span.add_items(6);
         }
         assert_eq!(obs.snapshot().stages["experiment.t4"].items, 6);
-    }
-
-    #[test]
-    fn absorb_merges_local_collectors() {
-        let obs = Obs::enabled();
-        obs.incr("rows", 2);
-        let mut local = Collector::new();
-        local.incr("rows", 3);
-        local.observe("h", 5);
-        obs.absorb(&local);
-        let snap = obs.snapshot();
-        assert_eq!(snap.counters["rows"], 5);
-        assert_eq!(snap.histograms["h"].count, 1);
     }
 
     #[test]

@@ -5,12 +5,10 @@
 //!
 //! * [`Collector`] — the owned metric store (counters, gauges, log₂
 //!   histograms, per-stage call/item/wall-time stats), all `BTreeMap`s so
-//!   iteration and merging are key-ordered.
+//!   iteration is key-ordered.
 //! * [`Obs`] — the handle threaded through `dcsim`, `conformance`, and
 //!   the experiment driver. Disabled handles are free (no lock, no clock
-//!   read); a parallel stage that needs per-worker metrics records into
-//!   per-worker collectors and [`Obs::absorb`]s them in worker-index
-//!   order.
+//!   read).
 //! * [`RunReport`] — the serializable rollup. Its deterministic section
 //!   (written by `--report PATH`) is byte-identical for a fixed seed at
 //!   any `Parallelism` setting; wall-clock timings live in a separate

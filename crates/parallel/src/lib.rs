@@ -1,8 +1,8 @@
 //! Deterministic data-parallel execution.
 //!
 //! Every parallel stage in this workspace (the simulator's per-rack and
-//! per-DC ticket generation, the conformance runner's per-seed sweep)
-//! follows the same recipe:
+//! per-DC ticket generation, the conformance runner's per-seed sweep, the
+//! fan-out inside the paper experiments) follows the same recipe:
 //!
 //! 1. each work item is *independent* and carries its own derived RNG
 //!    seed (see [`derive_seed`]), so no item observes another item's
@@ -10,9 +10,11 @@
 //! 2. results are merged back **in item-index order**, never in thread
 //!    completion order.
 //!
-//! Together these make the output of [`par_map`] a pure function of the
-//! input — bit-identical for `Sequential`, `Threads(n)` for any `n`,
-//! and `Auto`. Thread count only changes wall-clock time.
+//! Together these make the output of [`par_map`] and [`join`] a pure
+//! function of the input — bit-identical for `Sequential`, `Threads(n)`
+//! for any `n`, and `Auto`. Thread count only changes wall-clock time.
+//! A panic on a worker thread resumes on the caller with its original
+//! payload.
 //!
 //! The layer is built on `std::thread::scope` rather than an external
 //! thread-pool crate because the build environment is offline; the
@@ -121,7 +123,7 @@ where
             .collect();
         let mut out = Vec::with_capacity(len);
         for handle in handles {
-            out.extend(handle.join().expect("parallel worker panicked"));
+            out.extend(handle.join().unwrap_or_else(|payload| std::panic::resume_unwind(payload)));
         }
         out
     })
@@ -135,6 +137,30 @@ where
     F: Fn(&'a I) -> T + Sync,
 {
     par_map_range(parallelism, items.len(), |i| f(&items[i]))
+}
+
+/// Runs `a` and `b` and returns both results, in argument order.
+///
+/// When `parallelism` resolves to more than one thread, `b` runs on a
+/// scoped worker while `a` runs on the caller; otherwise both run inline,
+/// `a` first. Either way the results are the same, so `a` and `b` must be
+/// independent of each other.
+pub fn join<A, B, RA, RB>(parallelism: Parallelism, a: A, b: B) -> (RA, RB)
+where
+    A: FnOnce() -> RA,
+    B: FnOnce() -> RB + Send,
+    RB: Send,
+{
+    if parallelism.resolve_threads() <= 1 {
+        let ra = a();
+        return (ra, b());
+    }
+    std::thread::scope(|scope| {
+        let worker = scope.spawn(b);
+        let ra = a();
+        let rb = worker.join().unwrap_or_else(|payload| std::panic::resume_unwind(payload));
+        (ra, rb)
+    })
 }
 
 #[cfg(test)]
@@ -178,6 +204,37 @@ mod tests {
     fn par_map_range_handles_degenerate_sizes() {
         assert!(par_map_range(Parallelism::Threads(4), 0, |i| i).is_empty());
         assert_eq!(par_map_range(Parallelism::Threads(4), 1, |i| i), vec![0]);
+    }
+
+    #[test]
+    fn join_returns_results_in_argument_order() {
+        for par in [Parallelism::Sequential, Parallelism::Threads(2), Parallelism::Auto] {
+            assert_eq!(join(par, || 1, || "two"), (1, "two"), "{par:?}");
+        }
+    }
+
+    #[test]
+    fn join_runs_inline_under_sequential() {
+        let caller = std::thread::current().id();
+        let order = std::sync::Mutex::new(Vec::new());
+        let run = |name: char| {
+            order.lock().expect("no closure panics while holding it").push(name);
+            std::thread::current().id()
+        };
+        let (a, b) = join(Parallelism::Sequential, || run('a'), || run('b'));
+        assert_eq!((a, b), (caller, caller));
+        assert_eq!(order.into_inner().expect("not poisoned"), ['a', 'b']);
+        let (_, worker) = join(Parallelism::Threads(2), || (), || std::thread::current().id());
+        assert_ne!(worker, caller);
+    }
+
+    #[test]
+    fn join_resumes_a_worker_panic_with_its_payload() {
+        for par in [Parallelism::Sequential, Parallelism::Threads(2)] {
+            let payload = std::panic::catch_unwind(|| join(par, || 1, || -> u8 { panic!("boom") }))
+                .expect_err("the panic reaches the caller");
+            assert_eq!(payload.downcast_ref::<&str>(), Some(&"boom"), "{par:?}");
+        }
     }
 
     #[test]

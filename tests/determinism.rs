@@ -109,6 +109,55 @@ fn run_report_bytes_do_not_depend_on_thread_count() {
     }
 }
 
+/// The fan-out inside the experiments (t4's provisioning inputs, f15's
+/// MF ‖ SF halves, p1's two evaluations, the paired rack-day table build)
+/// must not change an artifact: every id's CSV bytes and returned preview
+/// are identical under `Sequential`, `Threads(2)` and `Auto`, on clean and
+/// on dirty data.
+#[test]
+fn experiment_artifacts_do_not_depend_on_thread_count() {
+    use std::collections::BTreeMap;
+
+    use rainshine::dcsim::CorruptionConfig;
+    use rainshine_bench::{run_experiment, ExperimentContext, Scale, ALL_EXPERIMENTS};
+
+    let artifacts = |data: &str, corruption: &CorruptionConfig, parallelism: Parallelism| {
+        let dir = std::env::temp_dir()
+            .join("rainshine-fanout-det")
+            .join(format!("{data}-{parallelism:?}"));
+        let mut ctx = ExperimentContext::new_with_obs(
+            Scale::Small,
+            13,
+            parallelism,
+            corruption.clone(),
+            Obs::disabled(),
+        );
+        let mut out = BTreeMap::new();
+        for id in ALL_EXPERIMENTS {
+            let preview = run_experiment(id, &mut ctx, &dir)
+                .unwrap_or_else(|e| panic!("{id} under {parallelism:?}: {e}"));
+            let csv = std::fs::read(dir.join(format!("{id}.csv"))).expect("experiment wrote a CSV");
+            out.insert(*id, (preview, csv));
+        }
+        out
+    };
+
+    for (data, corruption) in
+        [("clean", CorruptionConfig::default()), ("dirty", CorruptionConfig::dirty_default())]
+    {
+        let baseline = artifacts(data, &corruption, Parallelism::Sequential);
+        assert_eq!(baseline.len(), ALL_EXPERIMENTS.len());
+        for parallelism in [Parallelism::Threads(2), Parallelism::Auto] {
+            let other = artifacts(data, &corruption, parallelism);
+            for (id, (preview, csv)) in &baseline {
+                let at = format!("{id} ({data} data, {parallelism:?})");
+                assert_eq!(&other[id].0, preview, "preview of {at}");
+                assert!(other[id].1 == *csv, "CSV bytes of {at}");
+            }
+        }
+    }
+}
+
 /// Pin for the q1 cluster aggregation: its per-cluster maps are `BTreeMap`s
 /// keyed by leaf id, so the float sums and cluster listings accumulate in
 /// sorted-key order. With `HashMap` iteration the order would follow each
