@@ -9,7 +9,7 @@ cargo fmt --check
 # Panic-site ratchet: lines before the first `#[cfg(test)]` of each library
 # source file that call `expect`/`unwrap` or `panic!`/`assert!` may not grow
 # past MAX_PANIC_SITES. Lower it when a change removes sites.
-MAX_PANIC_SITES=71
+MAX_PANIC_SITES=69
 panic_sites=$(find crates/*/src -name '*.rs' -exec sed '/#\[cfg(test)\]/,$d' {} \; |
     grep -cE '\.(expect|unwrap)\(|\b(panic|assert)!\(' || true)
 if [ "$panic_sites" -gt "$MAX_PANIC_SITES" ]; then
@@ -29,6 +29,9 @@ done
 cargo test --release -q --test mu_engine -- --ignored
 cargo test --release -q --test provision_scope -- --ignored
 cargo test --release -q --test hazard_prefix -- --ignored
+# The sort-and-sweep sanitizer against the map-based one on the paper
+# fleet's clean and dirty streams, seeds 1, 2, 11 (about 5 s in release).
+cargo test --release -q --test sanitizer_oracle -- --ignored
 cargo test --workspace -q
 # Fast-tier statistical conformance gate: 3-seed prefix of the calibrated
 # full-scenario sweep plus the differential oracle suite, byte-compared

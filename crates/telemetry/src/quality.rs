@@ -306,13 +306,32 @@ const FALLBACK_OUTAGE_HOURS: u64 = 4;
 #[derive(Debug, Clone)]
 pub struct Sanitizer {
     manifest: FleetManifest,
+    /// The manifest's records indexed by rack id, covering ids below
+    /// `4 * len + 64` so a hostile sparse id cannot size the table; ids past
+    /// its end fall back to the manifest map.
+    racks: Vec<Option<RackRecord>>,
     config: SanitizerConfig,
 }
 
 impl Sanitizer {
     /// Builds a sanitizer for one fleet and observation span.
     pub fn new(manifest: FleetManifest, config: SanitizerConfig) -> Self {
-        Self { manifest, config }
+        let span = manifest.racks.last_key_value().map_or(0, |(&id, _)| id as usize + 1);
+        let mut racks = vec![None; span.min(4 * manifest.len() + 64)];
+        for (&id, record) in &manifest.racks {
+            if let Some(slot) = racks.get_mut(id as usize) {
+                *slot = Some(*record);
+            }
+        }
+        Self { manifest, racks, config }
+    }
+
+    /// The manifest record of a rack, `None` when it is not registered.
+    fn rack(&self, rack: RackId) -> Option<&RackRecord> {
+        match self.racks.get(rack.0 as usize) {
+            Some(slot) => slot.as_ref(),
+            None => self.manifest.get(rack),
+        }
     }
 
     /// The active settings.
@@ -331,7 +350,10 @@ impl Sanitizer {
     /// 5. censored resolutions (`resolved == opened`) get the per-fault
     ///    median outage imputed from the clean part of the stream;
     /// 6. repeated reports of one (device, fault, resolution, location)
-    ///    within the dedup window collapse to the earliest;
+    ///    are deduplicated: the first report in stream order is kept, and a
+    ///    later one is quarantined when it opened within the dedup window
+    ///    of the earliest `opened` among them (on the simulator's sorted
+    ///    stream the first report is the earliest);
     /// 7. the stream is re-sorted by `(opened, rack, device)`.
     ///
     /// The returned report accounts for every input row. On a stream with
@@ -350,7 +372,7 @@ impl Sanitizer {
                 continue;
             }
             let mut t = t.clone();
-            match self.manifest.get(t.location.rack) {
+            match self.rack(t.location.rack) {
                 Some(rec) => {
                     if t.location.dc != rec.dc
                         || t.location.region != rec.region
@@ -395,52 +417,44 @@ impl Sanitizer {
             }
         }
 
-        // Pass 6: dedup. Two non-FP tickets are duplicates when every field
-        // except `opened` matches and the open times are within the window;
-        // the earliest report is the event, the rest are pipeline retries.
-        let mut earliest: BTreeMap<DedupKey, SimTime> = BTreeMap::new();
-        for t in &kept {
-            if t.false_positive {
-                continue;
-            }
-            let key = DedupKey::of(t);
-            earliest
-                .entry(key)
-                .and_modify(|first| {
-                    if t.opened < *first {
-                        *first = t.opened;
-                    }
-                })
-                .or_insert(t.opened);
-        }
+        // Pass 6: dedup. Two non-FP tickets share an event when every field
+        // except `opened` matches. Sorting (key, stream index) lays each
+        // event's reports out as one run in stream order; in a run, the
+        // first report is kept and a later one is a pipeline retry when it
+        // opened within the window of the run's earliest `opened`, once an
+        // earlier report of the run has been kept.
+        let mut keyed: Vec<(DedupKey, usize)> = kept
+            .iter()
+            .enumerate()
+            .filter(|(_, t)| !t.false_positive)
+            .map(|(i, t)| (DedupKey::of(t), i))
+            .collect();
+        keyed.sort_unstable();
         let window = self.config.dedup_window_hours;
-        let mut seen: BTreeMap<DedupKey, u64> = BTreeMap::new();
-        let mut out: Vec<RmaTicket> = Vec::with_capacity(kept.len());
-        for t in kept {
-            if t.false_positive {
-                out.push(t);
-                continue;
+        let mut duplicate = vec![false; kept.len()];
+        for run in keyed.chunk_by(|a, b| a.0 == b.0).filter(|run| run.len() > 1) {
+            let first = run.iter().map(|&(_, i)| kept[i].opened.hours()).min().unwrap_or(0);
+            let mut emitted = false;
+            for &(_, i) in run {
+                if emitted && kept[i].opened.hours().saturating_sub(first) <= window {
+                    duplicate[i] = true;
+                    report.record(DefectClass::DuplicateTicket, false);
+                } else {
+                    emitted = true;
+                }
             }
-            let key = DedupKey::of(&t);
-            let first = earliest[&key];
-            let within = t.opened.hours().saturating_sub(first.hours()) <= window;
-            let repeats = seen.entry(key).or_insert(0);
-            if within && *repeats > 0 {
-                report.record(DefectClass::DuplicateTicket, false);
-                continue;
-            }
-            *repeats += 1;
-            out.push(t);
         }
+        let mut is_duplicate = duplicate.into_iter();
+        kept.retain(|_| !is_duplicate.next().unwrap_or(false));
 
         // Pass 7: restore canonical stream order. Stable sort on the same
         // key the simulator uses, so an already-clean stream is untouched.
-        out.sort_by(|a, b| {
+        kept.sort_by(|a, b| {
             (a.opened, a.location.rack, a.device).cmp(&(b.opened, b.location.rack, b.device))
         });
 
-        report.tickets_kept = out.len() as u64;
-        (out, report)
+        report.tickets_kept = kept.len() as u64;
+        (kept, report)
     }
 }
 
@@ -480,8 +494,8 @@ fn median_outage_by_fault(tickets: &[RmaTicket]) -> BTreeMap<FaultKind, u64> {
     samples
         .into_iter()
         .map(|(fault, mut hours)| {
-            hours.sort_unstable();
-            (fault, hours[hours.len() / 2])
+            let mid = hours.len() / 2;
+            (fault, *hours.select_nth_unstable(mid).1)
         })
         .collect()
 }
@@ -589,6 +603,38 @@ mod tests {
         let (out, report) = sanitizer().sanitize(&[original.clone(), dup, distinct.clone()]);
         assert_eq!(out, vec![original, distinct]);
         assert_eq!(report.counts(DefectClass::DuplicateTicket).quarantined, 1);
+    }
+
+    #[test]
+    fn unsorted_duplicates_keep_the_first_report_in_stream_order() {
+        let first = ticket(1, 10, 10, 20);
+        let mut earlier = first.clone();
+        earlier.opened = SimTime(8); // same event, reported later in the stream
+        let (out, report) = sanitizer().sanitize(&[first.clone(), earlier]);
+        assert_eq!(out, vec![first]);
+        assert_eq!(report.counts(DefectClass::DuplicateTicket).quarantined, 1);
+    }
+
+    #[test]
+    fn unknown_racks_miss_like_the_manifest_map() {
+        let mut m = manifest();
+        let far = RackRecord {
+            dc: DcId(2),
+            region: RegionId(1),
+            row: RowId(1),
+            server_id_base: 1,
+            servers: 1,
+        };
+        m.insert(RackId(1_000_000), far);
+        let s = Sanitizer::new(m, SanitizerConfig::for_span(SimTime(0), SimTime(1000)));
+        for rack in [0, 5, 999_999, 1_000_001, u32::MAX] {
+            assert_eq!(s.rack(RackId(rack)), None, "rack {rack}");
+        }
+        assert_eq!(s.rack(RackId(1_000_000)), Some(&far));
+        assert_eq!(s.rack(RackId(3)).map(|r| r.dc), Some(DcId(2)));
+        let (out, report) = s.sanitize(&[ticket(1, 10, 5, 9), ticket(5, 11, 5, 9)]);
+        assert_eq!(out.len(), 1);
+        assert_eq!(report.counts(DefectClass::MislabeledLocation).quarantined, 1);
     }
 
     #[test]

@@ -214,7 +214,7 @@ pub fn category_breakdown(tickets: &[&RmaTicket]) -> Vec<(FaultKind, usize, f64)
     let total = tickets.len().max(1) as f64;
     let mut rows: Vec<(FaultKind, usize, f64)> =
         counts.into_iter().map(|(k, c)| (k, c, 100.0 * c as f64 / total)).collect();
-    rows.sort_by(|a, b| b.2.partial_cmp(&a.2).expect("percentages are finite"));
+    rows.sort_by(|a, b| b.2.total_cmp(&a.2));
     rows
 }
 

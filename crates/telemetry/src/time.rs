@@ -55,7 +55,7 @@ impl DayOfWeek {
 
     /// 0-based index, Sunday = 0.
     pub fn index(&self) -> usize {
-        Self::ALL.iter().position(|d| d == self).expect("all variants listed")
+        *self as usize
     }
 }
 
@@ -293,6 +293,13 @@ mod tests {
         let t = SimTime::EPOCH;
         assert_eq!(t.day_of_week(), DayOfWeek::Sun);
         assert_eq!(t.date(), CalendarDate { year: 2012, month: 1, day: 1 });
+    }
+
+    #[test]
+    fn day_index_is_position_in_all() {
+        for (position, day) in DayOfWeek::ALL.iter().enumerate() {
+            assert_eq!(day.index(), position, "{day}");
+        }
     }
 
     #[test]
