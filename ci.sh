@@ -8,20 +8,24 @@ set -eu
 cargo fmt --check
 # Panic-site ratchet: lines before the first `#[cfg(test)]` of each library
 # source file that call `expect`/`unwrap` or `panic!`/`assert!` may not grow
-# past MAX_PANIC_SITES. Lower it when a change removes sites.
-MAX_PANIC_SITES=69
+# past MAX_PANIC_SITES. Comment and doc lines (first non-blank characters
+# `//`) are not code, so they do not count. Lower it when a change removes
+# sites.
+MAX_PANIC_SITES=58
 panic_sites=$(find crates/*/src -name '*.rs' -exec sed '/#\[cfg(test)\]/,$d' {} \; |
+    grep -vE '^[[:space:]]*//' |
     grep -cE '\.(expect|unwrap)\(|\b(panic|assert)!\(' || true)
 if [ "$panic_sites" -gt "$MAX_PANIC_SITES" ]; then
     echo "ci: $panic_sites non-test panic sites, above the ratchet of $MAX_PANIC_SITES" >&2
     exit 1
 fi
 cargo build --release --workspace
-# The examples are callers of the library API, so each must run to
-# completion, not just compile (about 1 s for all six in release).
-for example in climate_control fleet_explorer lifetime_analysis quickstart \
-    spare_provisioning vendor_selection; do
-    cargo run --release -q --example "$example" >/dev/null
+# The examples are callers of the library API, so every one under
+# examples/ must run to completion, not just compile (about 1 s for all of
+# them in release).
+for example in examples/*.rs; do
+    example=${example#examples/}
+    cargo run --release -q --example "${example%.rs}" >/dev/null
 done
 # Paper-scale differential oracles for the μ engine, the provisioned-rack
 # μ scope and the hoisted hazard (about 1 s, 3 s and 3 s in release; too

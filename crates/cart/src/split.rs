@@ -551,7 +551,8 @@ mod tests {
         for r in 0..4 {
             acc.add_row(&t, r);
         }
-        let expected = rainshine_stats::impurity::sum_squared_deviation(&y);
+        let mean = y.iter().sum::<f64>() / y.len() as f64;
+        let expected: f64 = y.iter().map(|v| (v - mean).powi(2)).sum();
         assert!((acc.risk() - expected).abs() < 1e-9);
     }
 

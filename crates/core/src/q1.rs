@@ -263,10 +263,7 @@ fn approach(spares: f64, servers: f64) -> ApproachResult {
 }
 
 fn cdf_points(values: &[f64]) -> Vec<(f64, f64)> {
-    match rainshine_stats::ecdf::Ecdf::new(values.to_vec()) {
-        Ok(e) => e.steps(),
-        Err(_) => Vec::new(),
-    }
+    rainshine_stats::ecdf::steps(values).unwrap_or_default()
 }
 
 /// MF clustering: fits CART on each rack's required spare fraction and

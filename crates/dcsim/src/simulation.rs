@@ -88,27 +88,20 @@ impl Simulation {
         let par = self.config.parallelism;
         let mut all = {
             let mut span = obs.span("dcsim.tickets_hardware");
-            let hw = tickets::generate_hardware_par(
-                &fleet,
-                &self.config,
-                &env,
-                &daily_env,
-                self.seed,
-                par,
-            );
+            let hw =
+                tickets::generate_hardware(&fleet, &self.config, &env, &daily_env, self.seed, par);
             span.add_items(hw.len() as u64);
             hw
         };
         {
             let mut span = obs.span("dcsim.tickets_bursts");
-            let bursts = tickets::generate_bursts_par(&fleet, &self.config, self.seed, par);
+            let bursts = tickets::generate_bursts(&fleet, &self.config, self.seed, par);
             span.add_items(bursts.len() as u64);
             all.extend(bursts);
         }
         {
             let mut span = obs.span("dcsim.tickets_non_hardware");
-            let non_hw =
-                tickets::generate_non_hardware_par(&fleet, &self.config, &all, self.seed, par);
+            let non_hw = tickets::generate_non_hardware(&fleet, &self.config, &all, self.seed, par);
             span.add_items(non_hw.len() as u64);
             all.extend(non_hw);
         }

@@ -199,28 +199,12 @@ pub(crate) fn daily_env_slab(fleet: &Fleet, config: &FleetConfig, env: &EnvModel
     DailyEnvSlab::build(env, &dcs, config.start.days(), config.end.days())
 }
 
-/// Generates hardware tickets for the whole observation span from one
-/// shared RNG stream (racks processed in order).
-pub fn generate_hardware<R: Rng + ?Sized>(
-    fleet: &Fleet,
-    config: &FleetConfig,
-    env: &EnvModel,
-    rng: &mut R,
-) -> Vec<RmaTicket> {
-    let daily = daily_env_slab(fleet, config, env);
-    let mut out = Vec::new();
-    for rack in &fleet.racks {
-        out.extend(hardware_for_rack(rack, config, env, &daily, rng));
-    }
-    out
-}
-
 /// Generates hardware tickets with one seed-derived RNG stream per rack,
 /// so racks evaluate in parallel; results merge in rack order, making
 /// the stream a pure function of `seed` regardless of thread count. Daily
 /// inlet conditions come from `daily`, and from `env` for any cell outside
 /// it.
-pub fn generate_hardware_par(
+pub fn generate_hardware(
     fleet: &Fleet,
     config: &FleetConfig,
     env: &EnvModel,
@@ -238,22 +222,10 @@ pub fn generate_hardware_par(
 /// Generates correlated failure bursts: rare rack-level events (PDU trips,
 /// bad-batch storms) that take several servers of one rack down
 /// *simultaneously*. These produce the heavy upper tail of μ that drives
-/// 100 %-SLA spare provisioning (Figs. 10–12).
-pub fn generate_bursts<R: Rng + ?Sized>(
-    fleet: &Fleet,
-    config: &FleetConfig,
-    rng: &mut R,
-) -> Vec<RmaTicket> {
-    let mut out = Vec::new();
-    for rack in &fleet.racks {
-        out.extend(bursts_for_rack(rack, config, rng));
-    }
-    out
-}
-
-/// Generates burst tickets with one seed-derived RNG stream per rack;
-/// deterministic at any thread count (see [`generate_hardware_par`]).
-pub fn generate_bursts_par(
+/// 100 %-SLA spare provisioning (Figs. 10–12). One seed-derived RNG
+/// stream per rack; deterministic at any thread count (see
+/// [`generate_hardware`]).
+pub fn generate_bursts(
     fleet: &Fleet,
     config: &FleetConfig,
     seed: u64,
@@ -323,23 +295,9 @@ fn bursts_for_rack<R: Rng + ?Sized>(
 
 /// Generates software / boot / other tickets so that the overall per-DC
 /// category mix matches Table II in expectation, anchored to the realized
-/// hardware ticket count of each DC.
-pub fn generate_non_hardware<R: Rng + ?Sized>(
-    fleet: &Fleet,
-    config: &FleetConfig,
-    hardware: &[RmaTicket],
-    rng: &mut R,
-) -> Vec<RmaTicket> {
-    let mut out = Vec::new();
-    for dc in [DcId(1), DcId(2)] {
-        out.extend(non_hardware_for_dc(fleet, config, hardware, dc, rng));
-    }
-    out
-}
-
-/// Generates non-hardware tickets with one seed-derived RNG stream per
-/// DC; deterministic at any thread count (see [`generate_hardware_par`]).
-pub fn generate_non_hardware_par(
+/// hardware ticket count of each DC. One seed-derived RNG stream per DC;
+/// deterministic at any thread count (see [`generate_hardware`]).
+pub fn generate_non_hardware(
     fleet: &Fleet,
     config: &FleetConfig,
     hardware: &[RmaTicket],
@@ -468,6 +426,12 @@ mod tests {
         (fleet, config, env)
     }
 
+    /// The pipeline's hardware generator, sequential, on `seed`.
+    fn hardware(fleet: &Fleet, config: &FleetConfig, env: &EnvModel, seed: u64) -> Vec<RmaTicket> {
+        let daily = daily_env_slab(fleet, config, env);
+        generate_hardware(fleet, config, env, &daily, seed, Parallelism::Sequential)
+    }
+
     #[test]
     fn table_ii_shares_sum_to_100() {
         for dc in [DcId(1), DcId(2)] {
@@ -479,8 +443,7 @@ mod tests {
     #[test]
     fn hardware_tickets_are_valid_and_in_span() {
         let (fleet, config, env) = setup();
-        let mut rng = StdRng::seed_from_u64(1);
-        let tickets = generate_hardware(&fleet, &config, &env, &mut rng);
+        let tickets = hardware(&fleet, &config, &env, 1);
         assert!(!tickets.is_empty());
         for t in &tickets {
             assert!(t.validate().is_ok());
@@ -494,8 +457,7 @@ mod tests {
     #[test]
     fn hardware_tickets_only_on_active_racks() {
         let (fleet, config, env) = setup();
-        let mut rng = StdRng::seed_from_u64(2);
-        let tickets = generate_hardware(&fleet, &config, &env, &mut rng);
+        let tickets = hardware(&fleet, &config, &env, 2);
         for t in &tickets {
             let rack = fleet.rack(t.location.rack).expect("known rack");
             assert!(rack.is_active(t.opened), "ticket before commissioning");
@@ -505,9 +467,8 @@ mod tests {
     #[test]
     fn non_hardware_mix_tracks_table_ii() {
         let (fleet, config, env) = setup();
-        let mut rng = StdRng::seed_from_u64(3);
-        let hw = generate_hardware(&fleet, &config, &env, &mut rng);
-        let sw = generate_non_hardware(&fleet, &config, &hw, &mut rng);
+        let hw = hardware(&fleet, &config, &env, 3);
+        let sw = generate_non_hardware(&fleet, &config, &hw, 3, Parallelism::Sequential);
         assert!(!sw.is_empty());
         // Software should dominate: 45-57% of all per Table II.
         let all = hw.len() + sw.len();
@@ -523,8 +484,8 @@ mod tests {
     #[test]
     fn false_positive_volume_matches_rate() {
         let (fleet, config, env) = setup();
+        let hw = hardware(&fleet, &config, &env, 4);
         let mut rng = StdRng::seed_from_u64(4);
-        let hw = generate_hardware(&fleet, &config, &env, &mut rng);
         let fps = inject_false_positives(&hw, 0.08, config.end, &mut rng);
         let expected = hw.len() as f64 * 0.08 / 0.92;
         assert!((fps.len() as f64 - expected).abs() <= 1.0);
@@ -535,8 +496,8 @@ mod tests {
     #[test]
     fn zero_rate_no_false_positives() {
         let (fleet, config, env) = setup();
+        let hw = hardware(&fleet, &config, &env, 5);
         let mut rng = StdRng::seed_from_u64(5);
-        let hw = generate_hardware(&fleet, &config, &env, &mut rng);
         assert!(inject_false_positives(&hw, 0.0, config.end, &mut rng).is_empty());
         assert!(inject_false_positives(&[], 0.1, config.end, &mut rng).is_empty());
     }
@@ -556,8 +517,7 @@ mod tests {
         use std::collections::{BTreeMap, BTreeSet};
         let config = FleetConfig::medium();
         let fleet = Fleet::build(&config);
-        let mut rng = StdRng::seed_from_u64(8);
-        let bursts = generate_bursts(&fleet, &config, &mut rng);
+        let bursts = generate_bursts(&fleet, &config, 8, Parallelism::Sequential);
         assert!(!bursts.is_empty(), "medium fleet over a year should see bursts");
         // Group by (rack, opened): each burst's tickets share one rack and
         // hit distinct servers.
@@ -576,8 +536,7 @@ mod tests {
     fn burst_attribution_matches_chassis() {
         let config = FleetConfig::medium();
         let fleet = Fleet::build(&config);
-        let mut rng = StdRng::seed_from_u64(8);
-        let bursts = generate_bursts(&fleet, &config, &mut rng);
+        let bursts = generate_bursts(&fleet, &config, 8, Parallelism::Sequential);
         for t in &bursts {
             let rack = fleet.rack(t.location.rack).expect("known rack");
             if rack.sku_spec().disks_per_server >= 8 {
@@ -591,8 +550,7 @@ mod tests {
     #[test]
     fn repair_times_clamped() {
         let (fleet, config, env) = setup();
-        let mut rng = StdRng::seed_from_u64(6);
-        let tickets = generate_hardware(&fleet, &config, &env, &mut rng);
+        let tickets = hardware(&fleet, &config, &env, 6);
         for t in &tickets {
             assert!(t.outage_hours() >= 1 || t.resolved == config.end);
             assert!(t.outage_hours() <= MAX_REPAIR_HOURS as u64);
@@ -605,7 +563,7 @@ mod tests {
         config.hazard.dc2_network_factor = f64::NAN;
         config.hazard.dc2_power_infra_factor = f64::INFINITY;
         config.hazard.dimm_base = -1.0;
-        let tickets = generate_hardware(&fleet, &config, &env, &mut StdRng::seed_from_u64(7));
+        let tickets = hardware(&fleet, &config, &env, 7);
         assert!(!tickets.is_empty());
         for t in &tickets {
             let dc2_network_or_power = t.location.dc == DcId(2)
@@ -620,10 +578,10 @@ mod tests {
     #[test]
     fn generation_is_seed_deterministic() {
         let (fleet, config, env) = setup();
-        let t1 = generate_hardware(&fleet, &config, &env, &mut StdRng::seed_from_u64(42));
-        let t2 = generate_hardware(&fleet, &config, &env, &mut StdRng::seed_from_u64(42));
+        let t1 = hardware(&fleet, &config, &env, 42);
+        let t2 = hardware(&fleet, &config, &env, 42);
         assert_eq!(t1, t2);
-        let t3 = generate_hardware(&fleet, &config, &env, &mut StdRng::seed_from_u64(43));
+        let t3 = hardware(&fleet, &config, &env, 43);
         assert_ne!(t1, t3);
     }
 }

@@ -82,51 +82,6 @@ impl Summary {
     }
 }
 
-/// Arithmetic mean of `data`.
-///
-/// # Errors
-///
-/// See [`Summary::from_slice`].
-pub fn mean(data: &[f64]) -> Result<f64> {
-    Ok(Summary::from_slice(data)?.mean())
-}
-
-/// Unbiased sample variance of `data`.
-///
-/// # Errors
-///
-/// See [`Summary::from_slice`].
-pub fn sample_variance(data: &[f64]) -> Result<f64> {
-    Ok(Summary::from_slice(data)?.sample_variance())
-}
-
-/// Unbiased sample standard deviation of `data`.
-///
-/// # Errors
-///
-/// See [`Summary::from_slice`].
-pub fn sample_stddev(data: &[f64]) -> Result<f64> {
-    Ok(Summary::from_slice(data)?.sample_stddev())
-}
-
-/// Median of `data` (average of the two central order statistics for even
-/// sample sizes).
-///
-/// # Errors
-///
-/// See [`Summary::from_slice`].
-pub fn median(data: &[f64]) -> Result<f64> {
-    ensure_sample(data)?;
-    let mut sorted = data.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite by validation"));
-    let n = sorted.len();
-    if n % 2 == 1 {
-        Ok(sorted[n / 2])
-    } else {
-        Ok((sorted[n / 2 - 1] + sorted[n / 2]) / 2.0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -148,14 +103,8 @@ mod tests {
     }
 
     #[test]
-    fn median_even_and_odd() {
-        assert_eq!(median(&[3.0, 1.0, 2.0]).unwrap(), 2.0);
-        assert_eq!(median(&[4.0, 1.0, 3.0, 2.0]).unwrap(), 2.5);
-    }
-
-    #[test]
     fn rejects_nan() {
-        assert!(mean(&[f64::NAN]).is_err());
-        assert!(median(&[1.0, f64::INFINITY]).is_err());
+        assert!(Summary::from_slice(&[f64::NAN]).is_err());
+        assert!(Summary::from_slice(&[1.0, f64::INFINITY]).is_err());
     }
 }

@@ -1,12 +1,11 @@
 //! Random-variate distributions built on top of a [`rand::Rng`].
 //!
 //! The `rand` crate alone provides only uniform sampling; everything the
-//! simulator needs (Poisson event counts, Weibull lifetimes, log-normal
-//! repair times, categorical ticket categories, …) is implemented here.
+//! simulator needs (Poisson event counts, log-normal repair times,
+//! Bernoulli trials, categorical ticket days) is implemented here.
 
 use rand::Rng;
 
-use crate::special::ln_gamma;
 use crate::{Result, StatsError};
 
 /// A distribution over `f64` that can be sampled with any RNG.
@@ -27,102 +26,6 @@ pub trait DiscreteDistribution {
 
     /// The distribution mean.
     fn mean(&self) -> f64;
-}
-
-/// Exponential distribution with rate `lambda` (mean `1/lambda`).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Exponential {
-    lambda: f64,
-}
-
-impl Exponential {
-    /// Creates an exponential distribution with rate `lambda`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error unless `lambda` is finite and positive.
-    pub fn new(lambda: f64) -> Result<Self> {
-        if !lambda.is_finite() || lambda <= 0.0 {
-            return Err(StatsError::InvalidParameter { name: "lambda", value: lambda });
-        }
-        Ok(Exponential { lambda })
-    }
-
-    /// The rate parameter.
-    pub fn lambda(&self) -> f64 {
-        self.lambda
-    }
-}
-
-impl ContinuousDistribution for Exponential {
-    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        // Inverse CDF; 1-u avoids ln(0).
-        let u: f64 = rng.gen::<f64>();
-        -(1.0 - u).ln() / self.lambda
-    }
-
-    fn mean(&self) -> f64 {
-        1.0 / self.lambda
-    }
-}
-
-/// Weibull distribution with shape `k` and scale `lambda`.
-///
-/// Shape `k < 1` models infant mortality (decreasing hazard), `k = 1` is
-/// exponential, `k > 1` models wear-out — the components of the bathtub
-/// curve the paper observes in equipment age (Fig. 9).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Weibull {
-    shape: f64,
-    scale: f64,
-}
-
-impl Weibull {
-    /// Creates a Weibull distribution.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error unless both parameters are finite and positive.
-    pub fn new(shape: f64, scale: f64) -> Result<Self> {
-        if !shape.is_finite() || shape <= 0.0 {
-            return Err(StatsError::InvalidParameter { name: "shape", value: shape });
-        }
-        if !scale.is_finite() || scale <= 0.0 {
-            return Err(StatsError::InvalidParameter { name: "scale", value: scale });
-        }
-        Ok(Weibull { shape, scale })
-    }
-
-    /// Hazard function `h(t) = (k/λ)(t/λ)^{k−1}` for `t >= 0`.
-    pub fn hazard(&self, t: f64) -> f64 {
-        if t < 0.0 {
-            return 0.0;
-        }
-        if t == 0.0 {
-            // h(0) is 0 for k>1, k/λ for k==1, +inf for k<1; cap for k<1.
-            return if self.shape >= 1.0 {
-                if self.shape == 1.0 {
-                    1.0 / self.scale
-                } else {
-                    0.0
-                }
-            } else {
-                f64::INFINITY
-            };
-        }
-        (self.shape / self.scale) * (t / self.scale).powf(self.shape - 1.0)
-    }
-}
-
-impl ContinuousDistribution for Weibull {
-    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        let u: f64 = rng.gen::<f64>();
-        self.scale * (-(1.0 - u).ln()).powf(1.0 / self.shape)
-    }
-
-    fn mean(&self) -> f64 {
-        self.scale * (ln_gamma(1.0 + 1.0 / self.shape)).exp()
-    }
 }
 
 /// Normal distribution via the Box–Muller transform.
@@ -285,11 +188,6 @@ impl Bernoulli {
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> bool {
         rng.gen::<f64>() < self.p
     }
-
-    /// The success probability.
-    pub fn p(&self) -> f64 {
-        self.p
-    }
 }
 
 /// Categorical distribution over indices `0..weights.len()`.
@@ -346,16 +244,6 @@ impl Categorical {
         let u = rng.gen::<f64>() * total;
         self.cumulative.partition_point(|&c| c <= u).min(self.cumulative.len() - 1)
     }
-
-    /// Number of categories.
-    pub fn len(&self) -> usize {
-        self.cumulative.len()
-    }
-
-    /// Whether there are no categories (never true for a constructed value).
-    pub fn is_empty(&self) -> bool {
-        self.cumulative.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -366,42 +254,6 @@ mod tests {
 
     fn rng() -> StdRng {
         StdRng::seed_from_u64(0xDEC0DE)
-    }
-
-    fn sample_mean<D: ContinuousDistribution>(d: &D, n: usize) -> f64 {
-        let mut r = rng();
-        (0..n).map(|_| d.sample(&mut r)).sum::<f64>() / n as f64
-    }
-
-    #[test]
-    fn exponential_mean_converges() {
-        let d = Exponential::new(2.0).unwrap();
-        let m = sample_mean(&d, 50_000);
-        assert!((m - 0.5).abs() < 0.02, "mean {m}");
-    }
-
-    #[test]
-    fn exponential_rejects_bad_lambda() {
-        assert!(Exponential::new(0.0).is_err());
-        assert!(Exponential::new(-1.0).is_err());
-        assert!(Exponential::new(f64::NAN).is_err());
-    }
-
-    #[test]
-    fn weibull_shape_one_is_exponential() {
-        let w = Weibull::new(1.0, 2.0).unwrap();
-        assert!((w.mean() - 2.0).abs() < 1e-9);
-        let m = sample_mean(&w, 50_000);
-        assert!((m - 2.0).abs() < 0.1, "mean {m}");
-    }
-
-    #[test]
-    fn weibull_hazard_shapes() {
-        let infant = Weibull::new(0.5, 10.0).unwrap();
-        assert!(infant.hazard(1.0) > infant.hazard(5.0), "decreasing hazard");
-        let wearout = Weibull::new(3.0, 10.0).unwrap();
-        assert!(wearout.hazard(5.0) < wearout.hazard(15.0), "increasing hazard");
-        assert_eq!(wearout.hazard(-1.0), 0.0);
     }
 
     #[test]

@@ -6,99 +6,43 @@
 use crate::error::ensure_sample;
 use crate::Result;
 
-/// An empirical CDF over a finite sample.
+/// The step-function support points `(x_i, F(x_i))` of the empirical CDF
+/// of `sample`, deduplicated on x — ready for plotting a CDF curve like
+/// the paper's Fig. 11. The x values strictly increase, and so do the F
+/// values, which lie in `(0, 1]` and end at exactly `1.0`.
 ///
-/// Stores the sorted sample; evaluation is `O(log n)`.
+/// The sample is sorted by [`f64::total_cmp`], which orders `-0.0` before
+/// `0.0` where `==` merges them; the plotted samples are non-negative
+/// percentages, so `-0.0` never arises.
+///
+/// # Errors
+///
+/// Returns [`crate::StatsError::EmptyInput`] for an empty sample and
+/// [`crate::StatsError::NonFiniteInput`] for NaN/infinite values.
 ///
 /// # Example
 ///
 /// ```
-/// use rainshine_stats::ecdf::Ecdf;
+/// use rainshine_stats::ecdf::steps;
 ///
-/// let e = Ecdf::new(vec![1.0, 2.0, 2.0, 3.0])?;
-/// assert_eq!(e.eval(0.5), 0.0);
-/// assert_eq!(e.eval(2.0), 0.75);
-/// assert_eq!(e.eval(10.0), 1.0);
+/// let s = steps(&[2.0, 1.0, 2.0, 3.0])?;
+/// assert_eq!(s, vec![(1.0, 0.25), (2.0, 0.75), (3.0, 1.0)]);
 /// # Ok::<(), rainshine_stats::StatsError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct Ecdf {
-    sorted: Vec<f64>,
-}
-
-impl Ecdf {
-    /// Builds an ECDF from a sample, taking ownership and sorting it.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::StatsError::EmptyInput`] for an empty sample and
-    /// [`crate::StatsError::NonFiniteInput`] for NaN/infinite values.
-    pub fn new(mut sample: Vec<f64>) -> Result<Self> {
-        ensure_sample(&sample)?;
-        sample.sort_by(|a, b| a.partial_cmp(b).expect("finite by validation"));
-        Ok(Ecdf { sorted: sample })
-    }
-
-    /// Number of observations.
-    pub fn len(&self) -> usize {
-        self.sorted.len()
-    }
-
-    /// Whether the ECDF is empty (never true for a constructed value).
-    pub fn is_empty(&self) -> bool {
-        self.sorted.is_empty()
-    }
-
-    /// The sorted sample underlying this ECDF.
-    pub fn values(&self) -> &[f64] {
-        &self.sorted
-    }
-
-    /// Evaluates `F(x) = P(X <= x)`.
-    pub fn eval(&self, x: f64) -> f64 {
-        let idx = self.sorted.partition_point(|&v| v <= x);
-        idx as f64 / self.sorted.len() as f64
-    }
-
-    /// The `q`-quantile using the inverse-CDF (type 1) definition: the
-    /// smallest sample value `v` with `F(v) >= q`.
-    ///
-    /// `q` is clamped to `[0, 1]`; `quantile(0.0)` is the minimum and
-    /// `quantile(1.0)` the maximum. Delegates to [`quantile_with_zeros`]
-    /// with no implicit zero mass.
-    pub fn quantile(&self, q: f64) -> f64 {
-        quantile_with_zeros(&self.sorted, self.sorted.len() as u64, q)
-    }
-
-    /// Convenience: the `p`-th percentile, `p` in `[0, 100]`.
-    pub fn percentile(&self, p: f64) -> f64 {
-        self.quantile(p / 100.0)
-    }
-
-    /// Minimum of the sample.
-    pub fn min(&self) -> f64 {
-        self.sorted[0]
-    }
-
-    /// Maximum of the sample.
-    pub fn max(&self) -> f64 {
-        *self.sorted.last().expect("non-empty by construction")
-    }
-
-    /// Returns the step-function support points `(x_i, F(x_i))`, deduplicated
-    /// on x — ready for plotting a CDF curve like the paper's Fig. 11.
-    pub fn steps(&self) -> Vec<(f64, f64)> {
-        let n = self.sorted.len() as f64;
-        let mut out: Vec<(f64, f64)> = Vec::new();
-        for (i, &v) in self.sorted.iter().enumerate() {
-            let f = (i + 1) as f64 / n;
-            match out.last_mut() {
-                Some(last) if last.0 == v => last.1 = f,
-                _ => out.push((v, f)),
-            }
+pub fn steps(sample: &[f64]) -> Result<Vec<(f64, f64)>> {
+    ensure_sample(sample)?;
+    let mut sorted = sample.to_vec();
+    sorted.sort_unstable_by(f64::total_cmp);
+    let n = sorted.len() as f64;
+    let mut out: Vec<(f64, f64)> = Vec::new();
+    for (i, &v) in sorted.iter().enumerate() {
+        let f = (i + 1) as f64 / n;
+        match out.last_mut() {
+            Some(last) if last.0 == v => last.1 = f,
+            _ => out.push((v, f)),
         }
-        out
     }
+    Ok(out)
 }
 
 /// Inverse-CDF (type 1) quantile of a sparse distribution: `total`
@@ -106,9 +50,8 @@ impl Ecdf {
 /// remaining `total − sorted_nonzero.len()` are an implicit mass of
 /// zeros sorting below every explicit value.
 ///
-/// This is the single rank definition shared by [`Ecdf::quantile`] (no
-/// zero mass), the telemetry `WindowedSeries` λ/μ distributions, and the
-/// Q1 rack-deficit quantiles: with `q` clamped to `[0, 1]`, the 1-based
+/// This is the single rank definition shared by the telemetry
+/// `WindowedSeries` λ/μ distributions and the Q1 rack-deficit quantiles: with `q` clamped to `[0, 1]`, the 1-based
 /// rank is `ceil(q · total)` floored at 1, the result is the default
 /// value (zero) while the rank falls inside the zero mass, and the
 /// explicit values are indexed by `rank − zeros` beyond it.
@@ -140,7 +83,8 @@ where
 
 /// Interpolated quantile (R type-7, the R/NumPy default) of a sample.
 ///
-/// Unlike [`Ecdf::quantile`] this interpolates between order statistics.
+/// Unlike [`quantile_with_zeros`] this interpolates between order
+/// statistics.
 ///
 /// # Errors
 ///
@@ -168,41 +112,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn eval_is_monotone_and_bounded() {
-        let e = Ecdf::new(vec![5.0, 1.0, 3.0, 3.0, 9.0]).unwrap();
-        let mut prev = 0.0;
-        for i in 0..100 {
-            let x = -2.0 + i as f64 * 0.15;
-            let f = e.eval(x);
-            assert!((0.0..=1.0).contains(&f));
-            assert!(f >= prev);
-            prev = f;
-        }
-        assert_eq!(e.eval(f64::MIN), 0.0);
-        assert_eq!(e.eval(9.0), 1.0);
-    }
-
-    #[test]
-    fn quantile_inverts_eval_on_sample_points() {
-        let e = Ecdf::new(vec![10.0, 20.0, 30.0, 40.0]).unwrap();
-        assert_eq!(e.quantile(0.25), 10.0);
-        assert_eq!(e.quantile(0.26), 20.0);
-        assert_eq!(e.quantile(0.75), 30.0);
-        assert_eq!(e.quantile(1.0), 40.0);
-        assert_eq!(e.quantile(0.0), 10.0);
-    }
-
-    #[test]
-    fn percentile_matches_quantile() {
-        let e = Ecdf::new(vec![1.0, 2.0, 3.0]).unwrap();
-        assert_eq!(e.percentile(95.0), e.quantile(0.95));
-    }
-
-    #[test]
     fn steps_dedupe_ties() {
-        let e = Ecdf::new(vec![1.0, 2.0, 2.0, 3.0]).unwrap();
-        let steps = e.steps();
-        assert_eq!(steps, vec![(1.0, 0.25), (2.0, 0.75), (3.0, 1.0)]);
+        let points = steps(&[1.0, 2.0, 2.0, 3.0]).unwrap();
+        assert_eq!(points, vec![(1.0, 0.25), (2.0, 0.75), (3.0, 1.0)]);
     }
 
     #[test]
@@ -217,13 +129,6 @@ mod tests {
     fn interpolated_quantile_rejects_bad_q() {
         assert!(quantile_interpolated(&[1.0], 1.5).is_err());
         assert!(quantile_interpolated(&[], 0.5).is_err());
-    }
-
-    #[test]
-    fn clamps_out_of_range_quantiles() {
-        let e = Ecdf::new(vec![1.0, 2.0]).unwrap();
-        assert_eq!(e.quantile(-1.0), 1.0);
-        assert_eq!(e.quantile(2.0), 2.0);
     }
 
     #[test]
@@ -247,7 +152,7 @@ mod tests {
         // Malformed: more explicit values than total observations must
         // saturate the zero mass rather than underflow.
         assert_eq!(quantile_with_zeros(&[2u64, 3], 1, 1.0), 2);
-        // Works for floats with no zero mass (the Ecdf case).
+        // Works for floats with no zero mass.
         assert_eq!(quantile_with_zeros(&[1.5f64, 2.5], 2, 0.5), 1.5);
     }
 }

@@ -7,24 +7,22 @@
 //! from scratch:
 //!
 //! * descriptive statistics ([`describe`], [`running`]),
-//! * empirical CDFs and quantiles ([`ecdf`]),
-//! * histograms and binning ([`hist`]),
-//! * random-variate distributions — Poisson, exponential, Weibull,
+//! * empirical CDF steps and quantiles ([`ecdf`]),
+//! * binning and per-bin means ([`hist`]),
+//! * the random-variate distributions the simulator samples — Poisson,
 //!   log-normal, normal, Bernoulli, categorical ([`dist`]),
-//! * impurity measures used by CART — Gini, entropy, variance ([`impurity`]),
 //! * survival analysis — Kaplan–Meier, life-table hazards, Weibull MLE
 //!   ([`survival`]),
-//! * isotonic (pool-adjacent-violators) regression ([`timeseries`]),
-//! * the log-gamma function backing the distributions ([`special`]).
+//! * isotonic (pool-adjacent-violators) regression ([`timeseries`]).
 //!
 //! # Example
 //!
 //! ```
-//! use rainshine_stats::ecdf::Ecdf;
+//! use rainshine_stats::ecdf::{quantile_interpolated, steps};
 //!
-//! let ecdf = Ecdf::new(vec![3.0, 1.0, 4.0, 1.0, 5.0])?;
-//! assert_eq!(ecdf.quantile(0.5), 3.0);
-//! assert!((ecdf.eval(4.0) - 0.8).abs() < 1e-12);
+//! let sample = [3.0, 1.0, 4.0, 1.0, 5.0];
+//! assert_eq!(quantile_interpolated(&sample, 0.5)?, 3.0);
+//! assert_eq!(steps(&sample)?[2], (4.0, 0.8));
 //! # Ok::<(), rainshine_stats::StatsError>(())
 //! ```
 
@@ -32,9 +30,7 @@ pub mod describe;
 pub mod dist;
 pub mod ecdf;
 pub mod hist;
-pub mod impurity;
 pub mod running;
-pub mod special;
 pub mod survival;
 pub mod timeseries;
 

@@ -51,55 +51,15 @@ impl Welford {
         self.max = self.max.max(value);
     }
 
-    /// Merges another accumulator into this one (parallel reduction).
-    pub fn merge(&mut self, other: &Welford) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = *other;
-            return;
-        }
-        let total = self.count + other.count;
-        let delta = other.mean - self.mean;
-        self.mean += delta * other.count as f64 / total as f64;
-        self.m2 +=
-            other.m2 + delta * delta * (self.count as f64 * other.count as f64) / total as f64;
-        self.count = total;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
     /// Number of observations pushed so far.
     pub fn count(&self) -> usize {
         self.count
-    }
-
-    /// Current mean, or `None` if empty.
-    pub fn mean(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.mean)
     }
 
     /// Finalizes into a [`Summary`], or `None` if empty.
     pub fn summary(&self) -> Option<Summary> {
         (self.count > 0)
             .then(|| Summary::from_parts(self.count, self.mean, self.m2, self.min, self.max))
-    }
-}
-
-impl Extend<f64> for Welford {
-    fn extend<T: IntoIterator<Item = f64>>(&mut self, iter: T) {
-        for v in iter {
-            self.push(v);
-        }
-    }
-}
-
-impl FromIterator<f64> for Welford {
-    fn from_iter<T: IntoIterator<Item = f64>>(iter: T) -> Self {
-        let mut w = Welford::new();
-        w.extend(iter);
-        w
     }
 }
 
@@ -111,7 +71,10 @@ mod tests {
     #[test]
     fn matches_batch_summary() {
         let data = [0.5, 1.5, -2.0, 7.25, 3.0, 3.0];
-        let w: Welford = data.iter().copied().collect();
+        let mut w = Welford::new();
+        for v in data {
+            w.push(v);
+        }
         let online = w.summary().unwrap();
         let batch = Summary::from_slice(&data).unwrap();
         assert!((online.mean() - batch.mean()).abs() < 1e-12);
@@ -121,38 +84,11 @@ mod tests {
     }
 
     #[test]
-    fn merge_equals_concatenation() {
-        let a_data = [1.0, 2.0, 3.0];
-        let b_data = [10.0, 20.0];
-        let mut a: Welford = a_data.iter().copied().collect();
-        let b: Welford = b_data.iter().copied().collect();
-        a.merge(&b);
-        let all: Vec<f64> = a_data.iter().chain(b_data.iter()).copied().collect();
-        let batch = Summary::from_slice(&all).unwrap();
-        let merged = a.summary().unwrap();
-        assert!((merged.mean() - batch.mean()).abs() < 1e-12);
-        assert!((merged.sample_variance() - batch.sample_variance()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut a: Welford = [1.0, 2.0].iter().copied().collect();
-        let before = a;
-        a.merge(&Welford::new());
-        assert_eq!(a, before);
-
-        let mut empty = Welford::new();
-        empty.merge(&before);
-        assert_eq!(empty, before);
-    }
-
-    #[test]
     fn ignores_non_finite() {
         let mut w = Welford::new();
         w.push(f64::NAN);
         w.push(f64::INFINITY);
         assert_eq!(w.count(), 0);
-        assert_eq!(w.mean(), None);
         assert!(w.summary().is_none());
     }
 }

@@ -7,9 +7,8 @@
 //! the workspace's one table type: each column is one contiguous typed
 //! buffer (`Vec<f64>` / `Vec<i64>` / `Vec<u32>` codes), nominal columns
 //! share their category labels through a reference-counted [`Dictionary`],
-//! and row subsets are either *borrowed* ([`FrameView`] — no copying at
-//! all) or *materialized* ([`Frame::subset`] — values gathered,
-//! dictionaries and schema shared, never cloned).
+//! and row subsets are materialized by [`Frame::subset`] — values
+//! gathered, dictionaries and schema shared, never cloned.
 //!
 //! Hot paths (the simulator's rack-day emission, CART fitting) assemble
 //! frames column-wise via [`FrameBuilder::columns_mut`] and read them
@@ -22,8 +21,6 @@
 //!
 //! * `Frame` is immutable once built; cloning a frame clones the value
 //!   buffers but *shares* schema and dictionaries (`Arc`).
-//! * `FrameView` borrows both the frame and the row-index slice; it never
-//!   allocates. Use it to thread a row subset through analysis code.
 //! * `Frame::subset` gathers values into fresh buffers but shares the
 //!   schema and every nominal dictionary, so codes remain comparable
 //!   across a frame and all its subsets.
@@ -373,11 +370,6 @@ impl Frame {
         &self.schema
     }
 
-    /// The shared schema handle (an `Arc` bump, not a deep clone).
-    pub fn schema_arc(&self) -> Arc<Schema> {
-        Arc::clone(&self.schema)
-    }
-
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows
@@ -509,11 +501,6 @@ impl Frame {
             rows: rows.len(),
         }
     }
-
-    /// A borrowed view of `rows` — no gathering, no allocation.
-    pub fn view<'a>(&'a self, rows: &'a [usize]) -> FrameView<'a> {
-        FrameView { frame: self, rows }
-    }
 }
 
 // Serialized as `{ schema, columns, rows }`.
@@ -549,71 +536,6 @@ impl serde::Deserialize for Frame {
 
 fn kind_mismatch(name: &str, requested: &'static str, actual: &Column) -> TelemetryError {
     TelemetryError::KindMismatch { name: name.to_owned(), requested, actual: actual.kind().name() }
-}
-
-/// A borrowed row subset of a [`Frame`]: the frame and the index slice
-/// are both borrowed, so constructing a view allocates nothing.
-#[derive(Debug, Clone, Copy)]
-pub struct FrameView<'a> {
-    frame: &'a Frame,
-    rows: &'a [usize],
-}
-
-impl<'a> FrameView<'a> {
-    /// The underlying frame.
-    pub fn frame(&self) -> &'a Frame {
-        self.frame
-    }
-
-    /// The row indices this view selects, in order.
-    pub fn rows(&self) -> &'a [usize] {
-        self.rows
-    }
-
-    /// Number of selected rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Whether the view selects no rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
-    /// Gathers the selected values of a continuous column.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the column is missing or not continuous.
-    pub fn gather_continuous(&self, name: &str) -> Result<Vec<f64>> {
-        let data = self.frame.continuous(name)?;
-        Ok(self.rows.iter().map(|&r| data[r]).collect())
-    }
-
-    /// Gathers the selected codes of a nominal column.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the column is missing or not nominal.
-    pub fn gather_codes(&self, name: &str) -> Result<Vec<u32>> {
-        let codes = self.frame.nominal_codes(name)?;
-        Ok(self.rows.iter().map(|&r| codes[r]).collect())
-    }
-
-    /// Gathers the selected values of an ordinal column.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the column is missing or not ordinal.
-    pub fn gather_ordinal(&self, name: &str) -> Result<Vec<i64>> {
-        let data = self.frame.ordinal(name)?;
-        Ok(self.rows.iter().map(|&r| data[r]).collect())
-    }
-
-    /// Materializes the view into an owned frame (see [`Frame::subset`]).
-    pub fn materialize(&self) -> Frame {
-        self.frame.subset(self.rows)
-    }
 }
 
 /// Mutable storage for one column while a frame is being assembled.
@@ -804,13 +726,8 @@ pub struct FrameBuilder {
 impl FrameBuilder {
     /// Creates a builder with one [`ColumnBuilder`] per schema field.
     pub fn new(schema: Schema) -> Self {
-        FrameBuilder::with_schema_arc(Arc::new(schema))
-    }
-
-    /// Like [`FrameBuilder::new`] but sharing an existing schema handle.
-    pub fn with_schema_arc(schema: Arc<Schema>) -> Self {
         let columns = schema.fields().iter().map(|f| ColumnBuilder::new(f.kind)).collect();
-        FrameBuilder { schema, columns }
+        FrameBuilder { schema: Arc::new(schema), columns }
     }
 
     /// The target schema.
@@ -1005,18 +922,6 @@ mod tests {
         assert_eq!(s.nominal_label("k", 0).unwrap(), "c");
         assert!(s.dictionary("k").unwrap().same_allocation(f.dictionary("k").unwrap()));
         assert!(Arc::ptr_eq(&s.schema, &f.schema));
-    }
-
-    #[test]
-    fn view_borrows_without_gathering() {
-        let f = sample_frame();
-        let rows = [1, 3];
-        let v = f.view(&rows);
-        assert_eq!(v.len(), 2);
-        assert_eq!(v.gather_continuous("x").unwrap(), vec![2.0, 4.0]);
-        assert_eq!(v.gather_codes("k").unwrap(), vec![1, 2]);
-        assert_eq!(v.gather_ordinal("o").unwrap(), vec![1, 0]);
-        assert_eq!(v.materialize(), f.subset(&rows));
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! * [`frame`] — the typed columnar table ([`frame::Frame`]: continuous /
 //!   nominal / ordinal columns) used as the dataset representation for
 //!   CART: contiguous typed column buffers, shared category dictionaries,
-//!   borrowed row views;
+//!   materialized row subsets;
 //! * [`schema`] — the canonical candidate-feature schema (Table III);
 //! * [`metrics`] — the paper's two failure metrics: generation rate λ and
 //!   concurrent-failure count μ, at arbitrary spatial × temporal

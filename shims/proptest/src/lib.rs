@@ -89,18 +89,6 @@ impl<S: Strategy, U, F: Fn(S::Value) -> U> Strategy for Map<S, F> {
     }
 }
 
-/// Strategy that always yields a clone of one value.
-#[derive(Debug, Clone)]
-pub struct Just<T: Clone>(pub T);
-
-impl<T: Clone> Strategy for Just<T> {
-    type Value = T;
-
-    fn generate(&self, _rng: &mut StdRng) -> T {
-        self.0.clone()
-    }
-}
-
 macro_rules! impl_range_strategy {
     ($($t:ty),*) => {$(
         impl Strategy for Range<$t> {
@@ -198,7 +186,7 @@ pub mod collection {
 /// The drop-in `use proptest::prelude::*` import surface.
 pub mod prelude {
     pub use crate::{prop_assert, prop_assert_eq, proptest};
-    pub use crate::{Just, ProptestConfig, Strategy, TestCaseError};
+    pub use crate::{ProptestConfig, Strategy, TestCaseError};
 
     /// Namespace mirror so `prop::collection::vec` resolves.
     pub mod prop {

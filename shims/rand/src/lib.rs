@@ -3,7 +3,7 @@
 //! The build environment has no access to crates.io, so this crate
 //! re-implements exactly the slice of the `rand 0.8` API the workspace
 //! uses: `StdRng::seed_from_u64`, `Rng::{gen, gen_range}`, and
-//! `seq::SliceRandom::{shuffle, choose}`.
+//! `seq::SliceRandom::shuffle`.
 //!
 //! `StdRng` here is xoshiro256++ seeded through SplitMix64 — not the
 //! ChaCha12 generator upstream uses — so absolute streams differ from
@@ -16,11 +16,6 @@ use std::ops::{Range, RangeInclusive};
 pub trait RngCore {
     /// Returns the next uniformly distributed 64-bit word.
     fn next_u64(&mut self) -> u64;
-
-    /// Returns the next uniformly distributed 32-bit word.
-    fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
 }
 
 impl<R: RngCore + ?Sized> RngCore for &mut R {
@@ -46,12 +41,6 @@ impl StandardSample for f64 {
     fn sample<R: RngCore + ?Sized>(rng: &mut R) -> Self {
         // 53 random mantissa bits -> uniform in [0, 1).
         (rng.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
-}
-
-impl StandardSample for f32 {
-    fn sample<R: RngCore + ?Sized>(rng: &mut R) -> Self {
-        (rng.next_u64() >> 40) as f32 * (1.0 / (1u32 << 24) as f32)
     }
 }
 
@@ -202,31 +191,15 @@ pub mod seq {
 
     /// Random operations over slices.
     pub trait SliceRandom {
-        /// Element type of the slice.
-        type Item;
-
         /// Shuffles the slice in place (Fisher–Yates).
         fn shuffle<R: RngCore + ?Sized>(&mut self, rng: &mut R);
-
-        /// Returns a uniformly chosen element, or `None` when empty.
-        fn choose<R: RngCore + ?Sized>(&self, rng: &mut R) -> Option<&Self::Item>;
     }
 
     impl<T> SliceRandom for [T] {
-        type Item = T;
-
         fn shuffle<R: RngCore + ?Sized>(&mut self, rng: &mut R) {
             for i in (1..self.len()).rev() {
                 let j = rng.gen_range(0..=i);
                 self.swap(i, j);
-            }
-        }
-
-        fn choose<R: RngCore + ?Sized>(&self, rng: &mut R) -> Option<&T> {
-            if self.is_empty() {
-                None
-            } else {
-                Some(&self[rng.gen_range(0..self.len())])
             }
         }
     }
