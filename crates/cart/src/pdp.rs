@@ -5,8 +5,6 @@
 //! *within* each stratum, aggregating ratios across strata —
 //! [`stratified_effect_nominal`].
 
-use std::collections::{BTreeMap, HashMap};
-
 use rainshine_telemetry::frame::Frame;
 use serde::{Deserialize, Serialize};
 
@@ -115,31 +113,29 @@ pub fn stratified_effect_nominal(
     let y = table.continuous(target)?;
     let n_levels = level_labels.len();
 
-    // stratum -> (per-level sums/counts, stratum sum/count)
+    // Per-leaf (per-level sums/counts, stratum sum/count), indexed by leaf
+    // id (< `nodes().len()`). The strata are the occupied leaves in
+    // ascending id order, so stratum ids, cell order and every float
+    // summation order are fixed run to run.
+    #[derive(Clone)]
     struct StratumAgg {
         level_sum: Vec<f64>,
         level_n: Vec<usize>,
         sum: f64,
         n: usize,
     }
-    // BTreeMap, not HashMap: the aggregate is *iterated* below (stratum ids,
-    // cell order, float summation order), so the map's iteration order is
-    // part of the result. HashMap's per-instance hash seed made cell order —
-    // and through it the last bits of the fitted effects — vary run to run.
-    let mut agg: BTreeMap<usize, StratumAgg> = BTreeMap::new();
+    let empty =
+        StratumAgg { level_sum: vec![0.0; n_levels], level_n: vec![0; n_levels], sum: 0.0, n: 0 };
+    let mut agg: Vec<StratumAgg> = vec![empty; tree.nodes().len()];
     for row in 0..table.rows() {
-        let s = agg.entry(strata[row]).or_insert_with(|| StratumAgg {
-            level_sum: vec![0.0; n_levels],
-            level_n: vec![0; n_levels],
-            sum: 0.0,
-            n: 0,
-        });
+        let s = &mut agg[strata[row]];
         let lvl = level_codes[row] as usize;
         s.level_sum[lvl] += y[row];
         s.level_n[lvl] += 1;
         s.sum += y[row];
         s.n += 1;
     }
+    let occupied: Vec<&StratumAgg> = agg.iter().filter(|s| s.n > 0).collect();
 
     // Two-way log-additive fit on the positive cell means:
     //   log y(s, l) ≈ α_s + β_l
@@ -155,11 +151,8 @@ pub fn stratified_effect_nominal(
         z: f64, // log cell mean
         w: f64, // observations in the cell
     }
-    let stratum_ids: Vec<usize> = agg.keys().copied().collect();
-    let stratum_index: HashMap<usize, usize> =
-        stratum_ids.iter().enumerate().map(|(i, &s)| (s, i)).collect();
     let mut cells = Vec::new();
-    for (&sid, s) in &agg {
+    for (stratum, s) in occupied.iter().enumerate() {
         for lvl in 0..n_levels {
             let ln = s.level_n[lvl];
             if ln == 0 {
@@ -169,15 +162,10 @@ pub fn stratified_effect_nominal(
             if mean <= 0.0 {
                 continue;
             }
-            cells.push(Cell {
-                stratum: stratum_index[&sid],
-                level: lvl,
-                z: mean.ln(),
-                w: ln as f64,
-            });
+            cells.push(Cell { stratum, level: lvl, z: mean.ln(), w: ln as f64 });
         }
     }
-    let mut alpha = vec![0.0f64; stratum_ids.len()];
+    let mut alpha = vec![0.0f64; occupied.len()];
     let mut beta = vec![0.0f64; n_levels];
     for _ in 0..200 {
         let mut delta: f64 = 0.0;
@@ -196,13 +184,13 @@ pub fn stratified_effect_nominal(
             }
         }
         // Update stratum effects.
-        let mut num = vec![0.0f64; stratum_ids.len()];
-        let mut den = vec![0.0f64; stratum_ids.len()];
+        let mut num = vec![0.0f64; occupied.len()];
+        let mut den = vec![0.0f64; occupied.len()];
         for c in &cells {
             num[c.stratum] += c.w * (c.z - beta[c.level]);
             den[c.stratum] += c.w;
         }
-        for s in 0..stratum_ids.len() {
+        for s in 0..occupied.len() {
             if den[s] > 0.0 {
                 let new = num[s] / den[s];
                 delta = delta.max((new - alpha[s]).abs());
@@ -248,7 +236,7 @@ pub fn stratified_effect_nominal(
         } else {
             f64::NAN
         };
-        let (raw_sum, raw_n) = agg.values().fold((0.0, 0usize), |(s_acc, n_acc), s| {
+        let (raw_sum, raw_n) = occupied.iter().fold((0.0, 0usize), |(s_acc, n_acc), s| {
             (s_acc + s.level_sum[lvl], n_acc + s.level_n[lvl])
         });
         levels.push(LevelEffect {
@@ -268,7 +256,7 @@ pub fn stratified_effect_nominal(
             n: c.w as usize,
         })
         .collect();
-    Ok(StratifiedEffect { levels, strata: agg.len(), cells: out_cells })
+    Ok(StratifiedEffect { levels, strata: occupied.len(), cells: out_cells })
 }
 
 #[cfg(test)]

@@ -149,6 +149,15 @@ impl RiskAcc {
         }
     }
 
+    /// The totals of `rows`, added in iteration order.
+    pub(crate) fn over(target: &Target<'_>, rows: impl Iterator<Item = usize>) -> Self {
+        let mut acc = Self::empty_like(target);
+        for r in rows {
+            acc.add_row(target, r);
+        }
+        acc
+    }
+
     pub(crate) fn add_row(&mut self, target: &Target<'_>, row: usize) {
         match (self, target) {
             (RiskAcc::Reg { n, sum, sumsq }, Target::Regression(y)) => {
@@ -247,14 +256,11 @@ pub(crate) struct BestSplit {
     pub improvement: f64,
 }
 
-/// The NaN-free, stably sorted row order of one ordered feature.
-///
-/// This is the *presort* half of the presort-once / partition-many
-/// fitter: [`crate::tree::Tree`] computes it once per (tree, feature)
-/// over the root rows and then stably partitions the index array down
-/// the tree, so no node ever re-sorts. The stable sort (ties keep the
-/// input row order) is what makes a partitioned segment bit-identical
-/// to re-sorting the child's rows from scratch.
+/// The NaN-free, stably sorted row order of one ordered feature, as the
+/// per-node-sort reference sorts it at every node. The stable sort (ties
+/// keep the input row order) is what makes a partitioned presorted
+/// segment ([`ranked_order`]) bit-identical to re-sorting the child's
+/// rows from scratch.
 ///
 /// `f64::total_cmp` (not `partial_cmp().expect(..)`) keeps a NaN that
 /// slips past the pre-filter from panicking a fit: total order sorts
@@ -269,8 +275,8 @@ pub(crate) fn sorted_order<V: Fn(usize) -> f64>(rows: &[usize], value_of: V) -> 
 /// ordered feature on the fly.
 ///
 /// This is the per-node-sort reference path, kept for unit tests and
-/// the presort-equivalence regression; tree growth uses
-/// [`best_split_presorted`] with cached index permutations instead.
+/// the presort-equivalence oracles; tree growth uses
+/// [`best_split_ranked`] with presorted rank-keyed segments instead.
 ///
 /// Returns `None` if no admissible split exists (all features constant on
 /// the node, or min_leaf cannot be satisfied).
@@ -298,8 +304,7 @@ pub(crate) fn best_split(
 /// `features`; nominal entries are `None`).
 ///
 /// Each `Some` segment must hold exactly the node's rows with a finite
-/// value for that feature, stably sorted ascending — the invariant the
-/// presort-partition fitter maintains down the tree.
+/// value for that feature, stably sorted ascending.
 pub(crate) fn best_split_presorted(
     target: &Target<'_>,
     features: &[(String, FeatureColumn<'_>)],
@@ -482,6 +487,290 @@ fn scan_nominal(
             left_codes: set,
         },
         improvement,
+    })
+}
+
+/// One entry of a rank-keyed presorted segment: a row id and the dense
+/// rank of its value. Two entries hold `==` values exactly when their
+/// ranks are equal, so the scan never reads the column to find a
+/// boundary between distinct values.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Ranked {
+    pub row: u32,
+    pub rank: u32,
+}
+
+/// Maps `x` to a `u64` whose unsigned order is `f64::total_cmp` order.
+fn total_order_key(x: f64) -> u64 {
+    let bits = x.to_bits();
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    }
+}
+
+/// The inverse of [`total_order_key`].
+fn value_of_key(key: u64) -> f64 {
+    f64::from_bits(if key >> 63 == 1 { key ^ 1 << 63 } else { !key })
+}
+
+/// Radix digit width of the presort: six 11-bit passes cover a 64-bit key.
+const DIGIT_BITS: u32 = 11;
+const DIGITS: usize = 64usize.div_ceil(DIGIT_BITS as usize);
+const BUCKETS: usize = 1 << DIGIT_BITS;
+
+/// The NaN-free presorted segment of one ordered feature over `rows`, with
+/// dense ranks: the same row order as [`sorted_order`] gives.
+///
+/// A stable LSD radix sort of `u32` positions into `rows`, keyed by
+/// [`total_order_key`], keeps equal keys in `rows` order, which is exactly
+/// what the stable `sort_by(total_cmp)` of [`sorted_order`] does; digits
+/// on which every key agrees are skipped. Keys plus two position buffers
+/// hold 16 B per row, what the reference's `usize` merge sort holds, and
+/// the ranks reuse a position buffer once the keys are read, so the peak
+/// stays there. Adjacent sorted values share a rank when they are `==`, so
+/// −0.0 and +0.0 stay a tie. `==`-equal values are contiguous in total
+/// order, so equal ranks mean equal values for any two entries, adjacent
+/// or not, as they are after the segment is partitioned.
+pub(crate) fn ranked_order(rows: &[u32], value_of: impl Fn(usize) -> f64) -> Vec<Ranked> {
+    let mut keys = Vec::with_capacity(rows.len());
+    let mut order: Vec<u32> = Vec::with_capacity(rows.len());
+    for (position, &r) in rows.iter().enumerate() {
+        let v = value_of(r as usize);
+        keys.push(total_order_key(v));
+        if !v.is_nan() {
+            order.push(position as u32);
+        }
+    }
+    let n = order.len();
+    let digit = |key: u64, d: usize| ((key >> (d as u32 * DIGIT_BITS)) as usize) & (BUCKETS - 1);
+    let mut counts = vec![[0usize; BUCKETS]; DIGITS];
+    for &position in &order {
+        let key = keys[position as usize];
+        for (d, count) in counts.iter_mut().enumerate() {
+            count[digit(key, d)] += 1;
+        }
+    }
+    let mut spare = vec![0u32; n];
+    for (d, count) in counts.iter_mut().enumerate() {
+        if count.contains(&n) {
+            continue;
+        }
+        let mut offset = 0;
+        for c in count.iter_mut() {
+            let size = *c;
+            *c = offset;
+            offset += size;
+        }
+        for &position in &order {
+            let slot = &mut count[digit(keys[position as usize], d)];
+            spare[*slot] = position;
+            *slot += 1;
+        }
+        std::mem::swap(&mut order, &mut spare);
+    }
+    let mut ranks = spare;
+    let mut rank = 0u32;
+    for (i, &position) in order.iter().enumerate() {
+        let key = keys[position as usize];
+        if i > 0 && value_of_key(key) != value_of_key(keys[order[i - 1] as usize]) {
+            rank += 1;
+        }
+        ranks[i] = rank;
+    }
+    drop(keys);
+    order
+        .iter()
+        .zip(&ranks)
+        .map(|(&position, &rank)| Ranked { row: rows[position as usize], rank })
+        .collect()
+}
+
+/// Searches all features for the best split of a node, using each ordered
+/// feature's rank-keyed segment (`segments` is aligned with `features`;
+/// nominal entries are `None`) and the node's accumulated `total` over
+/// `rows` in `rows` order. `scratch` is a reusable buffer for the nominal
+/// scan.
+///
+/// It returns what [`best_split_presorted`] returns on the same node, bit
+/// for bit, together with the winning feature's slot in `features`.
+pub(crate) fn best_split_ranked(
+    target: &Target<'_>,
+    features: &[(String, FeatureColumn<'_>)],
+    rows: &[u32],
+    segments: &[Option<&[Ranked]>],
+    total: &RiskAcc,
+    params: &CartParams,
+    scratch: &mut Vec<u32>,
+) -> Option<(usize, BestSplit)> {
+    // Where the winning candidate splits: a boundary index into its
+    // segment, or its left category codes.
+    enum Cut {
+        Boundary(usize),
+        Codes(Vec<u32>),
+    }
+    let mut best: Option<(usize, f64, Cut)> = None;
+    for (slot, ((_, column), segment)) in features.iter().zip(segments).enumerate() {
+        let candidate = match (column, segment) {
+            (FeatureColumn::Nominal { codes, categories }, _) => {
+                let k = categories.len();
+                scan_bucketed(target, rows, total, params, codes, k, scratch)
+                    .map(|(improvement, codes)| (improvement, Cut::Codes(codes)))
+            }
+            (_, Some(segment)) => scan_ranked(target, rows.len(), segment, total, params)
+                .map(|(improvement, i)| (improvement, Cut::Boundary(i))),
+            (_, None) => None,
+        };
+        if let Some((improvement, cut)) = candidate {
+            if best.as_ref().is_none_or(|b| improvement > b.1) {
+                best = Some((slot, improvement, cut));
+            }
+        }
+    }
+    let (slot, improvement, cut) = best?;
+    let (name, column) = &features[slot];
+    let feature = name.clone();
+    let rule = match (column, cut) {
+        (FeatureColumn::Nominal { categories, .. }, Cut::Codes(codes)) => {
+            let left_codes: BTreeSet<u32> = codes.into_iter().collect();
+            let left_labels = left_codes.iter().map(|&c| categories[c as usize].clone()).collect();
+            SplitRule::NominalSubset { feature, left_codes, left_labels }
+        }
+        (FeatureColumn::Ordinal(values), Cut::Boundary(i)) => {
+            let left_max = values[segments[slot]?[i].row as usize] as f64;
+            SplitRule::OrdinalThreshold { feature, threshold: left_max as i64 }
+        }
+        (FeatureColumn::Continuous(values), Cut::Boundary(i)) => {
+            let segment = segments[slot]?;
+            let (left_max, right_min) =
+                (values[segment[i].row as usize], values[segment[i + 1].row as usize]);
+            let n = segment.len();
+            SplitRule::ContinuousThreshold {
+                feature,
+                threshold: (left_max + right_min) / 2.0,
+                nan_left: i + 1 >= n - (i + 1),
+            }
+        }
+        _ => return None,
+    };
+    Some((slot, BestSplit { rule, improvement }))
+}
+
+/// [`scan_ordered`] over a rank-keyed segment: the same adds in the same
+/// order and the same improvements, with a boundary found by comparing
+/// ranks. Returns the best improvement and its boundary index `i` (the
+/// split falls between `segment[i]` and `segment[i + 1]`).
+///
+/// When no row of the node is NaN for this feature, the node's `total`
+/// (summed in row order) is the scan's total, as in [`scan_ordered`];
+/// otherwise the finite rows are summed in segment order.
+fn scan_ranked(
+    target: &Target<'_>,
+    node_n: usize,
+    segment: &[Ranked],
+    total: &RiskAcc,
+    params: &CartParams,
+) -> Option<(f64, usize)> {
+    let n = segment.len();
+    if n < 2 {
+        return None;
+    }
+    let finite_total;
+    let (total, parent_risk) = if n == node_n {
+        (total, total.risk())
+    } else {
+        let mut acc = RiskAcc::empty_like(target);
+        for e in segment {
+            acc.add_row(target, e.row as usize);
+        }
+        finite_total = acc;
+        (&finite_total, finite_total.risk())
+    };
+    let mut left = RiskAcc::empty_like(target);
+    let mut best: Option<(f64, usize)> = None;
+    for (i, pair) in segment.windows(2).enumerate() {
+        left.add_row(target, pair[0].row as usize);
+        if pair[0].rank == pair[1].rank {
+            continue;
+        }
+        let left_n = i + 1;
+        if left_n < params.min_leaf || n - left_n < params.min_leaf {
+            continue;
+        }
+        let improvement = parent_risk - left.risk() - left.complement_risk(total);
+        if improvement > best.map_or(0.0, |b| b.0) {
+            best = Some((improvement, i));
+        }
+    }
+    best
+}
+
+/// [`scan_nominal`] in one pass over the node's rows: the rows are
+/// bucketed by category (row order kept inside each bucket), and the
+/// prefix sweep walks the buckets in sorted-category order, so `left`
+/// receives the same adds in the same order at O(n + k) per node instead
+/// of O(k·n). Returns the best improvement and its left category codes.
+fn scan_bucketed(
+    target: &Target<'_>,
+    rows: &[u32],
+    total: &RiskAcc,
+    params: &CartParams,
+    codes: &[u32],
+    k: usize,
+    bucketed: &mut Vec<u32>,
+) -> Option<(f64, Vec<u32>)> {
+    // Per-category accumulators in row order, as the reference builds them.
+    let mut per_cat: Vec<Option<RiskAcc>> = vec![None; k];
+    for &r in rows {
+        let r = r as usize;
+        per_cat[codes[r] as usize]
+            .get_or_insert_with(|| RiskAcc::empty_like(target))
+            .add_row(target, r);
+    }
+    let mut order: Vec<(u32, f64)> = per_cat
+        .iter()
+        .enumerate()
+        .filter_map(|(code, acc)| acc.as_ref().map(|acc| (code as u32, acc.ordering_key())))
+        .collect();
+    if order.len() < 2 {
+        return None;
+    }
+    order.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+
+    // Counting-sort the rows into per-category buckets.
+    let mut starts = vec![0; k + 1];
+    for (code, acc) in per_cat.iter().enumerate() {
+        starts[code + 1] = starts[code] + acc.as_ref().map_or(0, |a| a.n() as usize);
+    }
+    bucketed.resize(rows.len(), 0);
+    let mut next = starts[..k].to_vec();
+    for &r in rows {
+        let slot = &mut next[codes[r as usize] as usize];
+        bucketed[*slot] = r;
+        *slot += 1;
+    }
+
+    let n = rows.len();
+    let parent_risk = total.risk();
+    let mut left = RiskAcc::empty_like(target);
+    let mut best: Option<(f64, usize)> = None;
+    for (prefix, &(code, _)) in order[..order.len() - 1].iter().enumerate() {
+        let code = code as usize;
+        for &r in &bucketed[starts[code]..starts[code + 1]] {
+            left.add_row(target, r as usize);
+        }
+        let left_n = left.n() as usize;
+        if left_n < params.min_leaf || n - left_n < params.min_leaf {
+            continue;
+        }
+        let improvement = parent_risk - left.risk() - left.complement_risk(total);
+        if improvement > best.map_or(0.0, |b| b.0) {
+            best = Some((improvement, prefix));
+        }
+    }
+    best.map(|(improvement, prefix)| {
+        (improvement, order[..=prefix].iter().map(|&(code, _)| code).collect())
     })
 }
 

@@ -7,7 +7,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::dataset::{feature_column, CartDataset, FeatureColumn, Target};
 use crate::params::CartParams;
-use crate::split::{best_split, best_split_presorted, sorted_order, RiskAcc, SplitRule};
+use crate::split::{best_split, best_split_ranked, ranked_order, Ranked, RiskAcc, SplitRule};
 use crate::{CartError, Result};
 
 /// Whether a tree predicts a continuous mean or a class.
@@ -76,14 +76,18 @@ impl Tree {
     /// Fits a tree using only the given training rows (`rows` may
     /// repeat).
     ///
-    /// Growth uses the presort-once / partition-many scheme: each
-    /// ordered feature is stably sorted **once** over `rows` into an
-    /// index permutation, and splitting a node stably partitions the
-    /// per-feature segments in place (one shared scratch buffer, no
-    /// per-node allocation or re-sort). Because the sort is stable and
-    /// a stable partition of a sorted sequence equals a stable sort of
-    /// the partitioned rows, the fitted tree is bit-identical to the
-    /// per-node-sort reference ([`Tree::fit_on_rows_per_node_sort`]).
+    /// Growth uses the presort-once / partition-many scheme. Each ordered
+    /// feature is presorted **once** over `rows` by a stable radix sort on
+    /// its values' total-order key bits, into a segment of `u32` row ids
+    /// with a dense rank per value; splitting a node partitions the rows
+    /// and every segment in place in one pass each (no per-node sort). The
+    /// scans find boundaries between distinct values by comparing ranks,
+    /// reuse each node's target totals from when the node was made, and
+    /// sweep a nominal feature's categories over rows bucketed in one
+    /// pass. Every sort, partition and sum keeps the reference's order,
+    /// so the fitted tree is bit-identical to the per-node-sort reference
+    /// ([`Tree::fit_on_rows_per_node_sort`]), which this falls back to
+    /// when a row id does not fit in `u32`.
     ///
     /// # Errors
     ///
@@ -97,6 +101,9 @@ impl Tree {
         if rows.is_empty() {
             return Err(CartError::EmptyDataset);
         }
+        if u32::try_from(dataset.len()).is_err() || u32::try_from(rows.len()).is_err() {
+            return Self::fit_on_rows_per_node_sort(dataset, params, rows);
+        }
         let target = dataset.target();
         let features: Vec<(String, FeatureColumn<'_>)> = dataset
             .feature_names()
@@ -105,84 +112,90 @@ impl Tree {
             .collect::<Result<_>>()?;
         let mut tree = Tree::skeleton(dataset, &target);
 
-        // Presort: one NaN-filtered, stably sorted index array per
-        // ordered feature, partitioned (never re-sorted) down the tree.
-        let mut rows_arr: Vec<usize> = rows.to_vec();
-        let mut feat_orders: Vec<Option<Vec<usize>>> = features
+        // Presort: one NaN-filtered, rank-keyed segment per ordered
+        // feature, partitioned (never re-sorted) down the tree.
+        let mut rows_arr: Vec<u32> = rows.iter().map(|&r| r as u32).collect();
+        let mut segments: Vec<Option<Vec<Ranked>>> = features
             .iter()
             .map(|(_, column)| match column {
-                FeatureColumn::Continuous(values) => Some(sorted_order(rows, |r| values[r])),
-                FeatureColumn::Ordinal(values) => Some(sorted_order(rows, |r| values[r] as f64)),
+                FeatureColumn::Continuous(values) => Some(ranked_order(&rows_arr, |r| values[r])),
+                FeatureColumn::Ordinal(values) => {
+                    Some(ranked_order(&rows_arr, |r| values[r] as f64))
+                }
                 FeatureColumn::Nominal { .. } => None,
             })
             .collect();
         let root_segs: Vec<(usize, usize)> =
-            feat_orders.iter().map(|o| (0, o.as_ref().map_or(0, Vec::len))).collect();
+            segments.iter().map(|s| (0, s.as_ref().map_or(0, Vec::len))).collect();
 
         // Workspace buffers shared by every split of this fit.
         let mut goes_left = vec![false; dataset.len()];
-        let mut scratch: Vec<usize> = Vec::with_capacity(rows_arr.len());
+        // `scratch_rows` buckets a node's rows in the nominal scan, then
+        // parks the right rows when the node splits.
+        let mut scratch_rows: Vec<u32> = Vec::new();
+        let mut right_ranked: Vec<Ranked> = Vec::new();
 
-        // Depth-first growth with an explicit stack of
-        // (node id, rows segment, per-feature order segments).
-        let root_id = tree.push_node(&target, &rows_arr, 0);
+        // Depth-first growth with an explicit stack of (node id, rows
+        // segment, per-feature segments, the node's target totals).
+        let root_total = RiskAcc::over(&target, rows_arr.iter().map(|&r| r as usize));
+        let root_id = tree.push_acc(&root_total, rows_arr.len(), 0);
         tree.root_risk = tree.nodes[root_id].risk;
-        let mut stack: Vec<GrowFrame> = vec![(root_id, (0, rows_arr.len()), root_segs)];
-        while let Some((node_id, (lo, hi), feat_segs)) = stack.pop() {
+        let mut stack: Vec<GrowFrame> = vec![(root_id, (0, rows_arr.len()), root_segs, root_total)];
+        while let Some((node_id, (lo, hi), segs, total)) = stack.pop() {
             let depth = tree.nodes[node_id].depth;
             let risk = tree.nodes[node_id].risk;
             if depth >= params.max_depth || hi - lo < params.min_split || risk <= 1e-12 {
                 continue;
             }
             let split = {
-                let orders: Vec<Option<&[usize]>> = feat_orders
+                let views: Vec<Option<&[Ranked]>> = segments
                     .iter()
-                    .zip(&feat_segs)
-                    .map(|(order, &(a, b))| order.as_ref().map(|v| &v[a..b]))
+                    .zip(&segs)
+                    .map(|(segment, &(a, b))| segment.as_ref().map(|v| &v[a..b]))
                     .collect();
-                best_split_presorted(&target, &features, &rows_arr[lo..hi], &orders, risk, params)
+                best_split_ranked(
+                    &target,
+                    &features,
+                    &rows_arr[lo..hi],
+                    &views,
+                    &total,
+                    params,
+                    &mut scratch_rows,
+                )
             };
-            let Some(split) = split else {
+            let Some((slot, split)) = split else {
                 continue;
             };
             // rpart semantics: the split must improve fit by cp · root risk.
             if tree.root_risk > 0.0 && split.improvement < params.cp * tree.root_risk {
                 continue;
             }
-            let column = features
-                .iter()
-                .find(|(n, _)| n == split.rule.feature())
-                .map(|(_, c)| c)
-                .expect("split rule references a known feature");
+            let column = &features[slot].1;
             // The rule is a pure function of a row's value, so one flag
             // per row id routes every occurrence (repeated rows
             // included) consistently.
             for &r in &rows_arr[lo..hi] {
-                goes_left[r] = split.rule.goes_left(column, r);
+                goes_left[r as usize] = split.rule.goes_left(column, r as usize);
             }
-            let left_n = rows_arr[lo..hi].iter().filter(|&&r| goes_left[r]).count();
+            let left_n =
+                partition(&mut rows_arr[lo..hi], |r| goes_left[r as usize], &mut scratch_rows);
             if left_n == 0 || left_n == hi - lo {
                 continue;
             }
-            stable_partition(&mut rows_arr[lo..hi], &goes_left, &mut scratch);
             let mid = lo + left_n;
-            let mut left_segs = Vec::with_capacity(feat_segs.len());
-            let mut right_segs = Vec::with_capacity(feat_segs.len());
-            for (order, &(a, b)) in feat_orders.iter_mut().zip(&feat_segs) {
-                match order {
-                    Some(v) => {
-                        let ln = stable_partition(&mut v[a..b], &goes_left, &mut scratch);
-                        left_segs.push((a, a + ln));
-                        right_segs.push((a + ln, b));
-                    }
-                    None => {
-                        left_segs.push((0, 0));
-                        right_segs.push((0, 0));
-                    }
-                }
+            let mut left_segs = Vec::with_capacity(segs.len());
+            let mut right_segs = Vec::with_capacity(segs.len());
+            for (segment, &(a, b)) in segments.iter_mut().zip(&segs) {
+                let ln = segment.as_mut().map_or(0, |v| {
+                    partition(&mut v[a..b], |e| goes_left[e.row as usize], &mut right_ranked)
+                });
+                left_segs.push((a, a + ln));
+                right_segs.push((a + ln, b));
             }
-            let left_id = tree.push_node(&target, &rows_arr[lo..mid], depth + 1);
-            let right_id = tree.push_node(&target, &rows_arr[mid..hi], depth + 1);
+            let left_total = RiskAcc::over(&target, rows_arr[lo..mid].iter().map(|&r| r as usize));
+            let right_total = RiskAcc::over(&target, rows_arr[mid..hi].iter().map(|&r| r as usize));
+            let left_id = tree.push_acc(&left_total, mid - lo, depth + 1);
+            let right_id = tree.push_acc(&right_total, hi - mid, depth + 1);
             {
                 let node = &mut tree.nodes[node_id];
                 node.rule = Some(split.rule);
@@ -190,17 +203,17 @@ impl Tree {
                 node.left = Some(left_id);
                 node.right = Some(right_id);
             }
-            stack.push((left_id, (lo, mid), left_segs));
-            stack.push((right_id, (mid, hi), right_segs));
+            stack.push((left_id, (lo, mid), left_segs, left_total));
+            stack.push((right_id, (mid, hi), right_segs, right_total));
         }
         Ok(tree)
     }
 
     /// The pre-refactor fitter, which re-sorts every ordered feature at
     /// every node. Kept as the reference implementation for the
-    /// presort-equivalence regression test and the
-    /// `cart_presort_vs_per_node_sort` conformance oracle; analysis code
-    /// should use [`Tree::fit_on_rows`].
+    /// presort-equivalence tests and oracles (the proptest, the medium and
+    /// paper-scale fleet tests, and the `cart_presort_vs_per_node_sort`
+    /// conformance oracle); analysis code should use [`Tree::fit_on_rows`].
     ///
     /// # Errors
     ///
@@ -284,28 +297,29 @@ impl Tree {
     }
 
     fn push_node(&mut self, target: &Target<'_>, rows: &[usize], depth: usize) -> usize {
-        let mut acc = RiskAcc::empty_like(target);
-        for &r in rows {
-            acc.add_row(target, r);
-        }
-        let (prediction, class_counts) = match (target, &acc) {
-            (Target::Regression(_), RiskAcc::Reg { n, sum, .. }) => (sum / n, None),
-            (Target::Classification { .. }, RiskAcc::Cls { counts, .. }) => {
+        self.push_acc(&RiskAcc::over(target, rows.iter().copied()), rows.len(), depth)
+    }
+
+    /// Appends a node of `n` rows whose target totals are `acc`.
+    fn push_acc(&mut self, acc: &RiskAcc, n: usize, depth: usize) -> usize {
+        let (prediction, class_counts) = match acc {
+            RiskAcc::Reg { n, sum, .. } => (sum / n, None),
+            RiskAcc::Cls { counts, .. } => {
+                // Counts are whole numbers, so `total_cmp` orders them as
+                // `partial_cmp` would; the last of tied maxima wins.
                 let majority = counts
                     .iter()
                     .enumerate()
-                    .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite counts"))
-                    .map(|(i, _)| i as f64)
-                    .unwrap_or(0.0);
+                    .max_by(|a, b| a.1.total_cmp(b.1))
+                    .map_or(0.0, |(i, _)| i as f64);
                 (majority, Some(counts.clone()))
             }
-            _ => unreachable!("accumulator kind matches target"),
         };
         let id = self.nodes.len();
         self.nodes.push(Node {
             id,
             depth,
-            n: rows.len(),
+            n,
             risk: acc.risk(),
             prediction,
             class_counts,
@@ -362,16 +376,26 @@ impl Tree {
         &self.target_name
     }
 
-    /// Resolves the feature columns the tree needs from `table`.
-    fn resolve_columns<'t>(&self, table: &'t Frame) -> Result<HashMap<&str, FeatureColumn<'t>>> {
-        let mut map = HashMap::new();
+    /// Resolves, once per call, the column each split node tests: slot
+    /// `id` holds node `id`'s column (`None` for leaves), so the walk never
+    /// looks a feature up by name.
+    fn resolve_columns<'t>(&self, table: &'t Frame) -> Result<Vec<Option<FeatureColumn<'t>>>> {
+        let mut columns = Vec::with_capacity(self.feature_names.len());
         for name in &self.feature_names {
-            if table.schema().index_of(name).is_none() {
-                return Err(CartError::MissingFeature { name: name.clone() });
-            }
-            map.insert(name.as_str(), feature_column(table, name)?);
+            columns.push(feature_column(table, name)?);
         }
-        Ok(map)
+        self.nodes
+            .iter()
+            .map(|node| {
+                let Some(rule) = &node.rule else {
+                    return Ok(None);
+                };
+                match self.feature_names.iter().position(|name| name == rule.feature()) {
+                    Some(slot) => Ok(Some(columns[slot].clone())),
+                    None => Err(CartError::MissingFeature { name: rule.feature().to_owned() }),
+                }
+            })
+            .collect()
     }
 
     /// The leaf node id each row of `table` lands in.
@@ -389,19 +413,17 @@ impl Tree {
         (0..table.rows()).map(|row| self.walk(&columns, row)).collect()
     }
 
-    fn walk(&self, columns: &HashMap<&str, FeatureColumn<'_>>, row: usize) -> Result<usize> {
+    /// The leaf `row` lands in; a node without both children ends the walk.
+    fn walk(&self, columns: &[Option<FeatureColumn<'_>>], row: usize) -> Result<usize> {
         let mut id = 0;
         loop {
             let node = &self.nodes[id];
-            let Some(rule) = &node.rule else {
+            let (Some(rule), Some(column), Some(left), Some(right)) =
+                (&node.rule, &columns[id], node.left, node.right)
+            else {
                 return Ok(id);
             };
-            let column = &columns[rule.feature()];
-            id = if rule.try_goes_left(column, row)? {
-                node.left.expect("split node has left child")
-            } else {
-                node.right.expect("split node has right child")
-            };
+            id = if rule.try_goes_left(column, row)? { left } else { right };
         }
     }
 
@@ -494,32 +516,28 @@ impl Tree {
 }
 
 /// One pending node on the presort fitter's growth stack: node id, its
-/// `(lo, hi)` range of the shared rows array, and the `(lo, hi)` segment
-/// of every per-feature order array.
-type GrowFrame = (usize, (usize, usize), Vec<(usize, usize)>);
+/// `(lo, hi)` range of the shared rows array, the `(lo, hi)` segment of
+/// every per-feature presorted array, and the node's target totals.
+type GrowFrame = (usize, (usize, usize), Vec<(usize, usize)>, RiskAcc);
 
-/// Stably partitions `seg` in place by the per-row-id `goes_left` flags
-/// (left rows first, both sides keeping their relative order) and
-/// returns the left count. `scratch` is a reusable buffer so splitting a
-/// node allocates nothing once it has grown to the root segment size.
-fn stable_partition(seg: &mut [usize], goes_left: &[bool], scratch: &mut Vec<usize>) -> usize {
-    scratch.clear();
-    scratch.extend_from_slice(seg);
+/// Stably partitions `seg` in place by `is_left` (left elements first,
+/// both sides keeping their relative order) and returns the left count.
+/// Left elements compact in place in one pass; right elements park in
+/// `right`, a reusable buffer, and are copied back behind them.
+fn partition<T: Copy>(seg: &mut [T], is_left: impl Fn(T) -> bool, right: &mut Vec<T>) -> usize {
+    right.clear();
     let mut write = 0;
-    for &r in scratch.iter() {
-        if goes_left[r] {
-            seg[write] = r;
+    for i in 0..seg.len() {
+        let e = seg[i];
+        if is_left(e) {
+            seg[write] = e;
             write += 1;
+        } else {
+            right.push(e);
         }
     }
-    let left_n = write;
-    for &r in scratch.iter() {
-        if !goes_left[r] {
-            seg[write] = r;
-            write += 1;
-        }
-    }
-    left_n
+    seg[write..].copy_from_slice(right);
+    write
 }
 
 #[cfg(test)]

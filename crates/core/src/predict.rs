@@ -338,33 +338,10 @@ pub fn evaluate_prediction(
     if let Some(parameter) = table.mismatch(config) {
         return Err(AnalysisError::TableMismatch { parameter });
     }
-    let PredictionTable { table, day_of_row, start_day, end_day, .. } = table;
-    let split_day = start_day + ((end_day - start_day) as f64 * config.train_fraction) as u64;
-
+    let RowSplit { train, positives, test: test_rows, fail_code } = split_rows(table, config)?;
+    let train_positive_share = positives as f64 / train.len() as f64;
+    let table = &table.table;
     let labels = table.nominal_codes(history_columns::LABEL)?;
-    let Some(fail_code) = table.dictionary(history_columns::LABEL)?.code_of("fail") else {
-        return Err(AnalysisError::NoData { what: "no positive examples in span".into() });
-    };
-
-    let (train_rows, test_rows): (Vec<usize>, Vec<usize>) =
-        (0..table.rows()).partition(|&row| day_of_row[row] < split_day);
-    let (train_pos, mut train_neg): (Vec<usize>, Vec<usize>) =
-        train_rows.into_iter().partition(|&row| labels[row] == fail_code);
-    if train_pos.is_empty() || train_neg.is_empty() || test_rows.is_empty() {
-        return Err(AnalysisError::NoData {
-            what: "train/test splits need both classes and a test period".into(),
-        });
-    }
-
-    // Balance by downsampling the majority (negatives are the majority in
-    // any realistic run).
-    if let Some(ratio) = config.downsample_ratio {
-        let keep = ((train_pos.len() as f64 * ratio).round() as usize).clamp(1, train_neg.len());
-        train_neg.shuffle(&mut rand::rngs::StdRng::seed_from_u64(config.seed));
-        train_neg.truncate(keep);
-    }
-    let train: Vec<usize> = train_pos.iter().chain(&train_neg).copied().collect();
-    let train_positive_share = train_pos.len() as f64 / train.len() as f64;
 
     let ds = CartDataset::classification(table, history_columns::LABEL, PREDICTION_FEATURES)?;
     let tree = Tree::fit_on_rows(&ds, &config.cart, &train)?;
@@ -390,6 +367,51 @@ pub fn evaluate_prediction(
         tree_leaves: tree.leaf_count(),
         importance: tree.variable_importance(),
     })
+}
+
+/// The rows [`evaluate_prediction`] trains and tests on.
+struct RowSplit {
+    /// Training rows: every positive, then the kept negatives.
+    train: Vec<usize>,
+    /// Positives at the head of `train`.
+    positives: usize,
+    /// Test rows, in table order.
+    test: Vec<usize>,
+    /// Code of the `"fail"` label.
+    fail_code: u32,
+}
+
+/// Splits `table` at the `train_fraction` day into training and test rows,
+/// downsampling the training negatives when `config` asks for balance.
+fn split_rows(table: &PredictionTable, config: &PredictionConfig) -> Result<RowSplit> {
+    let PredictionTable { table, day_of_row, start_day, end_day, .. } = table;
+    let split_day = start_day + ((end_day - start_day) as f64 * config.train_fraction) as u64;
+
+    let labels = table.nominal_codes(history_columns::LABEL)?;
+    let Some(fail_code) = table.dictionary(history_columns::LABEL)?.code_of("fail") else {
+        return Err(AnalysisError::NoData { what: "no positive examples in span".into() });
+    };
+
+    let (train_rows, test): (Vec<usize>, Vec<usize>) =
+        (0..table.rows()).partition(|&row| day_of_row[row] < split_day);
+    let (train_pos, mut train_neg): (Vec<usize>, Vec<usize>) =
+        train_rows.into_iter().partition(|&row| labels[row] == fail_code);
+    if train_pos.is_empty() || train_neg.is_empty() || test.is_empty() {
+        return Err(AnalysisError::NoData {
+            what: "train/test splits need both classes and a test period".into(),
+        });
+    }
+
+    // Balance by downsampling the majority (negatives are the majority in
+    // any realistic run).
+    if let Some(ratio) = config.downsample_ratio {
+        let keep = ((train_pos.len() as f64 * ratio).round() as usize).clamp(1, train_neg.len());
+        train_neg.shuffle(&mut rand::rngs::StdRng::seed_from_u64(config.seed));
+        train_neg.truncate(keep);
+    }
+    let positives = train_pos.len();
+    let train: Vec<usize> = train_pos.into_iter().chain(train_neg).collect();
+    Ok(RowSplit { train, positives, test, fail_code })
 }
 
 /// Runs the full prediction study: [`build_prediction_table`] then
@@ -533,6 +555,30 @@ mod tests {
         let whole = tree.predict(table).unwrap();
         let at_rows: Vec<f64> = test_rows.iter().map(|&row| whole[row]).collect();
         assert_eq!(tree.predict_rows(table, &test_rows).unwrap(), at_rows);
+    }
+
+    /// Paper-scale oracle for P1's CART fits: the balanced and unbalanced
+    /// classification trees `evaluate_prediction` grows (seed 42, the
+    /// same training rows) must equal the per-node-sort reference's.
+    /// About 1 s in release; `ci.sh` runs it with `--ignored`.
+    #[test]
+    #[ignore = "paper-scale fleet; run in release"]
+    fn p1_trees_match_the_per_node_sort_reference_at_paper_scale() {
+        let out = Simulation::new(FleetConfig::paper_scale(), 42).run();
+        let balanced = PredictionConfig::default();
+        let unbalanced = PredictionConfig { downsample_ratio: None, ..balanced.clone() };
+        let built = build_prediction_table(&out, &balanced).unwrap();
+        let ds =
+            CartDataset::classification(&built.table, history_columns::LABEL, PREDICTION_FEATURES)
+                .unwrap();
+        for config in [&balanced, &unbalanced] {
+            let split = split_rows(&built, config).unwrap();
+            let tree = Tree::fit_on_rows(&ds, &config.cart, &split.train).unwrap();
+            let reference =
+                Tree::fit_on_rows_per_node_sort(&ds, &config.cart, &split.train).unwrap();
+            assert!(tree.leaf_count() > 1, "{config:?}");
+            assert_eq!(tree, reference, "{config:?}");
+        }
     }
 
     #[test]

@@ -138,10 +138,10 @@ fn normalized_env_table(table: &Frame, cart: &CartParams) -> Result<Frame> {
     let control_tree = Tree::fit(&ds, cart)?;
     let strata = control_tree.leaf_assignments(table)?;
     let y = table.continuous(columns::FAILURE_RATE)?;
-    // Stratum means.
-    let mut sums: std::collections::HashMap<usize, (f64, f64)> = std::collections::HashMap::new();
+    // Stratum (sum, count), indexed by leaf id (< `nodes().len()`).
+    let mut sums = vec![(0.0f64, 0.0f64); control_tree.nodes().len()];
     for (i, &s) in strata.iter().enumerate() {
-        let e = sums.entry(s).or_insert((0.0, 0.0));
+        let e = &mut sums[s];
         e.0 += y[i];
         e.1 += 1.0;
     }
@@ -161,7 +161,7 @@ fn normalized_env_table(table: &Frame, cart: &CartParams) -> Result<Frame> {
             unreachable!("schema above has 3 columns")
         };
         for i in 0..table.rows() {
-            let (sum, n) = sums[&strata[i]];
+            let (sum, n) = sums[strata[i]];
             let stratum_mean = sum / n;
             let normalized = if stratum_mean > 0.0 { y[i] / stratum_mean } else { 0.0 };
             temp_col.push_f64(temp[i]);
@@ -212,11 +212,7 @@ pub fn env_analysis(dc_label: &str, table: &Frame, cart: &CartParams) -> Result<
     )?;
     let env_tree = Tree::fit(&env_ds, cart)?;
     let mut discovered = discover_rules(&env_tree);
-    discovered.sort_by(|a, b| {
-        a.depth
-            .cmp(&b.depth)
-            .then(b.improvement.partial_cmp(&a.improvement).expect("finite improvement"))
-    });
+    discovered.sort_by(|a, b| a.depth.cmp(&b.depth).then(b.improvement.total_cmp(&a.improvement)));
     // Fallback when the tree finds no environmental split (the DC2 case):
     // split at the 75th percentile of observed temperature so the "hot"
     // group exists and its flatness is visible, rather than empty.
@@ -390,7 +386,7 @@ pub fn setpoint_tradeoff(
             total_cost: cooling + maintenance,
         });
     }
-    out.sort_by(|a, b| a.total_cost.partial_cmp(&b.total_cost).expect("finite costs"));
+    out.sort_by(|a, b| a.total_cost.total_cmp(&b.total_cost));
     Ok(out)
 }
 
