@@ -42,6 +42,10 @@ cargo test --release -q --test sanitizer_oracle -- --ignored
 # classification trees (about 2 s and 1 s in release).
 cargo test --release -q --test cart_oracle -- --ignored
 cargo test --release -q -p rainshine-core --lib -- --ignored p1_trees_match
+# The disk rack-day table the experiments derive from the all-hardware one
+# against a fresh build, column for column, on the paper fleet clean and
+# dirty, seed 42 (about 1 s in release).
+cargo test --release -q --test derived_table -- --ignored
 cargo test --workspace -q
 # Fast-tier statistical conformance gate: 3-seed prefix of the calibrated
 # full-scenario sweep plus the differential oracle suite, byte-compared

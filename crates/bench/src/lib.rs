@@ -14,7 +14,7 @@ use std::path::Path;
 
 use rainshine_cart::params::CartParams;
 use rainshine_conformance::Scenario;
-use rainshine_core::dataset::{rack_day_table, FaultFilter};
+use rainshine_core::dataset::{rack_day_response, rack_day_table, FaultFilter};
 use rainshine_core::evidence::{self, SeriesRow};
 use rainshine_core::predict::{
     build_prediction_table, evaluate_prediction, Confusion, PredictionConfig,
@@ -25,7 +25,7 @@ use rainshine_dcsim::{FleetConfig, Simulation, SimulationOutput};
 use rainshine_telemetry::frame::Frame;
 use rainshine_telemetry::ids::{DcId, Sku, Workload};
 use rainshine_telemetry::rma::{category_breakdown, HardwareFault};
-use rainshine_telemetry::schema::candidate_features;
+use rainshine_telemetry::schema::{candidate_features, columns};
 use rainshine_telemetry::time::TimeGranularity;
 
 /// All experiment ids: the paper's artifacts in paper order, followed by
@@ -184,31 +184,25 @@ impl ExperimentContext {
 
     /// A cached rack-day table next to the simulation output it was built
     /// from: a split borrow, so an experiment reads both without cloning
-    /// the table. When the thread policy resolves to more than one thread,
-    /// the first request for either table builds both, one per thread;
-    /// otherwise each is built on its first request.
+    /// the table. The first request for either table builds the
+    /// all-hardware one; the disk table is that table with the disk
+    /// response swapped in, so the two share every feature column.
     fn rack_days(&mut self, which: Cached) -> Result<(&SimulationOutput, &Frame), ExperimentError> {
         let stride = self.day_stride_pub();
         let ExperimentContext { output, all_hw, disk, .. } = self;
         let output = &*output;
-        let build = |cached: Cached| rack_day_table(output, cached.filter(), stride);
-        let parallelism = output.config.parallelism;
-        if parallelism.resolve_threads() > 1 && all_hw.is_none() && disk.is_none() {
-            let (a, d) = rainshine_parallel::join(
-                parallelism,
-                || build(Cached::AllHardware),
-                || build(Cached::Disk),
-            );
-            *all_hw = Some(a?);
-            *disk = Some(d?);
-        }
-        let slot = match which {
-            Cached::AllHardware => all_hw,
-            Cached::Disk => disk,
-        };
-        let table = match slot {
+        let all_hw = match all_hw {
             Some(table) => table,
-            None => slot.insert(build(which)?),
+            None => all_hw.insert(rack_day_table(output, FaultFilter::AllHardware, stride)?),
+        };
+        let table = match (which, disk) {
+            (Cached::AllHardware, _) => all_hw,
+            (Cached::Disk, Some(table)) => table,
+            (Cached::Disk, disk) => {
+                let disk_only = FaultFilter::Component(HardwareFault::Disk);
+                let response = rack_day_response(output, disk_only, stride)?;
+                disk.insert(all_hw.with_continuous(columns::FAILURE_RATE, response)?)
+            }
         };
         Ok((output, table))
     }
@@ -219,15 +213,6 @@ impl ExperimentContext {
 enum Cached {
     AllHardware,
     Disk,
-}
-
-impl Cached {
-    fn filter(self) -> FaultFilter {
-        match self {
-            Cached::AllHardware => FaultFilter::AllHardware,
-            Cached::Disk => FaultFilter::Component(HardwareFault::Disk),
-        }
-    }
 }
 
 fn write_csv(dir: &Path, id: &str, header: &str, rows: &[String]) -> std::io::Result<()> {
@@ -512,8 +497,13 @@ fn f13(ctx: &mut ExperimentContext, dir: &Path) -> Result<String, ExperimentErro
     let mut rows = Vec::new();
     let mut preview =
         String::from("Fig 13 — spare cost, % of fleet server cost (100% SLA, daily)\n");
-    for workload in [Workload::W1, Workload::W6] {
-        let r = q1::provision_components(&ctx.output, workload, &params)?;
+    let output = &ctx.output;
+    let (w1, w6) = rainshine_parallel::join(
+        output.config.parallelism,
+        || q1::provision_components(output, Workload::W1, &params),
+        || q1::provision_components(output, Workload::W6, &params),
+    );
+    for (workload, r) in [(Workload::W1, w1?), (Workload::W6, w6?)] {
         for (level, triple) in [("component", &r.component_level), ("server", &r.server_level)] {
             let lb = r.as_pct_of_fleet_cost(triple.lb);
             let mf = r.as_pct_of_fleet_cost(triple.mf);
@@ -642,21 +632,19 @@ fn f17(ctx: &mut ExperimentContext, dir: &Path) -> Result<String, ExperimentErro
 
 fn f18(ctx: &mut ExperimentContext, dir: &Path) -> Result<String, ExperimentError> {
     let cart = ctx.rack_day_cart();
-    let (_, disk) = ctx.rack_days(Cached::Disk)?;
+    let (output, disk) = ctx.rack_days(Cached::Disk)?;
+    // Each DC's subset gathers only the columns the analysis reads.
+    let env = disk.select(q3::ENV_ANALYSIS_COLUMNS)?;
+    let analyse = |dc| q3::env_analysis(dc, &q3::dc_subset(&env, dc)?, &cart);
+    let (dc1, dc2) =
+        rainshine_parallel::join(output.config.parallelism, || analyse("DC1"), || analyse("DC2"));
+    let analyses = [dc1?, dc2?];
     let mut rows = Vec::new();
     let mut preview = String::from("Fig 18 — HDD failures vs temperature and RH (MF)\n");
     // Normalization anchor: DC1's hot+dry subgroup mean (the paper's note).
-    let mut anchor = None;
-    let mut analyses = Vec::new();
-    for dc in ["DC1", "DC2"] {
-        let subset = q3::dc_subset(disk, dc)?;
-        let r = q3::env_analysis(dc, &subset, &cart)?;
-        if dc == "DC1" && r.hot_dry.n > 0 {
-            anchor = Some(r.hot_dry.mean);
-        }
-        analyses.push(r);
-    }
-    let anchor = anchor.unwrap_or(1.0).max(1e-12);
+    let dc1 = &analyses[0];
+    let anchor = if dc1.hot_dry.n > 0 { dc1.hot_dry.mean } else { 1.0 };
+    let anchor = anchor.max(1e-12);
     for r in &analyses {
         let _ = writeln!(
             preview,
@@ -740,7 +728,7 @@ fn p2(ctx: &mut ExperimentContext, dir: &Path) -> Result<String, ExperimentError
     use rainshine_core::q3::{dc_subset, setpoint_tradeoff, SetpointModel};
     let cart = ctx.rack_day_cart();
     let (_, disk) = ctx.rack_days(Cached::Disk)?;
-    let dc1 = dc_subset(disk, "DC1")?;
+    let dc1 = dc_subset(&disk.select(q3::ENV_ANALYSIS_COLUMNS)?, "DC1")?;
     let model = SetpointModel::default();
     let caps = [72.0, 74.0, 76.0, 78.0, 80.0, 82.0, f64::INFINITY];
     let rows_data = setpoint_tradeoff(&dc1, &caps, &model, &cart)?;

@@ -12,12 +12,13 @@ use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use rainshine_core::dataset::{rack_day_table, FaultFilter};
-use rainshine_core::q1::{provision_servers, ProvisionParams};
-use rainshine_core::q3::{dc_subset, env_analysis};
+use rainshine_core::q1::{provision_servers, ProvisionParams, ServerProvisioning};
+use rainshine_core::q3::{dc_subset, env_analysis, EnvAnalysis};
 use rainshine_core::tco::TcoModel;
 use rainshine_core::{evidence, q1, q2};
 use rainshine_dcsim::{Simulation, SimulationOutput};
 use rainshine_telemetry::frame::Frame;
+use rainshine_telemetry::ids::Workload;
 use rainshine_telemetry::metrics::{self, SpatialGranularity};
 use rainshine_telemetry::rma::{FaultKind, HardwareFault};
 use rainshine_telemetry::schema::columns;
@@ -57,7 +58,12 @@ enum TableKind {
     Disk(usize),
 }
 
-/// One simulated seed with lazily built analysis tables.
+/// Environment-analysis memo key: DC label, table stride, and the control
+/// tree's `min_split`, `min_leaf` and `cp` bits.
+type EnvKey = (String, usize, usize, usize, u64);
+
+/// One simulated seed with lazily built analysis tables, and the analyses
+/// several claims share computed once.
 pub struct SeedRun {
     /// The seed that produced [`Self::output`].
     pub seed: u64,
@@ -65,6 +71,8 @@ pub struct SeedRun {
     pub output: SimulationOutput,
     day_stride: usize,
     tables: RefCell<BTreeMap<TableKind, Rc<Frame>>>,
+    env: RefCell<BTreeMap<EnvKey, Rc<EnvAnalysis>>>,
+    provisioning: RefCell<BTreeMap<(Workload, u64), Rc<ServerProvisioning>>>,
 }
 
 impl SeedRun {
@@ -79,17 +87,19 @@ impl SeedRun {
         let mut config = scenario.fleet_config()?;
         config.parallelism = rainshine_parallel::Parallelism::Sequential;
         let output = Simulation::new(config, seed).run();
-        Ok(SeedRun {
-            seed,
-            output,
-            day_stride: scenario.day_stride,
-            tables: RefCell::new(BTreeMap::new()),
-        })
+        Ok(SeedRun::from_output(seed, output, scenario.day_stride))
     }
 
     /// Wraps an existing simulation output (the caller picked the stride).
     pub fn from_output(seed: u64, output: SimulationOutput, day_stride: usize) -> SeedRun {
-        SeedRun { seed, output, day_stride, tables: RefCell::new(BTreeMap::new()) }
+        SeedRun {
+            seed,
+            output,
+            day_stride,
+            tables: RefCell::new(BTreeMap::new()),
+            env: RefCell::new(BTreeMap::new()),
+            provisioning: RefCell::new(BTreeMap::new()),
+        }
     }
 
     fn table(&self, kind: TableKind) -> std::result::Result<Rc<Frame>, String> {
@@ -308,7 +318,7 @@ impl SeedRun {
                 ))
             }
             Claim::TempThreshold { cart, table_stride, dc, lo_f, hi_f, min_hot_over_cool } => {
-                let (r, subset) = self.env_analysis_for(dc, *table_stride, cart)?;
+                let r = self.env_analysis_for(dc, *table_stride, cart)?;
                 // The tree may split on a spurious shallow temperature rule
                 // before the planted one, so scan every discovered
                 // temperature rule: prefer the strongest one inside the
@@ -334,7 +344,8 @@ impl SeedRun {
                     ));
                 };
                 let value = rule.threshold;
-                let step = hot_cool_step(&subset, value)?;
+                let disk = self.table(TableKind::Disk(*table_stride))?;
+                let step = hot_cool_step(&disk, dc, value)?;
                 Ok(Measurement::ok(
                     value,
                     (*lo_f..=*hi_f).contains(&value) && step >= *min_hot_over_cool,
@@ -342,7 +353,7 @@ impl SeedRun {
                 ))
             }
             Claim::EnvRules { cart, table_stride, dc, min_rules } => {
-                let (r, _) = self.env_analysis_for(dc, *table_stride, cart)?;
+                let r = self.env_analysis_for(dc, *table_stride, cart)?;
                 let value = r.discovered.len() as f64;
                 Ok(Measurement::ok(
                     value,
@@ -404,26 +415,46 @@ impl SeedRun {
         }
     }
 
+    /// Fig. 18's analysis of `dc` on the disk table at `stride`, computed
+    /// once per (DC, stride, control-tree settings) and shared by the claims
+    /// that read it.
     fn env_analysis_for(
         &self,
         dc: &str,
         stride: usize,
         cart: &crate::scenario::CartSpec,
-    ) -> std::result::Result<(rainshine_core::q3::EnvAnalysis, Frame), String> {
+    ) -> std::result::Result<Rc<EnvAnalysis>, String> {
+        let key = (dc.to_owned(), stride, cart.min_split, cart.min_leaf, cart.cp.to_bits());
+        if let Some(r) = self.env.borrow().get(&key) {
+            return Ok(Rc::clone(r));
+        }
+        // The DC subset is dropped once the analysis is done; claims that
+        // need the DC's rows again read them from the cached disk table.
         let disk = self.table(TableKind::Disk(stride))?;
         let subset = dc_subset(&disk, dc).map_err(|e| e.to_string())?;
-        let analysis = env_analysis(dc, &subset, &cart.params()).map_err(|e| e.to_string())?;
-        Ok((analysis, subset))
+        let analysis =
+            Rc::new(env_analysis(dc, &subset, &cart.params()).map_err(|e| e.to_string())?);
+        self.env.borrow_mut().insert(key, Rc::clone(&analysis));
+        Ok(analysis)
     }
 
+    /// Daily server provisioning for `workload` at `sla`, computed once per
+    /// (workload, SLA) and shared by the claims that read it.
     fn provision(
         &self,
         workload: &str,
         sla: f64,
-    ) -> std::result::Result<rainshine_core::q1::ServerProvisioning, String> {
+    ) -> std::result::Result<Rc<ServerProvisioning>, String> {
         let workload = parse_workload(workload).ok_or_else(|| format!("bad label {workload}"))?;
+        let key = (workload, sla.to_bits());
+        if let Some(r) = self.provisioning.borrow().get(&key) {
+            return Ok(Rc::clone(r));
+        }
         let params = ProvisionParams::new(sla, TimeGranularity::Daily);
-        provision_servers(&self.output, workload, &params).map_err(|e| e.to_string())
+        let r =
+            Rc::new(provision_servers(&self.output, workload, &params).map_err(|e| e.to_string())?);
+        self.provisioning.borrow_mut().insert(key, Rc::clone(&r));
+        Ok(r)
     }
 }
 
@@ -435,15 +466,22 @@ fn series_mean(rows: &[evidence::SeriesRow], label: &str) -> std::result::Result
         .ok_or_else(|| format!("series label `{label}` missing"))
 }
 
-/// Raw hot/cool failure-rate step at `threshold_f`, mirroring the Fig. 18
-/// grouping in `q3::env_analysis` but at an arbitrary threshold so the
-/// step can be checked for whichever discovered rule the claim selected.
-fn hot_cool_step(table: &Frame, threshold_f: f64) -> std::result::Result<f64, String> {
+/// Raw hot/cool failure-rate step of `dc`'s rows of the rack-day `table`
+/// at `threshold_f`, mirroring the Fig. 18 grouping in
+/// `q3::env_analysis` but at an arbitrary threshold so the step can be
+/// checked for whichever discovered rule the claim selected.
+fn hot_cool_step(table: &Frame, dc: &str, threshold_f: f64) -> std::result::Result<f64, String> {
+    let dc_code = table
+        .dictionary(columns::DATACENTER)
+        .map_err(|e| e.to_string())?
+        .code_of(dc)
+        .ok_or_else(|| format!("no rows for {dc}"))?;
+    let dcs = table.nominal_codes(columns::DATACENTER).map_err(|e| e.to_string())?;
     let y = table.continuous(columns::FAILURE_RATE).map_err(|e| e.to_string())?;
     let temp = table.continuous(columns::TEMPERATURE_F).map_err(|e| e.to_string())?;
     let (mut cool_sum, mut cool_n, mut hot_sum, mut hot_n) = (0.0_f64, 0u64, 0.0_f64, 0u64);
     for i in 0..table.rows() {
-        if !temp[i].is_finite() || !y[i].is_finite() {
+        if dcs[i] != dc_code || !temp[i].is_finite() || !y[i].is_finite() {
             continue;
         }
         if temp[i] <= threshold_f {
@@ -510,5 +548,19 @@ mod tests {
         let b = run.hw_table().unwrap();
         assert!(Rc::ptr_eq(&a, &b));
         let _ = CartSpec { min_split: 8, min_leaf: 4, cp: 0.01 };
+    }
+
+    #[test]
+    fn shared_analyses_are_computed_once_per_seed() {
+        let run = SeedRun::new(&small_scenario(), 5).unwrap();
+        let cart = CartSpec { min_split: 200, min_leaf: 100, cp: 0.002 };
+        let a = run.env_analysis_for("DC1", 2, &cart).unwrap();
+        assert!(Rc::ptr_eq(&a, &run.env_analysis_for("DC1", 2, &cart).unwrap()));
+        let looser = CartSpec { cp: 0.001, ..cart };
+        assert!(!Rc::ptr_eq(&a, &run.env_analysis_for("DC1", 2, &looser).unwrap()));
+        assert!(!Rc::ptr_eq(&a, &run.env_analysis_for("DC2", 2, &cart).unwrap()));
+        let p = run.provision("W6", 1.0).unwrap();
+        assert!(Rc::ptr_eq(&p, &run.provision("W6", 1.0).unwrap()));
+        assert!(!Rc::ptr_eq(&p, &run.provision("W6", 0.95).unwrap()));
     }
 }

@@ -7,13 +7,16 @@
 //!   count index behind λ here, Q3's per-disk rates and P1's history;
 //! * [`rack_day_table`] — one row per active (rack, day) with every
 //!   Table III candidate feature plus the day's failure count (the λ
-//!   response at rack/day granularity, the paper's default);
+//!   response at rack/day granularity, the paper's default), and
+//!   [`rack_day_response`] — that count column alone, for deriving a
+//!   second filter's table from the first;
 //! * [`rack_table`] — one row per rack with static features, mean
 //!   environment, and a caller-supplied response (used by Q1 to cluster
 //!   racks by provisioning need).
 
 use std::collections::HashMap;
 
+use rainshine_dcsim::cooling::InletConditions;
 use rainshine_dcsim::topology::RackInfo;
 use rainshine_dcsim::SimulationOutput;
 use rainshine_telemetry::frame::{ColumnBuilder, Frame, FrameBuilder};
@@ -127,17 +130,13 @@ pub fn rack_day_table(
     filter: FaultFilter,
     day_stride: usize,
 ) -> Result<Frame> {
-    if day_stride == 0 {
-        return Err(AnalysisError::InvalidParameter { name: "day_stride", value: 0.0 });
-    }
-    let counts = RackDayCounts::new(output, filter);
     let mut builder = FrameBuilder::new(analysis_schema());
-    let rows = {
+    {
         let mut cols = AnalysisCols::split(&mut builder);
         // Per-rack nominal codes, interned on the rack's first active day so
         // code assignment matches first-seen row order.
         let mut cached: Option<(usize, RackCodes)> = None;
-        output.for_each_active_rack_day(day_stride, |index, rack, t, env| {
+        for_each_rack_day_count(output, filter, day_stride, |index, rack, t, env, count| {
             let codes = match cached {
                 Some((i, codes)) if i == index => codes,
                 _ => cached.insert((index, cols.intern_rack(rack))).1,
@@ -145,14 +144,59 @@ pub fn rack_day_table(
             // Ingested (sanitized) environment: spikes winsorized, blackout
             // cells NaN — the NaN-tolerant CART and the evidence series
             // handle missing readings downstream.
-            let count = f64::from(counts.on(index, t.days()));
             cols.push(codes, rack, t, env.temp_f, env.rh, count);
-        })
-    };
+        })?;
+    }
+    Ok(builder.build()?)
+}
+
+/// The response column of [`rack_day_table`] alone: the same rows in the
+/// same order, without the features.
+///
+/// A table for a second filter over the same rows is the first table with
+/// this column swapped in ([`Frame::with_continuous`] on
+/// [`columns::FAILURE_RATE`]), which shares every feature column instead
+/// of building and holding them twice.
+///
+/// # Errors
+///
+/// As [`rack_day_table`].
+///
+/// [`columns::FAILURE_RATE`]: rainshine_telemetry::schema::columns::FAILURE_RATE
+pub fn rack_day_response(
+    output: &SimulationOutput,
+    filter: FaultFilter,
+    day_stride: usize,
+) -> Result<Vec<f64>> {
+    let mut response = Vec::new();
+    for_each_rack_day_count(output, filter, day_stride, |_, _, _, _, count| response.push(count))?;
+    Ok(response)
+}
+
+/// The one rack-day walk behind [`rack_day_table`] and
+/// [`rack_day_response`]: every active (rack, day) at `day_stride`, in
+/// [`SimulationOutput::for_each_active_rack_day`] order, with the day's
+/// count of tickets matching `filter`.
+fn for_each_rack_day_count<F>(
+    output: &SimulationOutput,
+    filter: FaultFilter,
+    day_stride: usize,
+    mut visit: F,
+) -> Result<()>
+where
+    F: FnMut(usize, &RackInfo, SimTime, InletConditions, f64),
+{
+    if day_stride == 0 {
+        return Err(AnalysisError::InvalidParameter { name: "day_stride", value: 0.0 });
+    }
+    let counts = RackDayCounts::new(output, filter);
+    let rows = output.for_each_active_rack_day(day_stride, |index, rack, t, env| {
+        visit(index, rack, t, env, f64::from(counts.on(index, t.days())));
+    });
     if rows == 0 {
         return Err(AnalysisError::NoData { what: "no active rack-days in span".into() });
     }
-    Ok(builder.build()?)
+    Ok(())
 }
 
 /// Nominal codes for one rack's static features, interned once and reused
@@ -359,6 +403,10 @@ mod tests {
         let out = sim();
         assert!(matches!(
             rack_day_table(&out, FaultFilter::All, 0),
+            Err(AnalysisError::InvalidParameter { .. })
+        ));
+        assert!(matches!(
+            rack_day_response(&out, FaultFilter::All, 0),
             Err(AnalysisError::InvalidParameter { .. })
         ));
     }

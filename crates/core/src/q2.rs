@@ -17,7 +17,8 @@ use rainshine_cart::pdp::{stratified_effect_nominal, StratifiedEffect};
 use rainshine_dcsim::SimulationOutput;
 use rainshine_telemetry::frame::Frame;
 use rainshine_telemetry::ids::{RackId, Sku};
-use rainshine_telemetry::metrics::{self, SpatialGranularity};
+use rainshine_telemetry::metrics::{self, SpatialGranularity, SpatialKey};
+use rainshine_telemetry::rma::RmaTicket;
 use rainshine_telemetry::schema::columns;
 use rainshine_telemetry::time::TimeGranularity;
 use serde::{Deserialize, Serialize};
@@ -55,39 +56,37 @@ pub struct SkuReliability {
     pub racks: usize,
 }
 
-/// Per-rack mean failure rate and per-rack peak μ for the SKU's racks.
-fn per_rack_stats(output: &SimulationOutput) -> (HashMap<RackId, f64>, HashMap<RackId, f64>) {
-    let tickets = output.hardware_tickets();
-    let lambda = metrics::lambda(
-        &tickets,
-        SpatialGranularity::Rack,
-        TimeGranularity::Daily,
-        output.config.start,
-        output.config.end,
-    );
-    let mu = metrics::mu(
-        &tickets,
-        SpatialGranularity::Rack,
-        TimeGranularity::Daily,
-        output.config.start,
-        output.config.end,
-    );
-    let mut means = HashMap::new();
-    let mut peaks = HashMap::new();
-    for rack in &output.fleet.racks {
-        let key = SpatialGranularity::Rack.key(&rack.server_location(0));
-        let active_days = (output.config.end.days() as i64
-            - rack.commissioned_day.max(output.config.start.days() as i64))
-        .max(0) as f64;
-        if active_days == 0.0 {
-            continue;
-        }
-        let mean = lambda.get(&key).map(|s| s.total() as f64 / active_days).unwrap_or(0.0);
-        let peak = mu.get(&key).map(|s| s.max() as f64).unwrap_or(0.0);
-        means.insert(rack.id, mean);
-        peaks.insert(rack.id, peak);
-    }
-    (means, peaks)
+/// The racks active in the span, each with its rack-level spatial key and
+/// its number of active days.
+fn active_racks(output: &SimulationOutput) -> impl Iterator<Item = (RackId, SpatialKey, f64)> + '_ {
+    let start_day = output.config.start.days() as i64;
+    let end_day = output.config.end.days() as i64;
+    output.fleet.racks.iter().filter_map(move |rack| {
+        let active_days = (end_day - rack.commissioned_day.max(start_day)).max(0) as f64;
+        (active_days > 0.0)
+            .then(|| (rack.id, SpatialGranularity::Rack.key(&rack.server_location(0)), active_days))
+    })
+}
+
+/// Per-rack mean daily failure count over the rack's active days.
+fn per_rack_means(output: &SimulationOutput, tickets: &[&RmaTicket]) -> HashMap<RackId, f64> {
+    let (start, end) = (output.config.start, output.config.end);
+    let lambda =
+        metrics::lambda(tickets, SpatialGranularity::Rack, TimeGranularity::Daily, start, end);
+    active_racks(output)
+        .map(|(id, key, active_days)| {
+            (id, lambda.get(&key).map(|s| s.total() as f64 / active_days).unwrap_or(0.0))
+        })
+        .collect()
+}
+
+/// Per-rack peak daily μ (the worst window's failed-server count).
+fn per_rack_peaks(output: &SimulationOutput, tickets: &[&RmaTicket]) -> HashMap<RackId, f64> {
+    let (start, end) = (output.config.start, output.config.end);
+    let mu = metrics::mu(tickets, SpatialGranularity::Rack, TimeGranularity::Daily, start, end);
+    active_racks(output)
+        .map(|(id, key, _)| (id, mu.get(&key).map(|s| s.max() as f64).unwrap_or(0.0)))
+        .collect()
 }
 
 /// Single-factor comparison (Fig. 14): raw per-SKU average and peak failure
@@ -97,7 +96,9 @@ fn per_rack_stats(output: &SimulationOutput) -> (HashMap<RackId, f64>, HashMap<R
 ///
 /// Returns [`AnalysisError::NoData`] if none of `skus` has racks.
 pub fn sf_comparison(output: &SimulationOutput, skus: &[Sku]) -> Result<Vec<SkuReliability>> {
-    let (means, peaks) = per_rack_stats(output);
+    let tickets = output.hardware_tickets();
+    let means = per_rack_means(output, &tickets);
+    let peaks = per_rack_peaks(output, &tickets);
     let mut out = Vec::new();
     for &sku in skus {
         let rack_ids: Vec<RackId> = output
@@ -142,6 +143,10 @@ pub struct MfSkuComparison {
 /// Runs the MF comparison on a prepared rack-day table (`table` must be a
 /// rack-day analysis table; pass `day_stride > 1` upstream for speed).
 ///
+/// The two effects are independent, so under
+/// `output.config.parallelism` the average effect runs next to the peak
+/// table's build and effect; the result is the same at any thread count.
+///
 /// # Errors
 ///
 /// Propagates table/tree errors.
@@ -150,23 +155,19 @@ pub fn mf_comparison(
     rack_day: &Frame,
     cart: &CartParams,
 ) -> Result<MfSkuComparison> {
-    let avg = stratified_effect_nominal(
-        rack_day,
-        columns::FAILURE_RATE,
-        columns::SKU,
-        MF_CONTROLS,
-        cart,
-    )?;
-    let (_, peaks) = per_rack_stats(output);
-    let (peak_table, _) = rack_table(output, &peaks)?;
-    let peak = stratified_effect_nominal(
-        &peak_table,
-        columns::FAILURE_RATE,
-        columns::SKU,
-        MF_CONTROLS,
-        cart,
-    )?;
-    Ok(MfSkuComparison { avg, peak })
+    let sku_effect = |table: &Frame| {
+        stratified_effect_nominal(table, columns::FAILURE_RATE, columns::SKU, MF_CONTROLS, cart)
+    };
+    let (avg, peak) = rainshine_parallel::join(
+        output.config.parallelism,
+        || sku_effect(rack_day),
+        || {
+            let peaks = per_rack_peaks(output, &output.hardware_tickets());
+            let (peak_table, _) = rack_table(output, &peaks)?;
+            Ok::<_, AnalysisError>(sku_effect(&peak_table)?)
+        },
+    );
+    Ok(MfSkuComparison { avg: avg?, peak: peak? })
 }
 
 impl MfSkuComparison {

@@ -78,6 +78,21 @@ pub fn disk_rate_by_temperature(
 pub const ENV_CONTROLS: &[&str] =
     &[columns::AGE_MONTHS, columns::SKU, columns::WORKLOAD, columns::RATED_POWER_KW];
 
+/// Every column [`dc_subset`], [`env_analysis`] and [`setpoint_tradeoff`]
+/// read: the datacenter, the [`ENV_CONTROLS`], temperature, RH and the
+/// response. Subsetting a [`Frame::select`] projection onto these gathers
+/// only what the analysis needs.
+pub const ENV_ANALYSIS_COLUMNS: &[&str] = &[
+    columns::DATACENTER,
+    columns::AGE_MONTHS,
+    columns::SKU,
+    columns::WORKLOAD,
+    columns::RATED_POWER_KW,
+    columns::TEMPERATURE_F,
+    columns::RELATIVE_HUMIDITY,
+    columns::FAILURE_RATE,
+];
+
 /// A threshold rule discovered by the environment tree.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DiscoveredRule {
@@ -504,6 +519,28 @@ mod tests {
         let free = SetpointModel { cost_per_failure: 0.0, ..SetpointModel::default() };
         let best = setpoint_tradeoff(&dc1, &caps, &free, &cart).unwrap();
         assert_eq!(best[0].cap_f, f64::INFINITY);
+    }
+
+    #[test]
+    fn env_analysis_on_the_projection_matches_the_full_table() {
+        assert!(ENV_CONTROLS.iter().all(|c| ENV_ANALYSIS_COLUMNS.contains(c)));
+        let t = disk_table();
+        let projected = t.select(ENV_ANALYSIS_COLUMNS).unwrap();
+        let cart = CartParams::default().with_min_sizes(400, 200).with_cp(0.002);
+        let caps = [74.0, 78.0, f64::INFINITY];
+        let model = SetpointModel::default();
+        for dc in ["DC1", "DC2"] {
+            let (full, narrow) = (dc_subset(&t, dc).unwrap(), dc_subset(&projected, dc).unwrap());
+            // Compared as text: an empty group's NaN mean is not `==` itself.
+            assert_eq!(
+                format!("{:?}", env_analysis(dc, &full, &cart).unwrap()),
+                format!("{:?}", env_analysis(dc, &narrow, &cart).unwrap())
+            );
+            assert_eq!(
+                format!("{:?}", setpoint_tradeoff(&full, &caps, &model, &cart).unwrap()),
+                format!("{:?}", setpoint_tradeoff(&narrow, &caps, &model, &cart).unwrap())
+            );
+        }
     }
 
     #[test]

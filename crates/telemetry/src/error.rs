@@ -9,6 +9,11 @@ pub enum TelemetryError {
         /// The requested column name.
         name: String,
     },
+    /// A column name was given twice where names must be distinct.
+    DuplicateColumn {
+        /// The repeated column name.
+        name: String,
+    },
     /// A column was accessed with the wrong feature kind.
     KindMismatch {
         /// Column name.
@@ -45,6 +50,7 @@ impl fmt::Display for TelemetryError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             TelemetryError::UnknownColumn { name } => write!(f, "unknown column `{name}`"),
+            TelemetryError::DuplicateColumn { name } => write!(f, "column `{name}` named twice"),
             TelemetryError::KindMismatch { name, requested, actual } => {
                 write!(f, "column `{name}` is {actual}, not {requested}")
             }

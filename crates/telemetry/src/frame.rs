@@ -19,8 +19,13 @@
 //!
 //! # Ownership and borrowing rules
 //!
-//! * `Frame` is immutable once built; cloning a frame clones the value
-//!   buffers but *shares* schema and dictionaries (`Arc`).
+//! * `Frame` is immutable once built; each column sits behind an `Arc`,
+//!   so cloning a frame shares every buffer, the schema and the
+//!   dictionaries.
+//! * [`Frame::with_continuous`] replaces one continuous column and shares
+//!   the rest, and [`Frame::select`] projects a frame onto some of its
+//!   columns without copying any: two tables that differ in one column
+//!   hold the other columns once.
 //! * `Frame::subset` gathers values into fresh buffers but shares the
 //!   schema and every nominal dictionary, so codes remain comparable
 //!   across a frame and all its subsets.
@@ -337,7 +342,7 @@ impl serde::Deserialize for Column {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Frame {
     schema: Arc<Schema>,
-    columns: Vec<Column>,
+    columns: Vec<Arc<Column>>,
     rows: usize,
 }
 
@@ -362,7 +367,7 @@ impl Frame {
                 return Err(TelemetryError::RowArity { expected: rows, got: col.len() });
             }
         }
-        Ok(Frame { schema, columns, rows })
+        Ok(Frame { schema, columns: columns.into_iter().map(Arc::new).collect(), rows })
     }
 
     /// The frame's schema.
@@ -378,11 +383,6 @@ impl Frame {
     /// Whether the frame has no rows.
     pub fn is_empty(&self) -> bool {
         self.rows == 0
-    }
-
-    /// All columns, in schema order.
-    pub fn columns(&self) -> &[Column] {
-        &self.columns
     }
 
     /// The column at `idx`.
@@ -405,7 +405,7 @@ impl Frame {
             .schema
             .index_of(name)
             .ok_or_else(|| TelemetryError::UnknownColumn { name: name.to_owned() })?;
-        Ok((idx, &self.columns[idx]))
+        Ok((idx, self.columns[idx].as_ref()))
     }
 
     /// The values of a continuous column.
@@ -497,9 +497,54 @@ impl Frame {
     pub fn subset(&self, rows: &[usize]) -> Frame {
         Frame {
             schema: Arc::clone(&self.schema),
-            columns: self.columns.iter().map(|c| c.gather(rows)).collect(),
+            columns: self.columns.iter().map(|c| Arc::new(c.gather(rows))).collect(),
             rows: rows.len(),
         }
+    }
+
+    /// A frame equal to this one except that continuous column `name`
+    /// holds `values`. Every other column, the schema and the dictionaries
+    /// are shared, not copied.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TelemetryError::UnknownColumn`] if `name` is not in the
+    /// schema, [`TelemetryError::KindMismatch`] if it is not continuous, and
+    /// [`TelemetryError::RowArity`] if `values` does not hold one value per
+    /// row.
+    pub fn with_continuous(&self, name: &str, values: Vec<f64>) -> Result<Frame> {
+        let (idx, column) = self.column_by_name(name)?;
+        if column.kind() != FeatureKind::Continuous {
+            return Err(kind_mismatch(name, "continuous", column));
+        }
+        if values.len() != self.rows {
+            return Err(TelemetryError::RowArity { expected: self.rows, got: values.len() });
+        }
+        let mut columns = self.columns.clone();
+        columns[idx] = Arc::new(Column::Continuous(values));
+        Ok(Frame { schema: Arc::clone(&self.schema), columns, rows: self.rows })
+    }
+
+    /// Projects the frame onto `names`, in that order. The columns are
+    /// shared, not copied; the projection gets its own schema.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TelemetryError::UnknownColumn`] for a name not in the
+    /// schema and [`TelemetryError::DuplicateColumn`] for a name given
+    /// twice.
+    pub fn select(&self, names: &[&str]) -> Result<Frame> {
+        let mut fields = Vec::with_capacity(names.len());
+        let mut columns = Vec::with_capacity(names.len());
+        for (i, &name) in names.iter().enumerate() {
+            if names[..i].contains(&name) {
+                return Err(TelemetryError::DuplicateColumn { name: name.to_owned() });
+            }
+            let (idx, _) = self.column_by_name(name)?;
+            fields.push(self.schema.fields[idx].clone());
+            columns.push(Arc::clone(&self.columns[idx]));
+        }
+        Ok(Frame { schema: Arc::new(Schema { fields }), columns, rows: self.rows })
     }
 }
 
@@ -508,7 +553,10 @@ impl serde::Serialize for Frame {
     fn to_value(&self) -> serde::Value {
         serde::Value::Object(vec![
             ("schema".to_string(), self.schema.to_value()),
-            ("columns".to_string(), self.columns.to_value()),
+            (
+                "columns".to_string(),
+                self.columns.iter().map(Arc::as_ref).collect::<Vec<_>>().to_value(),
+            ),
             ("rows".to_string(), self.rows.to_value()),
         ])
     }
@@ -803,7 +851,7 @@ impl FrameBuilder {
                 return Err(TelemetryError::RowArity { expected: rows, got: col.len() });
             }
         }
-        let columns = self.columns.into_iter().map(ColumnBuilder::finish).collect();
+        let columns = self.columns.into_iter().map(|c| Arc::new(c.finish())).collect();
         Ok(Frame { schema: self.schema, columns, rows })
     }
 }
@@ -922,6 +970,73 @@ mod tests {
         assert_eq!(s.nominal_label("k", 0).unwrap(), "c");
         assert!(s.dictionary("k").unwrap().same_allocation(f.dictionary("k").unwrap()));
         assert!(Arc::ptr_eq(&s.schema, &f.schema));
+    }
+
+    #[test]
+    fn with_continuous_replaces_one_column_and_shares_the_rest() {
+        let f = sample_frame();
+        let g = f.with_continuous("x", vec![9.0, 8.0, 7.0, 6.0]).unwrap();
+        assert_eq!(g.continuous("x").unwrap(), &[9.0, 8.0, 7.0, 6.0]);
+        assert_eq!(f.continuous("x").unwrap(), &[1.0, 2.0, 3.0, 4.0]);
+        assert!(Arc::ptr_eq(&g.schema, &f.schema));
+        assert!(!Arc::ptr_eq(&g.columns[0], &f.columns[0]));
+        assert!(Arc::ptr_eq(&g.columns[1], &f.columns[1]));
+        assert!(Arc::ptr_eq(&g.columns[2], &f.columns[2]));
+        // A subset of the derived frame equals a subset of the same frame
+        // built from scratch.
+        let mut b = FrameBuilder::new(sample_schema());
+        for (x, k, o) in [(9.0, "a", 0i64), (8.0, "b", 1), (7.0, "a", 2), (6.0, "c", 0)] {
+            b.push_row(vec![x.into(), k.into(), o.into()]).unwrap();
+        }
+        let fresh = b.build().unwrap();
+        assert_eq!(g, fresh);
+        assert_eq!(g.subset(&[3, 1, 1]), fresh.subset(&[3, 1, 1]));
+    }
+
+    #[test]
+    fn with_continuous_rejects_bad_input() {
+        let f = sample_frame();
+        assert_eq!(
+            f.with_continuous("nope", vec![0.0; 4]),
+            Err(TelemetryError::UnknownColumn { name: "nope".into() })
+        );
+        assert_eq!(
+            f.with_continuous("o", vec![0.0; 4]),
+            Err(TelemetryError::KindMismatch {
+                name: "o".into(),
+                requested: "continuous",
+                actual: "ordinal"
+            })
+        );
+        assert!(matches!(
+            f.with_continuous("k", vec![0.0; 4]),
+            Err(TelemetryError::KindMismatch { .. })
+        ));
+        assert_eq!(
+            f.with_continuous("x", vec![0.0; 3]),
+            Err(TelemetryError::RowArity { expected: 4, got: 3 })
+        );
+    }
+
+    #[test]
+    fn select_projects_without_copying() {
+        let f = sample_frame();
+        let p = f.select(&["o", "x"]).unwrap();
+        assert_eq!(p.rows(), 4);
+        let names: Vec<_> = p.schema().fields().iter().map(|f| f.name.as_str()).collect();
+        assert_eq!(names, ["o", "x"]);
+        assert!(Arc::ptr_eq(&p.columns[0], &f.columns[2]));
+        assert!(Arc::ptr_eq(&p.columns[1], &f.columns[0]));
+        assert!(matches!(p.nominal_codes("k"), Err(TelemetryError::UnknownColumn { .. })));
+        assert_eq!(p.subset(&[2, 0]).continuous("x").unwrap(), &[3.0, 1.0]);
+        assert_eq!(
+            f.select(&["x", "zzz"]),
+            Err(TelemetryError::UnknownColumn { name: "zzz".into() })
+        );
+        assert_eq!(
+            f.select(&["x", "k", "x"]),
+            Err(TelemetryError::DuplicateColumn { name: "x".into() })
+        );
     }
 
     #[test]
