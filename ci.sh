@@ -11,7 +11,7 @@ cargo fmt --check
 # past MAX_PANIC_SITES. Comment and doc lines (first non-blank characters
 # `//`) are not code, so they do not count. Lower it when a change removes
 # sites.
-MAX_PANIC_SITES=52
+MAX_PANIC_SITES=51
 panic_sites=$(find crates/*/src -name '*.rs' -exec sed '/#\[cfg(test)\]/,$d' {} \; |
     grep -vE '^[[:space:]]*//' |
     grep -cE '\.(expect|unwrap)\(|\b(panic|assert)!\(' || true)

@@ -17,7 +17,7 @@ use rainshine_conformance::Scenario;
 use rainshine_core::dataset::{rack_day_response, rack_day_table, FaultFilter};
 use rainshine_core::evidence::{self, SeriesRow};
 use rainshine_core::predict::{
-    build_prediction_table, evaluate_prediction, Confusion, PredictionConfig,
+    build_prediction_table, evaluate_prediction, Confusion, PredictionConfig, HORIZON_DAYS,
 };
 use rainshine_core::tco::TcoModel;
 use rainshine_core::{q1, q2, q3};
@@ -686,8 +686,8 @@ fn p1(ctx: &mut ExperimentContext, dir: &Path) -> Result<String, ExperimentError
     let config = PredictionConfig::default();
     // Unbalanced ablation in the same artifact (the paper's warning); both
     // variants share the one table.
-    let unbalanced_config = PredictionConfig { downsample_ratio: None, ..config.clone() };
-    let table = build_prediction_table(&ctx.output, &config)?;
+    let unbalanced_config = PredictionConfig { downsample_ratio: None };
+    let table = build_prediction_table(&ctx.output)?;
     let (balanced, unbalanced) = rainshine_parallel::join(
         ctx.output.config.parallelism,
         || evaluate_prediction(&table, &config),
@@ -701,7 +701,7 @@ fn p1(ctx: &mut ExperimentContext, dir: &Path) -> Result<String, ExperimentError
   precision {:.3}           recall {:.3}  F1 {:.3}  base rate {:.3}  lift {:.2}x
   top factors: {}
 ",
-        config.horizon_days,
+        HORIZON_DAYS,
         c.precision(),
         c.recall(),
         c.f1(),

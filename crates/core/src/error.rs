@@ -22,12 +22,6 @@ pub enum AnalysisError {
         /// The offending value.
         value: f64,
     },
-    /// A prebuilt table was built with a different value of a shape
-    /// parameter than the config that evaluates it.
-    TableMismatch {
-        /// The config parameter that differs.
-        parameter: &'static str,
-    },
 }
 
 impl fmt::Display for AnalysisError {
@@ -39,9 +33,6 @@ impl fmt::Display for AnalysisError {
             AnalysisError::NoData { what } => write!(f, "no data: {what}"),
             AnalysisError::InvalidParameter { name, value } => {
                 write!(f, "parameter `{name}` has invalid value {value}")
-            }
-            AnalysisError::TableMismatch { parameter } => {
-                write!(f, "table was built with a different `{parameter}`")
             }
         }
     }

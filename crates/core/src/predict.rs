@@ -16,9 +16,8 @@
 //!    with the usual detection metrics.
 //!
 //! Step 1 is [`build_prediction_table`] and steps 2–4 are
-//! [`evaluate_prediction`], so configs that differ only in the split,
-//! the balancing, the tree or the seed share one table;
-//! [`predict_failures`] runs both for one config.
+//! [`evaluate_prediction`], so the balanced and unbalanced configs share
+//! one table; [`predict_failures`] runs both steps for one config.
 
 use rainshine_cart::dataset::CartDataset;
 use rainshine_cart::params::CartParams;
@@ -44,38 +43,31 @@ pub mod history_columns {
     pub const LABEL: &str = "label";
 }
 
+/// Label horizon: "fails within the next N days".
+pub const HORIZON_DAYS: u64 = 7;
+/// Trailing history windows (short, long) in days.
+const HISTORY_DAYS: (u64, u64) = (7, 30);
+/// Fraction of the timeline used for training (time-ordered split).
+const TRAIN_FRACTION: f64 = 0.7;
+/// Day stride when sampling rack-days.
+const DAY_STRIDE: usize = 3;
+/// RNG seed for downsampling.
+const SEED: u64 = 0;
+/// Parameters of the classification tree.
+const TREE: CartParams = CartParams { min_split: 60, min_leaf: 30, max_depth: 30, cp: 0.003 };
+
 /// Configuration of a prediction study.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PredictionConfig {
-    /// Label horizon: "fails within the next N days".
-    pub horizon_days: u64,
-    /// Trailing history windows (short, long) in days.
-    pub history_days: (u64, u64),
-    /// Fraction of the timeline used for training (time-ordered split).
-    pub train_fraction: f64,
     /// Negative:positive ratio after downsampling the training majority
     /// class (1.0 = perfectly balanced). `None` disables balancing — the
     /// ablation the paper warns about.
     pub downsample_ratio: Option<f64>,
-    /// Tree parameters.
-    pub cart: CartParams,
-    /// Day stride when sampling rack-days.
-    pub day_stride: usize,
-    /// RNG seed for downsampling.
-    pub seed: u64,
 }
 
 impl Default for PredictionConfig {
     fn default() -> Self {
-        PredictionConfig {
-            horizon_days: 7,
-            history_days: (7, 30),
-            train_fraction: 0.7,
-            downsample_ratio: Some(1.0),
-            cart: CartParams::default().with_min_sizes(60, 30).with_cp(0.003),
-            day_stride: 3,
-            seed: 0,
-        }
+        PredictionConfig { downsample_ratio: Some(1.0) }
     }
 }
 
@@ -199,68 +191,27 @@ pub const PREDICTION_FEATURES: &[&str] = &[
 
 /// The labelled rack-day table of a prediction study plus the day of each
 /// row (for the time-ordered split). One table serves every
-/// [`PredictionConfig`] that shares its horizon, history windows and day
-/// stride; [`evaluate_prediction`] rejects any other.
+/// [`PredictionConfig`].
 #[derive(Debug)]
 pub struct PredictionTable {
     table: Frame,
     day_of_row: Vec<u64>,
     start_day: u64,
     end_day: u64,
-    horizon_days: u64,
-    history_days: (u64, u64),
-    day_stride: usize,
-}
-
-impl PredictionTable {
-    /// The first config parameter whose value differs from the one the
-    /// table was built with.
-    fn mismatch(&self, config: &PredictionConfig) -> Option<&'static str> {
-        if config.horizon_days != self.horizon_days {
-            Some("horizon_days")
-        } else if config.history_days != self.history_days {
-            Some("history_days")
-        } else if config.day_stride != self.day_stride {
-            Some("day_stride")
-        } else {
-            None
-        }
-    }
-}
-
-impl PredictionConfig {
-    fn validate(&self) -> Result<()> {
-        if self.day_stride == 0 {
-            return Err(AnalysisError::InvalidParameter { name: "day_stride", value: 0.0 });
-        }
-        if !(0.0 < self.train_fraction && self.train_fraction < 1.0) {
-            return Err(AnalysisError::InvalidParameter {
-                name: "train_fraction",
-                value: self.train_fraction,
-            });
-        }
-        Ok(())
-    }
 }
 
 /// Builds the labelled rack-day table of a prediction study: the stage
-/// every config with the same horizon, history windows and day stride can
-/// share.
+/// every config shares.
 ///
 /// # Errors
 ///
-/// Returns [`AnalysisError::InvalidParameter`] for a zero `day_stride` or
-/// a `train_fraction` outside (0, 1), and [`AnalysisError::NoData`] if the
-/// span is too short for the history + horizon windows.
-pub fn build_prediction_table(
-    output: &SimulationOutput,
-    config: &PredictionConfig,
-) -> Result<PredictionTable> {
-    config.validate()?;
+/// Returns [`AnalysisError::NoData`] if the span is too short for the
+/// history + horizon windows.
+pub fn build_prediction_table(output: &SimulationOutput) -> Result<PredictionTable> {
     let counts = RackDayCounts::new(output, FaultFilter::AllHardware);
     let start_day = output.config.start.days();
     let end_day = output.config.end.days();
-    let (short, long) = config.history_days;
+    let (short, long) = HISTORY_DAYS;
     let mut builder = FrameBuilder::new(prediction_schema());
     let mut day_of_row = Vec::new();
     {
@@ -275,8 +226,8 @@ pub fn build_prediction_table(
             let mut rack_codes: Option<(u32, u32, u32, u32)> = None;
             // Past commissioning, so every visited day is an active one.
             let first_eligible = start_day.max(rack.commissioned_day.max(0) as u64) + long;
-            let labelled_end = end_day.saturating_sub(config.horizon_days);
-            for day in (first_eligible..labelled_end).step_by(config.day_stride) {
+            let labelled_end = end_day.saturating_sub(HORIZON_DAYS);
+            for day in (first_eligible..labelled_end).step_by(DAY_STRIDE) {
                 let t = SimTime::from_days(day);
                 let env = output.ingested_daily_env(rack.dc, rack.region, day);
                 let (sku, workload, dc, region) = *rack_codes.get_or_insert_with(|| {
@@ -298,7 +249,7 @@ pub fn build_prediction_table(
                 dow_c.push_i64(t.day_of_week().index() as i64);
                 short_c.push_f64(window((day + 1).saturating_sub(short), day + 1));
                 long_c.push_f64(window((day + 1).saturating_sub(long), day + 1));
-                let fails = window(day + 1, day + 1 + config.horizon_days) > 0.0;
+                let fails = window(day + 1, day + 1 + HORIZON_DAYS) > 0.0;
                 let label = label_c.intern(if fails { "fail" } else { "ok" });
                 label_c.push_code(label);
                 day_of_row.push(day);
@@ -309,15 +260,7 @@ pub fn build_prediction_table(
     if table.is_empty() {
         return Err(AnalysisError::NoData { what: "no eligible rack-days for prediction".into() });
     }
-    Ok(PredictionTable {
-        table,
-        day_of_row,
-        start_day,
-        end_day,
-        horizon_days: config.horizon_days,
-        history_days: config.history_days,
-        day_stride: config.day_stride,
-    })
+    Ok(PredictionTable { table, day_of_row, start_day, end_day })
 }
 
 /// Splits, balances, fits and scores one config on a table built by
@@ -325,26 +268,19 @@ pub fn build_prediction_table(
 ///
 /// # Errors
 ///
-/// Returns [`AnalysisError::TableMismatch`] if `table` was built with a
-/// different `horizon_days`, `history_days` or `day_stride` than `config`
-/// names, [`AnalysisError::InvalidParameter`] as
-/// [`build_prediction_table`] does, and [`AnalysisError::NoData`] if
-/// either split ends up empty or single-class.
+/// Returns [`AnalysisError::NoData`] if either split ends up empty or
+/// single-class.
 pub fn evaluate_prediction(
     table: &PredictionTable,
     config: &PredictionConfig,
 ) -> Result<PredictionReport> {
-    config.validate()?;
-    if let Some(parameter) = table.mismatch(config) {
-        return Err(AnalysisError::TableMismatch { parameter });
-    }
     let RowSplit { train, positives, test: test_rows, fail_code } = split_rows(table, config)?;
     let train_positive_share = positives as f64 / train.len() as f64;
     let table = &table.table;
     let labels = table.nominal_codes(history_columns::LABEL)?;
 
     let ds = CartDataset::classification(table, history_columns::LABEL, PREDICTION_FEATURES)?;
-    let tree = Tree::fit_on_rows(&ds, &config.cart, &train)?;
+    let tree = Tree::fit_on_rows(&ds, &TREE, &train)?;
 
     // Evaluate on the untouched, unbalanced test split.
     let predictions = tree.predict_rows(table, &test_rows)?;
@@ -381,11 +317,11 @@ struct RowSplit {
     fail_code: u32,
 }
 
-/// Splits `table` at the `train_fraction` day into training and test rows,
+/// Splits `table` at the [`TRAIN_FRACTION`] day into training and test rows,
 /// downsampling the training negatives when `config` asks for balance.
 fn split_rows(table: &PredictionTable, config: &PredictionConfig) -> Result<RowSplit> {
-    let PredictionTable { table, day_of_row, start_day, end_day, .. } = table;
-    let split_day = start_day + ((end_day - start_day) as f64 * config.train_fraction) as u64;
+    let PredictionTable { table, day_of_row, start_day, end_day } = table;
+    let split_day = start_day + ((end_day - start_day) as f64 * TRAIN_FRACTION) as u64;
 
     let labels = table.nominal_codes(history_columns::LABEL)?;
     let Some(fail_code) = table.dictionary(history_columns::LABEL)?.code_of("fail") else {
@@ -406,7 +342,7 @@ fn split_rows(table: &PredictionTable, config: &PredictionConfig) -> Result<RowS
     // any realistic run).
     if let Some(ratio) = config.downsample_ratio {
         let keep = ((train_pos.len() as f64 * ratio).round() as usize).clamp(1, train_neg.len());
-        train_neg.shuffle(&mut rand::rngs::StdRng::seed_from_u64(config.seed));
+        train_neg.shuffle(&mut rand::rngs::StdRng::seed_from_u64(SEED));
         train_neg.truncate(keep);
     }
     let positives = train_pos.len();
@@ -426,7 +362,7 @@ pub fn predict_failures(
     output: &SimulationOutput,
     config: &PredictionConfig,
 ) -> Result<PredictionReport> {
-    evaluate_prediction(&build_prediction_table(output, config)?, config)
+    evaluate_prediction(&build_prediction_table(output)?, config)
 }
 
 #[cfg(test)]
@@ -478,11 +414,8 @@ mod tests {
     fn unbalanced_ablation_hurts_recall() {
         let out = sim();
         let balanced = predict_failures(&out, &PredictionConfig::default()).unwrap();
-        let unbalanced = predict_failures(
-            &out,
-            &PredictionConfig { downsample_ratio: None, ..PredictionConfig::default() },
-        )
-        .unwrap();
+        let unbalanced =
+            predict_failures(&out, &PredictionConfig { downsample_ratio: None }).unwrap();
         // The paper's warning: without balancing, the majority class
         // dominates and the model misses failures.
         assert!(
@@ -498,7 +431,7 @@ mod tests {
         let mut config = FleetConfig::medium();
         config.corruption = CorruptionConfig::dirty_default();
         let out = Simulation::new(config, 47).run();
-        let built = build_prediction_table(&out, &PredictionConfig::default()).unwrap();
+        let built = build_prediction_table(&out).unwrap();
         let (table, days) = (&built.table, &built.day_of_row);
         // A region label ("DC1-3") names both the DC and the region.
         let ids: HashMap<_, _> =
@@ -526,8 +459,8 @@ mod tests {
     fn one_table_serves_both_variants() {
         let out = sim();
         let balanced = PredictionConfig::default();
-        let unbalanced = PredictionConfig { downsample_ratio: None, ..balanced.clone() };
-        let table = build_prediction_table(&out, &balanced).unwrap();
+        let unbalanced = PredictionConfig { downsample_ratio: None };
+        let table = build_prediction_table(&out).unwrap();
         for config in [&balanced, &unbalanced] {
             assert_eq!(
                 evaluate_prediction(&table, config).unwrap(),
@@ -540,17 +473,16 @@ mod tests {
     #[test]
     fn test_row_predictions_match_the_whole_table() {
         let out = sim();
-        let config = PredictionConfig::default();
-        let built = build_prediction_table(&out, &config).unwrap();
+        let built = build_prediction_table(&out).unwrap();
         let table = &built.table;
         let (start, end) = (out.config.start.days(), out.config.end.days());
-        let split_day = start + ((end - start) as f64 * config.train_fraction) as u64;
+        let split_day = start + ((end - start) as f64 * TRAIN_FRACTION) as u64;
         let (train, test_rows): (Vec<usize>, Vec<usize>) =
             (0..table.rows()).partition(|&row| built.day_of_row[row] < split_day);
         assert!(!train.is_empty() && !test_rows.is_empty());
         let ds = CartDataset::classification(table, history_columns::LABEL, PREDICTION_FEATURES)
             .unwrap();
-        let tree = Tree::fit_on_rows(&ds, &config.cart, &train).unwrap();
+        let tree = Tree::fit_on_rows(&ds, &TREE, &train).unwrap();
         assert!(tree.leaf_count() > 1);
         let whole = tree.predict(table).unwrap();
         let at_rows: Vec<f64> = test_rows.iter().map(|&row| whole[row]).collect();
@@ -566,48 +498,18 @@ mod tests {
     fn p1_trees_match_the_per_node_sort_reference_at_paper_scale() {
         let out = Simulation::new(FleetConfig::paper_scale(), 42).run();
         let balanced = PredictionConfig::default();
-        let unbalanced = PredictionConfig { downsample_ratio: None, ..balanced.clone() };
-        let built = build_prediction_table(&out, &balanced).unwrap();
+        let unbalanced = PredictionConfig { downsample_ratio: None };
+        let built = build_prediction_table(&out).unwrap();
         let ds =
             CartDataset::classification(&built.table, history_columns::LABEL, PREDICTION_FEATURES)
                 .unwrap();
         for config in [&balanced, &unbalanced] {
             let split = split_rows(&built, config).unwrap();
-            let tree = Tree::fit_on_rows(&ds, &config.cart, &split.train).unwrap();
-            let reference =
-                Tree::fit_on_rows_per_node_sort(&ds, &config.cart, &split.train).unwrap();
+            let tree = Tree::fit_on_rows(&ds, &TREE, &split.train).unwrap();
+            let reference = Tree::fit_on_rows_per_node_sort(&ds, &TREE, &split.train).unwrap();
             assert!(tree.leaf_count() > 1, "{config:?}");
             assert_eq!(tree, reference, "{config:?}");
         }
-    }
-
-    #[test]
-    fn mismatched_table_is_a_typed_error() {
-        let out = sim();
-        let config = PredictionConfig::default();
-        let table = build_prediction_table(&out, &config).unwrap();
-        for (parameter, other) in [
-            ("horizon_days", PredictionConfig { horizon_days: 14, ..config.clone() }),
-            ("history_days", PredictionConfig { history_days: (7, 14), ..config.clone() }),
-            ("day_stride", PredictionConfig { day_stride: 2, ..config.clone() }),
-        ] {
-            assert_eq!(
-                evaluate_prediction(&table, &other),
-                Err(AnalysisError::TableMismatch { parameter })
-            );
-        }
-        // The split, balancing, tree and seed are the evaluation's own.
-        let own = PredictionConfig { train_fraction: 0.6, seed: 3, ..config };
-        assert!(evaluate_prediction(&table, &own).is_ok());
-    }
-
-    #[test]
-    fn invalid_config_rejected() {
-        let out = sim();
-        let c = PredictionConfig { train_fraction: 1.5, ..PredictionConfig::default() };
-        assert!(predict_failures(&out, &c).is_err());
-        let c = PredictionConfig { day_stride: 0, ..PredictionConfig::default() };
-        assert!(predict_failures(&out, &c).is_err());
     }
 
     #[test]

@@ -14,16 +14,16 @@ use std::collections::HashMap;
 
 use rainshine_cart::params::CartParams;
 use rainshine_cart::pdp::{stratified_effect_nominal, StratifiedEffect};
+use rainshine_dcsim::topology::RackInfo;
 use rainshine_dcsim::SimulationOutput;
 use rainshine_telemetry::frame::Frame;
 use rainshine_telemetry::ids::{RackId, Sku};
-use rainshine_telemetry::metrics::{self, SpatialGranularity, SpatialKey};
-use rainshine_telemetry::rma::RmaTicket;
+use rainshine_telemetry::metrics::{self, SpatialGranularity};
 use rainshine_telemetry::schema::columns;
 use rainshine_telemetry::time::TimeGranularity;
 use serde::{Deserialize, Serialize};
 
-use crate::dataset::rack_table;
+use crate::dataset::{rack_table, FaultFilter, RackDayCounts};
 use crate::tco::TcoModel;
 use crate::{AnalysisError, Result};
 
@@ -56,36 +56,45 @@ pub struct SkuReliability {
     pub racks: usize,
 }
 
-/// The racks active in the span, each with its rack-level spatial key and
-/// its number of active days.
-fn active_racks(output: &SimulationOutput) -> impl Iterator<Item = (RackId, SpatialKey, f64)> + '_ {
-    let start_day = output.config.start.days() as i64;
-    let end_day = output.config.end.days() as i64;
-    output.fleet.racks.iter().filter_map(move |rack| {
-        let active_days = (end_day - rack.commissioned_day.max(start_day)).max(0) as f64;
-        (active_days > 0.0)
-            .then(|| (rack.id, SpatialGranularity::Rack.key(&rack.server_location(0)), active_days))
-    })
+/// One rack active in the span, with what the SF and MF comparisons read
+/// of it.
+struct ActiveRack<'a> {
+    /// Position in `fleet.racks`, the [`RackDayCounts`] rack index.
+    index: usize,
+    rack: &'a RackInfo,
+    /// Days in service within the span.
+    active_days: f64,
+    /// Worst daily μ (the peak window's failed-server count).
+    peak: f64,
 }
 
-/// Per-rack mean daily failure count over the rack's active days.
-fn per_rack_means(output: &SimulationOutput, tickets: &[&RmaTicket]) -> HashMap<RackId, f64> {
+/// The racks active in the span, in fleet order.
+fn active_racks(output: &SimulationOutput) -> Vec<ActiveRack<'_>> {
     let (start, end) = (output.config.start, output.config.end);
-    let lambda =
-        metrics::lambda(tickets, SpatialGranularity::Rack, TimeGranularity::Daily, start, end);
-    active_racks(output)
-        .map(|(id, key, active_days)| {
-            (id, lambda.get(&key).map(|s| s.total() as f64 / active_days).unwrap_or(0.0))
+    let (start_day, end_day) = (start.days() as i64, end.days() as i64);
+    let mu = metrics::mu(
+        &output.hardware_tickets(),
+        SpatialGranularity::Rack,
+        TimeGranularity::Daily,
+        start,
+        end,
+    );
+    output
+        .fleet
+        .racks
+        .iter()
+        .enumerate()
+        .filter_map(|(index, rack)| {
+            let active_days = (end_day - rack.commissioned_day.max(start_day)).max(0);
+            (active_days > 0).then(|| ActiveRack {
+                index,
+                rack,
+                active_days: active_days as f64,
+                peak: mu
+                    .get(&SpatialGranularity::Rack.key(&rack.server_location(0)))
+                    .map_or(0.0, |s| s.max() as f64),
+            })
         })
-        .collect()
-}
-
-/// Per-rack peak daily μ (the worst window's failed-server count).
-fn per_rack_peaks(output: &SimulationOutput, tickets: &[&RmaTicket]) -> HashMap<RackId, f64> {
-    let (start, end) = (output.config.start, output.config.end);
-    let mu = metrics::mu(tickets, SpatialGranularity::Rack, TimeGranularity::Daily, start, end);
-    active_racks(output)
-        .map(|(id, key, _)| (id, mu.get(&key).map(|s| s.max() as f64).unwrap_or(0.0)))
         .collect()
 }
 
@@ -96,23 +105,20 @@ fn per_rack_peaks(output: &SimulationOutput, tickets: &[&RmaTicket]) -> HashMap<
 ///
 /// Returns [`AnalysisError::NoData`] if none of `skus` has racks.
 pub fn sf_comparison(output: &SimulationOutput, skus: &[Sku]) -> Result<Vec<SkuReliability>> {
-    let tickets = output.hardware_tickets();
-    let means = per_rack_means(output, &tickets);
-    let peaks = per_rack_peaks(output, &tickets);
+    let racks = active_racks(output);
+    let counts = RackDayCounts::new(output, FaultFilter::AllHardware);
+    let (start_day, end_day) = (output.config.start.days(), output.config.end.days());
+    // Mean daily hardware failure count over the rack's active days.
+    let mean =
+        |r: &ActiveRack| f64::from(counts.between(r.index, start_day, end_day)) / r.active_days;
     let mut out = Vec::new();
     for &sku in skus {
-        let rack_ids: Vec<RackId> = output
-            .fleet
-            .racks
-            .iter()
-            .filter(|r| r.sku == sku && means.contains_key(&r.id))
-            .map(|r| r.id)
-            .collect();
-        if rack_ids.is_empty() {
+        let of_sku: Vec<&ActiveRack> = racks.iter().filter(|r| r.rack.sku == sku).collect();
+        if of_sku.is_empty() {
             continue;
         }
-        let m: Vec<f64> = rack_ids.iter().map(|id| means[id]).collect();
-        let p: Vec<f64> = rack_ids.iter().map(|id| peaks[id]).collect();
+        let m: Vec<f64> = of_sku.iter().map(|r| mean(r)).collect();
+        let p: Vec<f64> = of_sku.iter().map(|r| r.peak).collect();
         let ms = rainshine_stats::describe::Summary::from_slice(&m)?;
         let ps = rainshine_stats::describe::Summary::from_slice(&p)?;
         out.push(SkuReliability {
@@ -121,7 +127,7 @@ pub fn sf_comparison(output: &SimulationOutput, skus: &[Sku]) -> Result<Vec<SkuR
             avg_sd: ms.sample_stddev(),
             peak_rate: ps.mean(),
             peak_sd: ps.sample_stddev(),
-            racks: rack_ids.len(),
+            racks: of_sku.len(),
         });
     }
     if out.is_empty() {
@@ -162,7 +168,8 @@ pub fn mf_comparison(
         output.config.parallelism,
         || sku_effect(rack_day),
         || {
-            let peaks = per_rack_peaks(output, &output.hardware_tickets());
+            let peaks: HashMap<RackId, f64> =
+                active_racks(output).iter().map(|r| (r.rack.id, r.peak)).collect();
             let (peak_table, _) = rack_table(output, &peaks)?;
             Ok::<_, AnalysisError>(sku_effect(&peak_table)?)
         },
@@ -254,7 +261,7 @@ pub fn procurement_scenarios(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dataset::{rack_day_table, FaultFilter};
+    use crate::dataset::rack_day_table;
     use rainshine_dcsim::{FleetConfig, Simulation};
 
     fn sim() -> SimulationOutput {

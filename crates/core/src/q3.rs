@@ -21,15 +21,15 @@ use crate::{AnalysisError, Result};
 
 /// The temperature bins of Figs. 16–17 (`<60`, `60-65`, `65-70`, `70-75`,
 /// `>=75`).
-pub fn fig16_binner() -> Binner {
-    Binner::from_edges(vec![60.0, 65.0, 70.0, 75.0]).expect("static edges are valid")
+fn fig16_binner() -> Result<Binner> {
+    Ok(Binner::from_edges(vec![60.0, 65.0, 70.0, 75.0])?)
 }
 
 /// Fig. 16 / Fig. 17 — failure rate by operating-temperature bin. Pass an
 /// all-hardware rack-day table for Fig. 16 or a disk-only table for
 /// Fig. 17.
 pub fn rate_by_temperature(table: &Frame) -> Result<Vec<SeriesRow>> {
-    by_binned(table, columns::TEMPERATURE_F, &fig16_binner())
+    by_binned(table, columns::TEMPERATURE_F, &fig16_binner()?)
 }
 
 /// Fig. 17 — *per-disk* failure rate (failures per 1000 disk-days) by
@@ -71,7 +71,7 @@ pub fn disk_rate_by_temperature(
     if temps.is_empty() {
         return Err(AnalysisError::NoData { what: "no active rack-days".into() });
     }
-    Ok(binned_rows(&GroupedMeans::new(fig16_binner(), &temps, &rates)?))
+    Ok(binned_rows(&GroupedMeans::new(fig16_binner()?, &temps, &rates)?))
 }
 
 /// Control features normalized before environmental threshold discovery.

@@ -8,8 +8,6 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::{AnalysisError, Result};
-
 /// TCO parameters per server over the amortization horizon.
 ///
 /// Defaults follow the Kontorinis et al. breakdown: servers are a bit over
@@ -42,32 +40,6 @@ impl Default for TcoModel {
 }
 
 impl TcoModel {
-    /// Validates the model.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if any cost is negative/non-finite or the spare
-    /// energy fraction is outside `[0, 1]`.
-    pub fn validate(&self) -> Result<()> {
-        for (name, v) in [
-            ("server_price", self.server_price),
-            ("infra_per_server", self.infra_per_server),
-            ("energy_per_server", self.energy_per_server),
-            ("maintenance_per_failure", self.maintenance_per_failure),
-        ] {
-            if !v.is_finite() || v < 0.0 {
-                return Err(AnalysisError::InvalidParameter { name, value: v });
-            }
-        }
-        if !(0.0..=1.0).contains(&self.spare_energy_fraction) {
-            return Err(AnalysisError::InvalidParameter {
-                name: "spare_energy_fraction",
-                value: self.spare_energy_fraction,
-            });
-        }
-        Ok(())
-    }
-
     /// Full cost of one deployed production server.
     pub fn cost_per_base_server(&self) -> f64 {
         self.server_price + self.infra_per_server + self.energy_per_server
@@ -124,9 +96,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn defaults_validate_and_ballpark() {
+    fn defaults_ballpark() {
         let m = TcoModel::default();
-        assert!(m.validate().is_ok());
         // Server share of base TCO ≈ half (Kontorinis breakdown).
         let share = m.server_price / m.cost_per_base_server();
         assert!((0.4..0.6).contains(&share), "server share {share}");
@@ -166,13 +137,5 @@ mod tests {
         // cheaper.
         assert!(m.sku_savings(reliable, unreliable) > 0.0);
         assert!(m.sku_savings(unreliable, reliable) < 0.0);
-    }
-
-    #[test]
-    fn validation_rejects_bad_fields() {
-        let m = TcoModel { server_price: -1.0, ..TcoModel::default() };
-        assert!(m.validate().is_err());
-        let m = TcoModel { spare_energy_fraction: 1.5, ..TcoModel::default() };
-        assert!(m.validate().is_err());
     }
 }

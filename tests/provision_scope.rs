@@ -1,22 +1,20 @@
 //! Differential oracle for the scoped μ in Q1 provisioning.
 //!
-//! `rack_deficits` and `pooling_comparison` feed `metrics::mu` only the
-//! matching tickets of the racks they provision. The references below are
-//! the original unscoped computations: μ over every matching hardware
-//! ticket of the fleet, read at the provisioned racks' keys. Because μ is
-//! computed independently per rack key, both must agree exactly (`==` on
-//! every deficit list, window count and float) at every workload, fault
-//! filter, granularity and SLA, on clean and dirty fleets.
+//! `rack_deficits` feeds `metrics::mu` only the matching tickets of the
+//! racks it provisions. The reference below is the original unscoped
+//! computation: μ over every matching hardware ticket of the fleet, read
+//! at the provisioned racks' keys. Because μ is computed independently per
+//! rack key, both must agree exactly (`==` on every deficit list and
+//! window count) at every workload, fault filter, granularity and SLA, on
+//! clean and dirty fleets.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::BTreeMap;
 
 use rainshine::analysis::dataset::FaultFilter;
-use rainshine::analysis::q1::{
-    pooling_comparison, rack_deficits, PoolingComparison, ProvisionParams, RackDeficits,
-};
+use rainshine::analysis::q1::{rack_deficits, ProvisionParams, RackDeficits};
 use rainshine::dcsim::topology::RackInfo;
 use rainshine::dcsim::{CorruptionConfig, FleetConfig, Simulation, SimulationOutput};
-use rainshine::telemetry::ids::{RackId, Workload};
+use rainshine::telemetry::ids::Workload;
 use rainshine::telemetry::metrics::{mu, SpatialGranularity, SpatialKey, WindowedSeries};
 use rainshine::telemetry::rma::{HardwareFault, RmaTicket};
 use rainshine::telemetry::time::{SimTime, TimeGranularity};
@@ -97,41 +95,6 @@ fn deficits_reference(
     Some(deficits)
 }
 
-/// The original `pooling_comparison`, reading the fleet-wide all-hardware
-/// `mu`.
-fn pooling_reference(
-    output: &SimulationOutput,
-    workload: Workload,
-    params: &ProvisionParams,
-    mu: &Mu,
-) -> Option<PoolingComparison> {
-    let deficits = deficits_reference(output, workload, params, mu)?;
-    let quantile = |values: &[u64], total: u64| {
-        let mut sorted = values.to_vec();
-        sorted.sort_unstable();
-        rainshine::stats::ecdf::quantile_with_zeros(&sorted, total, params.coverage)
-    };
-    let servers: f64 = deficits.iter().map(|r| r.servers as f64).sum();
-    let dedicated: f64 =
-        deficits.iter().map(|r| quantile(&r.deficits, r.active_windows) as f64).sum();
-    let windows = params.granularity.window_count(output.config.start, output.config.end);
-    let rack_ids: HashSet<RackId> = deficits.iter().map(|r| r.rack).collect();
-    let mut total_by_window: HashMap<u64, u64> = HashMap::new();
-    for rack in output.fleet.racks.iter().filter(|r| rack_ids.contains(&r.id)) {
-        let allowed = ((1.0 - params.sla) * rack.servers as f64).floor() as u64;
-        if let Some(series) = mu.get(&rack_key(rack)) {
-            for (&w, &v) in &series.nonzero {
-                if v > allowed {
-                    *total_by_window.entry(w).or_insert(0) += v - allowed;
-                }
-            }
-        }
-    }
-    let pooled: Vec<u64> = total_by_window.values().copied().collect();
-    let shared = quantile(&pooled, windows) as f64;
-    Some(PoolingComparison { dedicated_spares: dedicated, shared_spares: shared, servers })
-}
-
 /// Checks every workload, filter, granularity and SLA on one fleet, and
 /// returns how many (workload, filter, granularity, SLA) cases had racks.
 fn check_fleet(output: &SimulationOutput) -> usize {
@@ -150,14 +113,6 @@ fn check_fleet(output: &SimulationOutput) -> usize {
                             provisioned += 1;
                         }
                         None => assert!(scoped.is_err(), "rack_deficits at {at}"),
-                    }
-                    if filter != FaultFilter::AllHardware {
-                        continue;
-                    }
-                    let scoped = pooling_comparison(output, workload, &params);
-                    match pooling_reference(output, workload, &params, &mu) {
-                        Some(want) => assert_eq!(scoped, Ok(want), "pooling_comparison at {at}"),
-                        None => assert!(scoped.is_err(), "pooling_comparison at {at}"),
                     }
                 }
             }

@@ -5,9 +5,11 @@
 //! the true-positive stream for every (rack, day) of the span, and
 //! `between` must equal the sum of `on` over its day range — including
 //! ranges that start before or end after the span, empty and inverted
-//! ranges, and rack indices past the fleet. The fleets are a small clean
-//! one, a medium dirty one, and the small one with its span trimmed at both
-//! ends so that tickets fall outside it.
+//! ranges, and rack indices past the fleet. Over the whole span, the
+//! all-hardware `between` of each rack must also equal the total of that
+//! rack's daily λ series: the failure count behind Fig. 14's per-rack mean.
+//! The fleets are a small clean one, a medium dirty one, and the small one
+//! with its span trimmed at both ends so that tickets fall outside it.
 
 use std::collections::BTreeMap;
 use std::sync::OnceLock;
@@ -16,8 +18,9 @@ use proptest::prelude::*;
 use rainshine::analysis::dataset::{FaultFilter, RackDayCounts};
 use rainshine::dcsim::{CorruptionConfig, FleetConfig, Simulation, SimulationOutput};
 use rainshine::telemetry::ids::{DeviceId, RackId};
+use rainshine::telemetry::metrics::{lambda, SpatialGranularity};
 use rainshine::telemetry::rma::{FaultKind, HardwareFault, RmaTicket, SoftwareFault};
-use rainshine::telemetry::time::SimTime;
+use rainshine::telemetry::time::{SimTime, TimeGranularity};
 
 fn filters() -> Vec<FaultFilter> {
     let mut filters = vec![FaultFilter::All, FaultFilter::AllHardware, FaultFilter::OtherHardware];
@@ -102,6 +105,30 @@ fn on_matches_a_btreemap_count_on_every_rack_day() {
             }
             assert!(total > 0, "{filter:?} counts nothing");
         }
+    }
+}
+
+#[test]
+fn span_count_matches_the_daily_lambda_total() {
+    for fleet in fleets() {
+        let output = &fleet.output;
+        let (start, end) = fleet.span();
+        let counts = RackDayCounts::new(output, FaultFilter::AllHardware);
+        let series = lambda(
+            &output.hardware_tickets(),
+            SpatialGranularity::Rack,
+            TimeGranularity::Daily,
+            output.config.start,
+            output.config.end,
+        );
+        let mut total = 0;
+        for (index, rack) in output.fleet.racks.iter().enumerate() {
+            let key = SpatialGranularity::Rack.key(&rack.server_location(0));
+            let want = series.get(&key).map_or(0, |s| s.total());
+            assert_eq!(u64::from(counts.between(index, start, end)), want, "{}", rack.id);
+            total += want;
+        }
+        assert!(total > 0, "no hardware failure in the span");
     }
 }
 

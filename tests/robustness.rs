@@ -131,13 +131,3 @@ fn ticket_devices_are_consistent_with_fleet() {
         }
     }
 }
-
-#[test]
-fn provisioning_with_coverage_zero_is_free() {
-    let out = Simulation::new(FleetConfig::small(), 9).run();
-    let mut params = ProvisionParams::new(1.0, TimeGranularity::Daily);
-    params.coverage = 0.0;
-    let r = provision_servers(&out, Workload::W1, &params).unwrap();
-    assert_eq!(r.lb.spares, 0.0);
-    assert_eq!(r.sf.spares, 0.0);
-}
