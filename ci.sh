@@ -19,6 +19,17 @@ if [ "$panic_sites" -gt "$MAX_PANIC_SITES" ]; then
     echo "ci: $panic_sites non-test panic sites, above the ratchet of $MAX_PANIC_SITES" >&2
     exit 1
 fi
+# Serde boundary: the scenario spec is the one input format, so no library
+# source outside crates/conformance/src/scenario.rs names `Deserialize` in
+# code (a derive, an impl or an import). Comment and doc lines do not count.
+deserialize_sites=$(grep -rnw 'Deserialize' crates/*/src --include='*.rs' |
+    grep -v '^crates/conformance/src/scenario\.rs:' |
+    grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' || true)
+if [ -n "$deserialize_sites" ]; then
+    echo "ci: Deserialize outside the scenario spec:" >&2
+    echo "$deserialize_sites" >&2
+    exit 1
+fi
 cargo build --release --workspace
 # The examples are callers of the library API, so every one under
 # examples/ must run to completion, not just compile (about 1 s for all of

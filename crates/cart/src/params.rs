@@ -1,14 +1,12 @@
 //! Tree-growing hyper-parameters (the analogue of `rpart.control`).
 
-use serde::{Deserialize, Serialize};
-
 use crate::{CartError, Result};
 
 /// Hyper-parameters controlling tree growth.
 ///
 /// Defaults mirror `rpart.control`: `min_split = 20`, `min_leaf = 7`
 /// (rpart's `minbucket = minsplit/3`), `max_depth = 30`, `cp = 0.01`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CartParams {
     /// Minimum observations in a node for a split to be attempted.
     pub min_split: usize,

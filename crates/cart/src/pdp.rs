@@ -6,7 +6,6 @@
 //! [`stratified_effect_nominal`].
 
 use rainshine_telemetry::frame::Frame;
-use serde::{Deserialize, Serialize};
 
 use crate::dataset::CartDataset;
 use crate::params::CartParams;
@@ -15,7 +14,7 @@ use crate::{CartError, Result};
 
 /// Effect of one level of the feature of interest after normalizing all
 /// control factors (the paper's `N(·)`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LevelEffect {
     /// Level label (category name, or bin label for binned features).
     pub level: String,
@@ -35,7 +34,7 @@ pub struct LevelEffect {
 }
 
 /// One (stratum, level) cell of a stratified analysis.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StratumCell {
     /// Stratum index (dense renumbering of tree leaves).
     pub stratum: usize,
@@ -48,7 +47,7 @@ pub struct StratumCell {
 }
 
 /// The result of a stratified-normalization analysis.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StratifiedEffect {
     /// Per-level effects, in level order.
     pub levels: Vec<LevelEffect>,

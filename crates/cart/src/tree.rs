@@ -3,7 +3,7 @@
 use std::collections::HashMap;
 
 use rainshine_telemetry::frame::Frame;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::dataset::{feature_column, CartDataset, FeatureColumn, Target};
 use crate::params::CartParams;
@@ -11,7 +11,7 @@ use crate::split::{best_split, best_split_ranked, ranked_order, Ranked, RiskAcc,
 use crate::{CartError, Result};
 
 /// Whether a tree predicts a continuous mean or a class.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum TreeKind {
     /// Continuous target, variance impurity (`rpart` "anova").
     Regression,
@@ -20,7 +20,7 @@ pub enum TreeKind {
 }
 
 /// One node of a fitted tree.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Node {
     /// Index of this node in [`Tree::nodes`].
     pub id: usize,
@@ -52,7 +52,7 @@ impl Node {
 }
 
 /// A fitted CART model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Tree {
     kind: TreeKind,
     nodes: Vec<Node>,

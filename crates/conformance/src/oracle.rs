@@ -33,7 +33,7 @@ use crate::scenario::Scenario;
 use crate::{ConformanceError, Result};
 
 /// How much two paired executions may diverge.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
 pub enum DivergenceBound {
     /// Every cell must be bit-identical.
     BitIdentical,
@@ -64,7 +64,7 @@ pub fn cell_divergence(a: f64, b: f64) -> f64 {
 }
 
 /// Outcome of one differential oracle.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, serde::Serialize)]
 pub struct OracleReport {
     /// Oracle name.
     pub name: String,

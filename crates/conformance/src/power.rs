@@ -20,7 +20,7 @@ use crate::scenario::{Expect, Scenario};
 use crate::Result;
 
 /// One claim aggregated across the seed sweep.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, serde::Serialize)]
 pub struct ClaimOutcome {
     /// Claim name from the scenario spec.
     pub name: String,
@@ -49,7 +49,7 @@ pub struct ClaimOutcome {
 }
 
 /// A full scenario evaluated across a seed sweep.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, serde::Serialize)]
 pub struct ScenarioOutcome {
     /// Scenario name.
     pub scenario: String,

@@ -28,7 +28,6 @@ use rainshine_telemetry::schema::columns;
 use rainshine_telemetry::time::SimTime;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 use crate::dataset::{FaultFilter, RackDayCounts};
 use crate::{AnalysisError, Result};
@@ -72,7 +71,7 @@ impl Default for PredictionConfig {
 }
 
 /// Binary confusion counts on the test split.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Confusion {
     /// Predicted fail, did fail.
     pub true_positives: u64,
@@ -141,7 +140,7 @@ fn ratio(part: u64, whole: u64) -> f64 {
 }
 
 /// Outcome of a prediction study.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PredictionReport {
     /// Test-split confusion counts.
     pub confusion: Confusion,

@@ -28,7 +28,6 @@ use rainshine_telemetry::metrics::{self, SpatialGranularity, SpatialKey, Windowe
 use rainshine_telemetry::rma::{HardwareFault, RmaTicket};
 use rainshine_telemetry::schema::columns;
 use rainshine_telemetry::time::TimeGranularity;
-use serde::{Deserialize, Serialize};
 
 use crate::dataset::{rack_table, FaultFilter};
 use crate::tco::TcoModel;
@@ -197,7 +196,7 @@ pub fn rack_deficits(
 }
 
 /// One provisioning approach's outcome.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ApproachResult {
     /// Total spare servers (fractional: per-rack fractions summed).
     pub spares: f64,
@@ -206,7 +205,7 @@ pub struct ApproachResult {
 }
 
 /// One MF cluster (a CART leaf).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterInfo {
     /// Cluster index (ordered by spare fraction).
     pub id: usize,
@@ -360,7 +359,7 @@ pub fn tco_savings(result: &ServerProvisioning, tco: &TcoModel) -> f64 {
 
 /// Cost (in relative units) of one provisioning level under the three
 /// approaches (Fig. 13 bars).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostTriple {
     /// Lower bound cost.
     pub lb: f64,
@@ -371,7 +370,7 @@ pub struct CostTriple {
 }
 
 /// Result of the component- vs server-level comparison (Q1-B, Fig. 13).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ComponentProvisioning {
     /// Workload studied.
     pub workload: Workload,

@@ -21,9 +21,8 @@ use rainshine_telemetry::ids::{RackId, Sku};
 use rainshine_telemetry::metrics::{self, SpatialGranularity};
 use rainshine_telemetry::schema::columns;
 use rainshine_telemetry::time::TimeGranularity;
-use serde::{Deserialize, Serialize};
 
-use crate::dataset::{rack_table, FaultFilter, RackDayCounts};
+use crate::dataset::rack_table;
 use crate::tco::TcoModel;
 use crate::{AnalysisError, Result};
 
@@ -40,7 +39,7 @@ pub const MF_CONTROLS: &[&str] = &[
 ];
 
 /// Single-factor reliability summary of one SKU (Fig. 14 bars).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SkuReliability {
     /// SKU label.
     pub sku: String,
@@ -59,11 +58,11 @@ pub struct SkuReliability {
 /// One rack active in the span, with what the SF and MF comparisons read
 /// of it.
 struct ActiveRack<'a> {
-    /// Position in `fleet.racks`, the [`RackDayCounts`] rack index.
-    index: usize,
     rack: &'a RackInfo,
     /// Days in service within the span.
     active_days: f64,
+    /// Hardware tickets opened on the span's days.
+    tickets: u32,
     /// Worst daily μ (the peak window's failed-server count).
     peak: f64,
 }
@@ -72,24 +71,23 @@ struct ActiveRack<'a> {
 fn active_racks(output: &SimulationOutput) -> Vec<ActiveRack<'_>> {
     let (start, end) = (output.config.start, output.config.end);
     let (start_day, end_day) = (start.days() as i64, end.days() as i64);
-    let mu = metrics::mu(
-        &output.hardware_tickets(),
-        SpatialGranularity::Rack,
-        TimeGranularity::Daily,
-        start,
-        end,
-    );
+    let hardware = output.hardware_tickets();
+    let mu = metrics::mu(&hardware, SpatialGranularity::Rack, TimeGranularity::Daily, start, end);
+    let span_days = start.days()..end.days();
+    let mut tickets: HashMap<RackId, u32> = HashMap::new();
+    for t in hardware.iter().filter(|t| span_days.contains(&t.opened.days())) {
+        *tickets.entry(t.location.rack).or_insert(0) += 1;
+    }
     output
         .fleet
         .racks
         .iter()
-        .enumerate()
-        .filter_map(|(index, rack)| {
+        .filter_map(|rack| {
             let active_days = (end_day - rack.commissioned_day.max(start_day)).max(0);
             (active_days > 0).then(|| ActiveRack {
-                index,
                 rack,
                 active_days: active_days as f64,
+                tickets: tickets.get(&rack.id).copied().unwrap_or(0),
                 peak: mu
                     .get(&SpatialGranularity::Rack.key(&rack.server_location(0)))
                     .map_or(0.0, |s| s.max() as f64),
@@ -106,11 +104,8 @@ fn active_racks(output: &SimulationOutput) -> Vec<ActiveRack<'_>> {
 /// Returns [`AnalysisError::NoData`] if none of `skus` has racks.
 pub fn sf_comparison(output: &SimulationOutput, skus: &[Sku]) -> Result<Vec<SkuReliability>> {
     let racks = active_racks(output);
-    let counts = RackDayCounts::new(output, FaultFilter::AllHardware);
-    let (start_day, end_day) = (output.config.start.days(), output.config.end.days());
     // Mean daily hardware failure count over the rack's active days.
-    let mean =
-        |r: &ActiveRack| f64::from(counts.between(r.index, start_day, end_day)) / r.active_days;
+    let mean = |r: &ActiveRack| f64::from(r.tickets) / r.active_days;
     let mut out = Vec::new();
     for &sku in skus {
         let of_sku: Vec<&ActiveRack> = racks.iter().filter(|r| r.rack.sku == sku).collect();
@@ -138,7 +133,7 @@ pub fn sf_comparison(output: &SimulationOutput, skus: &[Sku]) -> Result<Vec<SkuR
 
 /// Multi-factor comparison (Fig. 15): stratified effects of SKU on the
 /// average rate (rack-day table) and on the per-rack peak (rack table).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MfSkuComparison {
     /// Effect on the mean failure rate (`relative` ≈ intrinsic multiplier).
     pub avg: StratifiedEffect,
@@ -195,7 +190,7 @@ impl MfSkuComparison {
 }
 
 /// One procurement scenario of the paper's Q2 TCO analysis.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProcurementScenario {
     /// Price of the reliable SKU relative to the baseline SKU.
     pub price_ratio: f64,
@@ -261,7 +256,7 @@ pub fn procurement_scenarios(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dataset::rack_day_table;
+    use crate::dataset::{rack_day_table, FaultFilter};
     use rainshine_dcsim::{FleetConfig, Simulation};
 
     fn sim() -> SimulationOutput {

@@ -14,7 +14,6 @@ use rainshine_cart::SplitRule;
 use rainshine_stats::hist::Binner;
 use rainshine_telemetry::frame::{FeatureKind, Field, Frame, FrameBuilder, Schema};
 use rainshine_telemetry::schema::columns;
-use serde::{Deserialize, Serialize};
 
 use crate::evidence::{binned_rows, by_binned, SeriesRow};
 use crate::{AnalysisError, Result};
@@ -94,7 +93,7 @@ pub const ENV_ANALYSIS_COLUMNS: &[&str] = &[
 ];
 
 /// A threshold rule discovered by the environment tree.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DiscoveredRule {
     /// Feature split on (`temperature_f` or `relative_humidity`).
     pub feature: String,
@@ -107,7 +106,7 @@ pub struct DiscoveredRule {
 }
 
 /// Fig. 18's per-DC result.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EnvAnalysis {
     /// Datacenter label.
     pub dc: String,
@@ -129,7 +128,7 @@ pub struct EnvAnalysis {
 }
 
 /// Mean/sd/n of one Fig. 18 group.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SeriesGroup {
     /// Mean failure rate of the group.
     pub mean: f64,
@@ -281,7 +280,7 @@ pub fn env_analysis(dc_label: &str, table: &Frame, cart: &CartParams) -> Result<
 }
 
 /// One candidate temperature cap in a set-point trade-off study.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SetpointOption {
     /// Inlet temperature cap, °F (`f64::INFINITY` = no cap, free-running).
     pub cap_f: f64,
@@ -297,7 +296,7 @@ pub struct SetpointOption {
 }
 
 /// Parameters of the set-point trade-off model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SetpointModel {
     /// Cost of removing one rack-degree-day of heat above the cap
     /// (mechanical-assist energy + water in an adiabatic facility).

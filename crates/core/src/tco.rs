@@ -6,14 +6,12 @@
 //! All quantities are in *relative cost units* anchored to the paper's
 //! server:disk:DIMM = 100:2:10 price ratio.
 
-use serde::{Deserialize, Serialize};
-
 /// TCO parameters per server over the amortization horizon.
 ///
 /// Defaults follow the Kontorinis et al. breakdown: servers are a bit over
 /// half of TCO, with power/cooling infrastructure and energy making up most
 /// of the rest.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TcoModel {
     /// Purchase price of one production server (relative units).
     pub server_price: f64,

@@ -7,8 +7,6 @@
 //! pure function of `(site seed, hour)` — so the environment is perfectly
 //! reproducible without threading RNG state through the simulation.
 
-use serde::{Deserialize, Serialize};
-
 /// SplitMix64 — deterministic hash used for environmental noise.
 fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -31,7 +29,7 @@ pub fn signed_noise(seed: u64, index: u64) -> f64 {
 }
 
 /// Outdoor weather at one instant.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Weather {
     /// Dry-bulb temperature, °F.
     pub temp_f: f64,
@@ -40,7 +38,7 @@ pub struct Weather {
 }
 
 /// A site climate: annual and diurnal sinusoids with noise.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SiteClimate {
     /// Annual mean temperature, °F.
     pub mean_temp_f: f64,

@@ -2,7 +2,6 @@
 
 use rainshine_parallel::Parallelism;
 use rainshine_telemetry::time::SimTime;
-use serde::{Deserialize, Serialize};
 
 use crate::corruption::CorruptionConfig;
 use crate::hazard::HazardConfig;
@@ -13,7 +12,7 @@ use crate::{Result, SimError};
 /// Use [`FleetConfig::paper_scale`] for the full two-DC fleet the paper
 /// studies (331 + 290 racks over 2.5 years) or [`FleetConfig::small`] /
 /// [`FleetConfig::medium`] for faster runs in tests and examples.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FleetConfig {
     /// Start of the observation window.
     pub start: SimTime,

@@ -13,12 +13,10 @@
 //!   setpoint regardless of weather, so inlet T/RH barely move (and Q3 finds
 //!   no environmental effect there).
 
-use serde::{Deserialize, Serialize};
-
 use crate::climate::{signed_noise, Weather};
 
 /// Rack-inlet environmental conditions.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct InletConditions {
     /// Inlet dry-bulb temperature, °F.
     pub temp_f: f64,
@@ -27,7 +25,7 @@ pub struct InletConditions {
 }
 
 /// Cooling technology (Table I).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CoolingSystem {
     /// Outside-air economization with evaporative (adiabatic) assist.
     Adiabatic,

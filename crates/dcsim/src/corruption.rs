@@ -29,7 +29,7 @@ use rainshine_telemetry::time::SimTime;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::{Result, SimError};
 
@@ -48,7 +48,7 @@ const SPIKE_MAX_F: f64 = 80.0;
 /// Per-defect-class corruption rates. The default is all-zero (pristine
 /// output, bit-identical to a simulator without this module); use
 /// [`CorruptionConfig::dirty_default`] for the documented dirty preset.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct CorruptionConfig {
     /// Fraction of tickets re-reported as a near-duplicate (pipeline retry).
     pub duplicate_rate: f64,
@@ -221,7 +221,7 @@ impl CorruptionConfig {
 
 /// Ground truth of what the injector actually did — the reference the
 /// data-quality report is audited against.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct InjectionLog {
     /// Near-duplicate tickets appended.
     pub duplicates: u64,
@@ -309,7 +309,7 @@ pub fn corrupt_tickets(
 }
 
 /// One sensor blackout: a DC region reports nothing for a run of days.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BlackoutWindow {
     /// Affected datacenter.
     pub dc: DcId,
@@ -333,7 +333,7 @@ impl BlackoutWindow {
 
 /// One spiked sensor cell: the daily temperature reading lands far outside
 /// physical bounds.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SpikeCell {
     /// Affected datacenter.
     pub dc: DcId,
@@ -348,7 +348,7 @@ pub struct SpikeCell {
 
 /// The sensor-fault plan for one run: which env cells are blacked out and
 /// which are spiked. Empty by default (clean sensors).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SensorFaultPlan {
     /// Blackout windows (disjoint by construction — one region each).
     pub blackouts: Vec<BlackoutWindow>,

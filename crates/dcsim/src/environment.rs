@@ -7,13 +7,12 @@
 
 use rainshine_telemetry::ids::{DcId, RegionId};
 use rainshine_telemetry::time::SimTime;
-use serde::{Deserialize, Serialize};
 
 use crate::climate::{signed_noise, SiteClimate};
 use crate::cooling::{CoolingSystem, InletConditions};
 
 /// Environment model for one datacenter.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DcEnvironment {
     /// The datacenter this model covers.
     pub dc: DcId,
@@ -28,7 +27,7 @@ pub struct DcEnvironment {
 }
 
 /// Environment models for the whole fleet.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EnvModel {
     dcs: Vec<DcEnvironment>,
 }

@@ -24,7 +24,7 @@
 
 use rainshine_telemetry::ids::DcId;
 use rainshine_telemetry::time::SimTime;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::cooling::InletConditions;
 use crate::topology::RackInfo;
@@ -32,7 +32,7 @@ use crate::workload;
 use crate::{Result, SimError};
 
 /// Hardware component classes that generate RMA tickets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ComponentClass {
     /// Hard-disk drives.
     Disk,
@@ -58,7 +58,7 @@ impl ComponentClass {
 }
 
 /// Ground-truth hazard configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct HazardConfig {
     /// Disk failures per disk-day at baseline (≈ 2.2 %/yr AFR).
     pub disk_base: f64,

@@ -3,7 +3,9 @@
 use rainshine_obs::Obs;
 use rainshine_parallel::derive_seed;
 use rainshine_telemetry::ids::{DcId, RackId, RegionId};
-use rainshine_telemetry::quality::{DataQualityReport, DefectClass, Sanitizer, SanitizerConfig};
+use rainshine_telemetry::quality::{
+    DataQualityReport, DefectClass, Sanitizer, SanitizerConfig, SENSOR_BOUNDS,
+};
 use rainshine_telemetry::rma::{self, RmaTicket};
 use rainshine_telemetry::time::SimTime;
 use rand::rngs::StdRng;
@@ -178,7 +180,6 @@ impl Simulation {
         // clean by construction.
         if corruption_cfg.is_enabled() {
             let mut span = obs.span("dcsim.env_audit");
-            let bounds = sanitizer.config().bounds;
             for d in &fleet.datacenters {
                 for region in 1..=d.regions {
                     let region = RegionId(region);
@@ -192,7 +193,9 @@ impl Simulation {
                         let clean = daily_env.daily_mean(&env, d.id, region, day);
                         let temp = clean.temp_f
                             + sensor_faults.spike_delta(d.id, region, day).unwrap_or(0.0);
-                        if bounds.winsorize_temp(temp).1 || bounds.winsorize_rh(clean.rh).1 {
+                        if SENSOR_BOUNDS.winsorize_temp(temp).1
+                            || SENSOR_BOUNDS.winsorize_rh(clean.rh).1
+                        {
                             quality.record(DefectClass::SensorSpike, true);
                         }
                     }
@@ -321,10 +324,9 @@ impl SimulationOutput {
         if self.sensor_faults.is_empty() {
             return observed;
         }
-        let bounds = rainshine_telemetry::quality::SensorBounds::default();
         InletConditions {
-            temp_f: bounds.winsorize_temp(observed.temp_f).0,
-            rh: bounds.winsorize_rh(observed.rh).0,
+            temp_f: SENSOR_BOUNDS.winsorize_temp(observed.temp_f).0,
+            rh: SENSOR_BOUNDS.winsorize_rh(observed.rh).0,
         }
     }
 }

@@ -9,10 +9,9 @@
 use std::sync::LazyLock;
 
 use rainshine_telemetry::ids::Sku;
-use serde::{Deserialize, Serialize};
 
 /// Static description of one SKU.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SkuSpec {
     /// Which SKU this describes.
     pub sku: Sku,

@@ -13,7 +13,6 @@ use rainshine_telemetry::ids::{
     DcId, RackId, RegionId, RowId, ServerId, ServerLocation, Sku, Workload,
 };
 use rainshine_telemetry::time::SimTime;
-use serde::{Deserialize, Serialize};
 
 use crate::climate::unit_noise;
 use crate::config::FleetConfig;
@@ -24,7 +23,7 @@ use crate::sku::{self, SkuSpec};
 pub const DAYS_PER_MONTH: f64 = 30.44;
 
 /// Static description of one datacenter (the paper's Table I).
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Datacenter {
     /// Identifier.
     pub id: DcId,
@@ -41,7 +40,7 @@ pub struct Datacenter {
 }
 
 /// One rack: the paper's provisioning granularity.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RackInfo {
     /// Fleet-unique rack id.
     pub id: RackId,
@@ -104,7 +103,7 @@ impl RackInfo {
 }
 
 /// The whole fleet.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fleet {
     /// The two datacenters.
     pub datacenters: Vec<Datacenter>,

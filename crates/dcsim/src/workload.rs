@@ -9,10 +9,9 @@
 use std::sync::LazyLock;
 
 use rainshine_telemetry::ids::Workload;
-use serde::{Deserialize, Serialize};
 
 /// Static description of one workload's failure-stress profile.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WorkloadSpec {
     /// Which workload this describes.
     pub workload: Workload,

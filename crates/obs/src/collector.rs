@@ -14,10 +14,10 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Wall-time and throughput accounting for one named stage.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageStats {
     /// Times the stage ran.
     pub calls: u64,
@@ -35,7 +35,7 @@ pub struct StageStats {
 /// exactly zero, bucket 1 is `{1}`, bucket 2 is `{2, 3}`, bucket `b` is
 /// `[2^(b-1), 2^b)`. Coarse and allocation-light; every field is an
 /// integer.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
 pub struct Histogram {
     /// Number of observations.
     pub count: u64,
@@ -79,7 +79,7 @@ fn bucket_of(value: u64) -> u8 {
 }
 
 /// An owned set of metrics: the unit of collection.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Collector {
     /// Monotonic counters.
     pub counters: BTreeMap<String, u64>,

@@ -9,7 +9,7 @@
 //! * [`Obs`] — the handle threaded through `dcsim`, `conformance`, and
 //!   the experiment driver. Disabled handles are free (no lock, no clock
 //!   read).
-//! * [`RunReport`] — the serializable rollup. Its deterministic section
+//! * [`RunReport`] — the rollup. Its serialized deterministic section
 //!   (written by `--report PATH`) is byte-identical for a fixed seed at
 //!   any `Parallelism` setting; wall-clock timings live in a separate
 //!   section rendered only to the stderr human summary.

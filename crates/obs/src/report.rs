@@ -1,4 +1,4 @@
-//! The serializable run report.
+//! The run report.
 //!
 //! A [`RunReport`] splits what a run recorded into two sections with
 //! different contracts:
@@ -13,7 +13,7 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize, Value};
+use serde::{Serialize, Value};
 
 use crate::collector::{Collector, Histogram};
 
@@ -21,7 +21,7 @@ use crate::collector::{Collector, Histogram};
 pub const SCHEMA_VERSION: u32 = 1;
 
 /// The deterministic half of a stage's stats: wall time stripped.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct StageCounts {
     /// Times the stage ran.
     pub calls: u64,
@@ -30,7 +30,7 @@ pub struct StageCounts {
 }
 
 /// Everything about a run that is a pure function of (config, seed).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct DeterministicReport {
     /// Report schema version ([`SCHEMA_VERSION`]).
     pub schema_version: u32,
@@ -51,7 +51,7 @@ pub struct DeterministicReport {
 }
 
 /// Per-stage wall-clock time. Non-deterministic; human summary only.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WallTimes {
     /// Sum of all stage wall times, in nanoseconds.
     pub total_nanos: u64,
@@ -60,7 +60,7 @@ pub struct WallTimes {
 }
 
 /// A full run report: deterministic section plus wall-clock section.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunReport {
     /// The byte-stable section written by `--report`.
     pub deterministic: DeterministicReport,
@@ -216,16 +216,6 @@ mod tests {
         let rb = RunReport::from_collector(&b);
         assert_eq!(ra.deterministic_json(), rb.deterministic_json());
         assert_ne!(ra.wall, rb.wall);
-    }
-
-    #[test]
-    fn report_roundtrips_through_serde() {
-        let mut report = RunReport::from_collector(&sample_collector());
-        report.set_meta("seed", Value::U64(7));
-        report.set_quality(Value::Object(vec![("rows_dropped".to_string(), Value::U64(3))]));
-        let value = serde::Serialize::to_value(&report);
-        let back: RunReport = serde::Deserialize::from_value(&value).expect("roundtrip");
-        assert_eq!(report, back);
     }
 
     #[test]

@@ -22,10 +22,8 @@
 //! rayon `par_iter().with_min_len(...)` would settle into for uniform
 //! workloads.
 
-use serde::{Deserialize, Serialize};
-
 /// How a parallelizable stage should execute.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Parallelism {
     /// Run on the calling thread, one item at a time.
     Sequential,
@@ -246,15 +244,5 @@ mod tests {
         assert!(a != b && a != c && a != d && b != c);
         // Stable across calls.
         assert_eq!(a, derive_seed(42, 0, 0));
-    }
-
-    #[test]
-    fn parallelism_serializes() {
-        let v = serde::Serialize::to_value(&Parallelism::Threads(4));
-        let back: Parallelism = serde::Deserialize::from_value(&v).unwrap();
-        assert_eq!(back, Parallelism::Threads(4));
-        let v = serde::Serialize::to_value(&Parallelism::Auto);
-        let back: Parallelism = serde::Deserialize::from_value(&v).unwrap();
-        assert_eq!(back, Parallelism::Auto);
     }
 }

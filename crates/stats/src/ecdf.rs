@@ -45,46 +45,8 @@ pub fn steps(sample: &[f64]) -> Result<Vec<(f64, f64)>> {
     Ok(out)
 }
 
-/// Inverse-CDF (type 1) quantile of a sparse distribution: `total`
-/// observations of which only `sorted_nonzero` are explicit; the
-/// remaining `total − sorted_nonzero.len()` are an implicit mass of
-/// zeros sorting below every explicit value.
-///
-/// This is the single rank definition shared by the telemetry
-/// `WindowedSeries` λ/μ distributions and the Q1 rack-deficit quantiles: with `q` clamped to `[0, 1]`, the 1-based
-/// rank is `ceil(q · total)` floored at 1, the result is the default
-/// value (zero) while the rank falls inside the zero mass, and the
-/// explicit values are indexed by `rank − zeros` beyond it.
-///
-/// `sorted_nonzero` must be sorted ascending (debug-asserted). If it has
-/// more entries than `total` — a malformed sparse series — the zero mass
-/// saturates at zero instead of underflowing, and ranks past the end
-/// clamp to the maximum.
-pub fn quantile_with_zeros<T>(sorted_nonzero: &[T], total: u64, q: f64) -> T
-where
-    T: Copy + Default + PartialOrd,
-{
-    debug_assert!(
-        sorted_nonzero.windows(2).all(|w| w[0] <= w[1]),
-        "quantile_with_zeros requires sorted values"
-    );
-    if total == 0 {
-        return T::default();
-    }
-    let q = q.clamp(0.0, 1.0);
-    let rank = (q * total as f64).ceil().max(1.0) as u64;
-    let zeros = total - (sorted_nonzero.len() as u64).min(total);
-    if rank <= zeros || sorted_nonzero.is_empty() {
-        return T::default();
-    }
-    let idx = (rank - zeros - 1) as usize;
-    sorted_nonzero[idx.min(sorted_nonzero.len() - 1)]
-}
-
-/// Interpolated quantile (R type-7, the R/NumPy default) of a sample.
-///
-/// Unlike [`quantile_with_zeros`] this interpolates between order
-/// statistics.
+/// Interpolated quantile (R type-7, the R/NumPy default) of a sample:
+/// interpolates between order statistics.
 ///
 /// # Errors
 ///
@@ -129,30 +91,5 @@ mod tests {
     fn interpolated_quantile_rejects_bad_q() {
         assert!(quantile_interpolated(&[1.0], 1.5).is_err());
         assert!(quantile_interpolated(&[], 0.5).is_err());
-    }
-
-    #[test]
-    fn zero_mass_quantile_rank_semantics() {
-        // 7 zeros + [1, 5, 9]: ranks 1..=7 are zero, 8 → 1, 9 → 5, 10 → 9.
-        let nonzero = [1u64, 5, 9];
-        assert_eq!(quantile_with_zeros(&nonzero, 10, 0.0), 0);
-        assert_eq!(quantile_with_zeros(&nonzero, 10, 0.7), 0); // rank 7
-        assert_eq!(quantile_with_zeros(&nonzero, 10, 0.71), 1); // rank 8
-        assert_eq!(quantile_with_zeros(&nonzero, 10, 0.8), 1);
-        assert_eq!(quantile_with_zeros(&nonzero, 10, 0.9), 5);
-        assert_eq!(quantile_with_zeros(&nonzero, 10, 1.0), 9);
-    }
-
-    #[test]
-    fn zero_mass_quantile_degenerate_inputs() {
-        // Empty distribution.
-        assert_eq!(quantile_with_zeros::<u64>(&[], 0, 0.5), 0);
-        // All-zero distribution.
-        assert_eq!(quantile_with_zeros::<u64>(&[], 4, 1.0), 0);
-        // Malformed: more explicit values than total observations must
-        // saturate the zero mass rather than underflow.
-        assert_eq!(quantile_with_zeros(&[2u64, 3], 1, 1.0), 2);
-        // Works for floats with no zero mass.
-        assert_eq!(quantile_with_zeros(&[1.5f64, 2.5], 2, 0.5), 1.5);
     }
 }

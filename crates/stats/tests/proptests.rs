@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use rainshine_stats::describe::Summary;
-use rainshine_stats::ecdf::{quantile_interpolated, quantile_with_zeros, steps};
+use rainshine_stats::ecdf::{quantile_interpolated, steps};
 use rainshine_stats::hist::Binner;
 
 fn finite_vec() -> impl Strategy<Value = Vec<f64>> {
@@ -36,29 +36,6 @@ fn check_steps(data: &[f64]) -> Result<(), TestCaseError> {
     distinct.dedup();
     prop_assert_eq!(points.len(), distinct.len());
     Ok(())
-}
-
-/// A sorted vector of nonzero sample values for `quantile_with_zeros`.
-fn sorted_nonzero() -> impl Strategy<Value = Vec<u64>> {
-    prop::collection::vec(1u64..1000, 0..50).prop_map(|mut v| {
-        v.sort_unstable();
-        v
-    })
-}
-
-/// The reference semantics of [`quantile_with_zeros`]: materialize the full
-/// multiset (implicit zeros first, then the stored values) and take the
-/// type-1 inverse-CDF order statistic, with ranks capped at `total` so
-/// malformed over-full series stay in bounds.
-fn naive_zero_mass_quantile(sorted_nonzero: &[u64], total: u64, q: f64) -> u64 {
-    let zeros = total.saturating_sub(sorted_nonzero.len().min(total as usize) as u64);
-    let full: Vec<u64> =
-        std::iter::repeat_n(0, zeros as usize).chain(sorted_nonzero.iter().copied()).collect();
-    if total == 0 {
-        return 0;
-    }
-    let rank = ((q * total as f64).ceil().max(1.0) as u64).min(total);
-    full[(rank - 1) as usize]
 }
 
 proptest! {
@@ -100,58 +77,6 @@ proptest! {
         prop_assert!(bin < binner.bin_count());
         // Label rendering never panics for valid bins.
         let _ = binner.label(bin);
-    }
-
-    #[test]
-    fn zero_mass_quantile_matches_materialized_multiset(
-        values in sorted_nonzero(),
-        total in 0u64..200,
-        q in 0.0f64..=1.0,
-    ) {
-        prop_assert_eq!(
-            quantile_with_zeros(&values, total, q),
-            naive_zero_mass_quantile(&values, total, q)
-        );
-    }
-
-    #[test]
-    fn zero_mass_quantile_is_monotone_in_q(
-        values in sorted_nonzero(),
-        total in 0u64..200,
-        a in 0.0f64..=1.0,
-        b in 0.0f64..=1.0,
-    ) {
-        let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
-        prop_assert!(
-            quantile_with_zeros(&values, total, lo) <= quantile_with_zeros(&values, total, hi)
-        );
-    }
-
-    #[test]
-    fn zero_mass_quantile_boundary_ranks(values in sorted_nonzero(), extra_zeros in 0u64..100) {
-        let total = values.len() as u64 + extra_zeros;
-        // q = 0 clamps to rank 1: the smallest sample, which is an implicit
-        // zero whenever any zero mass exists.
-        let at_zero = quantile_with_zeros(&values, total, 0.0);
-        if extra_zeros > 0 {
-            prop_assert_eq!(at_zero, 0);
-        } else {
-            prop_assert_eq!(at_zero, values.first().copied().unwrap_or(0));
-        }
-        // q = 1 is the maximum of the full multiset.
-        prop_assert_eq!(quantile_with_zeros(&values, total, 1.0), values.last().copied().unwrap_or(0));
-        // The rank just inside the zero mass still reports zero; the first
-        // rank past it reports the smallest nonzero value. Probing at
-        // rank - 0.5 keeps ceil() away from float-rounding at exact
-        // rank/total boundaries.
-        if extra_zeros > 0 && total > 0 {
-            let boundary = (extra_zeros as f64 - 0.5) / total as f64;
-            prop_assert_eq!(quantile_with_zeros(&values, total, boundary), 0);
-            if !values.is_empty() {
-                let past = (extra_zeros as f64 + 0.5) / total as f64;
-                prop_assert_eq!(quantile_with_zeros(&values, total, past), values[0]);
-            }
-        }
     }
 
     #[test]

@@ -34,12 +34,10 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use crate::{Result, TelemetryError};
 
 /// The type of a feature column (Table III's C / N / O).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum FeatureKind {
     /// Real-valued (temperature, age, rated power).
     Continuous,
@@ -66,7 +64,7 @@ impl fmt::Display for FeatureKind {
 }
 
 /// A named, typed column declaration.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Field {
     /// Column name, unique within a schema.
     pub name: String,
@@ -82,7 +80,7 @@ impl Field {
 }
 
 /// An ordered set of fields.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Schema {
     fields: Vec<Field>,
 }
@@ -126,7 +124,7 @@ impl Schema {
 }
 
 /// A single cell value, used when assembling rows.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// A continuous observation.
     Continuous(f64),
@@ -213,18 +211,6 @@ impl PartialEq for Dictionary {
     }
 }
 
-impl serde::Serialize for Dictionary {
-    fn to_value(&self) -> serde::Value {
-        self.labels.as_slice().to_value()
-    }
-}
-
-impl serde::Deserialize for Dictionary {
-    fn from_value(v: &serde::Value) -> std::result::Result<Self, serde::Error> {
-        Vec::<String>::from_value(v).map(Dictionary::new)
-    }
-}
-
 /// One contiguous typed column.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Column {
@@ -274,44 +260,6 @@ impl Column {
                 codes: rows.iter().map(|&r| codes[r]).collect(),
                 dict: dict.clone(),
             },
-        }
-    }
-}
-
-// Serialized as an externally tagged enum, so frame JSON (and every
-// results file) keeps its `{ schema, columns, rows }` shape: the
-// dictionary appears under the `categories` key as a plain label array.
-impl serde::Serialize for Column {
-    fn to_value(&self) -> serde::Value {
-        let (tag, inner) = match self {
-            Column::Continuous(data) => ("Continuous", data.to_value()),
-            Column::Ordinal(data) => ("Ordinal", data.to_value()),
-            Column::Nominal { codes, dict } => (
-                "Nominal",
-                serde::Value::Object(vec![
-                    ("codes".to_string(), codes.to_value()),
-                    ("categories".to_string(), dict.to_value()),
-                ]),
-            ),
-        };
-        serde::Value::Object(vec![(tag.to_string(), inner)])
-    }
-}
-
-impl serde::Deserialize for Column {
-    fn from_value(v: &serde::Value) -> std::result::Result<Self, serde::Error> {
-        let pairs = v.as_object().ok_or_else(|| serde::Error::expected("column object", v))?;
-        let [(tag, inner)] = pairs else {
-            return Err(serde::Error::custom("expected single-variant column object"));
-        };
-        match tag.as_str() {
-            "Continuous" => Vec::<f64>::from_value(inner).map(Column::Continuous),
-            "Ordinal" => Vec::<i64>::from_value(inner).map(Column::Ordinal),
-            "Nominal" => Ok(Column::Nominal {
-                codes: Vec::<u32>::from_value(inner.field("codes"))?,
-                dict: Dictionary::from_value(inner.field("categories"))?,
-            }),
-            other => Err(serde::Error::custom(format!("unknown column variant `{other}`"))),
         }
     }
 }
@@ -545,40 +493,6 @@ impl Frame {
             columns.push(Arc::clone(&self.columns[idx]));
         }
         Ok(Frame { schema: Arc::new(Schema { fields }), columns, rows: self.rows })
-    }
-}
-
-// Serialized as `{ schema, columns, rows }`.
-impl serde::Serialize for Frame {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Object(vec![
-            ("schema".to_string(), self.schema.to_value()),
-            (
-                "columns".to_string(),
-                self.columns.iter().map(Arc::as_ref).collect::<Vec<_>>().to_value(),
-            ),
-            ("rows".to_string(), self.rows.to_value()),
-        ])
-    }
-}
-
-impl serde::Deserialize for Frame {
-    fn from_value(v: &serde::Value) -> std::result::Result<Self, serde::Error> {
-        if v.as_object().is_none() {
-            return Err(serde::Error::expected("frame object", v));
-        }
-        let schema = Schema::from_value(v.field("schema"))?;
-        let columns = Vec::<Column>::from_value(v.field("columns"))?;
-        let rows = usize::from_value(v.field("rows"))?;
-        let frame = Frame::new(Arc::new(schema), columns)
-            .map_err(|e| serde::Error::custom(format!("invalid frame: {e}")))?;
-        if frame.rows != rows {
-            return Err(serde::Error::custom(format!(
-                "frame row count {} disagrees with columns ({})",
-                rows, frame.rows
-            )));
-        }
-        Ok(frame)
     }
 }
 
@@ -1064,14 +978,6 @@ mod tests {
             Column::Ordinal(vec![1, 2]),
         ];
         assert!(matches!(Frame::new(schema, cols), Err(TelemetryError::RowArity { .. })));
-    }
-
-    #[test]
-    fn frame_serde_round_trips() {
-        let f = sample_frame();
-        let v = serde::Serialize::to_value(&f);
-        let back: Frame = serde::Deserialize::from_value(&v).unwrap();
-        assert_eq!(back, f);
     }
 
     #[test]

@@ -7,10 +7,10 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Datacenter identifier. The paper studies `DC1` and `DC2`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub struct DcId(pub u8);
 
 impl fmt::Display for DcId {
@@ -20,7 +20,7 @@ impl fmt::Display for DcId {
 }
 
 /// Region within a datacenter (e.g. `DC1-1` … `DC1-4` in Fig. 2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub struct RegionId(pub u8);
 
 impl fmt::Display for RegionId {
@@ -30,7 +30,7 @@ impl fmt::Display for RegionId {
 }
 
 /// Row of racks within a datacenter (DC1: 1–18, DC2: 1–32 per Table III).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub struct RowId(pub u16);
 
 impl fmt::Display for RowId {
@@ -40,7 +40,7 @@ impl fmt::Display for RowId {
 }
 
 /// Rack identifier, unique within the whole fleet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub struct RackId(pub u32);
 
 impl fmt::Display for RackId {
@@ -50,7 +50,7 @@ impl fmt::Display for RackId {
 }
 
 /// Server identifier, unique within the whole fleet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub struct ServerId(pub u32);
 
 impl fmt::Display for ServerId {
@@ -61,7 +61,7 @@ impl fmt::Display for ServerId {
 
 /// Device identifier for RMA tracking (`C1-Cxxxxx` in Table III): a server
 /// or one of its components.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub struct DeviceId(pub u64);
 
 impl fmt::Display for DeviceId {
@@ -75,7 +75,7 @@ impl fmt::Display for DeviceId {
 ///
 /// Per Table III: S1 & S3 are storage-intensive, S2 & S4 compute-intensive,
 /// S5 & S6 mixed, S7 HPC.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Sku {
     /// Storage-intensive configuration, vendor A.
     S1,
@@ -94,7 +94,7 @@ pub enum Sku {
 }
 
 /// Broad class of a SKU's resource balance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum SkuClass {
     /// Few servers per rack, many disks per server.
     StorageIntensive,
@@ -137,7 +137,7 @@ impl fmt::Display for Sku {
 ///
 /// Per Table III: W1 & W2 compute, W3 HPC, W4 & W7 storage-compute,
 /// W5 & W6 storage-data.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Workload {
     /// Compute-intensive, interactive.
     W1,
@@ -156,7 +156,7 @@ pub enum Workload {
 }
 
 /// Broad class of a workload.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum WorkloadClass {
     /// Compute-dominant.
     Compute,
@@ -203,7 +203,7 @@ impl fmt::Display for Workload {
 }
 
 /// Full spatial address of a server.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub struct ServerLocation {
     /// Datacenter.
     pub dc: DcId,

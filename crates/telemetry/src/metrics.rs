@@ -14,14 +14,12 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::ids::ServerLocation;
 use crate::rma::RmaTicket;
 use crate::time::{SimTime, TimeGranularity};
 
 /// Spatial aggregation level.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum SpatialGranularity {
     /// Whole datacenter.
     Datacenter,
@@ -37,7 +35,7 @@ pub enum SpatialGranularity {
 
 /// Key identifying one spatial unit at some granularity. Fields below the
 /// granularity are zeroed so keys compare equal within a unit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SpatialKey {
     /// Datacenter number.
     pub dc: u8,
@@ -73,7 +71,7 @@ impl SpatialGranularity {
 
 /// A sparse per-window count distribution (λ) or distinct-device
 /// distribution (μ) over a fixed number of windows.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WindowedSeries {
     /// Total number of windows in the observation span.
     pub windows: u64,
@@ -92,18 +90,9 @@ impl WindowedSeries {
         self.nonzero.values().sum()
     }
 
-    /// Mean value per window (zero-inclusive).
-    pub fn mean(&self) -> f64 {
-        if self.windows == 0 {
-            return 0.0;
-        }
-        self.total() as f64 / self.windows as f64
-    }
-
     /// Adds `delta` at window `w`. Out-of-range windows clamp to the last
     /// window, so a stray ticket can never create more non-zero entries
-    /// than the span has windows (the underflow `quantile`/`stddev` used
-    /// to hit). No-op on a zero-window span.
+    /// than the span has windows. No-op on a zero-window span.
     pub fn add(&mut self, w: u64, delta: u64) {
         if self.windows == 0 || delta == 0 {
             return;
@@ -112,56 +101,16 @@ impl WindowedSeries {
         *self.nonzero.entry(w).or_insert(0) += delta;
     }
 
-    /// Sample standard deviation per window (zero-inclusive). Zero for
-    /// degenerate spans (`windows < 2`); a malformed series with more
-    /// non-zero entries than windows saturates its zero count at zero
-    /// instead of underflowing.
-    pub fn stddev(&self) -> f64 {
-        if self.windows < 2 {
-            return 0.0;
-        }
-        let mean = self.mean();
-        let nonzero_ss: f64 = self.nonzero.values().map(|&v| (v as f64 - mean).powi(2)).sum();
-        let zero_count = self.windows.saturating_sub(self.nonzero.len() as u64);
-        let ss = nonzero_ss + zero_count as f64 * mean * mean;
-        (ss / (self.windows - 1) as f64).sqrt()
-    }
-
     /// Maximum value over all windows (zero if no non-zero window).
     pub fn max(&self) -> u64 {
         self.nonzero.values().copied().max().unwrap_or(0)
-    }
-
-    /// The `q`-quantile (inverse-CDF definition, zero-inclusive).
-    ///
-    /// `q` is clamped to `[0, 1]`. With `Z` zero windows and sorted non-zero
-    /// values, the quantile is 0 while the rank falls inside the zero mass.
-    /// Delegates to the shared zero-mass-aware helper in `rainshine-stats`.
-    pub fn quantile(&self, q: f64) -> u64 {
-        let mut values: Vec<u64> = self.nonzero.values().copied().collect();
-        values.sort_unstable();
-        rainshine_stats::ecdf::quantile_with_zeros(&values, self.windows, q)
-    }
-
-    /// All per-window values including zeros, as `f64` — for feeding ECDFs
-    /// and plots. `O(windows)` memory; prefer the sparse accessors for large
-    /// spans.
-    pub fn to_dense(&self) -> Vec<f64> {
-        let mut out = vec![0.0; self.windows as usize];
-        for (&w, &v) in &self.nonzero {
-            if (w as usize) < out.len() {
-                out[w as usize] = v as f64;
-            }
-        }
-        out
     }
 }
 
 /// λ: tickets opened per (spatial unit, time window).
 ///
 /// Only tickets within `[start, end)` are counted. Units absent from the
-/// ticket stream are absent from the map — use [`ensure_units`] to add
-/// all-zero series for known-quiet units.
+/// ticket stream are absent from the map.
 pub fn lambda(
     tickets: &[&RmaTicket],
     spatial: SpatialGranularity,
@@ -275,19 +224,6 @@ pub fn mu(
     out.into_iter().collect()
 }
 
-/// Adds all-zero series for every unit in `units` missing from `map`, so
-/// quiet racks participate in distributions (critical for provisioning:
-/// a rack with no failures still needs its zero counted).
-pub fn ensure_units<I: IntoIterator<Item = SpatialKey>>(
-    map: &mut BTreeMap<SpatialKey, WindowedSeries>,
-    units: I,
-    windows: u64,
-) {
-    for key in units {
-        map.entry(key).or_insert_with(|| WindowedSeries::zeros(windows));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -329,7 +265,6 @@ mod tests {
         assert_eq!(s.nonzero[&0], 1);
         assert_eq!(s.nonzero[&1], 1);
         assert_eq!(s.total(), 2);
-        assert_eq!(s.mean(), 1.0);
     }
 
     #[test]
@@ -473,54 +408,8 @@ mod tests {
         s.nonzero.insert(3, 2);
         s.nonzero.insert(7, 4);
         assert_eq!(s.total(), 6);
-        assert!((s.mean() - 0.6).abs() < 1e-12);
         assert_eq!(s.max(), 4);
-        // Dense check of stddev.
-        let dense = s.to_dense();
-        let batch = rainshine_stats::describe::Summary::from_slice(&dense).unwrap();
-        assert!((s.stddev() - batch.sample_stddev()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn windowed_series_quantiles_with_zero_mass() {
-        let mut s = WindowedSeries::zeros(10);
-        s.nonzero.insert(0, 1);
-        s.nonzero.insert(1, 5);
-        // 80% of windows are zero.
-        assert_eq!(s.quantile(0.5), 0);
-        assert_eq!(s.quantile(0.8), 0);
-        assert_eq!(s.quantile(0.9), 1);
-        assert_eq!(s.quantile(1.0), 5);
-        assert_eq!(s.quantile(0.0), 0);
-    }
-
-    #[test]
-    fn overfull_series_does_not_underflow() {
-        // Hand-built series with more non-zero entries than windows — the
-        // shape `to_dense` already guards against. Pre-PR, `quantile` and
-        // `stddev` computed `windows - nonzero.len()` and underflowed
-        // (debug panic, release garbage); now the zero mass saturates.
-        let mut s = WindowedSeries::zeros(3);
-        s.nonzero.insert(0, 1);
-        s.nonzero.insert(1, 2);
-        s.nonzero.insert(5, 4);
-        s.nonzero.insert(6, 8);
-        assert_eq!(s.quantile(0.0), 1);
-        // Ranks cap at `windows`, so the top quantile is the 3rd sorted
-        // value, not the spurious 4th.
-        assert_eq!(s.quantile(1.0), 4);
-        assert!(s.stddev().is_finite());
-        assert!(s.stddev() >= 0.0);
-    }
-
-    #[test]
-    fn degenerate_span_stddev_is_zero_not_nan() {
-        let mut s = WindowedSeries::zeros(1);
-        s.add(0, 7);
-        assert_eq!(s.stddev(), 0.0);
-        let empty = WindowedSeries::zeros(0);
-        assert_eq!(empty.stddev(), 0.0);
-        assert_eq!(empty.quantile(0.5), 0);
+        assert_eq!(WindowedSeries::zeros(10).max(), 0);
     }
 
     #[test]
@@ -535,14 +424,5 @@ mod tests {
         let mut empty = WindowedSeries::zeros(0);
         empty.add(0, 1);
         assert!(empty.nonzero.is_empty());
-    }
-
-    #[test]
-    fn ensure_units_adds_zeros() {
-        let mut map = BTreeMap::new();
-        let key = SpatialKey { dc: 1, region: 0, row: 0, rack: 9, server: 0 };
-        ensure_units(&mut map, [key], 5);
-        assert_eq!(map[&key].windows, 5);
-        assert_eq!(map[&key].total(), 0);
     }
 }

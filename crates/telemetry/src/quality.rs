@@ -17,7 +17,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::ids::{DcId, RackId, RegionId, RowId};
 use crate::rma::{FaultKind, RmaTicket};
@@ -78,17 +78,10 @@ impl serde::MapKey for DefectClass {
     fn to_key(&self) -> String {
         self.name().to_string()
     }
-
-    fn from_key(s: &str) -> std::result::Result<Self, serde::Error> {
-        DefectClass::ALL
-            .into_iter()
-            .find(|c| c.name() == s)
-            .ok_or_else(|| serde::Error::custom(format!("unknown defect class `{s}`")))
-    }
 }
 
 /// Per-class defect accounting.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct DefectCounts {
     /// Defective rows (or env cells) detected.
     pub detected: u64,
@@ -102,7 +95,7 @@ pub struct DefectCounts {
 ///
 /// Every row of the raw stream ends up in exactly one bucket: kept
 /// unchanged, repaired, or quarantined — there are no silent drops.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct DataQualityReport {
     /// Rows in the raw ticket stream.
     pub tickets_seen: u64,
@@ -179,7 +172,7 @@ impl fmt::Display for DataQualityReport {
 
 /// Inventory record for one rack: the ground truth the sanitizer checks
 /// ticket locations against.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RackRecord {
     /// Datacenter hosting the rack.
     pub dc: DcId,
@@ -195,7 +188,7 @@ pub struct RackRecord {
 
 /// Fleet inventory keyed by rack id — rack ids are globally unique, so a
 /// ticket's rack id pins down every other location field.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FleetManifest {
     racks: BTreeMap<u32, RackRecord>,
 }
@@ -228,11 +221,7 @@ impl FleetManifest {
 }
 
 /// Physical plausibility bounds for environmental sensor readings.
-///
-/// The bounds bracket everything the simulated cooling plants can produce
-/// (inlet temperature is clamped to 56–90 °F, RH to roughly 5–87 %), so
-/// winsorizing never touches a genuine reading — only sensor spikes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SensorBounds {
     /// Lowest plausible inlet temperature (°F).
     pub temp_min_f: f64,
@@ -244,11 +233,17 @@ pub struct SensorBounds {
     pub rh_max: f64,
 }
 
-impl Default for SensorBounds {
-    fn default() -> Self {
-        Self { temp_min_f: 50.0, temp_max_f: 95.0, rh_min: 3.0, rh_max: 90.0 }
-    }
-}
+/// The ingestion bounds: the sensor audit and the ingested environment view
+/// both winsorize against these. They bracket everything the simulated
+/// cooling plants can produce (inlet temperature is clamped to 56–90 °F, RH
+/// to roughly 5–87 %), so winsorizing never touches a genuine reading —
+/// only sensor spikes.
+pub const SENSOR_BOUNDS: SensorBounds =
+    SensorBounds { temp_min_f: 50.0, temp_max_f: 95.0, rh_min: 3.0, rh_max: 90.0 };
+
+/// Two reports of the same (device, fault, resolution) whose open times
+/// are within this many hours are one event.
+pub const DEDUP_WINDOW_HOURS: u64 = 6;
 
 impl SensorBounds {
     /// Winsorizes a temperature reading; returns the clamped value and
@@ -272,29 +267,21 @@ impl SensorBounds {
     }
 }
 
-/// Sanitizer settings.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+/// Sanitizer settings: the observation span. The dedup window and the
+/// sensor bounds are the constants [`DEDUP_WINDOW_HOURS`] and
+/// [`SENSOR_BOUNDS`].
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SanitizerConfig {
     /// Observation span start (tickets must open at or after this).
     pub span_start: SimTime,
     /// Observation span end (tickets must open strictly before this).
     pub span_end: SimTime,
-    /// Two reports of the same (device, fault, resolution) whose open
-    /// times are within this window are one event.
-    pub dedup_window_hours: u64,
-    /// Plausibility bounds for sensor readings.
-    pub bounds: SensorBounds,
 }
 
 impl SanitizerConfig {
-    /// Default settings for an observation span.
+    /// Settings for an observation span.
     pub fn for_span(start: SimTime, end: SimTime) -> Self {
-        Self {
-            span_start: start,
-            span_end: end,
-            dedup_window_hours: 6,
-            bounds: SensorBounds::default(),
-        }
+        Self { span_start: start, span_end: end }
     }
 }
 
@@ -332,11 +319,6 @@ impl Sanitizer {
             Some(slot) => slot.as_ref(),
             None => self.manifest.get(rack),
         }
-    }
-
-    /// The active settings.
-    pub fn config(&self) -> &SanitizerConfig {
-        &self.config
     }
 
     /// Sanitizes a ticket stream.
@@ -430,13 +412,12 @@ impl Sanitizer {
             .map(|(i, t)| (DedupKey::of(t), i))
             .collect();
         keyed.sort_unstable();
-        let window = self.config.dedup_window_hours;
         let mut duplicate = vec![false; kept.len()];
         for run in keyed.chunk_by(|a, b| a.0 == b.0).filter(|run| run.len() > 1) {
             let first = run.iter().map(|&(_, i)| kept[i].opened.hours()).min().unwrap_or(0);
             let mut emitted = false;
             for &(_, i) in run {
-                if emitted && kept[i].opened.hours().saturating_sub(first) <= window {
+                if emitted && kept[i].opened.hours().saturating_sub(first) <= DEDUP_WINDOW_HOURS {
                     duplicate[i] = true;
                     report.record(DefectClass::DuplicateTicket, false);
                 } else {
@@ -661,18 +642,8 @@ mod tests {
     }
 
     #[test]
-    fn report_serde_roundtrip() {
-        let mut report = DataQualityReport { tickets_seen: 7, ..Default::default() };
-        report.record(DefectClass::DuplicateTicket, false);
-        report.record(DefectClass::SensorSpike, true);
-        let v = serde::Serialize::to_value(&report);
-        let back: DataQualityReport = serde::Deserialize::from_value(&v).unwrap();
-        assert_eq!(back, report);
-    }
-
-    #[test]
     fn sensor_bounds_clamp_only_outliers() {
-        let b = SensorBounds::default();
+        let b = SENSOR_BOUNDS;
         assert_eq!(b.winsorize_temp(72.0), (72.0, false));
         assert_eq!(b.winsorize_temp(140.0), (95.0, true));
         assert_eq!(b.winsorize_temp(10.0), (50.0, true));

@@ -8,14 +8,14 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::ids::{DeviceId, ServerLocation};
 use crate::time::SimTime;
 use crate::{Result, TelemetryError};
 
 /// Hardware fault types from Table II.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub enum HardwareFault {
     /// Hard-disk failure (leading hardware cause in both DCs).
     Disk,
@@ -54,7 +54,7 @@ impl fmt::Display for HardwareFault {
 }
 
 /// Software fault types from Table II.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub enum SoftwareFault {
     /// Service timeout (the leading cause overall).
     Timeout,
@@ -76,7 +76,7 @@ impl fmt::Display for SoftwareFault {
 }
 
 /// Boot fault types from Table II.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub enum BootFault {
     /// PXE network-boot failure.
     Pxe,
@@ -95,7 +95,7 @@ impl fmt::Display for BootFault {
 }
 
 /// The full fault taxonomy of Table II.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub enum FaultKind {
     /// Physical hardware fault, resolved by repair or replacement.
     Hardware(HardwareFault),
@@ -137,7 +137,7 @@ impl fmt::Display for FaultKind {
 }
 
 /// One RMA ticket.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct RmaTicket {
     /// Device the ticket was filed against.
     pub device: DeviceId,

@@ -119,22 +119,4 @@ proptest! {
             }
         }
     }
-
-    #[test]
-    fn roundtrip_survives_serialization(
-        kinds in prop::collection::vec(0u8..3, 1..4),
-        rows in prop::collection::vec(prop::collection::vec((1u8..5, 0u8..7, -3i64..7), 3), 1..15),
-    ) {
-        // Seeds start at 1 for the float index: serialized NaN is exercised
-        // by the dedicated serde round-trip suite; here every cell must
-        // compare equal after a serialize/deserialize cycle.
-        let frame = build_by_rows(&kinds, &rows);
-        let json = serde_json::to_string(&frame).expect("frame serializes");
-        let back: Frame = serde_json::from_str(&json).expect("frame deserializes");
-        prop_assert_eq!(&back, &frame);
-        // Both assembly paths serialize to the same bytes.
-        let column_json =
-            serde_json::to_string(&build_by_columns(&kinds, &rows)).expect("frame serializes");
-        prop_assert_eq!(&json, &column_json);
-    }
 }

@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use rainshine_telemetry::ids::{DcId, DeviceId, RackId, RegionId, RowId, ServerId, ServerLocation};
-use rainshine_telemetry::metrics::{ensure_units, lambda, mu, SpatialGranularity};
+use rainshine_telemetry::metrics::{lambda, mu, SpatialGranularity};
 use rainshine_telemetry::rma::{FaultKind, HardwareFault, RmaTicket};
 use rainshine_telemetry::time::{SimTime, TimeGranularity};
 
@@ -109,62 +109,5 @@ proptest! {
                 .collect();
             prop_assert!(series.max() <= devices.len() as u64);
         }
-    }
-
-    #[test]
-    fn windowed_series_quantile_monotone(
-        tickets in prop::collection::vec(ticket_strategy(), 1..40),
-        q1 in 0.0f64..=1.0,
-        q2 in 0.0f64..=1.0,
-    ) {
-        let refs: Vec<&RmaTicket> = tickets.iter().collect();
-        let map = lambda(
-            &refs,
-            SpatialGranularity::Rack,
-            TimeGranularity::Daily,
-            SimTime(0),
-            SimTime::from_days(100),
-        );
-        let (lo, hi) = if q1 <= q2 { (q1, q2) } else { (q2, q1) };
-        for series in map.values() {
-            prop_assert!(series.quantile(lo) <= series.quantile(hi));
-            prop_assert!(series.quantile(1.0) == series.max());
-            prop_assert!(series.mean() <= series.max() as f64 + 1e-12);
-        }
-    }
-
-    #[test]
-    fn ensure_units_is_idempotent(
-        tickets in prop::collection::vec(ticket_strategy(), 1..20),
-    ) {
-        let refs: Vec<&RmaTicket> = tickets.iter().collect();
-        let mut map = lambda(
-            &refs,
-            SpatialGranularity::Rack,
-            TimeGranularity::Daily,
-            SimTime(0),
-            SimTime::from_days(50),
-        );
-        let units: Vec<_> = tickets
-            .iter()
-            .map(|t| SpatialGranularity::Rack.key(&t.location))
-            .collect();
-        let before = map.clone();
-        ensure_units(&mut map, units.clone(), 50);
-        // Pre-existing entries are untouched; any newly added unit (e.g. a
-        // rack whose only ticket fell outside the span) is all-zero.
-        for (key, series) in &before {
-            prop_assert_eq!(&map[key], series, "existing units untouched");
-        }
-        for (key, series) in &map {
-            if !before.contains_key(key) {
-                prop_assert_eq!(series.total(), 0);
-                prop_assert_eq!(series.windows, 50);
-            }
-        }
-        // Idempotence: a second application changes nothing.
-        let after_once = map.clone();
-        ensure_units(&mut map, units, 50);
-        prop_assert_eq!(&map, &after_once);
     }
 }

@@ -272,15 +272,6 @@ impl<T: Serialize> Serialize for Option<T> {
     }
 }
 
-impl<T: Deserialize> Deserialize for Option<T> {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Null => Ok(None),
-            other => T::from_value(other).map(Some),
-        }
-    }
-}
-
 impl<T: Serialize> Serialize for Vec<T> {
     fn to_value(&self) -> Value {
         Value::Array(self.iter().map(Serialize::to_value).collect())
@@ -308,51 +299,22 @@ impl<T: Serialize, const N: usize> Serialize for [T; N] {
     }
 }
 
-impl<T: Deserialize, const N: usize> Deserialize for [T; N] {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        let items = v.as_array().ok_or_else(|| Error::expected("array", v))?;
-        if items.len() != N {
-            return Err(Error::custom(format!(
-                "expected array of {N} elements, got {}",
-                items.len()
-            )));
-        }
-        let vec: Vec<T> = items.iter().map(T::from_value).collect::<Result<_, _>>()?;
-        vec.try_into().map_err(|_| Error::custom("array length mismatch"))
-    }
-}
-
 impl<T: Serialize + Ord> Serialize for BTreeSet<T> {
     fn to_value(&self) -> Value {
         Value::Array(self.iter().map(Serialize::to_value).collect())
     }
 }
 
-impl<T: Deserialize + Ord> Deserialize for BTreeSet<T> {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Array(items) => items.iter().map(T::from_value).collect(),
-            other => Err(Error::expected("array", other)),
-        }
-    }
-}
-
 /// Map key types, rendered as JSON object keys (integers stringified,
 /// matching `serde_json`'s map-key behaviour).
-pub trait MapKey: Ord + Sized {
+pub trait MapKey: Ord {
     /// Renders the key as an object-key string.
     fn to_key(&self) -> String;
-    /// Parses the key back from an object-key string.
-    fn from_key(s: &str) -> Result<Self, Error>;
 }
 
 impl MapKey for String {
     fn to_key(&self) -> String {
         self.clone()
-    }
-
-    fn from_key(s: &str) -> Result<Self, Error> {
-        Ok(s.to_string())
     }
 }
 
@@ -361,10 +323,6 @@ macro_rules! impl_map_key_int {
         impl MapKey for $t {
             fn to_key(&self) -> String {
                 self.to_string()
-            }
-
-            fn from_key(s: &str) -> Result<Self, Error> {
-                s.parse().map_err(|_| Error::custom(format!("invalid map key `{s}`")))
             }
         }
     )*};
@@ -377,44 +335,10 @@ impl<K: MapKey, V: Serialize> Serialize for BTreeMap<K, V> {
     }
 }
 
-impl<K: MapKey, V: Deserialize> Deserialize for BTreeMap<K, V> {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Object(pairs) => {
-                pairs.iter().map(|(k, v)| Ok((K::from_key(k)?, V::from_value(v)?))).collect()
-            }
-            other => Err(Error::expected("object", other)),
-        }
+impl<A: Serialize, B: Serialize> Serialize for (A, B) {
+    fn to_value(&self) -> Value {
+        Value::Array(vec![self.0.to_value(), self.1.to_value()])
     }
-}
-
-macro_rules! impl_serde_tuple {
-    ($(($($name:ident : $idx:tt),+))*) => {$(
-        impl<$($name: Serialize),+> Serialize for ($($name,)+) {
-            fn to_value(&self) -> Value {
-                Value::Array(vec![$(self.$idx.to_value()),+])
-            }
-        }
-        impl<$($name: Deserialize),+> Deserialize for ($($name,)+) {
-            fn from_value(v: &Value) -> Result<Self, Error> {
-                let items = v.as_array().ok_or_else(|| Error::expected("array", v))?;
-                let expect = [$( stringify!($idx) ),+].len();
-                if items.len() != expect {
-                    return Err(Error::custom(format!(
-                        "expected array of {expect} elements, got {}",
-                        items.len()
-                    )));
-                }
-                Ok(($($name::from_value(&items[$idx])?,)+))
-            }
-        }
-    )*};
-}
-impl_serde_tuple! {
-    (A: 0)
-    (A: 0, B: 1)
-    (A: 0, B: 1, C: 2)
-    (A: 0, B: 1, C: 2, D: 3)
 }
 
 #[cfg(test)]
@@ -427,18 +351,7 @@ mod tests {
         assert_eq!(i32::from_value(&(-7i32).to_value()).unwrap(), -7);
         assert_eq!(f64::from_value(&1.5f64.to_value()).unwrap(), 1.5);
         assert_eq!(String::from_value(&"hi".to_string().to_value()).unwrap(), "hi");
-        assert_eq!(Option::<u8>::from_value(&Value::Null).unwrap(), None);
-        assert_eq!(Option::<u8>::from_value(&3u8.to_value()).unwrap(), Some(3));
-    }
-
-    #[test]
-    fn collections_round_trip() {
-        let v = vec![(1.0f64, 2.0f64), (3.0, 4.0)];
-        let rebuilt = Vec::<(f64, f64)>::from_value(&v.to_value()).unwrap();
-        assert_eq!(rebuilt, v);
-
-        let s: BTreeSet<u32> = [3, 1, 2].into_iter().collect();
-        assert_eq!(BTreeSet::<u32>::from_value(&s.to_value()).unwrap(), s);
+        assert_eq!(Vec::<u8>::from_value(&vec![3u8, 1].to_value()).unwrap(), vec![3, 1]);
     }
 
     #[test]

@@ -2,10 +2,11 @@
 //!
 //! Implemented without `syn`/`quote` (unavailable offline): the item is
 //! parsed directly from the raw `TokenStream` and the impl is emitted as
-//! a source string. Supports the shapes this workspace derives on:
-//! named structs, tuple/newtype structs, unit structs, and enums with
-//! unit / newtype / tuple / struct variants. Generic types, lifetimes,
-//! and `#[serde(...)]` attributes are intentionally unsupported.
+//! a source string. `Serialize` supports named, tuple/newtype and unit
+//! structs and enums with unit / newtype / tuple / struct variants;
+//! `Deserialize`, derived only on the scenario-spec input types, supports
+//! named structs and enums with unit / struct variants. Generic types,
+//! lifetimes, and `#[serde(...)]` attributes are intentionally unsupported.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
@@ -304,26 +305,8 @@ fn gen_deserialize(item: &Item) -> String {
                 inits.join(" ")
             )
         }
-        ItemKind::Struct(Fields::Tuple(1)) => {
-            format!("::std::result::Result::Ok({name}(::serde::Deserialize::from_value(__v)?))")
-        }
-        ItemKind::Struct(Fields::Tuple(n)) => {
-            let inits: Vec<String> = (0..*n)
-                .map(|k| format!("::serde::Deserialize::from_value(&__items[{k}])?,"))
-                .collect();
-            format!(
-                "let __items = __v.as_array()\
-                 .ok_or_else(|| ::serde::Error::expected(\"array\", __v))?;\n\
-                 if __items.len() != {n} {{\n\
-                 return ::std::result::Result::Err(::serde::Error::custom(\
-                 \"wrong tuple arity for {name}\"));\n\
-                 }}\n\
-                 ::std::result::Result::Ok({name}({}))",
-                inits.join(" ")
-            )
-        }
-        ItemKind::Struct(Fields::Unit) => {
-            format!("::std::result::Result::Ok({name})")
+        ItemKind::Struct(_) => {
+            panic!("serde shim derive: Deserialize needs named fields (type `{name}`)")
         }
         ItemKind::Enum(variants) => {
             let unit_arms: Vec<String> = variants
@@ -335,27 +318,9 @@ fn gen_deserialize(item: &Item) -> String {
                 .iter()
                 .filter_map(|(v, fields)| match fields {
                     Fields::Unit => None,
-                    Fields::Tuple(1) => Some(format!(
-                        "\"{v}\" => ::std::result::Result::Ok(\
-                         {name}::{v}(::serde::Deserialize::from_value(__inner)?)),"
-                    )),
-                    Fields::Tuple(n) => {
-                        let inits: Vec<String> = (0..*n)
-                            .map(|k| format!("::serde::Deserialize::from_value(&__items[{k}])?,"))
-                            .collect();
-                        Some(format!(
-                            "\"{v}\" => {{\n\
-                             let __items = __inner.as_array()\
-                             .ok_or_else(|| ::serde::Error::expected(\"array\", __inner))?;\n\
-                             if __items.len() != {n} {{\n\
-                             return ::std::result::Result::Err(::serde::Error::custom(\
-                             \"wrong tuple arity for {name}::{v}\"));\n\
-                             }}\n\
-                             ::std::result::Result::Ok({name}::{v}({}))\n\
-                             }}",
-                            inits.join(" ")
-                        ))
-                    }
+                    Fields::Tuple(_) => panic!(
+                        "serde shim derive: Deserialize does not support tuple variant `{name}::{v}`"
+                    ),
                     Fields::Named(fs) => {
                         let inits: Vec<String> = fs
                             .iter()

@@ -47,15 +47,6 @@ pub fn to_value<T: Serialize + ?Sized>(value: &T) -> Value {
     value.to_value()
 }
 
-/// Rebuilds a typed value from a [`Value`] tree.
-///
-/// # Errors
-///
-/// Returns [`Error`] when the tree's shape does not match `T`.
-pub fn from_value<T: Deserialize>(value: &Value) -> Result<T, Error> {
-    Ok(T::from_value(value)?)
-}
-
 /// Serializes to compact JSON.
 ///
 /// # Errors
@@ -438,11 +429,9 @@ mod tests {
     }
 
     #[test]
-    fn typed_round_trip() {
-        let data = vec![(1.0f64, 2.5f64), (3.0, 4.0)];
-        let s = to_string(&data).unwrap();
-        let back: Vec<(f64, f64)> = from_str(&s).unwrap();
-        assert_eq!(back, data);
+    fn typed_parse() {
+        let back: Vec<f64> = from_str("[1.0, 2.5]").unwrap();
+        assert_eq!(back, vec![1.0, 2.5]);
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Determinism suite: runs the pipeline — dcsim → q1/q2/q3 — once per
-//! thread-count policy and diffs the *serialized* results. dcsim is the
+//! thread-count policy and diffs the serialized or Debug-printed results. dcsim is the
 //! parallel stage: it derives per-rack RNG streams from the run seed and
 //! merges in rack order, so the byte-for-byte output of every downstream
 //! analysis must not depend on how many worker threads ran it. The run
@@ -17,25 +17,27 @@ use rainshine::parallel::Parallelism;
 use rainshine::telemetry::ids::{Sku, Workload};
 use rainshine::telemetry::time::TimeGranularity;
 
-/// Runs the whole pipeline under one thread policy and serializes every
-/// stage's result. JSON (or `Debug` for the few non-`Serialize` types)
-/// captures each float exactly, so comparing strings is a bit-level diff.
+/// Runs the whole pipeline under one thread policy and prints every
+/// stage's result: the tickets as JSON, the analysis results with `Debug`.
+/// `Debug` prints each finite float uniquely and keeps NaN distinct (the
+/// JSON writer maps NaN to `null`), so comparing strings is a bit-level
+/// diff.
 fn pipeline(parallelism: Parallelism) -> Vec<(&'static str, String)> {
     let mut stages = Vec::new();
-    let json = |v: &dyn erased::Json| v.to_json();
 
     // dcsim: ticket generation fans out per rack / per DC.
     let mut config = FleetConfig::small();
     config.parallelism = parallelism;
     let output = Simulation::new(config, 2024).run();
-    stages.push(("dcsim/tickets", json(&output.tickets)));
+    let tickets = serde_json::to_string(&output.tickets).expect("tickets serialize");
+    stages.push(("dcsim/tickets", tickets));
 
     // The rack-day table q2 and q3 analyse.
     let table = rack_day_table(&output, FaultFilter::AllHardware, 1)
         .expect("small fleet produces rack-days");
     let tree_params = CartParams::default().with_min_sizes(100, 50).with_cp(0.001);
 
-    // q1: spare provisioning (not Serialize; Debug prints full floats).
+    // q1: spare provisioning.
     let q1 = provision_servers(
         &output,
         Workload::W6,
@@ -46,29 +48,16 @@ fn pipeline(parallelism: Parallelism) -> Vec<(&'static str, String)> {
 
     // q2: single-factor and multi-factor SKU comparisons.
     let sf = sf_comparison(&output, &[Sku::S2, Sku::S4]).expect("q2 sf runs");
-    stages.push(("q2/sf", json(&sf)));
+    stages.push(("q2/sf", format!("{sf:?}")));
     let mf = mf_comparison(&output, &table, &tree_params).expect("q2 mf runs");
-    stages.push(("q2/mf", json(&mf)));
+    stages.push(("q2/mf", format!("{mf:?}")));
 
     // q3: environmental analysis on the DC1 subset.
     let dc1 = dc_subset(&table, "DC1").expect("DC1 rows exist");
     let q3 = env_analysis("DC1", &dc1, &tree_params).expect("q3 runs");
-    stages.push(("q3/dc1", json(&q3)));
+    stages.push(("q3/dc1", format!("{q3:?}")));
 
     stages
-}
-
-/// Tiny helper so `pipeline` can serialize heterogeneous stage results
-/// through one call site.
-mod erased {
-    pub trait Json {
-        fn to_json(&self) -> String;
-    }
-    impl<T: serde::Serialize> Json for T {
-        fn to_json(&self) -> String {
-            serde_json::to_string(self).expect("stage result serializes")
-        }
-    }
 }
 
 /// The `--report` contract: the deterministic section of the run report —

@@ -19,7 +19,7 @@ use rainshine::dcsim::{CorruptionConfig, FleetConfig, Simulation, SimulationOutp
 use rainshine::obs::Obs;
 use rainshine::parallel::Parallelism;
 use rainshine::telemetry::ids::{DcId, RegionId, Workload};
-use rainshine::telemetry::quality::{DataQualityReport, DefectClass, SensorBounds};
+use rainshine::telemetry::quality::{DataQualityReport, DefectClass, SENSOR_BOUNDS};
 use rainshine::telemetry::rma::{self, HardwareFault};
 use rainshine::telemetry::time::TimeGranularity;
 
@@ -209,8 +209,12 @@ fn sampled_views(out: &SimulationOutput, dc: DcId, region: RegionId, day: u64) -
         return [f64::NAN; 4];
     }
     let temp_f = clean.temp_f + out.sensor_faults.spike_delta(dc, region, day).unwrap_or(0.0);
-    let bounds = SensorBounds::default();
-    [temp_f, clean.rh, bounds.winsorize_temp(temp_f).0, bounds.winsorize_rh(clean.rh).0]
+    [
+        temp_f,
+        clean.rh,
+        SENSOR_BOUNDS.winsorize_temp(temp_f).0,
+        SENSOR_BOUNDS.winsorize_rh(clean.rh).0,
+    ]
 }
 
 #[test]

@@ -20,6 +20,7 @@ use rainshine::telemetry::ids::{
 };
 use rainshine::telemetry::quality::{
     DataQualityReport, DefectClass, FleetManifest, RackRecord, Sanitizer, SanitizerConfig,
+    DEDUP_WINDOW_HOURS,
 };
 use rainshine::telemetry::rma::{FaultKind, HardwareFault, RmaTicket};
 use rainshine::telemetry::time::SimTime;
@@ -119,7 +120,7 @@ fn sanitize_reference(
             .and_modify(|first| *first = (*first).min(t.opened))
             .or_insert(t.opened);
     }
-    let window = config.dedup_window_hours;
+    let window = DEDUP_WINDOW_HOURS;
     let mut seen: BTreeMap<DedupKey, u64> = BTreeMap::new();
     let mut out: Vec<RmaTicket> = Vec::with_capacity(kept.len());
     for t in kept {
