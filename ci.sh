@@ -11,7 +11,7 @@ cargo fmt --check
 # past MAX_PANIC_SITES. Comment and doc lines (first non-blank characters
 # `//`) are not code, so they do not count. Lower it when a change removes
 # sites.
-MAX_PANIC_SITES=51
+MAX_PANIC_SITES=46
 panic_sites=$(find crates/*/src -name '*.rs' -exec sed '/#\[cfg(test)\]/,$d' {} \; |
     grep -vE '^[[:space:]]*//' |
     grep -cE '\.(expect|unwrap)\(|\b(panic|assert)!\(' || true)
@@ -57,6 +57,9 @@ cargo test --release -q -p rainshine-core --lib -- --ignored p1_trees_match
 # against a fresh build, column for column, on the paper fleet clean and
 # dirty, seed 42 (about 1 s in release).
 cargo test --release -q --test derived_table -- --ignored
+# Every FleetAnalyses memo entry against a fresh public call on the medium
+# fleet, clean and dirty, at strides 1 and 2 (under a second in release).
+cargo test --release -q --test fleet_analyses -- --ignored
 cargo test --workspace -q
 # Fast-tier statistical conformance gate: 3-seed prefix of the calibrated
 # full-scenario sweep plus the differential oracle suite, byte-compared
@@ -66,8 +69,8 @@ cargo run --release -q -p rainshine-bench -- conformance \
     --scenario scenarios/full.json --seeds 3 --baseline results/conformance.json
 cargo test -q --test determinism run_report_bytes_do_not_depend_on_thread_count
 # Every experiment's CSV and preview under Sequential, Threads(2) and Auto,
-# clean and dirty: pins the fan-out inside t4, f15, p1 and the rack-day
-# table cache (about 2 s in release).
+# clean and dirty: pins the fan-out inside t4, f13, f15, f18, p1 and the
+# FleetAnalyses memo they share (about 2 s in release).
 cargo test --release -q --test determinism experiment_artifacts_do_not_depend_on_thread_count
 cargo clippy --workspace --all-targets -- -D warnings
 # The benchmark package (perfbench/) builds against the public library API

@@ -266,7 +266,7 @@ fn experiments(args: &Args) -> Result<ExitCode, String> {
     // The simulation and every experiment record stage spans; the wall
     // times surface in the stderr summary below.
     let obs = Obs::enabled();
-    let mut ctx = ExperimentContext::new_with_obs(
+    let ctx = ExperimentContext::new_with_obs(
         args.scale,
         args.seed,
         args.threads,
@@ -283,7 +283,7 @@ fn experiments(args: &Args) -> Result<ExitCode, String> {
     }
     let mut failures = 0;
     for id in &ids {
-        match run_experiment(id, &mut ctx, &args.out) {
+        match run_experiment(id, &ctx, &args.out) {
             Ok(preview) => println!("=== {id} ===\n{preview}"),
             Err(e) => {
                 eprintln!("experiment {id} FAILED: {e}");

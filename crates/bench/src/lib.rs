@@ -3,18 +3,20 @@
 //! Each experiment id (`t1`–`t4`, `f1`–`f18`) maps to one artifact of the
 //! paper's evaluation (see `DESIGN.md` §4). [`run_experiment`] computes the
 //! artifact from a simulation run, writes a CSV under the output directory,
-//! and returns a printable preview. The `rainshine experiments` subcommand
-//! drives all of them; the `perfbench/` benchmark reuses the same context
-//! for its per-layer timings.
+//! and returns a printable preview. The ids share one
+//! [`FleetAnalyses`] memo on the [`ExperimentContext`], so a table or
+//! study several artifacts read is computed once per run. The
+//! `rainshine experiments` subcommand drives all of them; the `perfbench/`
+//! benchmark reuses the same context for its per-layer timings.
 
-use std::collections::btree_map::{BTreeMap, Entry};
 use std::fmt::Write as _;
 use std::fs;
 use std::path::Path;
+use std::sync::Arc;
 
 use rainshine_cart::params::CartParams;
 use rainshine_conformance::Scenario;
-use rainshine_core::dataset::{rack_day_response, rack_day_table, FaultFilter};
+use rainshine_core::analyses::FleetAnalyses;
 use rainshine_core::evidence::{self, SeriesRow};
 use rainshine_core::predict::{
     build_prediction_table, evaluate_prediction, Confusion, PredictionConfig, HORIZON_DAYS,
@@ -23,9 +25,9 @@ use rainshine_core::tco::TcoModel;
 use rainshine_core::{q1, q2, q3};
 use rainshine_dcsim::{FleetConfig, Simulation, SimulationOutput};
 use rainshine_telemetry::frame::Frame;
-use rainshine_telemetry::ids::{DcId, Sku, Workload};
-use rainshine_telemetry::rma::{category_breakdown, HardwareFault};
-use rainshine_telemetry::schema::{candidate_features, columns};
+use rainshine_telemetry::ids::{DcId, Workload};
+use rainshine_telemetry::rma::category_breakdown;
+use rainshine_telemetry::schema::candidate_features;
 use rainshine_telemetry::time::TimeGranularity;
 
 /// All experiment ids: the paper's artifacts in paper order, followed by
@@ -97,7 +99,8 @@ pub fn run_report(
     report
 }
 
-/// Shared state across experiments: one simulation run plus cached tables.
+/// Shared state across experiments: one simulation run plus the memo of
+/// its shared analyses.
 pub struct ExperimentContext {
     /// The simulation output all experiments read.
     pub output: SimulationOutput,
@@ -106,11 +109,7 @@ pub struct ExperimentContext {
     /// built with [`ExperimentContext::new_with_obs`].
     pub obs: rainshine_obs::Obs,
     scale: Scale,
-    all_hw: Option<Frame>,
-    disk: Option<Frame>,
-    /// Server provisioning results by (workload, SLA bits, granularity):
-    /// T4, F1, F10–F12 repeat most of each other's inputs.
-    provisioning: BTreeMap<(Workload, u64, TimeGranularity), q1::ServerProvisioning>,
+    analyses: FleetAnalyses,
 }
 
 impl ExperimentContext {
@@ -149,13 +148,11 @@ impl ExperimentContext {
             output: Simulation::new(config, seed).run_with_obs(&obs),
             obs,
             scale,
-            all_hw: None,
-            disk: None,
-            provisioning: BTreeMap::new(),
+            analyses: FleetAnalyses::default(),
         }
     }
 
-    /// Day stride of the cached rack-day tables (public for experiments
+    /// Day stride of the memoised rack-day tables (public for experiments
     /// that build their own series).
     pub fn day_stride_pub(&self) -> usize {
         match self.scale {
@@ -172,47 +169,17 @@ impl ExperimentContext {
         CartParams::default().with_min_sizes(min_leaf * 2, min_leaf).with_cp(0.0005)
     }
 
-    /// The all-hardware rack-day table (cached).
-    pub fn all_hw_table(&mut self) -> &Frame {
-        self.rack_days(Cached::AllHardware).map(|(_, t)| t).expect("simulation produced rack-days")
+    /// The all-hardware rack-day table (memoised).
+    pub fn all_hw_table(&self) -> Arc<Frame> {
+        self.analyses
+            .all_hw_table(&self.output, self.day_stride_pub())
+            .expect("fleet has rack-days")
     }
 
-    /// The disk-only rack-day table (cached).
-    pub fn disk_table(&mut self) -> &Frame {
-        self.rack_days(Cached::Disk).map(|(_, t)| t).expect("simulation produced rack-days")
+    /// The disk-only rack-day table (memoised).
+    pub fn disk_table(&self) -> Arc<Frame> {
+        self.analyses.disk_table(&self.output, self.day_stride_pub()).expect("fleet has rack-days")
     }
-
-    /// A cached rack-day table next to the simulation output it was built
-    /// from: a split borrow, so an experiment reads both without cloning
-    /// the table. The first request for either table builds the
-    /// all-hardware one; the disk table is that table with the disk
-    /// response swapped in, so the two share every feature column.
-    fn rack_days(&mut self, which: Cached) -> Result<(&SimulationOutput, &Frame), ExperimentError> {
-        let stride = self.day_stride_pub();
-        let ExperimentContext { output, all_hw, disk, .. } = self;
-        let output = &*output;
-        let all_hw = match all_hw {
-            Some(table) => table,
-            None => all_hw.insert(rack_day_table(output, FaultFilter::AllHardware, stride)?),
-        };
-        let table = match (which, disk) {
-            (Cached::AllHardware, _) => all_hw,
-            (Cached::Disk, Some(table)) => table,
-            (Cached::Disk, disk) => {
-                let disk_only = FaultFilter::Component(HardwareFault::Disk);
-                let response = rack_day_response(output, disk_only, stride)?;
-                disk.insert(all_hw.with_continuous(columns::FAILURE_RATE, response)?)
-            }
-        };
-        Ok((output, table))
-    }
-}
-
-/// The rack-day tables an [`ExperimentContext`] caches.
-#[derive(Debug, Clone, Copy)]
-enum Cached {
-    AllHardware,
-    Disk,
 }
 
 fn write_csv(dir: &Path, id: &str, header: &str, rows: &[String]) -> std::io::Result<()> {
@@ -249,7 +216,7 @@ pub type ExperimentError = Box<dyn std::error::Error + Send + Sync + 'static>;
 /// Returns an error for unknown ids, analysis failures, or I/O failures.
 pub fn run_experiment(
     id: &str,
-    ctx: &mut ExperimentContext,
+    ctx: &ExperimentContext,
     out_dir: &Path,
 ) -> Result<String, ExperimentError> {
     let obs = ctx.obs.clone();
@@ -259,11 +226,7 @@ pub fn run_experiment(
     result
 }
 
-fn dispatch(
-    id: &str,
-    ctx: &mut ExperimentContext,
-    out_dir: &Path,
-) -> Result<String, ExperimentError> {
+fn dispatch(id: &str, ctx: &ExperimentContext, out_dir: &Path) -> Result<String, ExperimentError> {
     match id {
         "t1" => t1(ctx, out_dir),
         "t2" => t2(ctx, out_dir),
@@ -283,17 +246,17 @@ fn dispatch(
         "f13" => f13(ctx, out_dir),
         "f14" => f14(ctx, out_dir),
         "f15" => f15(ctx, out_dir),
-        "f16" => f16(ctx, out_dir),
+        "f16" => evidence_fig(ctx, out_dir, id, "temperature"),
         "f17" => f17(ctx, out_dir),
         "f18" => f18(ctx, out_dir),
         "p1" => p1(ctx, out_dir),
         "p2" => p2(ctx, out_dir),
-        "a1" | "a2" | "a3" => ablation(out_dir, id),
+        "a1" | "a2" | "a3" => ablation(ctx, out_dir, id),
         other => Err(format!("unknown experiment id `{other}`").into()),
     }
 }
 
-fn t1(ctx: &mut ExperimentContext, dir: &Path) -> Result<String, ExperimentError> {
+fn t1(ctx: &ExperimentContext, dir: &Path) -> Result<String, ExperimentError> {
     let rows: Vec<String> = ctx
         .output
         .fleet
@@ -307,7 +270,7 @@ fn t1(ctx: &mut ExperimentContext, dir: &Path) -> Result<String, ExperimentError
     Ok(format!("Table I — DC properties\n  {}\n", rows.join("\n  ")))
 }
 
-fn t2(ctx: &mut ExperimentContext, dir: &Path) -> Result<String, ExperimentError> {
+fn t2(ctx: &ExperimentContext, dir: &Path) -> Result<String, ExperimentError> {
     let tp = ctx.output.true_positives();
     let mut rows = Vec::new();
     let mut preview = String::from("Table II — RMA classification (percent of DC tickets)\n");
@@ -331,70 +294,36 @@ fn t3(dir: &Path) -> Result<String, ExperimentError> {
     Ok(format!("Table III — {} candidate features\n", rows.len()))
 }
 
-/// Server provisioning for one input, computed once per context.
-fn provisioning_for(
-    ctx: &mut ExperimentContext,
-    workload: Workload,
-    sla: f64,
-    granularity: TimeGranularity,
-) -> Result<&q1::ServerProvisioning, ExperimentError> {
-    Ok(match ctx.provisioning.entry((workload, sla.to_bits(), granularity)) {
-        Entry::Occupied(e) => e.into_mut(),
-        Entry::Vacant(e) => {
-            let params = q1::ProvisionParams::new(sla, granularity);
-            e.insert(q1::provision_servers(&ctx.output, workload, &params)?)
-        }
-    })
-}
-
-/// Fills the provisioning memo for every input `t4` reads that it lacks,
-/// through one `par_map` under the context's thread policy. The inputs
-/// alternate daily and hourly, so each static chunk gets a share of the
-/// dearer hourly ones.
-fn fill_provisioning(ctx: &mut ExperimentContext) -> Result<(), ExperimentError> {
-    let mut missing = Vec::new();
+fn t4(ctx: &ExperimentContext, dir: &Path) -> Result<String, ExperimentError> {
+    // All 12 studies in one `par_map` under the context's thread policy,
+    // read back from the memo below. The inputs alternate daily and hourly,
+    // so each static chunk gets a share of the dearer hourly ones.
+    let mut inputs = Vec::new();
     for sla in [0.90, 0.95, 1.00] {
         for workload in [Workload::W1, Workload::W6] {
             for granularity in [TimeGranularity::Daily, TimeGranularity::Hourly] {
-                let key = (workload, f64::to_bits(sla), granularity);
-                if !ctx.provisioning.contains_key(&key) {
-                    missing.push(key);
-                }
+                inputs.push((workload, q1::ProvisionParams::new(sla, granularity)));
             }
         }
     }
     let output = &ctx.output;
-    let results = rainshine_parallel::par_map(
-        output.config.parallelism,
-        &missing,
-        |&(workload, sla, granularity)| {
-            let params = q1::ProvisionParams::new(f64::from_bits(sla), granularity);
-            q1::provision_servers(output, workload, &params)
-        },
-    );
-    for (key, result) in missing.into_iter().zip(results) {
-        ctx.provisioning.insert(key, result?);
+    for study in rainshine_parallel::par_map(output.config.parallelism, &inputs, |(w, params)| {
+        ctx.analyses.provisioning(output, *w, params)
+    }) {
+        study?;
     }
-    Ok(())
-}
-
-fn t4(ctx: &mut ExperimentContext, dir: &Path) -> Result<String, ExperimentError> {
-    fill_provisioning(ctx)?;
     let tco = TcoModel::default();
     let mut rows = Vec::new();
     let mut preview = String::from("Table IV — TCO savings of MF over SF (percent)\n");
     for granularity in [TimeGranularity::Daily, TimeGranularity::Hourly] {
         for workload in [Workload::W1, Workload::W6] {
             for sla in [0.90, 0.95, 1.00] {
-                let r = provisioning_for(ctx, workload, sla, granularity)?;
-                let savings = 100.0 * q1::tco_savings(r, &tco);
+                let params = q1::ProvisionParams::new(sla, granularity);
+                let r = ctx.analyses.provisioning(output, workload, &params)?;
+                let (pct, savings) = (sla * 100.0, 100.0 * q1::tco_savings(&r, &tco));
                 let g = if granularity == TimeGranularity::Daily { "daily" } else { "hourly" };
-                rows.push(format!("{g},{workload},{:.0},{savings:.2}", sla * 100.0));
-                let _ = writeln!(
-                    preview,
-                    "  {g:>6} {workload} SLA {:>3.0}%: {savings:6.2}%",
-                    sla * 100.0
-                );
+                rows.push(format!("{g},{workload},{pct:.0},{savings:.2}"));
+                let _ = writeln!(preview, "  {g:>6} {workload} SLA {pct:>3.0}%: {savings:6.2}%");
             }
         }
     }
@@ -403,12 +332,12 @@ fn t4(ctx: &mut ExperimentContext, dir: &Path) -> Result<String, ExperimentError
 }
 
 fn evidence_fig(
-    ctx: &mut ExperimentContext,
+    ctx: &ExperimentContext,
     dir: &Path,
     id: &str,
     which: &str,
 ) -> Result<String, ExperimentError> {
-    let (_, table) = ctx.rack_days(Cached::AllHardware)?;
+    let table = &*ctx.analyses.all_hw_table(&ctx.output, ctx.day_stride_pub())?;
     let (title, mut rows) = match which {
         "region" => ("Fig 2 — λ by DC region", evidence::by_region(table)?),
         "dow" => ("Fig 3 — λ by day of week (2012)", evidence::by_day_of_week(table, 0)?),
@@ -418,6 +347,9 @@ fn evidence_fig(
         "sku" => ("Fig 7 — λ by SKU", evidence::by_sku(table)?),
         "power" => ("Fig 8 — λ by rack power rating", evidence::by_power(table)?),
         "age" => ("Fig 9 — λ by equipment age (months)", evidence::by_age(table)?),
+        "temperature" => {
+            ("Fig 16 — temperature vs all hardware failures (SF)", q3::rate_by_temperature(table)?)
+        }
         _ => return Err(format!("unknown evidence figure `{which}`").into()),
     };
     evidence::normalize(&mut rows);
@@ -426,7 +358,7 @@ fn evidence_fig(
 }
 
 fn f10(
-    ctx: &mut ExperimentContext,
+    ctx: &ExperimentContext,
     dir: &Path,
     granularity: TimeGranularity,
     id: &str,
@@ -436,21 +368,18 @@ fn f10(
     let mut preview = format!("Fig {} — over-provisioning %, {g} granularity\n", &id[1..]);
     for workload in [Workload::W1, Workload::W6] {
         for sla in [0.90, 0.95, 1.00] {
-            let r = provisioning_for(ctx, workload, sla, granularity)?;
-            rows.push(format!(
-                "{workload},{:.0},{:.2},{:.2},{:.2}",
+            let params = q1::ProvisionParams::new(sla, granularity);
+            let r = ctx.analyses.provisioning(&ctx.output, workload, &params)?;
+            let (pct, lb, mf, sf) = (
                 sla * 100.0,
                 r.lb.overprovision_pct,
                 r.mf.overprovision_pct,
-                r.sf.overprovision_pct
-            ));
+                r.sf.overprovision_pct,
+            );
+            rows.push(format!("{workload},{pct:.0},{lb:.2},{mf:.2},{sf:.2}"));
             let _ = writeln!(
                 preview,
-                "  {workload} SLA {:>3.0}%: LB {:5.2}%  MF {:5.2}%  SF {:5.2}%",
-                sla * 100.0,
-                r.lb.overprovision_pct,
-                r.mf.overprovision_pct,
-                r.sf.overprovision_pct
+                "  {workload} SLA {pct:>3.0}%: LB {lb:5.2}%  MF {mf:5.2}%  SF {sf:5.2}%"
             );
         }
     }
@@ -458,12 +387,13 @@ fn f10(
     Ok(preview)
 }
 
-fn f11(ctx: &mut ExperimentContext, dir: &Path, id: &str) -> Result<String, ExperimentError> {
+fn f11(ctx: &ExperimentContext, dir: &Path, id: &str) -> Result<String, ExperimentError> {
     let mut rows = Vec::new();
     let mut preview =
         String::from("Fig 1/11 — per-cluster over-provision CDFs (100% SLA, daily)\n");
     for workload in [Workload::W1, Workload::W6] {
-        let r = provisioning_for(ctx, workload, 1.0, TimeGranularity::Daily)?;
+        let params = q1::ProvisionParams::new(1.0, TimeGranularity::Daily);
+        let r = ctx.analyses.provisioning(&ctx.output, workload, &params)?;
         let _ = writeln!(
             preview,
             "  {workload}: {} clusters, spare fractions {:.1}%..{:.1}%",
@@ -492,22 +422,21 @@ fn f11(ctx: &mut ExperimentContext, dir: &Path, id: &str) -> Result<String, Expe
     Ok(preview)
 }
 
-fn f13(ctx: &mut ExperimentContext, dir: &Path) -> Result<String, ExperimentError> {
+fn f13(ctx: &ExperimentContext, dir: &Path) -> Result<String, ExperimentError> {
     let params = q1::ProvisionParams::new(1.0, TimeGranularity::Daily);
     let mut rows = Vec::new();
     let mut preview =
         String::from("Fig 13 — spare cost, % of fleet server cost (100% SLA, daily)\n");
-    let output = &ctx.output;
+    // Each workload's server level is its memoised 100 % daily study.
+    let (output, analyses) = (&ctx.output, &ctx.analyses);
     let (w1, w6) = rainshine_parallel::join(
         output.config.parallelism,
-        || q1::provision_components(output, Workload::W1, &params),
-        || q1::provision_components(output, Workload::W6, &params),
+        || analyses.provision_components(output, Workload::W1, &params),
+        || analyses.provision_components(output, Workload::W6, &params),
     );
     for (workload, r) in [(Workload::W1, w1?), (Workload::W6, w6?)] {
         for (level, triple) in [("component", &r.component_level), ("server", &r.server_level)] {
-            let lb = r.as_pct_of_fleet_cost(triple.lb);
-            let mf = r.as_pct_of_fleet_cost(triple.mf);
-            let sf = r.as_pct_of_fleet_cost(triple.sf);
+            let [lb, mf, sf] = [triple.lb, triple.mf, triple.sf].map(|c| r.as_pct_of_fleet_cost(c));
             rows.push(format!("{workload},{level},{lb:.3},{mf:.3},{sf:.3}"));
             let _ = writeln!(
                 preview,
@@ -519,31 +448,20 @@ fn f13(ctx: &mut ExperimentContext, dir: &Path) -> Result<String, ExperimentErro
     Ok(preview)
 }
 
-fn f14(ctx: &mut ExperimentContext, dir: &Path) -> Result<String, ExperimentError> {
-    let sf = q2::sf_comparison(&ctx.output, &[Sku::S1, Sku::S2, Sku::S3, Sku::S4])?;
+fn f14(ctx: &ExperimentContext, dir: &Path) -> Result<String, ExperimentError> {
+    let sf = ctx.analyses.sf_comparison(&ctx.output)?;
     let peak_max = sf.iter().map(|r| r.peak_rate).fold(0.0, f64::max).max(1e-12);
     let avg_max = sf.iter().map(|r| r.avg_rate).fold(0.0, f64::max).max(1e-12);
     let mut rows = Vec::new();
     let mut preview = String::from("Fig 14 — SKU comparison, SF (normalized to max)\n");
-    for r in &sf {
-        rows.push(format!(
-            "{},{:.4},{:.4},{:.4},{:.4},{}",
-            r.sku,
-            r.peak_rate / peak_max,
-            r.peak_sd / peak_max,
-            r.avg_rate / avg_max,
-            r.avg_sd / avg_max,
-            r.racks
-        ));
+    for r in sf.iter() {
+        let (sku, racks) = (&r.sku, r.racks);
+        let (peak, peak_sd) = (r.peak_rate / peak_max, r.peak_sd / peak_max);
+        let (avg, avg_sd) = (r.avg_rate / avg_max, r.avg_sd / avg_max);
+        rows.push(format!("{sku},{peak:.4},{peak_sd:.4},{avg:.4},{avg_sd:.4},{racks}"));
         let _ = writeln!(
             preview,
-            "  {}: peak {:.3} (sd {:.3})  avg {:.3} (sd {:.3})  [{} racks]",
-            r.sku,
-            r.peak_rate / peak_max,
-            r.peak_sd / peak_max,
-            r.avg_rate / avg_max,
-            r.avg_sd / avg_max,
-            r.racks
+            "  {sku}: peak {peak:.3} (sd {peak_sd:.3})  avg {avg:.3} (sd {avg_sd:.3})  [{racks} racks]"
         );
     }
     let get = |l: &str| sf.iter().find(|r| r.sku == l);
@@ -559,13 +477,15 @@ fn f14(ctx: &mut ExperimentContext, dir: &Path) -> Result<String, ExperimentErro
     Ok(preview)
 }
 
-fn f15(ctx: &mut ExperimentContext, dir: &Path) -> Result<String, ExperimentError> {
+fn f15(ctx: &ExperimentContext, dir: &Path) -> Result<String, ExperimentError> {
     let cart = ctx.rack_day_cart();
-    let (output, table) = ctx.rack_days(Cached::AllHardware)?;
+    let (output, analyses) = (&ctx.output, &ctx.analyses);
+    let table = analyses.all_hw_table(output, ctx.day_stride_pub())?;
+    // The SF rows are f14's: `procurement_scenarios` reads S2 and S4.
     let (mf, sf) = rainshine_parallel::join(
         output.config.parallelism,
-        || q2::mf_comparison(output, table, &cart),
-        || q2::sf_comparison(output, &[Sku::S2, Sku::S4]),
+        || q2::mf_comparison(output, &table, &cart),
+        || analyses.sf_comparison(output),
     );
     let (mf, sf) = (mf?, sf?);
     let mut rows = Vec::new();
@@ -574,14 +494,11 @@ fn f15(ctx: &mut ExperimentContext, dir: &Path) -> Result<String, ExperimentErro
         let avg = mf.avg.levels.iter().find(|l| l.level == label);
         let peak = mf.peak.levels.iter().find(|l| l.level == label);
         if let (Some(a), Some(p)) = (avg, peak) {
-            rows.push(format!(
-                "{label},{:.4},{:.4},{:.4},{:.4}",
-                p.relative, p.stddev, a.relative, a.stddev
-            ));
+            let (peak, peak_sd, avg, avg_sd) = (p.relative, p.stddev, a.relative, a.stddev);
+            rows.push(format!("{label},{peak:.4},{peak_sd:.4},{avg:.4},{avg_sd:.4}"));
             let _ = writeln!(
                 preview,
-                "  {label}: peak rel {:.3} (sd {:.3})  avg rel {:.3} (sd {:.3})",
-                p.relative, p.stddev, a.relative, a.stddev
+                "  {label}: peak rel {peak:.3} (sd {peak_sd:.3})  avg rel {avg:.3} (sd {avg_sd:.3})"
             );
         }
     }
@@ -597,45 +514,28 @@ fn f15(ctx: &mut ExperimentContext, dir: &Path) -> Result<String, ExperimentErro
         output.config.span_days() as f64,
     )?;
     for s in &scenarios {
-        rows.push(format!(
-            "tco_ratio_{:.1},{:.4},{:.4},,",
-            s.price_ratio,
-            100.0 * s.sf_savings,
-            100.0 * s.mf_savings
-        ));
+        let (ratio, sf_pct, mf_pct) = (s.price_ratio, 100.0 * s.sf_savings, 100.0 * s.mf_savings);
+        rows.push(format!("tco_ratio_{ratio:.1},{sf_pct:.4},{mf_pct:.4},,"));
         let _ = writeln!(
             preview,
-            "  S4 at {:.1}x price: SF estimates {:+.1}% savings, MF {:+.1}%",
-            s.price_ratio,
-            100.0 * s.sf_savings,
-            100.0 * s.mf_savings
+            "  S4 at {ratio:.1}x price: SF estimates {sf_pct:+.1}% savings, MF {mf_pct:+.1}%"
         );
     }
     write_csv(dir, "f15", "sku,peak_rel,peak_sd,avg_rel,avg_sd", &rows)?;
     Ok(preview)
 }
 
-fn f16(ctx: &mut ExperimentContext, dir: &Path) -> Result<String, ExperimentError> {
-    let (_, table) = ctx.rack_days(Cached::AllHardware)?;
-    let mut rows = q3::rate_by_temperature(table)?;
-    evidence::normalize(&mut rows);
-    write_csv(dir, "f16", "label,mean,sd,n", &series_csv(&rows))?;
-    Ok(series_preview("Fig 16 — temperature vs all hardware failures (SF)", &rows))
-}
-
-fn f17(ctx: &mut ExperimentContext, dir: &Path) -> Result<String, ExperimentError> {
+fn f17(ctx: &ExperimentContext, dir: &Path) -> Result<String, ExperimentError> {
     let mut rows = q3::disk_rate_by_temperature(&ctx.output, ctx.day_stride_pub())?;
     evidence::normalize(&mut rows);
     write_csv(dir, "f17", "label,mean,sd,n", &series_csv(&rows))?;
     Ok(series_preview("Fig 17 — temperature vs per-disk failure rate", &rows))
 }
 
-fn f18(ctx: &mut ExperimentContext, dir: &Path) -> Result<String, ExperimentError> {
+fn f18(ctx: &ExperimentContext, dir: &Path) -> Result<String, ExperimentError> {
     let cart = ctx.rack_day_cart();
-    let (output, disk) = ctx.rack_days(Cached::Disk)?;
-    // Each DC's subset gathers only the columns the analysis reads.
-    let env = disk.select(q3::ENV_ANALYSIS_COLUMNS)?;
-    let analyse = |dc| q3::env_analysis(dc, &q3::dc_subset(&env, dc)?, &cart);
+    let (output, stride) = (&ctx.output, ctx.day_stride_pub());
+    let analyse = |dc| ctx.analyses.env_analysis(output, dc, stride, &cart);
     let (dc1, dc2) =
         rainshine_parallel::join(output.config.parallelism, || analyse("DC1"), || analyse("DC2"));
     let analyses = [dc1?, dc2?];
@@ -682,7 +582,7 @@ fn p1_row(variant: &str, c: &Confusion) -> String {
     )
 }
 
-fn p1(ctx: &mut ExperimentContext, dir: &Path) -> Result<String, ExperimentError> {
+fn p1(ctx: &ExperimentContext, dir: &Path) -> Result<String, ExperimentError> {
     let config = PredictionConfig::default();
     // Unbalanced ablation in the same artifact (the paper's warning); both
     // variants share the one table.
@@ -724,10 +624,10 @@ fn p1(ctx: &mut ExperimentContext, dir: &Path) -> Result<String, ExperimentError
     Ok(preview)
 }
 
-fn p2(ctx: &mut ExperimentContext, dir: &Path) -> Result<String, ExperimentError> {
+fn p2(ctx: &ExperimentContext, dir: &Path) -> Result<String, ExperimentError> {
     use rainshine_core::q3::{dc_subset, setpoint_tradeoff, SetpointModel};
     let cart = ctx.rack_day_cart();
-    let (_, disk) = ctx.rack_days(Cached::Disk)?;
+    let disk = ctx.analyses.disk_table(&ctx.output, ctx.day_stride_pub())?;
     let dc1 = dc_subset(&disk.select(q3::ENV_ANALYSIS_COLUMNS)?, "DC1")?;
     let model = SetpointModel::default();
     let caps = [72.0, 74.0, 76.0, 78.0, 80.0, 82.0, f64::INFINITY];
@@ -737,14 +637,12 @@ fn p2(ctx: &mut ExperimentContext, dir: &Path) -> Result<String, ExperimentError
         String::from("P2 — DC1 temperature set-point trade-off (cooling OpEx vs disk failures)\n");
     for r in &rows_data {
         let cap = if r.cap_f.is_finite() { format!("{:.0}", r.cap_f) } else { "none".into() };
-        rows.push(format!(
-            "{cap},{:.1},{:.1},{:.1},{:.1}",
-            r.failures, r.cooling_cost, r.maintenance_cost, r.total_cost
-        ));
+        let (failures, cooling, upkeep, total) =
+            (r.failures, r.cooling_cost, r.maintenance_cost, r.total_cost);
+        rows.push(format!("{cap},{failures:.1},{cooling:.1},{upkeep:.1},{total:.1}"));
         let _ = writeln!(
             preview,
-            "  cap {cap:>5} F: {:.0} failures, cooling {:.0}, maintenance {:.0}, total {:.0}",
-            r.failures, r.cooling_cost, r.maintenance_cost, r.total_cost
+            "  cap {cap:>5} F: {failures:.0} failures, cooling {cooling:.0}, maintenance {upkeep:.0}, total {total:.0}"
         );
     }
     let _ = writeln!(
@@ -761,26 +659,31 @@ fn p2(ctx: &mut ExperimentContext, dir: &Path) -> Result<String, ExperimentError
     Ok(preview)
 }
 
-/// The checked-in scenario spec behind each negative-control ablation:
-/// the `medium` fleet with exactly one effect disabled.
-fn ablation_scenario(id: &str) -> Result<Scenario, ExperimentError> {
+/// The fleet and seed of each negative-control ablation, from its
+/// checked-in scenario spec: the `medium` fleet with exactly one effect
+/// disabled, simulated under the context's thread policy.
+fn ablation_fleet(
+    ctx: &ExperimentContext,
+    id: &str,
+) -> Result<(FleetConfig, u64), ExperimentError> {
     let text = match id {
         "a1" => include_str!("../../../scenarios/env_off.json"),
         "a2" => include_str!("../../../scenarios/bursts_off.json"),
         _ => include_str!("../../../scenarios/calendar_off.json"),
     };
-    Ok(Scenario::from_json(text)?)
+    let scenario = Scenario::from_json(text)?;
+    let mut config = scenario.fleet_config()?;
+    config.parallelism = ctx.output.config.parallelism;
+    Ok((config, scenario.seed_base))
 }
 
-fn ablation(dir: &Path, id: &str) -> Result<String, ExperimentError> {
-    let scenario = ablation_scenario(id)?;
-    let output = Simulation::new(scenario.fleet_config()?, scenario.seed_base).run();
+fn ablation(ctx: &ExperimentContext, dir: &Path, id: &str) -> Result<String, ExperimentError> {
+    let (config, seed) = ablation_fleet(ctx, id)?;
+    let output = Simulation::new(config, seed).run();
     match id {
         "a1" => {
-            let disk = rack_day_table(&output, FaultFilter::Component(HardwareFault::Disk), 1)?;
             let cart = CartParams::default().with_min_sizes(400, 200).with_cp(0.002);
-            let dc1 = q3::dc_subset(&disk, "DC1")?;
-            let r = q3::env_analysis("DC1", &dc1, &cart)?;
+            let r = FleetAnalyses::default().env_analysis(&output, "DC1", 1, &cart)?;
             let ratio = if r.hot.n > 0 { r.hot.mean / r.cool.mean.max(1e-12) } else { 1.0 };
             let rows = vec![format!("env_off,{},{:.4},{}", r.discovered.len(), ratio, r.hot.n)];
             write_csv(dir, id, "ablation,env_rules_found,hot_cool_ratio,hot_n", &rows)?;
@@ -795,20 +698,18 @@ fn ablation(dir: &Path, id: &str) -> Result<String, ExperimentError> {
         "a2" => {
             let params = q1::ProvisionParams::new(1.0, TimeGranularity::Daily);
             let r = q1::provision_servers(&output, Workload::W6, &params)?;
-            let rows = vec![format!(
-                "bursts_off,{:.3},{:.3},{:.3}",
-                r.lb.overprovision_pct, r.mf.overprovision_pct, r.sf.overprovision_pct
-            )];
+            let (lb, mf, sf) =
+                (r.lb.overprovision_pct, r.mf.overprovision_pct, r.sf.overprovision_pct);
+            let rows = vec![format!("bursts_off,{lb:.3},{mf:.3},{sf:.3}")];
             write_csv(dir, id, "ablation,lb_pct,mf_pct,sf_pct", &rows)?;
             Ok(format!(
                 "A2 — bursts disabled (negative control)
-  W6 100% SLA daily: LB {:.2}%                   MF {:.2}%  SF {:.2}%  (SF collapses without the correlated tail)
-",
-                r.lb.overprovision_pct, r.mf.overprovision_pct, r.sf.overprovision_pct
+  W6 100% SLA daily: LB {lb:.2}%                   MF {mf:.2}%  SF {sf:.2}%  (SF collapses without the correlated tail)
+"
             ))
         }
         _ => {
-            let table = rack_day_table(&output, FaultFilter::AllHardware, 1)?;
+            let table = FleetAnalyses::default().all_hw_table(&output, 1)?;
             let dow = evidence::by_day_of_week(&table, 0)?;
             let max = dow.iter().map(|r| r.mean).fold(0.0f64, f64::max);
             let min = dow.iter().map(|r| r.mean).fold(f64::INFINITY, f64::min);
@@ -831,9 +732,9 @@ mod tests {
     #[test]
     fn all_experiments_run_at_small_scale() {
         let dir = std::env::temp_dir().join("rainshine-exp-test");
-        let mut ctx = ExperimentContext::new(Scale::Small, 5);
+        let ctx = ExperimentContext::new(Scale::Small, 5);
         for id in ALL_EXPERIMENTS {
-            let preview = run_experiment(id, &mut ctx, &dir)
+            let preview = run_experiment(id, &ctx, &dir)
                 .unwrap_or_else(|e| panic!("experiment {id} failed: {e}"));
             assert!(!preview.is_empty(), "{id} produced empty preview");
             assert!(dir.join(format!("{id}.csv")).exists(), "{id} wrote no csv");
@@ -841,19 +742,24 @@ mod tests {
     }
 
     #[test]
-    fn provisioning_memo_is_transparent() {
-        let ids = ["t4", "f10", "f12", "f1", "f11"];
+    fn memo_is_transparent() {
+        // Every id that reads a shared memo entry, in paper order.
+        let ids = ["t4", "f1", "f2", "f10", "f11", "f12", "f13", "f14", "f15", "f18", "p2"];
         let root = std::env::temp_dir().join("rainshine-memo-test");
         let shared_dir = root.join("shared");
-        let mut shared = ExperimentContext::new(Scale::Small, 5);
-        for id in ids {
-            run_experiment(id, &mut shared, &shared_dir).unwrap();
+        let shared = ExperimentContext::new(Scale::Small, 5);
+        let daily = q1::ProvisionParams::new(0.95, TimeGranularity::Daily);
+        let study = || shared.analyses.provisioning(&shared.output, Workload::W6, &daily).unwrap();
+        run_experiment("t4", &shared, &shared_dir).unwrap();
+        let from_t4 = study();
+        for id in &ids[1..] {
+            run_experiment(id, &shared, &shared_dir).unwrap();
         }
-        // T4 computes every input the others ask for.
-        assert_eq!(shared.provisioning.len(), 12);
+        // F10 read the study T4 computed.
+        assert!(Arc::ptr_eq(&from_t4, &study()));
         for id in ids {
             let alone_dir = root.join(id);
-            run_experiment(id, &mut ExperimentContext::new(Scale::Small, 5), &alone_dir).unwrap();
+            run_experiment(id, &ExperimentContext::new(Scale::Small, 5), &alone_dir).unwrap();
             let csv = format!("{id}.csv");
             assert_eq!(
                 fs::read(shared_dir.join(&csv)).unwrap(),
@@ -874,9 +780,18 @@ mod tests {
     #[test]
     fn ablation_scenarios_disable_exactly_one_channel() {
         use rainshine_dcsim::hazard::HazardConfig;
+        use rainshine_parallel::Parallelism;
+        let ctx = ExperimentContext::new_with_obs(
+            Scale::Small,
+            5,
+            Parallelism::Sequential,
+            rainshine_dcsim::CorruptionConfig::default(),
+            rainshine_obs::Obs::disabled(),
+        );
         let medium_with = |ablate: fn(&mut HazardConfig)| {
             let mut config = FleetConfig::medium();
             ablate(&mut config.hazard);
+            config.parallelism = Parallelism::Sequential;
             config
         };
         for (id, expected) in [
@@ -884,16 +799,18 @@ mod tests {
             ("a2", medium_with(HazardConfig::ablate_bursts)),
             ("a3", medium_with(HazardConfig::ablate_calendar)),
         ] {
-            let scenario = ablation_scenario(id).unwrap();
-            assert_eq!(scenario.fleet_config().unwrap(), expected, "{id}");
-            assert_eq!(scenario.seed_base, 42, "{id}");
+            let (config, seed) = ablation_fleet(&ctx, id).unwrap();
+            // The ablation's fleet runs under the context's `--threads`.
+            assert_eq!(config.parallelism, ctx.output.config.parallelism, "{id}");
+            assert_eq!(config, expected, "{id}");
+            assert_eq!(seed, 42, "{id}");
         }
     }
 
     #[test]
     fn unknown_experiment_errors() {
         let dir = std::env::temp_dir().join("rainshine-exp-test2");
-        let mut ctx = ExperimentContext::new(Scale::Small, 5);
-        assert!(run_experiment("zz", &mut ctx, &dir).is_err());
+        let ctx = ExperimentContext::new(Scale::Small, 5);
+        assert!(run_experiment("zz", &ctx, &dir).is_err());
     }
 }

@@ -1,31 +1,30 @@
 //! Per-seed claim evaluation.
 //!
-//! A [`SeedRun`] owns one simulation output and lazily caches the analysis
-//! tables the scenario's claims read; [`SeedRun::evaluate`] turns a
+//! A [`SeedRun`] owns one simulation output and a [`FleetAnalyses`] memo of
+//! the tables and studies its claims share; [`SeedRun::evaluate`] turns a
 //! [`Claim`] into a [`Measurement`] — an effect-size value plus pass/fail
 //! against the claim's envelope. Everything here is a pure function of
 //! (scenario, seed), so the power runner can fan seeds out across threads
 //! and still aggregate deterministically.
 
-use std::cell::RefCell;
-use std::collections::BTreeMap;
-use std::rc::Rc;
+use std::sync::Arc;
 
-use rainshine_core::dataset::{rack_day_table, FaultFilter};
-use rainshine_core::q1::{provision_servers, ProvisionParams, ServerProvisioning};
-use rainshine_core::q3::{dc_subset, env_analysis, EnvAnalysis};
+use rainshine_core::analyses::FleetAnalyses;
+use rainshine_core::q1::{ProvisionParams, ServerProvisioning};
 use rainshine_core::tco::TcoModel;
 use rainshine_core::{evidence, q1, q2};
 use rainshine_dcsim::{Simulation, SimulationOutput};
 use rainshine_telemetry::frame::Frame;
-use rainshine_telemetry::ids::Workload;
 use rainshine_telemetry::metrics::{self, SpatialGranularity};
-use rainshine_telemetry::rma::{FaultKind, HardwareFault};
+use rainshine_telemetry::rma::FaultKind;
 use rainshine_telemetry::schema::columns;
 use rainshine_telemetry::time::TimeGranularity;
 
 use crate::scenario::{parse_workload, Claim, Scenario};
 use crate::Result;
+
+/// A claim's outcome, or the error that made it unmeasurable.
+type Eval<T> = std::result::Result<T, Box<dyn std::error::Error>>;
 
 /// One claim evaluated on one seed.
 #[derive(Debug, Clone, PartialEq)]
@@ -51,28 +50,15 @@ impl Measurement {
     }
 }
 
-/// Rack-day table cache key: fault filter × day stride.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum TableKind {
-    AllHardware(usize),
-    Disk(usize),
-}
-
-/// Environment-analysis memo key: DC label, table stride, and the control
-/// tree's `min_split`, `min_leaf` and `cp` bits.
-type EnvKey = (String, usize, usize, usize, u64);
-
-/// One simulated seed with lazily built analysis tables, and the analyses
-/// several claims share computed once.
+/// One simulated seed, with the tables and analyses several claims share
+/// computed once in its memo.
 pub struct SeedRun {
     /// The seed that produced [`Self::output`].
     pub seed: u64,
     /// The simulation output all claims read.
     pub output: SimulationOutput,
     day_stride: usize,
-    tables: RefCell<BTreeMap<TableKind, Rc<Frame>>>,
-    env: RefCell<BTreeMap<EnvKey, Rc<EnvAnalysis>>>,
-    provisioning: RefCell<BTreeMap<(Workload, u64), Rc<ServerProvisioning>>>,
+    analyses: FleetAnalyses,
 }
 
 impl SeedRun {
@@ -92,48 +78,19 @@ impl SeedRun {
 
     /// Wraps an existing simulation output (the caller picked the stride).
     pub fn from_output(seed: u64, output: SimulationOutput, day_stride: usize) -> SeedRun {
-        SeedRun {
-            seed,
-            output,
-            day_stride,
-            tables: RefCell::new(BTreeMap::new()),
-            env: RefCell::new(BTreeMap::new()),
-            provisioning: RefCell::new(BTreeMap::new()),
-        }
-    }
-
-    fn table(&self, kind: TableKind) -> std::result::Result<Rc<Frame>, String> {
-        if let Some(t) = self.tables.borrow().get(&kind) {
-            return Ok(Rc::clone(t));
-        }
-        let (filter, stride) = match kind {
-            TableKind::AllHardware(s) => (FaultFilter::AllHardware, s),
-            TableKind::Disk(s) => (FaultFilter::Component(HardwareFault::Disk), s),
-        };
-        let table = rack_day_table(&self.output, filter, stride)
-            .map(Rc::new)
-            .map_err(|e| format!("table build failed: {e}"))?;
-        self.tables.borrow_mut().insert(kind, Rc::clone(&table));
-        Ok(table)
-    }
-
-    fn hw_table(&self) -> std::result::Result<Rc<Frame>, String> {
-        self.table(TableKind::AllHardware(self.day_stride))
+        SeedRun { seed, output, day_stride, analyses: FleetAnalyses::default() }
     }
 
     /// Evaluates one claim against this seed's output.
     pub fn evaluate(&self, claim: &Claim) -> Measurement {
-        match self.try_evaluate(claim) {
-            Ok(m) => m,
-            Err(detail) => Measurement::err(detail),
-        }
+        self.try_evaluate(claim).unwrap_or_else(|e| Measurement::err(e.to_string()))
     }
 
-    fn try_evaluate(&self, claim: &Claim) -> std::result::Result<Measurement, String> {
+    fn try_evaluate(&self, claim: &Claim) -> Eval<Measurement> {
+        let hw_table = || self.analyses.all_hw_table(&self.output, self.day_stride);
         match claim {
             Claim::AgeBathtub { min_young_over_mid } => {
-                let table = self.hw_table()?;
-                let rows = evidence::by_age(&table).map_err(|e| e.to_string())?;
+                let rows = evidence::by_age(&*hw_table()?)?;
                 let young = series_mean(&rows, "<5")?;
                 let mid = series_mean(&rows, "25-30")?;
                 let value = young / mid;
@@ -144,8 +101,7 @@ impl SeedRun {
                 ))
             }
             Claim::RegionGap { min_dc1_over_dc2 } => {
-                let table = self.hw_table()?;
-                let rows = evidence::by_region(&table).map_err(|e| e.to_string())?;
+                let rows = evidence::by_region(&*hw_table()?)?;
                 let dc1_min = rows
                     .iter()
                     .filter(|r| r.label.starts_with("DC1"))
@@ -167,8 +123,7 @@ impl SeedRun {
                 ))
             }
             Claim::WeekdaySpread { lo, hi, weekdays_over_weekends } => {
-                let table = self.hw_table()?;
-                let rows = evidence::by_day_of_week(&table, 0).map_err(|e| e.to_string())?;
+                let rows = evidence::by_day_of_week(&*hw_table()?, 0)?;
                 let max = rows.iter().map(|r| r.mean).fold(0.0f64, f64::max);
                 let min = rows.iter().map(|r| r.mean).fold(f64::INFINITY, f64::min);
                 if !min.is_finite() || min <= 0.0 {
@@ -187,8 +142,7 @@ impl SeedRun {
                 Ok(Measurement::ok(value, pass, format!("weekday spread max/min = {value:.3}")))
             }
             Claim::SeasonalLift { min_h2_over_h1 } => {
-                let table = self.hw_table()?;
-                let rows = evidence::by_month(&table, 0).map_err(|e| e.to_string())?;
+                let rows = evidence::by_month(&*hw_table()?, 0)?;
                 let half = |months: &[&str]| {
                     let vals: Vec<f64> = rows
                         .iter()
@@ -206,8 +160,7 @@ impl SeedRun {
                 Ok(Measurement::ok(value, value > *min_h2_over_h1, format!("H2/H1 = {value:.3}")))
             }
             Claim::LowHumidityLift { min_dry_over_mid } => {
-                let table = self.hw_table()?;
-                let rows = evidence::by_rh_bin(&table).map_err(|e| e.to_string())?;
+                let rows = evidence::by_rh_bin(&*hw_table()?)?;
                 let dry = series_mean(&rows, "20-30")?;
                 let mid = series_mean(&rows, "40-50")?;
                 if mid <= 0.0 {
@@ -221,14 +174,13 @@ impl SeedRun {
                 ))
             }
             Claim::WorkloadExtremes { highest, lowest } => {
-                let table = self.hw_table()?;
-                let rows = evidence::by_workload(&table).map_err(|e| e.to_string())?;
+                let rows = evidence::by_workload(&*hw_table()?)?;
                 let hi = series_mean(&rows, highest)?;
                 let lo = series_mean(&rows, lowest)?;
                 let is_max = rows.iter().all(|r| r.label == *highest || hi >= r.mean);
                 let is_min = rows.iter().all(|r| r.label == *lowest || lo <= r.mean);
                 if lo <= 0.0 {
-                    return Err(format!("{lowest} has zero mean"));
+                    return Err(format!("{lowest} has zero mean").into());
                 }
                 let value = hi / lo;
                 Ok(Measurement::ok(
@@ -238,7 +190,7 @@ impl SeedRun {
                 ))
             }
             Claim::DriverImportance { cart, min_planted_share, max_week_share } => {
-                let table = self.hw_table()?;
+                let table = hw_table()?;
                 let ds = rainshine_cart::dataset::CartDataset::regression(
                     &table,
                     columns::FAILURE_RATE,
@@ -251,10 +203,8 @@ impl SeedRun {
                         columns::RATED_POWER_KW,
                         columns::WEEK,
                     ],
-                )
-                .map_err(|e| e.to_string())?;
-                let tree = rainshine_cart::tree::Tree::fit(&ds, &cart.params())
-                    .map_err(|e| e.to_string())?;
+                )?;
+                let tree = rainshine_cart::tree::Tree::fit(&ds, &cart.params())?;
                 let importance = tree.variable_importance();
                 let score = |name: &str| {
                     importance.iter().find(|(n, _)| n == name).map(|(_, s)| *s).unwrap_or(0.0)
@@ -305,9 +255,8 @@ impl SeedRun {
                 ))
             }
             Claim::MfSkuRatio { cart, table_stride, sku_hi, sku_lo, lo, hi } => {
-                let table = self.table(TableKind::AllHardware(*table_stride))?;
-                let mf = q2::mf_comparison(&self.output, &table, &cart.params())
-                    .map_err(|e| e.to_string())?;
+                let table = self.analyses.all_hw_table(&self.output, *table_stride)?;
+                let mf = q2::mf_comparison(&self.output, &table, &cart.params())?;
                 let value = mf
                     .avg_ratio(sku_hi, sku_lo)
                     .ok_or_else(|| format!("{sku_hi} or {sku_lo} missing from MF levels"))?;
@@ -318,7 +267,8 @@ impl SeedRun {
                 ))
             }
             Claim::TempThreshold { cart, table_stride, dc, lo_f, hi_f, min_hot_over_cool } => {
-                let r = self.env_analysis_for(dc, *table_stride, cart)?;
+                let r =
+                    self.analyses.env_analysis(&self.output, dc, *table_stride, &cart.params())?;
                 // The tree may split on a spurious shallow temperature rule
                 // before the planted one, so scan every discovered
                 // temperature rule: prefer the strongest one inside the
@@ -344,7 +294,7 @@ impl SeedRun {
                     ));
                 };
                 let value = rule.threshold;
-                let disk = self.table(TableKind::Disk(*table_stride))?;
+                let disk = self.analyses.disk_table(&self.output, *table_stride)?;
                 let step = hot_cool_step(&disk, dc, value)?;
                 Ok(Measurement::ok(
                     value,
@@ -353,7 +303,8 @@ impl SeedRun {
                 ))
             }
             Claim::EnvRules { cart, table_stride, dc, min_rules } => {
-                let r = self.env_analysis_for(dc, *table_stride, cart)?;
+                let r =
+                    self.analyses.env_analysis(&self.output, dc, *table_stride, &cart.params())?;
                 let value = r.discovered.len() as f64;
                 Ok(Measurement::ok(
                     value,
@@ -415,46 +366,12 @@ impl SeedRun {
         }
     }
 
-    /// Fig. 18's analysis of `dc` on the disk table at `stride`, computed
-    /// once per (DC, stride, control-tree settings) and shared by the claims
-    /// that read it.
-    fn env_analysis_for(
-        &self,
-        dc: &str,
-        stride: usize,
-        cart: &crate::scenario::CartSpec,
-    ) -> std::result::Result<Rc<EnvAnalysis>, String> {
-        let key = (dc.to_owned(), stride, cart.min_split, cart.min_leaf, cart.cp.to_bits());
-        if let Some(r) = self.env.borrow().get(&key) {
-            return Ok(Rc::clone(r));
-        }
-        // The DC subset is dropped once the analysis is done; claims that
-        // need the DC's rows again read them from the cached disk table.
-        let disk = self.table(TableKind::Disk(stride))?;
-        let subset = dc_subset(&disk, dc).map_err(|e| e.to_string())?;
-        let analysis =
-            Rc::new(env_analysis(dc, &subset, &cart.params()).map_err(|e| e.to_string())?);
-        self.env.borrow_mut().insert(key, Rc::clone(&analysis));
-        Ok(analysis)
-    }
-
-    /// Daily server provisioning for `workload` at `sla`, computed once per
-    /// (workload, SLA) and shared by the claims that read it.
-    fn provision(
-        &self,
-        workload: &str,
-        sla: f64,
-    ) -> std::result::Result<Rc<ServerProvisioning>, String> {
+    /// Daily server provisioning for the workload labelled `workload` at
+    /// `sla`, read from the memo.
+    fn provision(&self, workload: &str, sla: f64) -> Eval<Arc<ServerProvisioning>> {
         let workload = parse_workload(workload).ok_or_else(|| format!("bad label {workload}"))?;
-        let key = (workload, sla.to_bits());
-        if let Some(r) = self.provisioning.borrow().get(&key) {
-            return Ok(Rc::clone(r));
-        }
         let params = ProvisionParams::new(sla, TimeGranularity::Daily);
-        let r =
-            Rc::new(provision_servers(&self.output, workload, &params).map_err(|e| e.to_string())?);
-        self.provisioning.borrow_mut().insert(key, Rc::clone(&r));
-        Ok(r)
+        Ok(self.analyses.provisioning(&self.output, workload, &params)?)
     }
 }
 
@@ -470,15 +387,14 @@ fn series_mean(rows: &[evidence::SeriesRow], label: &str) -> std::result::Result
 /// at `threshold_f`, mirroring the Fig. 18 grouping in
 /// `q3::env_analysis` but at an arbitrary threshold so the step can be
 /// checked for whichever discovered rule the claim selected.
-fn hot_cool_step(table: &Frame, dc: &str, threshold_f: f64) -> std::result::Result<f64, String> {
+fn hot_cool_step(table: &Frame, dc: &str, threshold_f: f64) -> Eval<f64> {
     let dc_code = table
-        .dictionary(columns::DATACENTER)
-        .map_err(|e| e.to_string())?
+        .dictionary(columns::DATACENTER)?
         .code_of(dc)
         .ok_or_else(|| format!("no rows for {dc}"))?;
-    let dcs = table.nominal_codes(columns::DATACENTER).map_err(|e| e.to_string())?;
-    let y = table.continuous(columns::FAILURE_RATE).map_err(|e| e.to_string())?;
-    let temp = table.continuous(columns::TEMPERATURE_F).map_err(|e| e.to_string())?;
+    let dcs = table.nominal_codes(columns::DATACENTER)?;
+    let y = table.continuous(columns::FAILURE_RATE)?;
+    let temp = table.continuous(columns::TEMPERATURE_F)?;
     let (mut cool_sum, mut cool_n, mut hot_sum, mut hot_n) = (0.0_f64, 0u64, 0.0_f64, 0u64);
     for i in 0..table.rows() {
         if dcs[i] != dc_code || !temp[i].is_finite() || !y[i].is_finite() {
@@ -493,7 +409,7 @@ fn hot_cool_step(table: &Frame, dc: &str, threshold_f: f64) -> std::result::Resu
         }
     }
     if cool_n == 0 || hot_n == 0 {
-        return Err(format!("threshold {threshold_f:.1}F leaves an empty hot or cool group"));
+        return Err(format!("threshold {threshold_f:.1}F leaves an empty hot or cool group").into());
     }
     Ok((hot_sum / hot_n as f64) / (cool_sum / cool_n as f64).max(1e-12))
 }
@@ -501,7 +417,7 @@ fn hot_cool_step(table: &Frame, dc: &str, threshold_f: f64) -> std::result::Resu
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::{CartSpec, Claim, EffectToggles, Scenario};
+    use crate::scenario::{Claim, EffectToggles, Scenario};
     use crate::scenario::{ClaimSpec, Expect};
 
     fn small_scenario() -> Scenario {
@@ -539,28 +455,5 @@ mod tests {
         });
         assert!(m.error);
         assert!(m.value.is_nan());
-    }
-
-    #[test]
-    fn table_cache_reuses_instances() {
-        let run = SeedRun::new(&small_scenario(), 5).unwrap();
-        let a = run.hw_table().unwrap();
-        let b = run.hw_table().unwrap();
-        assert!(Rc::ptr_eq(&a, &b));
-        let _ = CartSpec { min_split: 8, min_leaf: 4, cp: 0.01 };
-    }
-
-    #[test]
-    fn shared_analyses_are_computed_once_per_seed() {
-        let run = SeedRun::new(&small_scenario(), 5).unwrap();
-        let cart = CartSpec { min_split: 200, min_leaf: 100, cp: 0.002 };
-        let a = run.env_analysis_for("DC1", 2, &cart).unwrap();
-        assert!(Rc::ptr_eq(&a, &run.env_analysis_for("DC1", 2, &cart).unwrap()));
-        let looser = CartSpec { cp: 0.001, ..cart };
-        assert!(!Rc::ptr_eq(&a, &run.env_analysis_for("DC1", 2, &looser).unwrap()));
-        assert!(!Rc::ptr_eq(&a, &run.env_analysis_for("DC2", 2, &cart).unwrap()));
-        let p = run.provision("W6", 1.0).unwrap();
-        assert!(Rc::ptr_eq(&p, &run.provision("W6", 1.0).unwrap()));
-        assert!(!Rc::ptr_eq(&p, &run.provision("W6", 0.95).unwrap()));
     }
 }

@@ -21,7 +21,9 @@
 //! * [`tco`] — the total-cost-of-ownership model used for Table IV and the
 //!   Q2 procurement scenarios;
 //! * [`predict`] — the paper's flagged future-work extension: failure
-//!   prediction with class balancing and a time-ordered train/test split.
+//!   prediction with class balancing and a time-ordered train/test split;
+//! * [`analyses`] — [`analyses::FleetAnalyses`], the memo that computes each
+//!   of one fleet's shared tables and results once for every reader.
 //!
 //! # Example
 //!
@@ -35,6 +37,7 @@
 //! # Ok::<(), rainshine_core::AnalysisError>(())
 //! ```
 
+pub mod analyses;
 pub mod dataset;
 pub mod evidence;
 pub mod predict;

@@ -401,33 +401,42 @@ pub fn provision_components(
     workload: Workload,
     params: &ProvisionParams,
 ) -> Result<ComponentProvisioning> {
-    let server_price = 100.0;
-    // LB/SF/MF spare counts and servers for one fault filter.
-    let spares_triple = |filter| -> Result<(f64, f64, f64, f64)> {
+    component_costs(output, &provision_servers(output, workload, params)?, params)
+}
+
+/// The comparison of [`provision_components`] given its server level:
+/// `server`, the [`provision_servers`] study of the same inputs, whose
+/// LB / SF / MF spares are whole-server spares for all hardware failures.
+pub(crate) fn component_costs(
+    output: &SimulationOutput,
+    server: &ServerProvisioning,
+    params: &ProvisionParams,
+) -> Result<ComponentProvisioning> {
+    let (workload, server_price) = (server.workload, 100.0);
+    let server_level = CostTriple {
+        lb: server.lb.spares * server_price,
+        sf: server.sf.spares * server_price,
+        mf: server.mf.spares * server_price,
+    };
+    // LB/SF/MF spare counts for one fault filter.
+    let spares_triple = |filter| -> Result<(f64, f64, f64)> {
         let deficits = rack_deficits(output, workload, filter, params)?;
         let s = spares(output, &deficits)?;
-        Ok((s.lb, s.sf, s.mf, s.servers))
-    };
-    // Server-level: whole-server spares for all hardware failures.
-    let (lb_all, sf_all, mf_all, servers) = spares_triple(FaultFilter::AllHardware)?;
-    let server_level = CostTriple {
-        lb: lb_all * server_price,
-        sf: sf_all * server_price,
-        mf: mf_all * server_price,
+        Ok((s.lb, s.sf, s.mf))
     };
     // Component-level: disks and DIMMs get their own (cheap) spares; the
     // rest still needs server spares.
-    let (lb_d, sf_d, mf_d, _) = spares_triple(FaultFilter::Component(HardwareFault::Disk))?;
-    let (lb_m, sf_m, mf_m, _) = spares_triple(FaultFilter::Component(HardwareFault::Memory))?;
+    let (lb_d, sf_d, mf_d) = spares_triple(FaultFilter::Component(HardwareFault::Disk))?;
+    let (lb_m, sf_m, mf_m) = spares_triple(FaultFilter::Component(HardwareFault::Memory))?;
     // Remaining hardware faults share one server-spare pool: a power,
     // board, or NIC failure downs the server either way.
-    let (lb_o, sf_o, mf_o, _) = spares_triple(FaultFilter::OtherHardware)?;
+    let (lb_o, sf_o, mf_o) = spares_triple(FaultFilter::OtherHardware)?;
     let component_level = CostTriple {
         lb: lb_d * DISK_COST + lb_m * DIMM_COST + lb_o * server_price,
         sf: sf_d * DISK_COST + sf_m * DIMM_COST + sf_o * server_price,
         mf: mf_d * DISK_COST + mf_m * DIMM_COST + mf_o * server_price,
     };
-    Ok(ComponentProvisioning { workload, servers, server_level, component_level })
+    Ok(ComponentProvisioning { workload, servers: server.servers, server_level, component_level })
 }
 
 #[cfg(test)]

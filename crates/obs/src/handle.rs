@@ -2,10 +2,12 @@
 //!
 //! [`Obs`] is a cheap clonable handle that is either *disabled* (every
 //! call is a no-op — no lock, no clock read, no allocation) or *enabled*
-//! (writes go to a shared [`Collector`] behind a mutex).
+//! (writes go to a shared [`Collector`] behind a mutex). A panic on a
+//! thread that held the lock leaves the collector usable, since each write
+//! is one map update, so a poisoned lock is still taken.
 
 use std::borrow::Cow;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
 use crate::collector::Collector;
@@ -35,21 +37,21 @@ impl Obs {
     /// Adds `delta` to the counter `name`.
     pub fn incr(&self, name: &str, delta: u64) {
         if let Some(shared) = &self.shared {
-            shared.lock().unwrap().incr(name, delta);
+            shared.lock().unwrap_or_else(PoisonError::into_inner).incr(name, delta);
         }
     }
 
     /// Sets the gauge `name` (last write wins).
     pub fn gauge(&self, name: &str, value: f64) {
         if let Some(shared) = &self.shared {
-            shared.lock().unwrap().set_gauge(name, value);
+            shared.lock().unwrap_or_else(PoisonError::into_inner).set_gauge(name, value);
         }
     }
 
     /// Records `value` in the histogram `name`.
     pub fn observe(&self, name: &str, value: u64) {
         if let Some(shared) = &self.shared {
-            shared.lock().unwrap().observe(name, value);
+            shared.lock().unwrap_or_else(PoisonError::into_inner).observe(name, value);
         }
     }
 
@@ -77,7 +79,7 @@ impl Obs {
     /// A copy of everything recorded so far (empty when disabled).
     pub fn snapshot(&self) -> Collector {
         match &self.shared {
-            Some(shared) => shared.lock().unwrap().clone(),
+            Some(shared) => shared.lock().unwrap_or_else(PoisonError::into_inner).clone(),
             None => Collector::new(),
         }
     }
@@ -110,7 +112,10 @@ impl Drop for Span<'_> {
                 .started
                 .map(|t| u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX))
                 .unwrap_or(0);
-            shared.lock().unwrap().record_stage(&self.name, self.items, wall_nanos);
+            shared
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .record_stage(&self.name, self.items, wall_nanos);
         }
     }
 }

@@ -85,16 +85,16 @@ fn check_env_trees(what: &str, disk: &Frame, dc: &str, params: &CartParams) {
 #[test]
 #[ignore = "paper-scale fleet; run in release"]
 fn pipeline_trees_match_the_per_node_sort_reference_at_paper_scale() {
-    let mut ctx = ExperimentContext::new(Scale::Paper, 42);
+    let ctx = ExperimentContext::new(Scale::Paper, 42);
     let params = ctx.rack_day_cart();
-    let mf = fit_both("f15 MF", ctx.all_hw_table(), MF_CONTROLS, &params);
+    let mf = fit_both("f15 MF", &ctx.all_hw_table(), MF_CONTROLS, &params);
     assert!(mf.leaf_count() > 1, "the MF tree has structure worth comparing");
     let disk = ctx.disk_table().clone();
     for dc in ["DC1", "DC2"] {
         check_env_trees("clean", &disk, dc, &params);
     }
 
-    let mut dirty = ExperimentContext::new_with_obs(
+    let dirty = ExperimentContext::new_with_obs(
         Scale::Paper,
         42,
         Parallelism::Auto,
@@ -107,6 +107,6 @@ fn pipeline_trees_match_the_per_node_sort_reference_at_paper_scale() {
         all_hw.continuous(columns::TEMPERATURE_F).unwrap().iter().any(|t| t.is_nan()),
         "the dirty preset leaves NaN environment cells"
     );
-    fit_both("dirty MF", all_hw, MF_CONTROLS, &params);
-    check_env_trees("dirty", dirty.disk_table(), "DC1", &params);
+    fit_both("dirty MF", &all_hw, MF_CONTROLS, &params);
+    check_env_trees("dirty", &dirty.disk_table(), "DC1", &params);
 }

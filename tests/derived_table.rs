@@ -1,6 +1,7 @@
 //! Differential oracle for the derived disk rack-day table.
 //!
-//! `ExperimentContext` builds the all-hardware rack-day table once and
+//! `FleetAnalyses`, the memo behind `ExperimentContext` and the
+//! conformance runner, builds the all-hardware rack-day table once and
 //! derives the disk table from it by swapping in the disk response
 //! (`dataset::rack_day_response` through `Frame::with_continuous`), so the
 //! two tables share every feature column. The derived table must equal
@@ -12,41 +13,20 @@ use rainshine::analysis::dataset::{rack_day_response, rack_day_table, FaultFilte
 use rainshine::dcsim::CorruptionConfig;
 use rainshine::obs::Obs;
 use rainshine::parallel::Parallelism;
-use rainshine::telemetry::frame::{Column, Frame};
 use rainshine::telemetry::rma::HardwareFault;
 use rainshine::telemetry::schema::columns;
 use rainshine_bench::{ExperimentContext, Scale};
 
-const DISK: FaultFilter = FaultFilter::Component(HardwareFault::Disk);
+mod common;
+use common::assert_same_table;
 
-/// Asserts `derived` equals `fresh` column for column.
-fn assert_same_table(what: &str, derived: &Frame, fresh: &Frame) {
-    assert_eq!(derived.schema(), fresh.schema(), "{what}: schema");
-    assert_eq!(derived.rows(), fresh.rows(), "{what}: rows");
-    for (i, field) in fresh.schema().fields().iter().enumerate() {
-        let name = &field.name;
-        match (derived.column(i), fresh.column(i)) {
-            (Column::Continuous(a), Column::Continuous(b)) => {
-                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                assert!(bits(a) == bits(b), "{what}: continuous column `{name}` differs");
-            }
-            (Column::Nominal { codes: a, dict: da }, Column::Nominal { codes: b, dict: db }) => {
-                assert!(a == b, "{what}: codes of `{name}` differ");
-                assert_eq!(da.labels(), db.labels(), "{what}: dictionary of `{name}`");
-            }
-            (Column::Ordinal(a), Column::Ordinal(b)) => {
-                assert!(a == b, "{what}: ordinal column `{name}` differs");
-            }
-            _ => panic!("{what}: column `{name}` changed kind"),
-        }
-    }
-}
+const DISK: FaultFilter = FaultFilter::Component(HardwareFault::Disk);
 
 /// Checks the context's disk table, derived after the all-hardware table
 /// is built, against a fresh build at the context's stride.
 fn check_context(what: &str, scale: Scale, seed: u64, corruption: CorruptionConfig) {
     let dirty = corruption != CorruptionConfig::default();
-    let mut ctx = ExperimentContext::new_with_obs(
+    let ctx = ExperimentContext::new_with_obs(
         scale,
         seed,
         Parallelism::Auto,
@@ -63,7 +43,7 @@ fn check_context(what: &str, scale: Scale, seed: u64, corruption: CorruptionConf
     }
     let fresh = rack_day_table(&ctx.output, DISK, stride).unwrap();
     let derived = ctx.disk_table();
-    assert_same_table(what, derived, &fresh);
+    assert_same_table(what, &derived, &fresh);
     let response = fresh.continuous(columns::FAILURE_RATE).unwrap();
     assert!(response.iter().sum::<f64>() > 0.0, "{what}: the disk response is not all zero");
 }

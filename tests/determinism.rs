@@ -71,7 +71,7 @@ fn run_report_bytes_do_not_depend_on_thread_count() {
 
     let report_for = |parallelism: Parallelism| {
         let obs = Obs::enabled();
-        let mut ctx = ExperimentContext::new_with_obs(
+        let ctx = ExperimentContext::new_with_obs(
             Scale::Small,
             7,
             parallelism,
@@ -80,7 +80,7 @@ fn run_report_bytes_do_not_depend_on_thread_count() {
         );
         let dir = std::env::temp_dir().join("rainshine-report-det");
         for id in ["t1", "f2", "f15"] {
-            run_experiment(id, &mut ctx, &dir).expect("experiment runs");
+            run_experiment(id, &ctx, &dir).expect("experiment runs");
         }
         run_report(&obs, &ctx.output, Scale::Small, 7).deterministic_json()
     };
@@ -98,9 +98,9 @@ fn run_report_bytes_do_not_depend_on_thread_count() {
     }
 }
 
-/// The fan-out inside the experiments (t4's provisioning inputs, f15's
-/// MF ‖ SF halves, p1's two evaluations, the paired rack-day table build)
-/// must not change an artifact: every id's CSV bytes and returned preview
+/// The fan-out inside the experiments (t4's provisioning studies, f13's
+/// and f18's two halves, f15's MF ‖ SF halves, p1's two evaluations, all
+/// reading one `FleetAnalyses` memo) must not change an artifact: every id's CSV bytes and returned preview
 /// are identical under `Sequential`, `Threads(2)` and `Auto`, on clean and
 /// on dirty data.
 #[test]
@@ -114,7 +114,7 @@ fn experiment_artifacts_do_not_depend_on_thread_count() {
         let dir = std::env::temp_dir()
             .join("rainshine-fanout-det")
             .join(format!("{data}-{parallelism:?}"));
-        let mut ctx = ExperimentContext::new_with_obs(
+        let ctx = ExperimentContext::new_with_obs(
             Scale::Small,
             13,
             parallelism,
@@ -123,7 +123,7 @@ fn experiment_artifacts_do_not_depend_on_thread_count() {
         );
         let mut out = BTreeMap::new();
         for id in ALL_EXPERIMENTS {
-            let preview = run_experiment(id, &mut ctx, &dir)
+            let preview = run_experiment(id, &ctx, &dir)
                 .unwrap_or_else(|e| panic!("{id} under {parallelism:?}: {e}"));
             let csv = std::fs::read(dir.join(format!("{id}.csv"))).expect("experiment wrote a CSV");
             out.insert(*id, (preview, csv));

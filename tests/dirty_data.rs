@@ -162,7 +162,7 @@ fn sanitized_stream_is_fully_valid() {
 fn full_experiment_suite_never_panics_on_dirty_data() {
     use rainshine_bench::{run_experiment, ExperimentContext, Scale, ALL_EXPERIMENTS};
     let dir = std::env::temp_dir().join("rainshine-dirty-suite");
-    let mut ctx = ExperimentContext::new_with_obs(
+    let ctx = ExperimentContext::new_with_obs(
         Scale::Small,
         SEED,
         Parallelism::Auto,
@@ -171,7 +171,7 @@ fn full_experiment_suite_never_panics_on_dirty_data() {
     );
     assert!(ctx.output.quality.tickets_seen > ctx.output.quality.tickets_kept, "defects injected");
     for id in ALL_EXPERIMENTS {
-        let preview = run_experiment(id, &mut ctx, &dir)
+        let preview = run_experiment(id, &ctx, &dir)
             .unwrap_or_else(|e| panic!("experiment {id} failed on dirty data: {e}"));
         assert!(!preview.is_empty(), "{id} produced empty preview");
     }
