@@ -23,6 +23,7 @@ use rainshine_core::predict::{
 };
 use rainshine_core::tco::TcoModel;
 use rainshine_core::{q1, q2, q3};
+pub use rainshine_dcsim::Scale;
 use rainshine_dcsim::{FleetConfig, Simulation, SimulationOutput};
 use rainshine_telemetry::frame::Frame;
 use rainshine_telemetry::ids::{DcId, Workload};
@@ -38,47 +39,6 @@ pub const ALL_EXPERIMENTS: &[&str] = &[
     "t1", "t2", "t3", "t4", "f1", "f2", "f3", "f4", "f5", "f6", "f7", "f8", "f9", "f10", "f11",
     "f12", "f13", "f14", "f15", "f16", "f17", "f18", "p1", "p2", "a1", "a2", "a3",
 ];
-
-/// Fleet scale for an experiment run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Scale {
-    /// 24 + 20 racks, 6 months (smoke tests).
-    Small,
-    /// 90 + 80 racks, 1 year (CI).
-    Medium,
-    /// 331 + 290 racks, 2.5 years (the paper's fleet).
-    Paper,
-}
-
-impl Scale {
-    /// Parses `small` / `medium` / `paper`.
-    pub fn parse(s: &str) -> Option<Scale> {
-        match s {
-            "small" => Some(Scale::Small),
-            "medium" => Some(Scale::Medium),
-            "paper" => Some(Scale::Paper),
-            _ => None,
-        }
-    }
-
-    /// The clean fleet configuration of this scale.
-    pub fn config(self) -> FleetConfig {
-        match self {
-            Scale::Small => FleetConfig::small(),
-            Scale::Medium => FleetConfig::medium(),
-            Scale::Paper => FleetConfig::paper_scale(),
-        }
-    }
-
-    /// The flag spelling (`small` / `medium` / `paper`).
-    pub fn name(self) -> &'static str {
-        match self {
-            Scale::Small => "small",
-            Scale::Medium => "medium",
-            Scale::Paper => "paper",
-        }
-    }
-}
 
 /// Builds the run report for a finished (or in-progress) run: the obs
 /// snapshot plus run metadata and the sanitizer's data-quality payload.
@@ -767,14 +727,6 @@ mod tests {
                 "{id}"
             );
         }
-    }
-
-    #[test]
-    fn scale_parsing() {
-        assert_eq!(Scale::parse("small"), Some(Scale::Small));
-        assert_eq!(Scale::parse("medium"), Some(Scale::Medium));
-        assert_eq!(Scale::parse("paper"), Some(Scale::Paper));
-        assert_eq!(Scale::parse("huge"), None);
     }
 
     #[test]

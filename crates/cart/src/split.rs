@@ -109,7 +109,7 @@ impl SplitRule {
     /// callers use this because the tree guarantees consistency there;
     /// prediction paths use [`SplitRule::try_goes_left`] instead so that
     /// schema drift surfaces as a typed error.
-    pub fn goes_left(&self, column: &FeatureColumn<'_>, row: usize) -> bool {
+    pub(crate) fn goes_left(&self, column: &FeatureColumn<'_>, row: usize) -> bool {
         match self.try_goes_left(column, row) {
             Ok(left) => left,
             Err(e) => panic!("split rule kind does not match column kind: {e}"),

@@ -175,7 +175,7 @@ impl DiffOracle {
 
     /// Compares two serialized artifacts byte for byte (always
     /// [`DivergenceBound::BitIdentical`] semantics).
-    pub fn compare_serialized(&self, a: &str, b: &str) -> OracleReport {
+    fn compare_serialized(&self, a: &str, b: &str) -> OracleReport {
         let identical = a == b;
         let detail = if identical {
             "identical".to_string()
@@ -217,7 +217,7 @@ impl DiffOracle {
 /// Returns [`ConformanceError::InvalidScenario`] if the rebuild pushes an
 /// inconsistent row (which would itself be an oracle failure), and
 /// [`ConformanceError::Analysis`] if the columns end at different lengths.
-pub fn row_path_rack_day_table(
+fn row_path_rack_day_table(
     output: &SimulationOutput,
     filter: FaultFilter,
     day_stride: usize,

@@ -9,7 +9,7 @@
 
 use rainshine_cart::params::CartParams;
 use rainshine_dcsim::corruption::CorruptionConfig;
-use rainshine_dcsim::FleetConfig;
+use rainshine_dcsim::{FleetConfig, Scale};
 use rainshine_telemetry::ids::Workload;
 use serde::{Deserialize, Serialize, Value};
 
@@ -38,21 +38,6 @@ pub struct EffectToggles {
     /// Dirty-data corruption rate (0.0 = pristine; see
     /// [`CorruptionConfig::with_total_rate`]).
     pub corruption_rate: f64,
-}
-
-impl EffectToggles {
-    /// All effects on, clean data — the simulator defaults.
-    pub fn all_on() -> Self {
-        EffectToggles {
-            age_bathtub: true,
-            environment: true,
-            calendar: true,
-            bursts: true,
-            sku_spread: 1.0,
-            hot_threshold_shift_f: 0.0,
-            corruption_rate: 0.0,
-        }
-    }
 }
 
 /// CART parameters embedded in a claim (the former hand-tuned `cp` /
@@ -308,7 +293,7 @@ impl Scenario {
     /// Returns [`ConformanceError::InvalidScenario`] describing the first
     /// problem found.
     pub fn validate(&self) -> Result<()> {
-        if Self::base_config(&self.scale).is_none() {
+        if Scale::parse(&self.scale).is_none() {
             return Err(ConformanceError::InvalidScenario {
                 what: format!("unknown scale `{}` (want small|medium|paper)", self.scale),
             });
@@ -353,7 +338,7 @@ impl Scenario {
     /// Returns [`ConformanceError::Sim`] if the resulting config fails the
     /// simulator's validation.
     pub fn fleet_config(&self) -> Result<FleetConfig> {
-        let mut config = Self::base_config(&self.scale).ok_or_else(|| {
+        let mut config = Scale::parse(&self.scale).map(Scale::config).ok_or_else(|| {
             ConformanceError::InvalidScenario { what: format!("unknown scale `{}`", self.scale) }
         })?;
         let e = &self.effects;
@@ -392,15 +377,6 @@ impl Scenario {
                 })
             })
             .collect()
-    }
-
-    fn base_config(scale: &str) -> Option<FleetConfig> {
-        match scale {
-            "small" => Some(FleetConfig::small()),
-            "medium" => Some(FleetConfig::medium()),
-            "paper" => Some(FleetConfig::paper_scale()),
-            _ => None,
-        }
     }
 }
 
@@ -441,6 +417,22 @@ fn check_finite(value: &Value, path: &str) -> Result<()> {
             Ok(())
         }
         _ => Ok(()),
+    }
+}
+
+#[cfg(test)]
+impl EffectToggles {
+    /// All effects on, clean data — the simulator defaults.
+    pub(crate) fn all_on() -> Self {
+        EffectToggles {
+            age_bathtub: true,
+            environment: true,
+            calendar: true,
+            bursts: true,
+            sku_spread: 1.0,
+            hot_threshold_shift_f: 0.0,
+            corruption_rate: 0.0,
+        }
     }
 }
 

@@ -49,7 +49,7 @@ pub fn normalize(rows: &mut [SeriesRow]) {
 }
 
 /// Groups λ by a nominal column, in category order.
-pub fn by_nominal(table: &Frame, column: &str) -> Result<Vec<SeriesRow>> {
+fn by_nominal(table: &Frame, column: &str) -> Result<Vec<SeriesRow>> {
     let y = table.continuous(columns::FAILURE_RATE)?;
     let codes = table.nominal_codes(column)?;
     let cats = table.dictionary(column)?.labels();
@@ -86,7 +86,7 @@ pub(crate) fn binned_rows(grouped: &GroupedMeans) -> Vec<SeriesRow> {
 
 /// Groups λ by an ordinal column, optionally restricted to one calendar
 /// year, labelling levels with `labeler`.
-pub fn by_ordinal(
+fn by_ordinal(
     table: &Frame,
     column: &str,
     year: Option<i64>,

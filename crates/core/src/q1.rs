@@ -37,7 +37,7 @@ use crate::{AnalysisError, Result};
 /// [`crate::DEFAULT_FEATURES`], the calendar ordinals are excluded: a
 /// rack-level summary row has no meaningful day-of-week/month, only the
 /// rack's static attributes and mean environment.
-pub const CLUSTER_FEATURES: &[&str] = &[
+const CLUSTER_FEATURES: &[&str] = &[
     columns::SKU,
     columns::AGE_MONTHS,
     columns::RATED_POWER_KW,

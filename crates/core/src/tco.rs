@@ -39,12 +39,12 @@ impl Default for TcoModel {
 
 impl TcoModel {
     /// Full cost of one deployed production server.
-    pub fn cost_per_base_server(&self) -> f64 {
+    fn cost_per_base_server(&self) -> f64 {
         self.server_price + self.infra_per_server + self.energy_per_server
     }
 
     /// Full cost of one server-class spare (idles at reduced energy).
-    pub fn cost_per_spare_server(&self) -> f64 {
+    fn cost_per_spare_server(&self) -> f64 {
         self.server_price
             + self.infra_per_server
             + self.spare_energy_fraction * self.energy_per_server

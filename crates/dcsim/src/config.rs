@@ -116,6 +116,48 @@ impl FleetConfig {
     }
 }
 
+/// A named fleet preset: the `small` / `medium` / `paper` spelling the
+/// command line and the scenario specs use for a [`FleetConfig`] preset.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Scale {
+    /// 24 + 20 racks, 6 months (smoke tests).
+    Small,
+    /// 90 + 80 racks, 1 year (CI).
+    Medium,
+    /// 331 + 290 racks, 2.5 years (the paper's fleet).
+    Paper,
+}
+
+impl Scale {
+    /// Parses `small` / `medium` / `paper`.
+    pub fn parse(s: &str) -> Option<Scale> {
+        match s {
+            "small" => Some(Scale::Small),
+            "medium" => Some(Scale::Medium),
+            "paper" => Some(Scale::Paper),
+            _ => None,
+        }
+    }
+
+    /// The clean fleet configuration of this scale.
+    pub fn config(self) -> FleetConfig {
+        match self {
+            Scale::Small => FleetConfig::small(),
+            Scale::Medium => FleetConfig::medium(),
+            Scale::Paper => FleetConfig::paper_scale(),
+        }
+    }
+
+    /// The flag spelling (`small` / `medium` / `paper`).
+    pub fn name(self) -> &'static str {
+        match self {
+            Scale::Small => "small",
+            Scale::Medium => "medium",
+            Scale::Paper => "paper",
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -134,6 +176,17 @@ mod tests {
     fn presets_validate() {
         assert!(FleetConfig::small().validate().is_ok());
         assert!(FleetConfig::medium().validate().is_ok());
+    }
+
+    #[test]
+    fn scale_parsing() {
+        assert_eq!(Scale::parse("small"), Some(Scale::Small));
+        assert_eq!(Scale::parse("medium"), Some(Scale::Medium));
+        assert_eq!(Scale::parse("paper"), Some(Scale::Paper));
+        assert_eq!(Scale::parse("huge"), None);
+        for s in [Scale::Small, Scale::Medium, Scale::Paper] {
+            assert_eq!(Scale::parse(s.name()), Some(s));
+        }
     }
 
     #[test]

@@ -160,7 +160,7 @@ impl CorruptionConfig {
     }
 
     /// Combined per-ticket defect probability.
-    pub fn ticket_defect_rate(&self) -> f64 {
+    fn ticket_defect_rate(&self) -> f64 {
         self.duplicate_rate
             + self.inverted_rate
             + self.clock_skew_rate

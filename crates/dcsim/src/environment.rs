@@ -34,7 +34,7 @@ pub struct EnvModel {
 
 /// Hours at which daily means are sampled (night / morning / afternoon /
 /// evening), approximating the BMS's day-average reading.
-pub const DAILY_SAMPLE_HOURS: [u64; 4] = [2, 8, 14, 20];
+const DAILY_SAMPLE_HOURS: [u64; 4] = [2, 8, 14, 20];
 
 impl EnvModel {
     /// Builds the two-DC model of the paper: DC1 warm-dry + adiabatic,
@@ -95,8 +95,8 @@ impl EnvModel {
         inlet
     }
 
-    /// Mean inlet conditions for a region over one day (averaged at
-    /// [`DAILY_SAMPLE_HOURS`]) — what a rack-day analysis row records.
+    /// Mean inlet conditions for a region over one day (averaged over the
+    /// hours 02, 08, 14 and 20) — what a rack-day analysis row records.
     pub fn daily_mean(&self, dc: DcId, region: RegionId, day: u64) -> InletConditions {
         let mut temp = 0.0;
         let mut rh = 0.0;

@@ -56,7 +56,7 @@ pub mod workload;
 
 mod error;
 
-pub use config::FleetConfig;
+pub use config::{FleetConfig, Scale};
 pub use corruption::CorruptionConfig;
 pub use error::SimError;
 pub use simulation::{Simulation, SimulationOutput};

@@ -39,7 +39,7 @@ pub(crate) const STREAM_NON_HARDWARE: u64 = 3;
 pub(crate) const STREAM_FALSE_POSITIVES: u64 = 4;
 
 /// Table II's per-DC ticket-category shares (percent).
-pub fn table_ii_shares(dc: DcId) -> Vec<(FaultKind, f64)> {
+fn table_ii_shares(dc: DcId) -> Vec<(FaultKind, f64)> {
     use BootFault::*;
     use FaultKind::*;
     use HardwareFault::*;
@@ -113,7 +113,7 @@ fn sample_repair<R: Rng + ?Sized>(fault: FaultKind, rng: &mut R) -> u64 {
 
 /// Encodes a stable device id: server id in the low 32 bits, component
 /// class in bits 32–39, unit index in bits 40–55.
-pub fn device_id(server: u32, class: ComponentClass, unit: u32) -> DeviceId {
+fn device_id(server: u32, class: ComponentClass, unit: u32) -> DeviceId {
     let class_code = match class {
         ComponentClass::Disk => 1u64,
         ComponentClass::Dimm => 2,

@@ -20,7 +20,7 @@ use crate::cooling::CoolingSystem;
 use crate::sku::{self, SkuSpec};
 
 /// Average days per month used for age bookkeeping.
-pub const DAYS_PER_MONTH: f64 = 30.44;
+const DAYS_PER_MONTH: f64 = 30.44;
 
 /// Static description of one datacenter (the paper's Table I).
 #[derive(Debug, Clone, PartialEq)]

@@ -27,14 +27,6 @@ pub struct WorkloadSpec {
     pub weekday_sensitivity: f64,
 }
 
-impl WorkloadSpec {
-    /// Geometric mean of the three component stresses — a scalar summary of
-    /// the workload's overall aggressiveness.
-    pub fn overall_stress(&self) -> f64 {
-        (self.disk_stress * self.memory_stress * self.server_stress).cbrt()
-    }
-}
-
 /// The full W1–W7 catalog, in [`Workload::ALL`] order.
 pub fn catalog() -> Vec<WorkloadSpec> {
     vec![
@@ -96,6 +88,15 @@ static CATALOG: LazyLock<Vec<WorkloadSpec>> = LazyLock::new(catalog);
 /// Looks up the spec of one workload.
 pub fn spec_of(workload: Workload) -> &'static WorkloadSpec {
     &CATALOG[workload.index()]
+}
+
+#[cfg(test)]
+impl WorkloadSpec {
+    /// Geometric mean of the three component stresses — a scalar summary of
+    /// the workload's overall aggressiveness.
+    fn overall_stress(&self) -> f64 {
+        (self.disk_stress * self.memory_stress * self.server_stress).cbrt()
+    }
 }
 
 #[cfg(test)]

@@ -36,7 +36,7 @@ pub enum Parallelism {
 
 impl Parallelism {
     /// Resolves to a concrete worker count (always ≥ 1).
-    pub fn resolve_threads(self) -> usize {
+    fn resolve_threads(self) -> usize {
         match self {
             Parallelism::Sequential => 1,
             Parallelism::Threads(n) => n.max(1),

@@ -30,7 +30,7 @@ pub trait DiscreteDistribution {
 
 /// Normal distribution via the Box–Muller transform.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Normal {
+struct Normal {
     mu: f64,
     sigma: f64,
 }
@@ -42,7 +42,7 @@ impl Normal {
     ///
     /// Returns an error unless `sigma` is finite and non-negative and `mu`
     /// is finite.
-    pub fn new(mu: f64, sigma: f64) -> Result<Self> {
+    fn new(mu: f64, sigma: f64) -> Result<Self> {
         if !mu.is_finite() {
             return Err(StatsError::InvalidParameter { name: "mu", value: mu });
         }
@@ -81,7 +81,8 @@ impl LogNormal {
     ///
     /// # Errors
     ///
-    /// See [`Normal::new`].
+    /// Returns an error unless `sigma` is finite and non-negative and `mu`
+    /// is finite.
     pub fn new(mu: f64, sigma: f64) -> Result<Self> {
         Ok(LogNormal { normal: Normal::new(mu, sigma)? })
     }

@@ -10,9 +10,7 @@
 //! * empirical CDF steps and quantiles ([`ecdf`]),
 //! * binning and per-bin means ([`hist`]),
 //! * the random-variate distributions the simulator samples — Poisson,
-//!   log-normal, normal, Bernoulli, categorical ([`dist`]),
-//! * survival analysis — Kaplan–Meier, life-table hazards, Weibull MLE
-//!   ([`survival`]),
+//!   log-normal, Bernoulli, categorical ([`dist`]),
 //! * isotonic (pool-adjacent-violators) regression ([`timeseries`]).
 //!
 //! # Example
@@ -31,7 +29,6 @@ pub mod dist;
 pub mod ecdf;
 pub mod hist;
 pub mod running;
-pub mod survival;
 pub mod timeseries;
 
 mod error;

@@ -348,7 +348,7 @@ impl Frame {
     ///
     /// Returns [`TelemetryError::UnknownColumn`] if `name` is not in the
     /// schema.
-    pub fn column_by_name(&self, name: &str) -> Result<(usize, &Column)> {
+    fn column_by_name(&self, name: &str) -> Result<(usize, &Column)> {
         let idx = self
             .schema
             .index_of(name)
@@ -702,15 +702,6 @@ impl FrameBuilder {
         &mut self.columns
     }
 
-    /// The builder for the column at `idx`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` is out of bounds.
-    pub fn column_mut(&mut self, idx: usize) -> &mut ColumnBuilder {
-        &mut self.columns[idx]
-    }
-
     /// Reserves capacity for `additional` rows in every column.
     pub fn reserve(&mut self, additional: usize) {
         for col in &mut self.columns {
@@ -857,7 +848,7 @@ mod tests {
     #[test]
     fn intern_then_push_code_skips_reinterning() {
         let mut b = FrameBuilder::new(Schema::new(vec![Field::new("k", FeatureKind::Nominal)]));
-        let k = b.column_mut(0);
+        let k = &mut b.columns_mut()[0];
         let a = k.intern("a");
         let b2 = k.intern("b");
         assert_eq!(k.intern("a"), a);
@@ -870,7 +861,7 @@ mod tests {
     #[test]
     fn build_rejects_ragged_columns() {
         let mut b = FrameBuilder::new(sample_schema());
-        b.column_mut(0).push_f64(1.0);
+        b.columns_mut()[0].push_f64(1.0);
         assert!(matches!(b.build(), Err(TelemetryError::RowArity { .. })));
     }
 

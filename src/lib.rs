@@ -9,7 +9,7 @@
 //!
 //! * [`parallel`] — deterministic parallel-execution layer ([`parallel::Parallelism`])
 //! * [`obs`] — offline structured observability: spans, counters, run reports ([`obs::Obs`])
-//! * [`stats`] — statistics substrate (ECDF, distributions, survival, …)
+//! * [`stats`] — statistics substrate (ECDF, distributions, binning, isotonic regression, …)
 //! * [`telemetry`] — data model: columnar tables, calendar, RMA tickets, λ/μ metrics
 //! * [`dcsim`] — generative fleet simulator (topology, climate, hazards, tickets)
 //! * [`cart`] — classification and regression trees + stratified partial dependence

@@ -8,7 +8,9 @@
 //! * the dirty pipeline stays bit-identical across thread counts and
 //!   repeated runs.
 
-use std::sync::OnceLock;
+use std::sync::{Once, OnceLock};
+
+use proptest::prelude::*;
 
 use rainshine::analysis::dataset::{rack_day_table, FaultFilter};
 use rainshine::analysis::evidence;
@@ -22,6 +24,7 @@ use rainshine::telemetry::ids::{DcId, RegionId, Workload};
 use rainshine::telemetry::quality::{DataQualityReport, DefectClass, SENSOR_BOUNDS};
 use rainshine::telemetry::rma::{self, HardwareFault};
 use rainshine::telemetry::time::TimeGranularity;
+use rainshine_bench::{run_experiment, ExperimentContext, Scale, ALL_EXPERIMENTS};
 
 /// Medium fleet, one year, seed 31 — the same run the Q3 unit tests use, so
 /// the clean baseline is known-good.
@@ -158,22 +161,80 @@ fn sanitized_stream_is_fully_valid() {
     }
 }
 
-#[test]
-fn full_experiment_suite_never_panics_on_dirty_data() {
-    use rainshine_bench::{run_experiment, ExperimentContext, Scale, ALL_EXPERIMENTS};
+/// Corruption configs that `validate` accepts: ticket defect rates summing
+/// to at most 0.5 (a random total split by random class weights), a spike
+/// rate up to 0.2, and 0–8 blackout windows per DC of 1–180 days each.
+fn corruption_strategy() -> impl Strategy<Value = CorruptionConfig> {
+    let weight = || 0.0f64..=1.0;
+    (
+        (weight(), weight(), weight(), weight(), weight()),
+        0.0f64..=0.5,
+        0.0f64..=0.2,
+        0u32..=8,
+        1u64..=180,
+    )
+        .prop_map(
+            |(w, ticket_rate, sensor_spike_rate, blackout_windows_per_dc, blackout_days)| {
+                let per_weight = ticket_rate / (w.0 + w.1 + w.2 + w.3 + w.4).max(f64::MIN_POSITIVE);
+                CorruptionConfig {
+                    duplicate_rate: w.0 * per_weight,
+                    inverted_rate: w.1 * per_weight,
+                    clock_skew_rate: w.2 * per_weight,
+                    mislabel_rate: w.3 * per_weight,
+                    censor_rate: w.4 * per_weight,
+                    sensor_spike_rate,
+                    blackout_windows_per_dc,
+                    blackout_days,
+                }
+            },
+        )
+}
+
+type ExperimentResult = Result<String, rainshine_bench::ExperimentError>;
+
+/// Runs every experiment id on the small fleet, sequentially, with
+/// `corruption` injected; a panic inside any experiment fails the caller.
+fn run_suite(
+    corruption: CorruptionConfig,
+) -> (ExperimentContext, Vec<(&'static str, ExperimentResult)>) {
     let dir = std::env::temp_dir().join("rainshine-dirty-suite");
     let ctx = ExperimentContext::new_with_obs(
         Scale::Small,
         SEED,
-        Parallelism::Auto,
-        CorruptionConfig::dirty_default(),
+        Parallelism::Sequential,
+        corruption,
         Obs::disabled(),
     );
-    assert!(ctx.output.quality.tickets_seen > ctx.output.quality.tickets_kept, "defects injected");
-    for id in ALL_EXPERIMENTS {
-        let preview = run_experiment(id, &ctx, &dir)
-            .unwrap_or_else(|e| panic!("experiment {id} failed on dirty data: {e}"));
-        assert!(!preview.is_empty(), "{id} produced empty preview");
+    let outcomes = ALL_EXPERIMENTS.iter().map(|&id| (id, run_experiment(id, &ctx, &dir))).collect();
+    (ctx, outcomes)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    // Hostile input: on any corruption `validate` accepts, every id returns
+    // `Ok` or a typed error and none panics. The documented dirty preset,
+    // run once ahead of the random cases, must be `Ok` for every id.
+    #[test]
+    fn full_experiment_suite_never_panics_on_dirty_data(corruption in corruption_strategy()) {
+        static DIRTY_DEFAULT: Once = Once::new();
+        DIRTY_DEFAULT.call_once(|| {
+            let (ctx, outcomes) = run_suite(CorruptionConfig::dirty_default());
+            let quality = &ctx.output.quality;
+            assert!(quality.tickets_seen > quality.tickets_kept, "defects injected");
+            for (id, outcome) in outcomes {
+                let preview = outcome
+                    .unwrap_or_else(|e| panic!("experiment {id} failed on dirty data: {e}"));
+                assert!(!preview.is_empty(), "{id} produced empty preview");
+            }
+        });
+        prop_assert!(corruption.validate().is_ok(), "strategy drew an invalid {corruption:?}");
+        for (id, outcome) in run_suite(corruption).1 {
+            match outcome {
+                Ok(preview) => prop_assert!(!preview.is_empty(), "{id} produced empty preview"),
+                Err(e) => prop_assert!(!e.to_string().is_empty(), "{id} failed without a message"),
+            }
+        }
     }
 }
 
