@@ -13,21 +13,27 @@
 //! to its figure). All effect sizes are plain struct fields so ablation
 //! scenarios (`scenarios/*.json`) can switch them off individually.
 //!
-//! [`RackHazard`] evaluates the product for one rack at the granularity
-//! each factor varies on: `units · base · f_sku · f_workload(c)` and the
-//! trailing `f_power · f_region · f_dc(c) · frailty` once per rack,
-//! `f_age · f_dow · f_season` once per rack-day, `f_env(c, T, RH)` per
-//! class. It multiplies them out left to right in the order above, so each
-//! rate is bit-identical to the single expression; regrouping the product
-//! would change low bits of rates and with them the Poisson draws.
-//! [`HazardConfig::rack_day_rate`] is its one-off form.
+//! Each factor is computed at the granularity it varies on:
+//! [`HazardCalendar`] tabulates `f_season` once per day for the whole fleet
+//! and `f_age` once per age in whole days; [`RackHazard`] evaluates
+//! `units · base · f_sku · f_workload(c)` and the trailing
+//! `f_power · f_region · f_dc(c) · frailty` once per rack, reads the two
+//! tables and `f_dow` once per rack-day, and `f_env(c, T, RH)` per class.
+//! It multiplies them out left to right in the order above, so each rate
+//! is bit-identical to the single expression; regrouping the product would
+//! change low bits of rates and with them the Poisson draws.
+//! [`HazardConfig::rack_day_rate`] is its one-off form. The burst rate
+//! changes with age band only, so [`RackBurstRates`] computes it once per
+//! rack and band.
+
+use std::ops::Range;
 
 use rainshine_telemetry::ids::DcId;
 use rainshine_telemetry::time::SimTime;
 use serde::Serialize;
 
 use crate::cooling::InletConditions;
-use crate::topology::RackInfo;
+use crate::topology::{age_months_of_days, RackInfo};
 use crate::workload;
 use crate::{Result, SimError};
 
@@ -405,8 +411,9 @@ impl HazardConfig {
     /// `day_start`, given that day's mean inlet conditions. Zero before the
     /// rack is commissioned.
     ///
-    /// One-off form of [`RackHazard`]; loops over many days of one rack
-    /// should build the evaluator once instead.
+    /// One-off form of [`RackHazard`] over a calendar of that single day;
+    /// loops over many rack-days should build the calendar and the
+    /// evaluator once instead.
     pub fn rack_day_rate(
         &self,
         rack: &RackInfo,
@@ -414,54 +421,19 @@ impl HazardConfig {
         env: InletConditions,
         day_start: SimTime,
     ) -> f64 {
-        let hazard = RackHazard::new(self, rack);
-        hazard.day(day_start).map_or(0.0, |day| hazard.rate(class, &day, env))
+        let day = day_start.days();
+        let calendar = HazardCalendar::new(self, day..day + 1, std::slice::from_ref(rack));
+        let hazard = RackHazard::new(&calendar, rack);
+        hazard.day(day).map_or(0.0, |factors| hazard.rate(class, &factors, env))
     }
 
-    /// Expected correlated-failure bursts for `rack` during one day.
+    /// Expected correlated-failure bursts for `rack` during the day
+    /// containing `day_start`.
     ///
-    /// Burst proneness concentrates in dense-disk chassis, high-power
-    /// racks, and young installations — the feature-defined pockets the MF
-    /// clustering must isolate to beat SF provisioning (Fig. 11).
+    /// One-off form of [`RackBurstRates`]; loops over many days of one rack
+    /// should build it once instead.
     pub fn burst_rate(&self, rack: &RackInfo, day_start: SimTime) -> f64 {
-        if !rack.is_active(day_start) {
-            return 0.0;
-        }
-        let spec = rack.sku_spec();
-        let disk_factor = if spec.disks_per_server >= 8 {
-            (spec.disks_per_server as f64 / 4.0).powf(self.burst_disk_exponent)
-        } else {
-            self.burst_compute_factor
-        };
-        let power = if rack.power_kw >= self.high_power_threshold_kw {
-            self.burst_power_factor
-        } else {
-            1.0
-        };
-        let age = rack.age_months(day_start);
-        let age_factor = if age < self.infant_decay_months {
-            self.burst_infant_factor
-        } else if age > self.wearout_onset_months {
-            self.burst_wearout_factor
-        } else {
-            1.0
-        };
-        let lot = if self
-            .burst_bad_lot_windows
-            .iter()
-            .any(|&(lo, hi)| (lo..=hi).contains(&rack.commissioned_day))
-        {
-            1.0
-        } else {
-            self.burst_quiet_factor
-        };
-        self.burst_base
-            * disk_factor
-            * power
-            * age_factor
-            * lot
-            * self.sku_reliability(spec.reliability_factor)
-            * rack.frailty
+        RackBurstRates::new(self, rack).rate(day_start.days())
     }
 
     /// Servers taken down by a burst, given a uniform draw `u` in `[0, 1)`.
@@ -491,19 +463,66 @@ impl HazardConfig {
     }
 }
 
+/// The factors that depend only on the calendar day or on equipment age in
+/// whole days, tabulated once for a span and the racks that run in it.
+///
+/// `f_season` is one entry per span day, shared by every rack; `f_age` is
+/// one entry per age from the youngest to the oldest any rack reaches in
+/// the span. Each entry is the same [`HazardConfig`] function of the same
+/// input as a direct call, so it has the same bits.
+#[derive(Debug, Clone)]
+pub struct HazardCalendar<'a> {
+    config: &'a HazardConfig,
+    first_day: u64,
+    /// [`HazardConfig::season_factor`] per day from `first_day`.
+    season: Vec<f64>,
+    first_age_day: i64,
+    /// [`HazardConfig::age_factor`] per age in whole days from
+    /// `first_age_day`.
+    age: Vec<f64>,
+}
+
+impl<'a> HazardCalendar<'a> {
+    /// Tabulates `days` for `racks` under `config`.
+    pub fn new(config: &'a HazardConfig, days: Range<u64>, racks: &[RackInfo]) -> Self {
+        let season =
+            days.clone().map(|day| config.season_factor(SimTime::from_days(day))).collect();
+        // Ages of active rack-days: from `start − latest commission` (at
+        // least 0) to `end − 1 − earliest commission`.
+        let latest = racks.iter().map(|r| r.commissioned_day).max().unwrap_or(0);
+        let earliest = racks.iter().map(|r| r.commissioned_day).min().unwrap_or(0);
+        let first_age_day = (days.start as i64 - latest).max(0);
+        let age = (first_age_day..days.end as i64 - earliest)
+            .map(|age_days| config.age_factor(age_months_of_days(age_days)))
+            .collect();
+        HazardCalendar { config, first_day: days.start, season, first_age_day, age }
+    }
+
+    fn season(&self, day: u64) -> Option<f64> {
+        let i = usize::try_from(day.checked_sub(self.first_day)?).ok()?;
+        self.season.get(i).copied()
+    }
+
+    fn age(&self, age_days: i64) -> Option<f64> {
+        let i = usize::try_from(age_days - self.first_age_day).ok()?;
+        self.age.get(i).copied()
+    }
+}
+
 /// The hazard of one rack, split by the granularity each factor varies on
 /// (DESIGN.md §3).
 ///
 /// [`RackHazard::new`] evaluates everything fixed for the rack's lifetime
 /// once: the per-class prefix `units · base · f_sku · f_workload` and the
 /// trailing power, region, DC-component and frailty factors.
-/// [`RackHazard::day`] adds the factors that move with the day (age, day of
-/// week, season), and [`RackHazard::rate`] multiplies them out per class in
-/// the same left-to-right order as the formula above, so every rate is
+/// [`RackHazard::day`] adds the factors that move with the day (age and
+/// season from the [`HazardCalendar`], day of week), and
+/// [`RackHazard::rate`] multiplies them out per class in the same
+/// left-to-right order as the formula above, so every rate is
 /// bit-identical to evaluating the whole product in one expression.
 #[derive(Debug, Clone)]
 pub struct RackHazard<'a> {
-    config: &'a HazardConfig,
+    calendar: &'a HazardCalendar<'a>,
     rack: &'a RackInfo,
     /// `units · base · f_sku · f_workload` per class, indexed like
     /// [`ComponentClass::ALL`].
@@ -526,8 +545,10 @@ pub struct RackDayFactors {
 }
 
 impl<'a> RackHazard<'a> {
-    /// Evaluates the rack-constant factors of `rack` under `config`.
-    pub fn new(config: &'a HazardConfig, rack: &'a RackInfo) -> Self {
+    /// Evaluates the rack-constant factors of `rack` under the calendar's
+    /// config; the day factors come from `calendar`.
+    pub fn new(calendar: &'a HazardCalendar<'a>, rack: &'a RackInfo) -> Self {
+        let config = calendar.config;
         let sku = config.sku_reliability(rack.sku_spec().reliability_factor);
         let wl = workload::spec_of(rack.workload);
         let prefix = ComponentClass::ALL.map(|class| {
@@ -542,7 +563,7 @@ impl<'a> RackHazard<'a> {
             units * config.base_rate(class) * sku * stress
         });
         RackHazard {
-            config,
+            calendar,
             rack,
             prefix,
             dc_component: ComponentClass::ALL.map(|c| config.dc_component_factor(rack.dc, c)),
@@ -552,16 +573,18 @@ impl<'a> RackHazard<'a> {
         }
     }
 
-    /// The day-varying factors for the day containing `day_start`, or `None`
-    /// before the rack is commissioned (its hazard is zero then).
-    pub fn day(&self, day_start: SimTime) -> Option<RackDayFactors> {
-        if !self.rack.is_active(day_start) {
+    /// The day-varying factors of `day` (days since the epoch), or `None`
+    /// before the rack is commissioned (its hazard is zero then) or outside
+    /// the calendar.
+    pub fn day(&self, day: u64) -> Option<RackDayFactors> {
+        let age_days = day as i64 - self.rack.commissioned_day;
+        if age_days < 0 {
             return None;
         }
         Some(RackDayFactors {
-            age: self.config.age_factor(self.rack.age_months(day_start)),
-            dow: self.config.dow_factor(day_start, self.weekday_sensitivity),
-            season: self.config.season_factor(day_start),
+            age: self.calendar.age(age_days)?,
+            dow: self.calendar.config.dow_factor(SimTime::from_days(day), self.weekday_sensitivity),
+            season: self.calendar.season(day)?,
         })
     }
 
@@ -575,11 +598,77 @@ impl<'a> RackHazard<'a> {
             * day.age
             * day.dow
             * day.season
-            * self.config.env_factor(class, env)
+            * self.calendar.config.env_factor(class, env)
             * self.power
             * self.region
             * self.dc_component[i]
             * self.rack.frailty
+    }
+}
+
+/// Expected correlated-failure bursts per day of one rack.
+///
+/// Burst proneness concentrates in dense-disk chassis, high-power racks,
+/// and young installations — the feature-defined pockets the MF clustering
+/// must isolate to beat SF provisioning (Fig. 11). Only the age band
+/// (infant, mid-life, wear-out) moves with the day, so the rate of each
+/// band is computed once, with the factors multiplied in the same
+/// left-to-right order as a per-day evaluation.
+#[derive(Debug, Clone, Copy)]
+pub struct RackBurstRates<'a> {
+    config: &'a HazardConfig,
+    rack: &'a RackInfo,
+    /// The rate in the infant, mid-life and wear-out bands.
+    by_band: [f64; 3],
+}
+
+impl<'a> RackBurstRates<'a> {
+    /// Evaluates the burst rate of `rack` under `config` in each age band.
+    pub fn new(config: &'a HazardConfig, rack: &'a RackInfo) -> Self {
+        let spec = rack.sku_spec();
+        let disk_factor = if spec.disks_per_server >= 8 {
+            (spec.disks_per_server as f64 / 4.0).powf(config.burst_disk_exponent)
+        } else {
+            config.burst_compute_factor
+        };
+        let power = if rack.power_kw >= config.high_power_threshold_kw {
+            config.burst_power_factor
+        } else {
+            1.0
+        };
+        let lot = if config
+            .burst_bad_lot_windows
+            .iter()
+            .any(|&(lo, hi)| (lo..=hi).contains(&rack.commissioned_day))
+        {
+            1.0
+        } else {
+            config.burst_quiet_factor
+        };
+        let sku = config.sku_reliability(spec.reliability_factor);
+        let by_band =
+            [config.burst_infant_factor, 1.0, config.burst_wearout_factor].map(|age_factor| {
+                config.burst_base * disk_factor * power * age_factor * lot * sku * rack.frailty
+            });
+        RackBurstRates { config, rack, by_band }
+    }
+
+    /// The burst rate on `day` (days since the epoch); zero before the
+    /// rack is commissioned.
+    pub fn rate(&self, day: u64) -> f64 {
+        let day_start = SimTime::from_days(day);
+        if !self.rack.is_active(day_start) {
+            return 0.0;
+        }
+        let age = self.rack.age_months(day_start);
+        let band = if age < self.config.infant_decay_months {
+            0
+        } else if age > self.config.wearout_onset_months {
+            2
+        } else {
+            1
+        };
+        self.by_band[band]
     }
 }
 

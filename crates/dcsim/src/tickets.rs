@@ -3,20 +3,22 @@
 //! Hardware tickets are sampled from the multi-factor hazard model
 //! ([`crate::hazard`]) via per-rack-day Poisson draws (a thinned
 //! non-homogeneous Poisson process at daily resolution, with failures
-//! placed at a uniform hour within the day). Each rack evaluates its
-//! hazard through one [`RackHazard`], so the rack-constant factors are
-//! computed once per rack and the day-varying ones once per rack-day, and
-//! reads its region's daily inlet conditions from a [`DailyEnvSlab`]. Only
-//! a finite, positive rate makes a Poisson draw. Software, boot, and "other"
-//! tickets — which the paper reports in Table II but does not analyze
-//! further — are generated to match Table II's per-DC category shares
-//! exactly in expectation, anchored to the realized hardware count.
+//! placed at a uniform hour within the day). One [`HazardCalendar`] per run
+//! holds the season and age factors; each rack evaluates its hazard
+//! through one [`RackHazard`] over it, so the rack-constant factors are
+//! computed once per rack, and reads its region's daily inlet conditions
+//! from a [`DailyEnvSlab`]. Only a finite, positive rate makes a Poisson
+//! draw. Burst rates come from one [`RackBurstRates`] per rack. Software,
+//! boot, and "other" tickets — which the paper reports in Table II but
+//! does not analyze further — are generated to match Table II's per-DC
+//! category shares exactly in expectation, anchored to the realized
+//! hardware count.
 //! False positives are injected last and flagged, mirroring the paper's
 //! "we use only the true positives".
 
 use rainshine_parallel::{derive_seed, par_map_range, Parallelism};
 use rainshine_stats::dist::{
-    Bernoulli, Categorical, ContinuousDistribution, DiscreteDistribution, LogNormal, Poisson,
+    Categorical, ContinuousDistribution, DiscreteDistribution, LogNormal, Poisson,
 };
 use rainshine_telemetry::ids::{DcId, DeviceId};
 use rainshine_telemetry::rma::{BootFault, FaultKind, HardwareFault, RmaTicket, SoftwareFault};
@@ -26,7 +28,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::config::FleetConfig;
 use crate::environment::{DailyEnvSlab, EnvModel};
-use crate::hazard::{ComponentClass, RackHazard};
+use crate::hazard::{ComponentClass, HazardCalendar, RackBurstRates, RackHazard};
 use crate::sku::SkuSpec;
 use crate::topology::{Fleet, RackInfo};
 
@@ -159,21 +161,21 @@ fn make_hardware_ticket<R: Rng + ?Sized>(
 }
 
 /// Hardware tickets for one rack over the whole observation span, with
-/// each day's inlet conditions read from `daily` (sampled from `env`
-/// outside it).
+/// the day factors read from `calendar` and each day's inlet conditions
+/// from `daily` (sampled from `env` outside it).
 fn hardware_for_rack<R: Rng + ?Sized>(
     rack: &RackInfo,
     config: &FleetConfig,
+    calendar: &HazardCalendar<'_>,
     env: &EnvModel,
     daily: &DailyEnvSlab,
     rng: &mut R,
 ) -> Vec<RmaTicket> {
-    let hazard = RackHazard::new(&config.hazard, rack);
+    let hazard = RackHazard::new(calendar, rack);
     let spec = rack.sku_spec();
     let mut out = Vec::new();
     for day in config.start.days()..config.end.days() {
-        let day_start = SimTime::from_days(day);
-        let Some(factors) = hazard.day(day_start) else {
+        let Some(factors) = hazard.day(day) else {
             continue;
         };
         let conditions = daily.daily_mean(env, rack.dc, rack.region, day);
@@ -201,9 +203,9 @@ pub(crate) fn daily_env_slab(fleet: &Fleet, config: &FleetConfig, env: &EnvModel
 
 /// Generates hardware tickets with one seed-derived RNG stream per rack,
 /// so racks evaluate in parallel; results merge in rack order, making
-/// the stream a pure function of `seed` regardless of thread count. Daily
-/// inlet conditions come from `daily`, and from `env` for any cell outside
-/// it.
+/// the stream a pure function of `seed` regardless of thread count. The
+/// racks share one [`HazardCalendar`] of the span. Daily inlet conditions
+/// come from `daily`, and from `env` for any cell outside it.
 pub fn generate_hardware(
     fleet: &Fleet,
     config: &FleetConfig,
@@ -212,9 +214,11 @@ pub fn generate_hardware(
     seed: u64,
     parallelism: Parallelism,
 ) -> Vec<RmaTicket> {
+    let calendar =
+        HazardCalendar::new(&config.hazard, config.start.days()..config.end.days(), &fleet.racks);
     let per_rack = par_map_range(parallelism, fleet.racks.len(), |rack_index| {
         let mut rng = StdRng::seed_from_u64(derive_seed(seed, STREAM_HARDWARE, rack_index as u64));
-        hardware_for_rack(&fleet.racks[rack_index], config, env, daily, &mut rng)
+        hardware_for_rack(&fleet.racks[rack_index], config, &calendar, env, daily, &mut rng)
     });
     per_rack.into_iter().flatten().collect()
 }
@@ -245,12 +249,11 @@ fn bursts_for_rack<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> Vec<RmaTicket> {
     use rand::seq::SliceRandom;
-    let start_day = config.start.days();
-    let end_day = config.end.days();
+    let burst_rates = RackBurstRates::new(&config.hazard, rack);
     let mut out = Vec::new();
-    for day in start_day..end_day {
+    for day in config.start.days()..config.end.days() {
         let day_start = SimTime::from_days(day);
-        let rate = config.hazard.burst_rate(rack, day_start);
+        let rate = burst_rates.rate(day);
         if rate <= 0.0 || rng.gen::<f64>() >= rate {
             continue;
         }
@@ -344,14 +347,14 @@ fn non_hardware_for_dc<R: Rng + ?Sized>(
             active * dow
         })
         .collect();
-    if day_weights.iter().sum::<f64>() <= 0.0 {
+    // `Categorical::new` rejects an all-zero day table (no rack active).
+    let Ok(day_dist) = Categorical::new(&day_weights) else {
         return out;
-    }
-    let day_dist = Categorical::new(&day_weights).expect("positive weights");
+    };
     for (fault, share) in shares.into_iter().filter(|(k, _)| !k.is_hardware()) {
         let expected = hw_count * share / hw_share;
-        let count = expected.floor() as u64
-            + u64::from(Bernoulli::new(expected.fract()).expect("fraction in [0,1]").sample(rng));
+        // The same single uniform draw `Bernoulli::sample` makes.
+        let count = expected.floor() as u64 + u64::from(rng.gen::<f64>() < expected.fract());
         for _ in 0..count {
             let day = start_day + day_dist.sample(rng) as u64;
             let active = racks.partition_point(|r| r.commissioned_day <= day as i64);

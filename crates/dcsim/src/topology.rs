@@ -22,6 +22,12 @@ use crate::sku::{self, SkuSpec};
 /// Average days per month used for age bookkeeping.
 const DAYS_PER_MONTH: f64 = 30.44;
 
+/// Equipment age in months after `days` days in service (0 for a
+/// negative count, before commissioning).
+pub(crate) fn age_months_of_days(days: i64) -> f64 {
+    (days as f64 / DAYS_PER_MONTH).max(0.0)
+}
+
 /// Static description of one datacenter (the paper's Table I).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Datacenter {
@@ -71,8 +77,7 @@ pub struct RackInfo {
 impl RackInfo {
     /// Equipment age in months at `t` (0 before commissioning).
     pub fn age_months(&self, t: SimTime) -> f64 {
-        let days = t.days() as i64 - self.commissioned_day;
-        (days as f64 / DAYS_PER_MONTH).max(0.0)
+        age_months_of_days(t.days() as i64 - self.commissioned_day)
     }
 
     /// Whether the rack is in service at `t`.

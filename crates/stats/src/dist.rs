@@ -119,10 +119,21 @@ impl ContinuousDistribution for LogNormal {
 /// Uses Knuth's product method for small `lambda` and a normal approximation
 /// with continuity correction for large `lambda` (> 30), which is accurate
 /// enough for event-count simulation.
+///
+/// Knuth's method returns 0 exactly when its first uniform `u` satisfies
+/// `u ≤ exp(−λ)`. Since `exp(−λ) ≥ 1 − λ`, a `u` below
+/// `1 − λ − ZERO_DRAW_MARGIN` returns 0 without evaluating `exp`; the
+/// margin covers the rounding of both sides, so the count and the uniforms
+/// consumed are exactly those of the plain method.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Poisson {
     lambda: f64,
 }
+
+/// Slack of the zero-draw shortcut in [`Poisson`]'s sampler: about 4500
+/// ulps of 1.0, where the computed `1 − λ − margin` and `exp(−λ)` are each
+/// within a few ulps of their exact values.
+const ZERO_DRAW_MARGIN: f64 = 1e-12;
 
 impl Poisson {
     /// Creates a Poisson distribution.
@@ -144,20 +155,25 @@ impl DiscreteDistribution for Poisson {
             return 0;
         }
         if self.lambda > 30.0 {
-            // Normal approximation with continuity correction.
-            let n = Normal::new(self.lambda, self.lambda.sqrt()).expect("valid params");
+            // Normal approximation with continuity correction; `new` has
+            // already checked that `lambda` is finite and positive.
+            let n = Normal { mu: self.lambda, sigma: self.lambda.sqrt() };
             let v = n.sample(rng) + 0.5;
             return v.max(0.0) as u64;
         }
+        let u = rng.gen::<f64>();
+        if u < 1.0 - self.lambda - ZERO_DRAW_MARGIN {
+            return 0;
+        }
         let l = (-self.lambda).exp();
         let mut k = 0u64;
-        let mut p = 1.0;
+        let mut p = u;
         loop {
-            p *= rng.gen::<f64>();
             if p <= l {
                 return k;
             }
             k += 1;
+            p *= rng.gen::<f64>();
         }
     }
 
@@ -250,8 +266,9 @@ impl Categorical {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
 
     fn rng() -> StdRng {
         StdRng::seed_from_u64(0xDEC0DE)
@@ -299,6 +316,96 @@ mod tests {
         let d = Poisson::new(0.0).unwrap();
         let mut r = rng();
         assert_eq!(d.sample(&mut r), 0);
+    }
+
+    /// The Poisson sampler without the zero-draw shortcut: Knuth's product
+    /// method from a product of 1, and the normal approximation above 30.
+    fn knuth_reference<R: Rng + ?Sized>(lambda: f64, rng: &mut R) -> u64 {
+        if lambda == 0.0 {
+            return 0;
+        }
+        if lambda > 30.0 {
+            let n = Normal::new(lambda, lambda.sqrt()).expect("valid params");
+            let v = n.sample(rng) + 0.5;
+            return v.max(0.0) as u64;
+        }
+        let l = (-lambda).exp();
+        let mut k = 0u64;
+        let mut p = 1.0;
+        loop {
+            p *= rng.gen::<f64>();
+            if p <= l {
+                return k;
+            }
+            k += 1;
+        }
+    }
+
+    /// Replays fixed words, so a test can pick the uniforms a sampler sees.
+    struct Words(std::vec::IntoIter<u64>);
+
+    impl rand::RngCore for Words {
+        fn next_u64(&mut self) -> u64 {
+            self.0.next().unwrap_or(0)
+        }
+    }
+
+    /// The word whose uniform is `u`, for `u` a multiple of 2⁻⁵³ in [0, 1).
+    fn word_of(u: f64) -> u64 {
+        ((u * (1u64 << 53) as f64) as u64) << 11
+    }
+
+    /// Both samplers on the same words must return the same count and
+    /// leave the same words unread.
+    fn assert_same_draw(lambda: f64, words: Vec<u64>) {
+        let (mut fast, mut slow) = (Words(words.clone().into_iter()), Words(words.into_iter()));
+        let d = Poisson::new(lambda).unwrap();
+        assert_eq!(d.sample(&mut fast), knuth_reference(lambda, &mut slow), "lambda {lambda}");
+        assert_eq!(fast.0.len(), slow.0.len(), "lambda {lambda}: uniforms consumed");
+    }
+
+    #[test]
+    fn poisson_zero_draw_shortcut_is_exact_at_its_boundary() {
+        // The uniforms within a few thousand ulps of both the shortcut's
+        // threshold and `exp(−λ)`, where a wrong margin would show.
+        let mut lambdas = vec![f64::MIN_POSITIVE, 1e-300, 1e-16, 1e-13, 1e-12, 1e-9, 1e-6];
+        lambdas.extend([1e-3, 1e-2, 0.1, 0.5, 0.9, 1.0 - 1e-12, 1.0, 1.5]);
+        let ulp = f64::EPSILON / 2.0;
+        for lambda in lambdas {
+            for centre in [1.0 - lambda - ZERO_DRAW_MARGIN, (-lambda).exp()] {
+                for step in -3000i32..=3000 {
+                    let u = centre + f64::from(step) * ulp;
+                    if (0.0..1.0).contains(&u) {
+                        assert_same_draw(lambda, vec![word_of(u), word_of(0.5), u64::MAX]);
+                    }
+                }
+            }
+        }
+    }
+
+    /// λ in [0, 40], weighted towards tiny λ, λ near 1 and λ above 30.
+    fn lambda_strategy() -> impl Strategy<Value = f64> {
+        (0u8..5, 0.0f64..1.0).prop_map(|(kind, x)| match kind {
+            0 => 10f64.powf(-15.0 + 15.0 * x),
+            1 => 1.0 + (x - 0.5) * 1e-3,
+            2 => 30.0 + 10.0 * x,
+            3 => 40.0 * x,
+            _ => 0.0,
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn poisson_matches_knuth_reference(lambda in lambda_strategy(), seed in 0u64..u64::MAX) {
+            let d = Poisson::new(lambda).unwrap();
+            let (mut fast, mut slow) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+            for _ in 0..1_000 {
+                prop_assert_eq!(d.sample(&mut fast), knuth_reference(lambda, &mut slow));
+            }
+            prop_assert_eq!(fast.next_u64(), slow.next_u64(), "RNG position, lambda {}", lambda);
+        }
     }
 
     #[test]

@@ -3,10 +3,13 @@
 //! `rack_day_rate_reference` is the single-expression hazard: every factor,
 //! including the SKU and workload lookups, is evaluated per call, and the
 //! product runs left to right in the formula's order. The hoisted
-//! evaluator (`RackHazard`, which `HazardConfig::rack_day_rate` wraps and
-//! hardware ticket generation reuses per rack) must return the same rate,
+//! evaluator (`RackHazard` over a `HazardCalendar` of the span, which
+//! hardware ticket generation builds once per run, and the one-day calendar
+//! `HazardConfig::rack_day_rate` wraps) must return the same rate,
 //! `to_bits()`, for every rack, class and day under the default, SKU-spread
-//! and ablated configs.
+//! and ablated configs. `burst_rate_reference` is the single-expression
+//! burst rate; `RackBurstRates` (and `HazardConfig::burst_rate`, its
+//! one-off form) must match it the same way.
 //!
 //! The ticket-stream pins are FNV-1a hashes of `format!("{:?}", tickets)`
 //! recorded from the single-expression implementation; a change that moves
@@ -14,7 +17,9 @@
 
 use proptest::prelude::*;
 use rainshine::dcsim::cooling::InletConditions;
-use rainshine::dcsim::hazard::{ComponentClass, HazardConfig, RackHazard};
+use rainshine::dcsim::hazard::{
+    ComponentClass, HazardCalendar, HazardConfig, RackBurstRates, RackHazard,
+};
 use rainshine::dcsim::topology::{Fleet, RackInfo};
 use rainshine::dcsim::workload;
 use rainshine::dcsim::{CorruptionConfig, FleetConfig, Simulation, SimulationOutput};
@@ -62,6 +67,44 @@ fn rack_day_rate_reference(
         * rack.frailty
 }
 
+/// The burst rate as one expression, before per-band hoisting.
+fn burst_rate_reference(h: &HazardConfig, rack: &RackInfo, day_start: SimTime) -> f64 {
+    if !rack.is_active(day_start) {
+        return 0.0;
+    }
+    let spec = rack.sku_spec();
+    let disk_factor = if spec.disks_per_server >= 8 {
+        (spec.disks_per_server as f64 / 4.0).powf(h.burst_disk_exponent)
+    } else {
+        h.burst_compute_factor
+    };
+    let power = if rack.power_kw >= h.high_power_threshold_kw { h.burst_power_factor } else { 1.0 };
+    let age = rack.age_months(day_start);
+    let age_factor = if age < h.infant_decay_months {
+        h.burst_infant_factor
+    } else if age > h.wearout_onset_months {
+        h.burst_wearout_factor
+    } else {
+        1.0
+    };
+    let lot = if h
+        .burst_bad_lot_windows
+        .iter()
+        .any(|&(lo, hi)| (lo..=hi).contains(&rack.commissioned_day))
+    {
+        1.0
+    } else {
+        h.burst_quiet_factor
+    };
+    // `HazardConfig::sku_reliability` is private; this is its body.
+    let sku_reliability = if h.sku_spread == 1.0 {
+        spec.reliability_factor
+    } else {
+        1.0 + (spec.reliability_factor - 1.0) * h.sku_spread
+    };
+    h.burst_base * disk_factor * power * age_factor * lot * sku_reliability * rack.frailty
+}
+
 /// The default config, two SKU spreads and each ablation.
 fn configs() -> Vec<(&'static str, HazardConfig)> {
     let ablated = |name, ablate: fn(&mut HazardConfig)| {
@@ -82,7 +125,9 @@ fn configs() -> Vec<(&'static str, HazardConfig)> {
 
 /// Checks every rack × class × span day of `output`'s fleet under every
 /// config, with each day's ingested inlet conditions, through both the
-/// one-off `rack_day_rate` and one evaluator reused across the rack's days.
+/// one-off `rack_day_rate` and one evaluator reused across the rack's days
+/// over a calendar of the whole span, as ticket generation builds it. The
+/// burst rate of every rack-day goes through the same two paths.
 fn check_every_rack_day(output: &SimulationOutput) {
     let (start, end) = (output.config.start.days(), output.config.end.days());
     let conditions: Vec<Vec<InletConditions>> = output
@@ -94,11 +139,16 @@ fn check_every_rack_day(output: &SimulationOutput) {
         })
         .collect();
     for (name, h) in configs() {
+        let calendar = HazardCalendar::new(&h, start..end, &output.fleet.racks);
         for (rack, conditions) in output.fleet.racks.iter().zip(&conditions) {
-            let hazard = RackHazard::new(&h, rack);
+            let hazard = RackHazard::new(&calendar, rack);
+            let bursts = RackBurstRates::new(&h, rack);
             for (day, &env) in (start..end).zip(conditions) {
                 let day_start = SimTime::from_days(day);
-                let factors = hazard.day(day_start);
+                let want = burst_rate_reference(&h, rack, day_start).to_bits();
+                assert_eq!(h.burst_rate(rack, day_start).to_bits(), want, "{name}: {:?}", rack.id);
+                assert_eq!(bursts.rate(day).to_bits(), want, "{name}: {:?} day {day}", rack.id);
+                let factors = hazard.day(day);
                 for class in ComponentClass::ALL {
                     let want = rack_day_rate_reference(&h, rack, class, env, day_start).to_bits();
                     let got = h.rack_day_rate(rack, class, env, day_start).to_bits();
@@ -164,6 +214,20 @@ fn fnv1a(bytes: &[u8]) -> u64 {
         .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
 }
 
+/// Runs each `(name, config, ticket count, hash)` pin at seed 42, both
+/// sequentially and on two threads.
+fn check_ticket_pins(pins: &[(&str, FleetConfig, usize, u64)]) {
+    for (name, config, len, hash) in pins {
+        for parallelism in [Parallelism::Sequential, Parallelism::Threads(2)] {
+            let config = FleetConfig { parallelism, ..config.clone() };
+            let tickets = Simulation::new(config, 42).run().tickets;
+            assert_eq!(tickets.len(), *len, "{name} {parallelism:?}");
+            let got = fnv1a(format!("{tickets:?}").as_bytes());
+            assert_eq!(got, *hash, "{name} {parallelism:?}: {got:#018x}");
+        }
+    }
+}
+
 #[test]
 fn ticket_streams_match_the_single_expression_pins() {
     let mut dirty = FleetConfig::medium();
@@ -173,13 +237,20 @@ fn ticket_streams_match_the_single_expression_pins() {
         ("medium", FleetConfig::medium(), 19_345, 0xf706_0db0_6696_6a16),
         ("medium dirty_default", dirty, 19_255, 0x07d8_5681_6b79_5247),
     ];
-    for (name, config, len, hash) in pins {
-        for parallelism in [Parallelism::Sequential, Parallelism::Threads(2)] {
-            let config = FleetConfig { parallelism, ..config.clone() };
-            let tickets = Simulation::new(config, 42).run().tickets;
-            assert_eq!(tickets.len(), len, "{name} {parallelism:?}");
-            let got = fnv1a(format!("{tickets:?}").as_bytes());
-            assert_eq!(got, hash, "{name} {parallelism:?}: {got:#018x}");
-        }
-    }
+    check_ticket_pins(&pins);
+}
+
+/// The paper fleet's ticket streams, clean and dirty, recorded from the
+/// evaluator that computed the day factors per rack-day. Run with
+/// `cargo test --release --test hazard_prefix -- --ignored`.
+#[test]
+#[ignore = "paper-scale fleet; run in release"]
+fn paper_ticket_streams_match_the_pins() {
+    let mut dirty = FleetConfig::paper_scale();
+    dirty.corruption = CorruptionConfig::dirty_default();
+    let pins = [
+        ("paper", FleetConfig::paper_scale(), 135_458, 0x71f3_32a5_cc29_425b_u64),
+        ("paper dirty_default", dirty, 134_812, 0x7923_07f8_4a8e_4244),
+    ];
+    check_ticket_pins(&pins);
 }
