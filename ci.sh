@@ -39,6 +39,16 @@ if [ -n "$deserialize_sites" ]; then
     echo "$deserialize_sites" >&2
     exit 1
 fi
+# Rack lookups go by position (`Fleet::index_of`), so no code line of
+# crates/core/src names a hash map keyed by rack id or a hash set of
+# spatial keys. Comment and doc lines do not count.
+rack_hash_sites=$(grep -rnE 'HashMap<RackId|HashSet<SpatialKey>' crates/core/src --include='*.rs' |
+    grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' || true)
+if [ -n "$rack_hash_sites" ]; then
+    echo "ci: rack-keyed hash lookup in crates/core/src (index by Fleet::index_of):" >&2
+    echo "$rack_hash_sites" >&2
+    exit 1
+fi
 cargo build --release --workspace
 # The examples are callers of the library API, so every one under
 # examples/ must run to completion, not just compile (about 1 s for all of

@@ -233,9 +233,8 @@ impl SeedRun {
                 let mut lot_peaks = Vec::new();
                 let mut quiet_peaks = Vec::new();
                 for rack in &out.fleet.racks {
-                    let key = SpatialGranularity::Rack.key(&rack.server_location(0));
-                    let peak =
-                        mu.get(&key).map(|s| s.max() as f64).unwrap_or(0.0) / rack.servers as f64;
+                    let peak = mu.get(&rack.mu_key()).map(|s| s.max() as f64).unwrap_or(0.0)
+                        / rack.servers as f64;
                     if in_lot(rack.commissioned_day) {
                         lot_peaks.push(peak);
                     } else {

@@ -10,17 +10,14 @@
 //!   response at rack/day granularity, the paper's default), and
 //!   [`rack_day_response`] — that count column alone, for deriving a
 //!   second filter's table from the first;
-//! * [`rack_table`] — one row per rack with static features, mean
-//!   environment, and a caller-supplied response (used by Q1 to cluster
-//!   racks by provisioning need).
-
-use std::collections::HashMap;
+//! * [`rack_table`] — one row per caller-supplied rack with static
+//!   features, mean environment, and the caller's response (used by Q1 to
+//!   cluster racks by provisioning need).
 
 use rainshine_dcsim::cooling::InletConditions;
 use rainshine_dcsim::topology::RackInfo;
 use rainshine_dcsim::SimulationOutput;
 use rainshine_telemetry::frame::{ColumnBuilder, Frame, FrameBuilder};
-use rainshine_telemetry::ids::RackId;
 use rainshine_telemetry::rma::{FaultKind, HardwareFault};
 use rainshine_telemetry::schema::analysis_schema;
 use rainshine_telemetry::time::SimTime;
@@ -61,9 +58,11 @@ impl FaultFilter {
 /// Matching true-positive ticket counts per (rack, day) over the span: the
 /// λ response and the failure-history features all read this one index.
 ///
-/// Racks are addressed by their index in `output.fleet.racks`, days by
-/// absolute day number. Tickets opened outside the span, or on a rack the
-/// fleet does not list, are not counted.
+/// Racks are addressed by their index in `output.fleet.racks`
+/// ([`Fleet::index_of`]), days by absolute day number. Tickets opened
+/// outside the span, or on a rack the fleet does not list, are not counted.
+///
+/// [`Fleet::index_of`]: rainshine_dcsim::topology::Fleet::index_of
 #[derive(Debug, Clone)]
 pub struct RackDayCounts {
     start_day: u64,
@@ -80,13 +79,11 @@ impl RackDayCounts {
         let start_day = output.config.start.days();
         let days = output.config.end.days().saturating_sub(start_day);
         let width = days as usize + 1;
-        let index: HashMap<RackId, usize> =
-            output.fleet.racks.iter().enumerate().map(|(i, rack)| (rack.id, i)).collect();
         let mut running = vec![0u32; output.fleet.racks.len() * width];
         for t in output.true_positives() {
-            let rack = index.get(&t.location.rack);
+            let rack = output.fleet.index_of(t.location.rack);
             let day = t.opened.days().checked_sub(start_day).filter(|&day| day < days);
-            if let (Some(&rack), Some(day), true) = (rack, day, filter.matches(t.fault)) {
+            if let (Some(rack), Some(day), true) = (rack, day, filter.matches(t.fault)) {
                 running[rack * width + day as usize + 1] += 1;
             }
         }
@@ -297,35 +294,30 @@ impl<'a> AnalysisCols<'a> {
     }
 }
 
-/// Builds a rack-level table: one row per rack carrying its static features,
-/// its mean environment over the active span, and the caller-supplied
-/// response (racks missing from `response` are skipped). Returns the table
-/// with the id of the rack behind each row, in row order.
+/// Builds a rack-level table: one row per `(rack, response)` of `rows`, in
+/// that order, carrying the rack's static features, its mean environment
+/// over its active span, and the response. Callers pass racks in service
+/// during the span; a rack without an active day gets the fallback mean
+/// environment (65 °F, 45 %).
 ///
 /// Time features are taken at the midpoint of the rack's active span (age)
 /// or zeroed (calendar ordinals are meaningless for a whole-span summary).
 ///
 /// # Errors
 ///
-/// Returns [`AnalysisError::NoData`] if no rack has a response.
-pub fn rack_table(
+/// Returns [`AnalysisError::NoData`] if `rows` is empty.
+pub fn rack_table<'r>(
     output: &SimulationOutput,
-    response: &HashMap<RackId, f64>,
-) -> Result<(Frame, Vec<RackId>)> {
+    rows: impl IntoIterator<Item = (&'r RackInfo, f64)>,
+) -> Result<Frame> {
     let mut builder = FrameBuilder::new(analysis_schema());
     let start_day = output.config.start.days() as i64;
     let end_day = output.config.end.days() as i64;
-    let mut racks = Vec::new();
+    let mut emitted = 0usize;
     {
         let mut cols = AnalysisCols::split(&mut builder);
-        for rack in &output.fleet.racks {
-            let Some(&resp) = response.get(&rack.id) else {
-                continue;
-            };
+        for (rack, resp) in rows {
             let active_start = rack.commissioned_day.max(start_day);
-            if active_start >= end_day {
-                continue;
-            }
             let mid_day = ((active_start + end_day) / 2) as u64;
             let t = SimTime::from_days(mid_day);
             // Mean environment over a monthly sample of the active span.
@@ -345,13 +337,13 @@ pub fn rack_table(
             let (temp, rh) = if n > 0.0 { (temp / n, rh / n) } else { (65.0, 45.0) };
             let codes = cols.intern_rack(rack);
             cols.push(codes, rack, t, temp, rh, resp);
-            racks.push(rack.id);
+            emitted += 1;
         }
     }
-    if racks.is_empty() {
+    if emitted == 0 {
         return Err(AnalysisError::NoData { what: "no racks with responses".into() });
     }
-    Ok((builder.build()?, racks))
+    Ok(builder.build()?)
 }
 
 #[cfg(test)]
@@ -414,16 +406,15 @@ mod tests {
     #[test]
     fn rack_table_one_row_per_responding_rack() {
         let out = sim();
-        let mut resp = HashMap::new();
-        for (i, r) in out.fleet.racks.iter().enumerate() {
-            if i % 2 == 0 {
-                resp.insert(r.id, i as f64);
-            }
-        }
-        let (t, racks) = rack_table(&out, &resp).unwrap();
-        assert_eq!(t.rows(), resp.len());
-        for (row, rack) in racks.iter().enumerate() {
-            assert_eq!(t.nominal_label(columns::RACK, row).unwrap(), rack.to_string());
+        // Every other rack, last first: rows come out in the order given.
+        let rows: Vec<_> =
+            out.fleet.racks.iter().step_by(2).rev().map(|r| (r, f64::from(r.id.0))).collect();
+        let t = rack_table(&out, rows.iter().copied()).unwrap();
+        assert_eq!(t.rows(), rows.len());
+        let response = t.continuous(columns::FAILURE_RATE).unwrap();
+        for (row, &(rack, resp)) in rows.iter().enumerate() {
+            assert_eq!(t.nominal_label(columns::RACK, row).unwrap(), rack.id.to_string());
+            assert_eq!(response[row], resp);
         }
         // Nominal features preserved.
         assert!(t.dictionary(columns::SKU).unwrap().labels().len() >= 2);
@@ -433,7 +424,7 @@ mod tests {
     #[test]
     fn rack_table_empty_response_errors() {
         let out = sim();
-        assert!(matches!(rack_table(&out, &HashMap::new()), Err(AnalysisError::NoData { .. })));
+        assert!(matches!(rack_table(&out, []), Err(AnalysisError::NoData { .. })));
     }
 
     #[test]

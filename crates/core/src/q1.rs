@@ -15,7 +15,7 @@
 //! cover every window's deficit ("at all times"), so each approach
 //! provisions for the peak.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::BTreeMap;
 
 use rainshine_cart::dataset::CartDataset;
 use rainshine_cart::params::CartParams;
@@ -115,27 +115,29 @@ fn pooled_peak_fraction(racks: &[&RackDeficits]) -> f64 {
         .fold(0.0, f64::max)
 }
 
-/// The μ key of a rack.
-fn rack_key(rack: &RackInfo) -> SpatialKey {
-    SpatialGranularity::Rack.key(&rack.server_location(0))
-}
-
 /// Rack-granularity μ over the hardware tickets that match `filter` and
 /// fall on one of `racks`. μ is computed independently for each rack key,
 /// so every series of `racks` equals the fleet-wide computation's; the
-/// other racks' tickets are skipped instead of swept.
+/// other racks' tickets are skipped instead of swept. Tickets are picked by
+/// rack id, which on the sanitized stream is picking by μ key: the
+/// sanitizer gives every kept ticket its rack's DC, region and row.
 fn provisioned_mu(
     output: &SimulationOutput,
     racks: &[&RackInfo],
     filter: FaultFilter,
     granularity: TimeGranularity,
 ) -> BTreeMap<SpatialKey, WindowedSeries> {
-    let keys: HashSet<SpatialKey> = racks.iter().map(|r| rack_key(r)).collect();
+    let fleet = &output.fleet;
+    let mut provisioned = vec![false; fleet.racks.len()];
+    for index in racks.iter().filter_map(|r| fleet.index_of(r.id)) {
+        provisioned[index] = true;
+    }
     let tickets: Vec<&RmaTicket> = output
         .hardware_tickets()
         .into_iter()
         .filter(|t| {
-            filter.matches(t.fault) && keys.contains(&SpatialGranularity::Rack.key(&t.location))
+            filter.matches(t.fault)
+                && fleet.index_of(t.location.rack).is_some_and(|index| provisioned[index])
         })
         .collect();
     metrics::mu(
@@ -181,7 +183,7 @@ pub fn rack_deficits(
         };
         let active_windows = total_windows.saturating_sub(commission_window);
         let deficits: Vec<u64> = mu
-            .get(&rack_key(rack))
+            .get(&rack.mu_key())
             .map(|series| {
                 series
                     .nonzero
@@ -284,16 +286,18 @@ fn spares<'d>(output: &SimulationOutput, deficits: &'d [RackDeficits]) -> Result
     let all: Vec<&RackDeficits> = deficits.iter().collect();
     let sf = pooled_peak_fraction(&all) * servers;
 
-    // MF: cluster racks with CART on per-rack required fraction.
-    let response: HashMap<RackId, f64> = deficits.iter().map(|r| (r.rack, r.fraction())).collect();
-    let (table, racks) = rack_table(output, &response)?;
+    // MF: cluster racks with CART on per-rack required fraction, one table
+    // row per rack in `deficits` order.
+    let rows: Option<Vec<_>> =
+        deficits.iter().map(|r| Some((output.fleet.rack(r.rack)?, r.fraction()))).collect();
+    let no_rack = || AnalysisError::NoData { what: "a deficit rack is not in the fleet".into() };
+    let table = rack_table(output, rows.ok_or_else(no_rack)?)?;
     let ds = CartDataset::regression(&table, columns::FAILURE_RATE, CLUSTER_FEATURES)?;
     let tree = Tree::fit(&ds, &CLUSTER_TREE)?;
     let leaves = tree.leaf_assignments(&table)?;
-    let by_id: HashMap<RackId, &RackDeficits> = deficits.iter().map(|r| (r.rack, r)).collect();
     let mut by_leaf: BTreeMap<usize, Vec<&RackDeficits>> = BTreeMap::new();
-    for (leaf, rack) in leaves.into_iter().zip(racks) {
-        by_leaf.entry(leaf).or_default().push(by_id[&rack]);
+    for (leaf, rack) in leaves.into_iter().zip(deficits) {
+        by_leaf.entry(leaf).or_default().push(rack);
     }
     let mut mf = 0.0;
     let mut clusters = Vec::with_capacity(by_leaf.len());

@@ -10,14 +10,12 @@
 //! workload) inflates the SF ratio far beyond that — the paper's
 //! cautionary tale.
 
-use std::collections::HashMap;
-
 use rainshine_cart::params::CartParams;
 use rainshine_cart::pdp::{stratified_effect_nominal, StratifiedEffect};
 use rainshine_dcsim::topology::RackInfo;
 use rainshine_dcsim::SimulationOutput;
 use rainshine_telemetry::frame::Frame;
-use rainshine_telemetry::ids::{RackId, Sku};
+use rainshine_telemetry::ids::Sku;
 use rainshine_telemetry::metrics::{self, SpatialGranularity};
 use rainshine_telemetry::schema::columns;
 use rainshine_telemetry::time::TimeGranularity;
@@ -74,23 +72,24 @@ fn active_racks(output: &SimulationOutput) -> Vec<ActiveRack<'_>> {
     let hardware = output.hardware_tickets();
     let mu = metrics::mu(&hardware, SpatialGranularity::Rack, TimeGranularity::Daily, start, end);
     let span_days = start.days()..end.days();
-    let mut tickets: HashMap<RackId, u32> = HashMap::new();
+    let fleet = &output.fleet;
+    let mut tickets = vec![0u32; fleet.racks.len()];
     for t in hardware.iter().filter(|t| span_days.contains(&t.opened.days())) {
-        *tickets.entry(t.location.rack).or_insert(0) += 1;
+        if let Some(index) = fleet.index_of(t.location.rack) {
+            tickets[index] += 1;
+        }
     }
-    output
-        .fleet
+    fleet
         .racks
         .iter()
-        .filter_map(|rack| {
+        .zip(tickets)
+        .filter_map(|(rack, tickets)| {
             let active_days = (end_day - rack.commissioned_day.max(start_day)).max(0);
             (active_days > 0).then(|| ActiveRack {
                 rack,
                 active_days: active_days as f64,
-                tickets: tickets.get(&rack.id).copied().unwrap_or(0),
-                peak: mu
-                    .get(&SpatialGranularity::Rack.key(&rack.server_location(0)))
-                    .map_or(0.0, |s| s.max() as f64),
+                tickets,
+                peak: mu.get(&rack.mu_key()).map_or(0.0, |s| s.max() as f64),
             })
         })
         .collect()
@@ -163,9 +162,8 @@ pub fn mf_comparison(
         output.config.parallelism,
         || sku_effect(rack_day),
         || {
-            let peaks: HashMap<RackId, f64> =
-                active_racks(output).iter().map(|r| (r.rack.id, r.peak)).collect();
-            let (peak_table, _) = rack_table(output, &peaks)?;
+            let racks = active_racks(output);
+            let peak_table = rack_table(output, racks.iter().map(|r| (r.rack, r.peak)))?;
             Ok::<_, AnalysisError>(sku_effect(&peak_table)?)
         },
     );

@@ -110,15 +110,15 @@ impl EnvModel {
     }
 }
 
-/// Daily means of every (DC, region) over a span of days, sampled once.
+/// Daily inlet conditions of every (DC, region) over a span of days.
 ///
 /// The hazard of every rack-day and every rack-day analysis row reads its
-/// region's daily mean, and hundreds of racks share each of a handful of
-/// regions, so [`crate::Simulation`] samples each (DC, region, day) cell
-/// once into this dense slab (region-major, days contiguous) and readers
-/// index it. [`Self::daily_mean`] answers cells outside the slab by
-/// sampling, so a lookup never fails and always equals
-/// [`EnvModel::daily_mean`].
+/// region's daily conditions, and hundreds of racks share each of a handful
+/// of regions, so [`crate::Simulation`] fills each (DC, region, day) cell
+/// once into this dense slab (region-major, days contiguous): the true
+/// daily means for the hazard, then the ingested cells for the analyses.
+/// [`Self::daily_mean`] samples a cell outside the slab, so a lookup never
+/// fails.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DailyEnvSlab {
     start_day: u64,
@@ -129,18 +129,20 @@ pub struct DailyEnvSlab {
 }
 
 impl DailyEnvSlab {
-    /// Samples `env`'s daily mean for regions `1..=regions` of each listed
-    /// DC over the days `start_day..end_day`.
-    pub fn build(env: &EnvModel, dcs: &[(DcId, u8)], start_day: u64, end_day: u64) -> Self {
+    /// Fills the cells of regions `1..=regions` of each listed DC over the
+    /// days `start_day..end_day` with `cell(dc, region, day)`, called once
+    /// per cell in DC, region, day order.
+    pub fn from_fn<F>(dcs: &[(DcId, u8)], start_day: u64, end_day: u64, mut cell: F) -> Self
+    where
+        F: FnMut(DcId, RegionId, u64) -> InletConditions,
+    {
         let days = end_day.saturating_sub(start_day) as usize;
         let mut layout = Vec::with_capacity(dcs.len());
         let mut cells = Vec::new();
         for &(dc, regions) in dcs {
             layout.push((dc, regions, cells.len()));
-            for region in 1..=regions {
-                cells.extend(
-                    (start_day..end_day).map(|day| env.daily_mean(dc, RegionId(region), day)),
-                );
+            for region in (1..=regions).map(RegionId) {
+                cells.extend((start_day..end_day).map(|day| cell(dc, region, day)));
             }
         }
         DailyEnvSlab { start_day, days, dcs: layout, cells }
@@ -156,8 +158,8 @@ impl DailyEnvSlab {
         self.cells.get(first + (region.0 as usize - 1) * self.days + offset).copied()
     }
 
-    /// Mean inlet conditions for a region over one day: the slab's cell, or
-    /// `env`'s sample for a cell outside the slab.
+    /// Inlet conditions for a region over one day: the slab's cell, or
+    /// `env`'s daily mean for a cell outside the slab.
     pub fn daily_mean(
         &self,
         env: &EnvModel,
@@ -232,7 +234,10 @@ mod tests {
     #[test]
     fn slab_matches_sampling_inside_and_outside_its_span() {
         let env = EnvModel::paper_layout(9);
-        let slab = DailyEnvSlab::build(&env, &[(DcId(1), 4), (DcId(2), 3)], 10, 40);
+        let slab =
+            DailyEnvSlab::from_fn(&[(DcId(1), 4), (DcId(2), 3)], 10, 40, |dc, region, day| {
+                env.daily_mean(dc, region, day)
+            });
         let bits = |c: InletConditions| (c.temp_f.to_bits(), c.rh.to_bits());
         for (dc, regions) in [(DcId(1), 4u8), (DcId(2), 3)] {
             for region in (0..=regions + 1).map(RegionId) {

@@ -21,10 +21,10 @@
 //! tables and `f_dow` once per rack-day, and `f_env(c, T, RH)` per class.
 //! It multiplies them out left to right in the order above, so each rate
 //! is bit-identical to the single expression; regrouping the product would
-//! change low bits of rates and with them the Poisson draws.
-//! [`HazardConfig::rack_day_rate`] is its one-off form. The burst rate
+//! change low bits of rates and with them the Poisson draws. The burst rate
 //! changes with age band only, so [`RackBurstRates`] computes it once per
-//! rack and band.
+//! rack and band. These evaluators are the only way to a rate: a one-off
+//! rate is a calendar of that day and a `RackHazard` over it.
 
 use std::ops::Range;
 
@@ -230,12 +230,15 @@ impl Default for HazardConfig {
 }
 
 impl HazardConfig {
-    /// Validates that rates and factors are positive and finite.
+    /// Validates that rates and factors are finite: the base rates and the
+    /// calendar, ESD, disk and power step factors positive, the season
+    /// amplitude in `[0, 1)`, and the SKU spread and the burst rates,
+    /// factors and size fractions non-negative (the ablations zero some).
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::InvalidConfig`] on any non-positive or
-    /// non-finite field.
+    /// Returns [`SimError::InvalidConfig`] on the first field that breaks
+    /// its rule.
     pub fn validate(&self) -> Result<()> {
         let positives = [
             ("disk_base", self.disk_base),
@@ -262,17 +265,36 @@ impl HazardConfig {
                 reason: "must be within [0, 1)",
             });
         }
-        if !self.sku_spread.is_finite() || self.sku_spread < 0.0 {
-            return Err(SimError::InvalidConfig {
-                field: "sku_spread",
-                reason: "must be non-negative finite",
-            });
+        // A NaN burst rate passes the burst draw's `u >= rate` test on every
+        // day, so a burst would fire on every active rack-day.
+        let non_negatives = [
+            ("sku_spread", self.sku_spread),
+            ("burst_base", self.burst_base),
+            ("burst_power_factor", self.burst_power_factor),
+            ("burst_infant_factor", self.burst_infant_factor),
+            ("burst_compute_factor", self.burst_compute_factor),
+            ("burst_wearout_factor", self.burst_wearout_factor),
+            ("burst_min_frac", self.burst_min_frac),
+            ("burst_frac_range", self.burst_frac_range),
+            ("burst_storage_frac_range", self.burst_storage_frac_range),
+            ("burst_quiet_factor", self.burst_quiet_factor),
+        ];
+        for (field, v) in non_negatives {
+            if !v.is_finite() || v < 0.0 {
+                return Err(SimError::InvalidConfig {
+                    field,
+                    reason: "must be non-negative finite",
+                });
+            }
         }
-        if !self.disk_hot_threshold_f.is_finite() {
-            return Err(SimError::InvalidConfig {
-                field: "disk_hot_threshold_f",
-                reason: "must be finite",
-            });
+        let finites = [
+            ("disk_hot_threshold_f", self.disk_hot_threshold_f),
+            ("burst_disk_exponent", self.burst_disk_exponent),
+        ];
+        for (field, v) in finites {
+            if !v.is_finite() {
+                return Err(SimError::InvalidConfig { field, reason: "must be finite" });
+            }
         }
         Ok(())
     }
@@ -405,35 +427,6 @@ impl HazardConfig {
             2 => self.dc2_region_factors.get(idx).copied().unwrap_or(1.0),
             _ => 1.0,
         }
-    }
-
-    /// Expected failures of `class` on `rack` during the day containing
-    /// `day_start`, given that day's mean inlet conditions. Zero before the
-    /// rack is commissioned.
-    ///
-    /// One-off form of [`RackHazard`] over a calendar of that single day;
-    /// loops over many rack-days should build the calendar and the
-    /// evaluator once instead.
-    pub fn rack_day_rate(
-        &self,
-        rack: &RackInfo,
-        class: ComponentClass,
-        env: InletConditions,
-        day_start: SimTime,
-    ) -> f64 {
-        let day = day_start.days();
-        let calendar = HazardCalendar::new(self, day..day + 1, std::slice::from_ref(rack));
-        let hazard = RackHazard::new(&calendar, rack);
-        hazard.day(day).map_or(0.0, |factors| hazard.rate(class, &factors, env))
-    }
-
-    /// Expected correlated-failure bursts for `rack` during the day
-    /// containing `day_start`.
-    ///
-    /// One-off form of [`RackBurstRates`]; loops over many days of one rack
-    /// should build it once instead.
-    pub fn burst_rate(&self, rack: &RackInfo, day_start: SimTime) -> f64 {
-        RackBurstRates::new(self, rack).rate(day_start.days())
     }
 
     /// Servers taken down by a burst, given a uniform draw `u` in `[0, 1)`.
@@ -728,21 +721,62 @@ mod tests {
         let mut h = HazardConfig::default();
         h.ablate_bursts();
         let fleet = Fleet::build(&FleetConfig::paper_scale());
-        let day = SimTime::from_date(2012, 6, 1, 0);
-        for rack in fleet.racks.iter().filter(|r| r.is_active(day)) {
-            assert_eq!(h.burst_rate(rack, day), 0.0);
+        let day = SimTime::from_date(2012, 6, 1, 0).days();
+        for rack in &fleet.racks {
+            assert_eq!(RackBurstRates::new(&h, rack).rate(day), 0.0);
         }
-        // Every ablated config still validates.
-        for ablate in [
+    }
+
+    #[test]
+    fn validation_accepts_the_presets_and_rejects_nan_in_every_checked_field() {
+        // Every numeric field `validate` checks.
+        type Field = fn(&mut HazardConfig) -> &mut f64;
+        let fields: [(&str, Field); 25] = [
+            ("disk_base", |h| &mut h.disk_base),
+            ("dimm_base", |h| &mut h.dimm_base),
+            ("power_base", |h| &mut h.power_base),
+            ("server_base", |h| &mut h.server_base),
+            ("network_base", |h| &mut h.network_base),
+            ("weekday_factor", |h| &mut h.weekday_factor),
+            ("weekend_factor", |h| &mut h.weekend_factor),
+            ("infant_decay_months", |h| &mut h.infant_decay_months),
+            ("disk_hot_factor", |h| &mut h.disk_hot_factor),
+            ("disk_hot_dry_factor", |h| &mut h.disk_hot_dry_factor),
+            ("low_rh_factor", |h| &mut h.low_rh_factor),
+            ("high_power_factor", |h| &mut h.high_power_factor),
+            ("season_amplitude", |h| &mut h.season_amplitude),
+            ("sku_spread", |h| &mut h.sku_spread),
+            ("burst_base", |h| &mut h.burst_base),
+            ("burst_power_factor", |h| &mut h.burst_power_factor),
+            ("burst_infant_factor", |h| &mut h.burst_infant_factor),
+            ("burst_compute_factor", |h| &mut h.burst_compute_factor),
+            ("burst_wearout_factor", |h| &mut h.burst_wearout_factor),
+            ("burst_min_frac", |h| &mut h.burst_min_frac),
+            ("burst_frac_range", |h| &mut h.burst_frac_range),
+            ("burst_storage_frac_range", |h| &mut h.burst_storage_frac_range),
+            ("burst_quiet_factor", |h| &mut h.burst_quiet_factor),
+            ("disk_hot_threshold_f", |h| &mut h.disk_hot_threshold_f),
+            ("burst_disk_exponent", |h| &mut h.burst_disk_exponent),
+        ];
+        let ablations: [fn(&mut HazardConfig); 5] = [
+            |_| {},
             HazardConfig::ablate_age_bathtub,
             HazardConfig::ablate_environment,
             HazardConfig::ablate_calendar,
             HazardConfig::ablate_bursts,
-        ] {
-            let mut h = HazardConfig::default();
-            ablate(&mut h);
-            assert!(h.validate().is_ok());
+        ];
+        for ablate in ablations {
+            let mut base = HazardConfig::default();
+            ablate(&mut base);
+            assert!(base.validate().is_ok(), "{base:?}");
+            for (name, field) in fields {
+                let mut h = base.clone();
+                *field(&mut h) = f64::NAN;
+                assert!(h.validate().is_err(), "NaN {name} accepted");
+            }
         }
+        let h = HazardConfig { burst_base: -1e-9, ..HazardConfig::default() };
+        assert!(h.validate().is_err());
     }
 
     #[test]
@@ -815,9 +849,9 @@ mod tests {
             .iter()
             .find(|r| r.commissioned_day > 10)
             .expect("some racks commissioned mid-window");
-        let rate =
-            h.rack_day_rate(future_rack, ComponentClass::Disk, env(70.0, 40.0), SimTime::EPOCH);
-        assert_eq!(rate, 0.0);
+        let day = SimTime::EPOCH.days();
+        let calendar = HazardCalendar::new(&h, day..day + 1, &fleet.racks);
+        assert!(RackHazard::new(&calendar, future_rack).day(day).is_none());
     }
 
     #[test]
@@ -825,10 +859,13 @@ mod tests {
         let fleet = Fleet::build(&FleetConfig::paper_scale());
         let h = HazardConfig::default();
         let day = SimTime::from_date(2012, 6, 1, 0);
+        let calendar = HazardCalendar::new(&h, day.days()..day.days() + 1, &fleet.racks);
         for rack in fleet.racks.iter().filter(|r| r.is_active(day)) {
+            let hazard = RackHazard::new(&calendar, rack);
+            let factors = hazard.day(day.days()).expect("active rack-day");
             let total: f64 = ComponentClass::ALL
                 .iter()
-                .map(|&c| h.rack_day_rate(rack, c, env(70.0, 40.0), day))
+                .map(|&c| hazard.rate(c, &factors, env(70.0, 40.0)))
                 .sum();
             assert!(total > 0.0, "{:?}", rack.id);
             assert!(total < 1.0, "rack {:?} rate {total} too high", rack.id);

@@ -2,7 +2,7 @@
 
 use rainshine_obs::Obs;
 use rainshine_parallel::derive_seed;
-use rainshine_telemetry::ids::{DcId, RackId, RegionId};
+use rainshine_telemetry::ids::{DcId, RegionId};
 use rainshine_telemetry::quality::{
     DataQualityReport, DefectClass, Sanitizer, SanitizerConfig, SENSOR_BOUNDS,
 };
@@ -81,10 +81,16 @@ impl Simulation {
             Fleet::build(&self.config)
         };
         obs.incr("fleet.racks", fleet.racks.len() as u64);
+        let start_day = self.config.start.days();
+        let end_day = start_day + self.config.span_days();
+        let dcs: Vec<(DcId, u8)> = fleet.datacenters.iter().map(|d| (d.id, d.regions)).collect();
+        // The true daily means, which hardware generation reads.
         let (env, daily_env) = {
             let _span = obs.span("dcsim.env_model");
             let env = EnvModel::paper_layout(self.seed);
-            let daily_env = tickets::daily_env_slab(&fleet, &self.config, &env);
+            let daily_env = DailyEnvSlab::from_fn(&dcs, start_day, end_day, |dc, region, day| {
+                env.daily_mean(dc, region, day)
+            });
             (env, daily_env)
         };
         let par = self.config.parallelism;
@@ -133,8 +139,6 @@ impl Simulation {
         let corruption_cfg = self.config.corruption.clone();
         let mut injection = InjectionLog::default();
         let mut sensor_faults = SensorFaultPlan::default();
-        let start_day = self.config.start.hours() / 24;
-        let end_day = start_day + self.config.span_days();
         if corruption_cfg.is_enabled() {
             let mut span = obs.span("dcsim.corruption");
             let mut rng =
@@ -145,8 +149,6 @@ impl Simulation {
                 (self.config.start, self.config.end),
                 &mut rng,
             );
-            let dcs: Vec<(DcId, u8)> =
-                fleet.datacenters.iter().map(|d| (d.id, d.regions)).collect();
             let mut env_rng =
                 StdRng::seed_from_u64(derive_seed(self.seed, corruption::STREAM_CORRUPTION, 1));
             sensor_faults = corruption::plan_sensor_faults(
@@ -174,34 +176,32 @@ impl Simulation {
         obs.incr("tickets.sanitized", tickets.len() as u64);
         obs.incr("tickets.quarantined", all.len().saturating_sub(tickets.len()) as u64);
 
-        // Environment-sensor audit: replay every (DC, region, day) cell
-        // through the ingestion bounds so blackouts and spikes show up in
-        // the report. Skipped when corruption is off — the sensors are
-        // clean by construction.
-        if corruption_cfg.is_enabled() {
+        // Environment-sensor audit: every (DC, region, day) cell as the
+        // sensors reported it (NaN in a blackout, spiked in a spike cell) is
+        // winsorized into the ingested slab, and each defect is recorded in
+        // the report. Skipped when corruption is off: clean cells sit inside
+        // the bounds, so the true slab is already the ingested one.
+        let daily_env = if corruption_cfg.is_enabled() {
             let mut span = obs.span("dcsim.env_audit");
-            for d in &fleet.datacenters {
-                for region in 1..=d.regions {
-                    let region = RegionId(region);
-                    for day in start_day..end_day {
-                        span.add_items(1);
-                        quality.env_cells_seen += 1;
-                        if sensor_faults.is_blacked_out(d.id, region, day) {
-                            quality.record(DefectClass::SensorBlackout, false);
-                            continue;
-                        }
-                        let clean = daily_env.daily_mean(&env, d.id, region, day);
-                        let temp = clean.temp_f
-                            + sensor_faults.spike_delta(d.id, region, day).unwrap_or(0.0);
-                        if SENSOR_BOUNDS.winsorize_temp(temp).1
-                            || SENSOR_BOUNDS.winsorize_rh(clean.rh).1
-                        {
-                            quality.record(DefectClass::SensorSpike, true);
-                        }
-                    }
+            DailyEnvSlab::from_fn(&dcs, start_day, end_day, |dc, region, day| {
+                span.add_items(1);
+                quality.env_cells_seen += 1;
+                if sensor_faults.is_blacked_out(dc, region, day) {
+                    quality.record(DefectClass::SensorBlackout, false);
+                    return InletConditions { temp_f: f64::NAN, rh: f64::NAN };
                 }
-            }
-        }
+                let clean = daily_env.daily_mean(&env, dc, region, day);
+                let spike = sensor_faults.spike_delta(dc, region, day).unwrap_or(0.0);
+                let (temp_f, temp_clamped) = SENSOR_BOUNDS.winsorize_temp(clean.temp_f + spike);
+                let (rh, rh_clamped) = SENSOR_BOUNDS.winsorize_rh(clean.rh);
+                if temp_clamped || rh_clamped {
+                    quality.record(DefectClass::SensorSpike, true);
+                }
+                InletConditions { temp_f, rh }
+            })
+        } else {
+            daily_env
+        };
         run_span.add_items(tickets.len() as u64);
 
         SimulationOutput {
@@ -229,17 +229,16 @@ pub struct SimulationOutput {
     pub fleet: Fleet,
     /// The environment model (queryable for any rack-hour).
     pub env: EnvModel,
-    /// `env`'s daily means over the run's span, sampled once; the
-    /// `*_daily_env` views read it.
+    /// The ingested daily inlet conditions over the run's span, one cell
+    /// per (DC, region, day); [`Self::ingested_daily_env`] reads it.
     daily_env: DailyEnvSlab,
     /// The sanitized RMA ticket stream, sorted by open time. Flagged false
     /// positives are included; injected defects have been repaired or
     /// quarantined (see [`Self::quality`]).
     pub tickets: Vec<RmaTicket>,
     /// Sensor faults injected into the environmental telemetry (empty when
-    /// corruption is off). Raw readings are exposed via
-    /// [`Self::observed_daily_env`], repaired ones via
-    /// [`Self::ingested_daily_env`].
+    /// corruption is off). The readings as ingestion kept them, blackouts
+    /// as NaN and spikes winsorized, are [`Self::ingested_daily_env`].
     pub sensor_faults: SensorFaultPlan,
     /// Ground truth of every defect the injector introduced.
     pub injection: InjectionLog,
@@ -256,29 +255,6 @@ impl SimulationOutput {
     /// True-positive *hardware* tickets — the population Q1–Q3 use.
     pub fn hardware_tickets(&self) -> Vec<&RmaTicket> {
         self.true_positives().into_iter().filter(|t| t.fault.is_hardware()).collect()
-    }
-
-    /// Looks up a rack.
-    pub fn rack(&self, id: RackId) -> Option<&crate::topology::RackInfo> {
-        self.fleet.rack(id)
-    }
-
-    /// Daily mean inlet conditions *as the sensors reported them*: NaN
-    /// during a blackout window, spiked during a spike cell, otherwise the
-    /// true environment ([`EnvModel::daily_mean`], read from the run's
-    /// daily slab inside its span).
-    pub fn observed_daily_env(&self, dc: DcId, region: RegionId, day: u64) -> InletConditions {
-        if self.sensor_faults.is_empty() {
-            return self.daily_env.daily_mean(&self.env, dc, region, day);
-        }
-        if self.sensor_faults.is_blacked_out(dc, region, day) {
-            return InletConditions { temp_f: f64::NAN, rh: f64::NAN };
-        }
-        let mut cond = self.daily_env.daily_mean(&self.env, dc, region, day);
-        if let Some(delta) = self.sensor_faults.spike_delta(dc, region, day) {
-            cond.temp_f += delta;
-        }
-        cond
     }
 
     /// Streams every active (rack, day) in rack-major, day-ascending order,
@@ -318,16 +294,10 @@ impl SimulationOutput {
     /// Daily mean inlet conditions after robust ingestion: spikes are
     /// winsorized to physical bounds, blackout cells stay NaN (downstream
     /// analyses skip or route them). Identical to the true environment when
-    /// the sensors are clean.
+    /// the sensors are clean, and outside the span, where the sensors have
+    /// no faults and [`EnvModel::daily_mean`] answers.
     pub fn ingested_daily_env(&self, dc: DcId, region: RegionId, day: u64) -> InletConditions {
-        let observed = self.observed_daily_env(dc, region, day);
-        if self.sensor_faults.is_empty() {
-            return observed;
-        }
-        InletConditions {
-            temp_f: SENSOR_BOUNDS.winsorize_temp(observed.temp_f).0,
-            rh: SENSOR_BOUNDS.winsorize_rh(observed.rh).0,
-        }
+        self.daily_env.daily_mean(&self.env, dc, region, day)
     }
 }
 

@@ -147,7 +147,8 @@ fn make_hardware_ticket<R: Rng + ?Sized>(
     let repair = sample_repair(fault, rng);
     let resolved =
         SimTime(opened.hours().saturating_add(repair).min(end.hours()).max(opened.hours() + 1));
-    // The same single uniform draw `Bernoulli::sample` makes.
+    // Exactly one uniform per ticket: a draw of another shape would move
+    // every later ticket of the rack's stream.
     let repeat = rng.gen::<f64>() < REPEAT_PROBABILITY;
     RmaTicket {
         device: device_id(location.server.0, class, unit),
@@ -192,13 +193,6 @@ fn hardware_for_rack<R: Rng + ?Sized>(
         }
     }
     out
-}
-
-/// The slab of daily inlet conditions hardware generation reads: every
-/// region of `fleet` over `config`'s span.
-pub(crate) fn daily_env_slab(fleet: &Fleet, config: &FleetConfig, env: &EnvModel) -> DailyEnvSlab {
-    let dcs: Vec<_> = fleet.datacenters.iter().map(|d| (d.id, d.regions)).collect();
-    DailyEnvSlab::build(env, &dcs, config.start.days(), config.end.days())
 }
 
 /// Generates hardware tickets with one seed-derived RNG stream per rack,
@@ -353,7 +347,8 @@ fn non_hardware_for_dc<R: Rng + ?Sized>(
     };
     for (fault, share) in shares.into_iter().filter(|(k, _)| !k.is_hardware()) {
         let expected = hw_count * share / hw_share;
-        // The same single uniform draw `Bernoulli::sample` makes.
+        // Exactly one uniform per fault kind: a draw of another shape would
+        // move every later ticket of the stream.
         let count = expected.floor() as u64 + u64::from(rng.gen::<f64>() < expected.fract());
         for _ in 0..count {
             let day = start_day + day_dist.sample(rng) as u64;
@@ -431,7 +426,10 @@ mod tests {
 
     /// The pipeline's hardware generator, sequential, on `seed`.
     fn hardware(fleet: &Fleet, config: &FleetConfig, env: &EnvModel, seed: u64) -> Vec<RmaTicket> {
-        let daily = daily_env_slab(fleet, config, env);
+        let dcs: Vec<_> = fleet.datacenters.iter().map(|d| (d.id, d.regions)).collect();
+        let (start, end) = (config.start.days(), config.end.days());
+        let daily =
+            DailyEnvSlab::from_fn(&dcs, start, end, |dc, r, day| env.daily_mean(dc, r, day));
         generate_hardware(fleet, config, env, &daily, seed, Parallelism::Sequential)
     }
 

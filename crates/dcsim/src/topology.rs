@@ -12,6 +12,7 @@
 use rainshine_telemetry::ids::{
     DcId, RackId, RegionId, RowId, ServerId, ServerLocation, Sku, Workload,
 };
+use rainshine_telemetry::metrics::{SpatialGranularity, SpatialKey};
 use rainshine_telemetry::time::SimTime;
 
 use crate::climate::unit_noise;
@@ -105,6 +106,12 @@ impl RackInfo {
     pub fn sku_spec(&self) -> &'static SkuSpec {
         sku::spec_of(self.sku)
     }
+
+    /// The rack's μ key: the [`SpatialGranularity::Rack`] key its tickets
+    /// are counted under.
+    pub fn mu_key(&self) -> SpatialKey {
+        SpatialGranularity::Rack.key(&self.server_location(0))
+    }
 }
 
 /// The whole fleet.
@@ -112,7 +119,8 @@ impl RackInfo {
 pub struct Fleet {
     /// The two datacenters.
     pub datacenters: Vec<Datacenter>,
-    /// All racks across both DCs.
+    /// All racks across both DCs; [`Fleet::build`] gives `racks[i]` the id
+    /// `RackId(i + 1)`, which [`Fleet::index_of`] relies on.
     pub racks: Vec<RackInfo>,
 }
 
@@ -265,9 +273,16 @@ impl Fleet {
         self.racks.iter().map(|r| r.servers as u64).sum()
     }
 
+    /// The position of rack `id` in [`Fleet::racks`]: slot `id − 1` if that
+    /// slot holds rack `id`, else `None`.
+    pub fn index_of(&self, id: RackId) -> Option<usize> {
+        let index = usize::try_from(id.0).ok()?.checked_sub(1)?;
+        (self.racks.get(index)?.id == id).then_some(index)
+    }
+
     /// Looks up a rack by id.
     pub fn rack(&self, id: RackId) -> Option<&RackInfo> {
-        self.racks.iter().find(|r| r.id == id)
+        self.racks.get(self.index_of(id)?)
     }
 
     /// The fleet inventory the ingestion layer checks ticket locations
@@ -278,13 +293,7 @@ impl Fleet {
         for r in &self.racks {
             manifest.insert(
                 r.id,
-                rainshine_telemetry::quality::RackRecord {
-                    dc: r.dc,
-                    region: r.region,
-                    row: r.row,
-                    server_id_base: r.server_id_base,
-                    servers: r.servers,
-                },
+                rainshine_telemetry::quality::RackRecord { dc: r.dc, region: r.region, row: r.row },
             );
         }
         manifest
@@ -319,6 +328,25 @@ mod tests {
         let a = fleet();
         let b = fleet();
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn racks_are_numbered_by_position() {
+        for config in [FleetConfig::small(), FleetConfig::medium(), FleetConfig::paper_scale()] {
+            let mut f = Fleet::build(&config);
+            let n = f.racks.len();
+            for (i, rack) in f.racks.iter().enumerate() {
+                assert_eq!(rack.id, RackId(i as u32 + 1));
+                assert_eq!(f.index_of(rack.id), Some(i));
+                assert_eq!(f.rack(rack.id), Some(rack));
+            }
+            assert_eq!(f.index_of(RackId(0)), None);
+            assert_eq!(f.index_of(RackId(n as u32 + 1)), None);
+            // A slot overwritten with another rack answers for neither id.
+            f.racks[2] = f.racks[0].clone();
+            assert_eq!(f.rack(RackId(3)), None);
+            assert_eq!(f.index_of(RackId(1)), Some(0));
+        }
     }
 
     #[test]

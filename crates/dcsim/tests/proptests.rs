@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 use rainshine_dcsim::cooling::InletConditions;
 use rainshine_dcsim::environment::EnvModel;
-use rainshine_dcsim::hazard::ComponentClass;
+use rainshine_dcsim::hazard::{ComponentClass, HazardCalendar, RackBurstRates, RackHazard};
 use rainshine_dcsim::topology::Fleet;
 use rainshine_dcsim::{FleetConfig, Simulation};
 use rainshine_telemetry::ids::{DcId, RegionId};
@@ -60,9 +60,12 @@ proptest! {
         let fleet = Fleet::build(&config);
         let env = InletConditions { temp_f: temp, rh };
         let t = SimTime::from_days(day);
+        let calendar = HazardCalendar::new(&config.hazard, day..day + 1, &fleet.racks);
         for rack in fleet.racks.iter().take(50) {
+            let hazard = RackHazard::new(&calendar, rack);
+            let factors = hazard.day(day);
             for class in ComponentClass::ALL {
-                let rate = config.hazard.rack_day_rate(rack, class, env, t);
+                let rate = factors.map_or(0.0, |f| hazard.rate(class, &f, env));
                 prop_assert!(rate.is_finite());
                 prop_assert!(rate >= 0.0);
                 prop_assert!(rate < 5.0, "implausible rate {rate}");
@@ -70,7 +73,7 @@ proptest! {
                     prop_assert_eq!(rate, 0.0);
                 }
             }
-            let burst = config.hazard.burst_rate(rack, t);
+            let burst = RackBurstRates::new(&config.hazard, rack).rate(day);
             prop_assert!(burst.is_finite() && (0.0..0.5).contains(&burst));
         }
     }

@@ -2,7 +2,7 @@
 //!
 //! The `rand` crate alone provides only uniform sampling; everything the
 //! simulator needs (Poisson event counts, log-normal repair times,
-//! Bernoulli trials, categorical ticket days) is implemented here.
+//! categorical ticket days) is implemented here.
 
 use rand::Rng;
 
@@ -179,31 +179,6 @@ impl DiscreteDistribution for Poisson {
 
     fn mean(&self) -> f64 {
         self.lambda
-    }
-}
-
-/// Bernoulli distribution over `bool`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Bernoulli {
-    p: f64,
-}
-
-impl Bernoulli {
-    /// Creates a Bernoulli distribution with success probability `p`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StatsError::InvalidProbability`] unless `p` in `[0, 1]`.
-    pub fn new(p: f64) -> Result<Self> {
-        if !(0.0..=1.0).contains(&p) {
-            return Err(StatsError::InvalidProbability { value: p });
-        }
-        Ok(Bernoulli { p })
-    }
-
-    /// Draws one trial.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> bool {
-        rng.gen::<f64>() < self.p
     }
 }
 
@@ -406,17 +381,6 @@ mod tests {
             }
             prop_assert_eq!(fast.next_u64(), slow.next_u64(), "RNG position, lambda {}", lambda);
         }
-    }
-
-    #[test]
-    fn bernoulli_frequency() {
-        let d = Bernoulli::new(0.3).unwrap();
-        let mut r = rng();
-        let hits = (0..50_000).filter(|_| d.sample(&mut r)).count();
-        let freq = hits as f64 / 50_000.0;
-        assert!((freq - 0.3).abs() < 0.01, "freq {freq}");
-        assert!(Bernoulli::new(1.1).is_err());
-        assert!(Bernoulli::new(-0.1).is_err());
     }
 
     #[test]

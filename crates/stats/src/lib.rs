@@ -10,7 +10,7 @@
 //! * empirical CDF steps and quantiles ([`ecdf`]),
 //! * binning and per-bin means ([`hist`]),
 //! * the random-variate distributions the simulator samples — Poisson,
-//!   log-normal, Bernoulli, categorical ([`dist`]),
+//!   log-normal, categorical ([`dist`]),
 //! * isotonic (pool-adjacent-violators) regression ([`timeseries`]).
 //!
 //! # Example

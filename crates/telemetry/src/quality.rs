@@ -180,10 +180,6 @@ pub struct RackRecord {
     pub region: RegionId,
     /// Row within the region.
     pub row: RowId,
-    /// First server id in the rack.
-    pub server_id_base: u32,
-    /// Servers in the rack.
-    pub servers: u32,
 }
 
 /// Fleet inventory keyed by rack id — rack ids are globally unique, so a
@@ -495,8 +491,6 @@ mod tests {
                     dc: DcId(if rack <= 2 { 1 } else { 2 }),
                     region: RegionId(1),
                     row: RowId(1),
-                    server_id_base: (rack - 1) * 40 + 1,
-                    servers: 40,
                 },
             );
         }
@@ -599,13 +593,7 @@ mod tests {
     #[test]
     fn unknown_racks_miss_like_the_manifest_map() {
         let mut m = manifest();
-        let far = RackRecord {
-            dc: DcId(2),
-            region: RegionId(1),
-            row: RowId(1),
-            server_id_base: 1,
-            servers: 1,
-        };
+        let far = RackRecord { dc: DcId(2), region: RegionId(1), row: RowId(1) };
         m.insert(RackId(1_000_000), far);
         let s = Sanitizer::new(m, SanitizerConfig::for_span(SimTime(0), SimTime(1000)));
         for rack in [0, 5, 999_999, 1_000_001, u32::MAX] {

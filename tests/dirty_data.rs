@@ -258,24 +258,19 @@ fn dirty_pipeline_is_bit_identical_across_parallelism_and_repeats() {
     }
 }
 
-/// The environment views as they were computed before the daily slab: a
-/// fresh `EnvModel::daily_mean` sample per call, then the sensor faults,
-/// then (ingested only) the physical-bounds winsorising.
-fn sampled_views(out: &SimulationOutput, dc: DcId, region: RegionId, day: u64) -> [f64; 4] {
+/// The ingested view as it was computed before the daily slab: a fresh
+/// `EnvModel::daily_mean` sample per call, then the sensor faults, then
+/// the physical-bounds winsorising.
+fn sampled_view(out: &SimulationOutput, dc: DcId, region: RegionId, day: u64) -> [f64; 2] {
     let clean = out.env.daily_mean(dc, region, day);
     if out.sensor_faults.is_empty() {
-        return [clean.temp_f, clean.rh, clean.temp_f, clean.rh];
+        return [clean.temp_f, clean.rh];
     }
     if out.sensor_faults.is_blacked_out(dc, region, day) {
-        return [f64::NAN; 4];
+        return [f64::NAN; 2];
     }
     let temp_f = clean.temp_f + out.sensor_faults.spike_delta(dc, region, day).unwrap_or(0.0);
-    [
-        temp_f,
-        clean.rh,
-        SENSOR_BOUNDS.winsorize_temp(temp_f).0,
-        SENSOR_BOUNDS.winsorize_rh(clean.rh).0,
-    ]
+    [SENSOR_BOUNDS.winsorize_temp(temp_f).0, SENSOR_BOUNDS.winsorize_rh(clean.rh).0]
 }
 
 #[test]
@@ -283,18 +278,17 @@ fn daily_env_views_match_per_call_sampling() {
     let same = |a: f64, b: f64| a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan());
     for out in [clean(), dirty()] {
         let (start, end) = (out.config.start.days(), out.config.end.days());
-        // The whole span, plus days either side of it that the views
-        // answer by sampling.
+        // The whole span, plus days either side of it that the view
+        // answers by sampling.
         let days: Vec<u64> =
             [0, start.saturating_sub(1), end, end + 30].into_iter().chain(start..end).collect();
         let mut nan_cells = 0;
         for d in &out.fleet.datacenters {
             for region in (1..=d.regions).map(RegionId) {
                 for &day in &days {
-                    let observed = out.observed_daily_env(d.id, region, day);
                     let ingested = out.ingested_daily_env(d.id, region, day);
-                    let got = [observed.temp_f, observed.rh, ingested.temp_f, ingested.rh];
-                    let want = sampled_views(out, d.id, region, day);
+                    let got = [ingested.temp_f, ingested.rh];
+                    let want = sampled_view(out, d.id, region, day);
                     assert!(
                         got.iter().zip(&want).all(|(&g, &w)| same(g, w)),
                         "{} {region:?} day {day}: {got:?} vs {want:?}",
@@ -304,6 +298,6 @@ fn daily_env_views_match_per_call_sampling() {
                 }
             }
         }
-        assert_eq!(nan_cells > 0, !out.sensor_faults.is_empty(), "blackouts reach the views");
+        assert_eq!(nan_cells > 0, !out.sensor_faults.is_empty(), "blackouts reach the view");
     }
 }

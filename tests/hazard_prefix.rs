@@ -3,13 +3,12 @@
 //! `rack_day_rate_reference` is the single-expression hazard: every factor,
 //! including the SKU and workload lookups, is evaluated per call, and the
 //! product runs left to right in the formula's order. The hoisted
-//! evaluator (`RackHazard` over a `HazardCalendar` of the span, which
-//! hardware ticket generation builds once per run, and the one-day calendar
-//! `HazardConfig::rack_day_rate` wraps) must return the same rate,
-//! `to_bits()`, for every rack, class and day under the default, SKU-spread
-//! and ablated configs. `burst_rate_reference` is the single-expression
-//! burst rate; `RackBurstRates` (and `HazardConfig::burst_rate`, its
-//! one-off form) must match it the same way.
+//! evaluator (`RackHazard` over a `HazardCalendar`, over the whole span as
+//! hardware ticket generation builds it once per run, or over a single
+//! day) must return the same rate, `to_bits()`, for every rack, class and
+//! day under the default, SKU-spread and ablated configs.
+//! `burst_rate_reference` is the single-expression burst rate;
+//! `RackBurstRates` must match it the same way.
 //!
 //! The ticket-stream pins are FNV-1a hashes of `format!("{:?}", tickets)`
 //! recorded from the single-expression implementation; a change that moves
@@ -124,10 +123,10 @@ fn configs() -> Vec<(&'static str, HazardConfig)> {
 }
 
 /// Checks every rack × class × span day of `output`'s fleet under every
-/// config, with each day's ingested inlet conditions, through both the
-/// one-off `rack_day_rate` and one evaluator reused across the rack's days
-/// over a calendar of the whole span, as ticket generation builds it. The
-/// burst rate of every rack-day goes through the same two paths.
+/// config, with each day's ingested inlet conditions, through one
+/// evaluator reused across the rack's days over a calendar of the whole
+/// span, as ticket generation builds it. The burst rate of every rack-day
+/// goes through one `RackBurstRates` per rack the same way.
 fn check_every_rack_day(output: &SimulationOutput) {
     let (start, end) = (output.config.start.days(), output.config.end.days());
     let conditions: Vec<Vec<InletConditions>> = output
@@ -146,13 +145,10 @@ fn check_every_rack_day(output: &SimulationOutput) {
             for (day, &env) in (start..end).zip(conditions) {
                 let day_start = SimTime::from_days(day);
                 let want = burst_rate_reference(&h, rack, day_start).to_bits();
-                assert_eq!(h.burst_rate(rack, day_start).to_bits(), want, "{name}: {:?}", rack.id);
                 assert_eq!(bursts.rate(day).to_bits(), want, "{name}: {:?} day {day}", rack.id);
                 let factors = hazard.day(day);
                 for class in ComponentClass::ALL {
                     let want = rack_day_rate_reference(&h, rack, class, env, day_start).to_bits();
-                    let got = h.rack_day_rate(rack, class, env, day_start).to_bits();
-                    assert_eq!(got, want, "{name}: {:?} {class:?} day {day}", rack.id);
                     let hoisted = factors.map_or(0.0, |f| hazard.rate(class, &f, env)).to_bits();
                     assert_eq!(hoisted, want, "{name}: {:?} {class:?} day {day}", rack.id);
                 }
@@ -197,11 +193,17 @@ proptest! {
             InletConditions { temp_f, rh: f64::NAN },
         ] {
             for (name, h) in configs() {
+                // A calendar of the one day, over the whole fleet.
+                let calendar = HazardCalendar::new(&h, day..day + 1, &fleet.racks);
+                let hazard = RackHazard::new(&calendar, rack);
+                let factors = hazard.day(day);
                 for class in ComponentClass::ALL {
                     let want = rack_day_rate_reference(&h, rack, class, env, day_start).to_bits();
-                    let got = h.rack_day_rate(rack, class, env, day_start).to_bits();
+                    let got = factors.map_or(0.0, |f| hazard.rate(class, &f, env)).to_bits();
                     prop_assert_eq!(got, want, "{} {:?} {:?} {:?}", name, class, env, day);
                 }
+                let want = burst_rate_reference(&h, rack, day_start).to_bits();
+                prop_assert_eq!(RackBurstRates::new(&h, rack).rate(day).to_bits(), want, "{}", name);
             }
         }
     }

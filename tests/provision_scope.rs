@@ -7,6 +7,11 @@
 //! rack key, both must agree exactly (`==` on every deficit list and
 //! window count) at every workload, fault filter, granularity and SLA, on
 //! clean and dirty fleets.
+//!
+//! `rack_deficits` picks a provisioned rack's tickets by rack id, where the
+//! reference reads them at the rack's μ key. The two pick the same tickets
+//! when every ingested hardware ticket sits at its rack's key, which
+//! `check_fleet` also asserts.
 
 use std::collections::BTreeMap;
 
@@ -98,6 +103,10 @@ fn deficits_reference(
 /// Checks every workload, filter, granularity and SLA on one fleet, and
 /// returns how many (workload, filter, granularity, SLA) cases had racks.
 fn check_fleet(output: &SimulationOutput) -> usize {
+    for t in output.hardware_tickets() {
+        let rack = output.fleet.rack(t.location.rack).expect("ingested tickets sit on fleet racks");
+        assert_eq!(SpatialGranularity::Rack.key(&t.location), rack_key(rack), "{t:?}");
+    }
     let mut provisioned = 0;
     for filter in FILTERS {
         for granularity in GRANULARITIES {

@@ -76,9 +76,7 @@ fn all_false_positive_stream_yields_no_hardware_population() {
 fn degenerate_single_value_features_do_not_break_cart() {
     let out = Simulation::new(FleetConfig::small(), 9).run();
     // Rack table with constant response: tree must be a single leaf.
-    let constant: std::collections::HashMap<_, _> =
-        out.fleet.racks.iter().map(|r| (r.id, 1.0)).collect();
-    let (table, _) = rack_table(&out, &constant).unwrap();
+    let table = rack_table(&out, out.fleet.racks.iter().map(|r| (r, 1.0))).unwrap();
     let ds = CartDataset::regression(
         &table,
         columns::FAILURE_RATE,

@@ -172,8 +172,6 @@ fn manifest() -> FleetManifest {
                 dc: DcId(if rack <= 2 { 1 } else { 2 }),
                 region: RegionId(1),
                 row: RowId(1),
-                server_id_base: rack * 40,
-                servers: 40,
             },
         );
     }
