@@ -16,8 +16,6 @@ pub enum ConformanceError {
     },
     /// A scenario or report failed to parse.
     Parse(String),
-    /// Reading or writing a file failed.
-    Io(String),
     /// The scenario's fleet configuration was rejected by the simulator.
     Sim(rainshine_dcsim::SimError),
     /// An underlying analysis error outside claim evaluation (claim-level
@@ -30,7 +28,6 @@ impl fmt::Display for ConformanceError {
         match self {
             ConformanceError::InvalidScenario { what } => write!(f, "invalid scenario: {what}"),
             ConformanceError::Parse(what) => write!(f, "parse error: {what}"),
-            ConformanceError::Io(what) => write!(f, "io error: {what}"),
             ConformanceError::Sim(e) => write!(f, "simulator rejected scenario config: {e}"),
             ConformanceError::Analysis(e) => write!(f, "analysis error: {e}"),
         }

@@ -6,7 +6,7 @@
 //! correlate with failures. As in the paper, figure values can be
 //! normalized to their maximum mean ([`normalize`]).
 
-use rainshine_stats::hist::{Binner, GroupedMeans};
+use rainshine_stats::hist::Binner;
 use rainshine_stats::running::Welford;
 use rainshine_telemetry::frame::Frame;
 use rainshine_telemetry::schema::columns;
@@ -30,8 +30,8 @@ pub struct SeriesRow {
 impl SeriesRow {
     /// The bar of one group's accumulated λ values; `None` if it is empty.
     fn of(label: String, acc: &Welford) -> Option<Self> {
-        let s = acc.summary()?;
-        Some(SeriesRow { label, mean: s.mean(), sd: s.sample_stddev(), n: s.count() })
+        let n = acc.count();
+        (n > 0).then(|| SeriesRow { label, mean: acc.mean(), sd: acc.sample_stddev(), n })
     }
 }
 
@@ -53,7 +53,7 @@ fn by_nominal(table: &Frame, column: &str) -> Result<Vec<SeriesRow>> {
     let y = table.continuous(columns::FAILURE_RATE)?;
     let codes = table.nominal_codes(column)?;
     let cats = table.dictionary(column)?.labels();
-    let mut accs = vec![Welford::new(); cats.len()];
+    let mut accs = vec![Welford::default(); cats.len()];
     for (i, &c) in codes.iter().enumerate() {
         accs[c as usize].push(y[i]);
     }
@@ -70,18 +70,21 @@ fn by_nominal(table: &Frame, column: &str) -> Result<Vec<SeriesRow>> {
 pub fn by_binned(table: &Frame, column: &str, binner: &Binner) -> Result<Vec<SeriesRow>> {
     let y = table.continuous(columns::FAILURE_RATE)?;
     let x = table.continuous(column)?;
-    let (x, y): (Vec<f64>, Vec<f64>) =
-        x.iter().zip(y).filter(|(xv, _)| xv.is_finite()).map(|(xv, yv)| (*xv, *yv)).unzip();
-    Ok(binned_rows(&GroupedMeans::new(binner.clone(), &x, &y)?))
+    Ok(binned_rows(binner, x.iter().copied().zip(y.iter().copied())))
 }
 
-/// The non-empty bins of `grouped` as figure rows, in bin order.
-pub(crate) fn binned_rows(grouped: &GroupedMeans) -> Vec<SeriesRow> {
-    grouped
-        .rows()
-        .into_iter()
-        .map(|(label, mean, sd, n)| SeriesRow { label, mean, sd, n })
-        .collect()
+/// Accumulates `(factor, response)` pairs into the bins of `binner` and
+/// returns the non-empty bins as figure rows, in bin order. Pairs whose
+/// factor is not finite are skipped, as are non-finite responses.
+pub(crate) fn binned_rows(
+    binner: &Binner,
+    pairs: impl IntoIterator<Item = (f64, f64)>,
+) -> Vec<SeriesRow> {
+    let mut accs = vec![Welford::default(); binner.bin_count()];
+    for (factor, response) in pairs.into_iter().filter(|(factor, _)| factor.is_finite()) {
+        accs[binner.bin_of(factor)].push(response);
+    }
+    accs.iter().enumerate().filter_map(|(i, acc)| SeriesRow::of(binner.label(i), acc)).collect()
 }
 
 /// Groups λ by an ordinal column, optionally restricted to one calendar
@@ -159,10 +162,7 @@ pub fn by_power(table: &Frame) -> Result<Vec<SeriesRow>> {
     // kW ratings are discrete (4–15); bin at integer boundaries.
     let binner =
         Binner::from_edges(vec![5.0, 6.0, 7.0, 8.0, 9.0, 10.0, 11.0, 12.0, 13.0, 14.0, 15.0])?;
-    Ok(by_binned(table, columns::RATED_POWER_KW, &binner)?
-        .into_iter()
-        .filter(|r| r.n > 0)
-        .collect())
+    by_binned(table, columns::RATED_POWER_KW, &binner)
 }
 
 /// Fig. 9 — λ by equipment age in 5-month bins (0–40 months).
@@ -240,6 +240,24 @@ mod tests {
         if let (Some(young), Some(mid)) = (young, mid) {
             assert!(young > mid, "young {young} mid {mid}");
         }
+    }
+
+    #[test]
+    fn binned_rows_average_per_bin() {
+        let b = Binner::from_edges(vec![10.0]).unwrap();
+        let rows = binned_rows(&b, [(5.0, 1.0), (15.0, 3.0), (20.0, 5.0)]);
+        assert_eq!(rows.len(), 2);
+        assert_eq!((rows[0].label.as_str(), rows[0].mean, rows[0].n), ("<10", 1.0, 1));
+        assert_eq!((rows[1].label.as_str(), rows[1].mean, rows[1].n), (">=10", 4.0, 2));
+        assert_eq!(rows[1].sd, 2f64.sqrt());
+    }
+
+    #[test]
+    fn binned_rows_skip_non_finite_factors() {
+        let b = Binner::from_edges(vec![10.0]).unwrap();
+        let pairs = [(f64::NAN, 9.0), (5.0, 1.0), (f64::INFINITY, 9.0), (f64::NEG_INFINITY, 9.0)];
+        let rows = binned_rows(&b, pairs);
+        assert_eq!(rows, vec![SeriesRow { label: "<10".into(), mean: 1.0, sd: 0.0, n: 1 }]);
     }
 
     #[test]

@@ -14,6 +14,7 @@ use rainshine_cart::params::CartParams;
 use rainshine_cart::pdp::{stratified_effect_nominal, StratifiedEffect};
 use rainshine_dcsim::topology::RackInfo;
 use rainshine_dcsim::SimulationOutput;
+use rainshine_stats::running::Welford;
 use rainshine_telemetry::frame::Frame;
 use rainshine_telemetry::ids::Sku;
 use rainshine_telemetry::metrics::{self, SpatialGranularity};
@@ -107,21 +108,21 @@ pub fn sf_comparison(output: &SimulationOutput, skus: &[Sku]) -> Result<Vec<SkuR
     let mean = |r: &ActiveRack| f64::from(r.tickets) / r.active_days;
     let mut out = Vec::new();
     for &sku in skus {
-        let of_sku: Vec<&ActiveRack> = racks.iter().filter(|r| r.rack.sku == sku).collect();
-        if of_sku.is_empty() {
+        let (mut ms, mut ps) = (Welford::default(), Welford::default());
+        for r in racks.iter().filter(|r| r.rack.sku == sku) {
+            ms.push(mean(r));
+            ps.push(r.peak);
+        }
+        if ms.count() == 0 {
             continue;
         }
-        let m: Vec<f64> = of_sku.iter().map(|r| mean(r)).collect();
-        let p: Vec<f64> = of_sku.iter().map(|r| r.peak).collect();
-        let ms = rainshine_stats::describe::Summary::from_slice(&m)?;
-        let ps = rainshine_stats::describe::Summary::from_slice(&p)?;
         out.push(SkuReliability {
             sku: sku.to_string(),
             avg_rate: ms.mean(),
             avg_sd: ms.sample_stddev(),
             peak_rate: ps.mean(),
             peak_sd: ps.sample_stddev(),
-            racks: of_sku.len(),
+            racks: ms.count(),
         });
     }
     if out.is_empty() {

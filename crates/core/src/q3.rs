@@ -12,6 +12,7 @@ use rainshine_cart::params::CartParams;
 use rainshine_cart::tree::Tree;
 use rainshine_cart::SplitRule;
 use rainshine_stats::hist::Binner;
+use rainshine_stats::running::Welford;
 use rainshine_telemetry::frame::{FeatureKind, Field, Frame, FrameBuilder, Schema};
 use rainshine_telemetry::schema::columns;
 
@@ -48,15 +49,13 @@ pub fn disk_rate_by_temperature(
     day_stride: usize,
 ) -> Result<Vec<SeriesRow>> {
     use crate::dataset::{FaultFilter, RackDayCounts};
-    use rainshine_stats::hist::GroupedMeans;
     use rainshine_telemetry::rma::HardwareFault;
 
     if day_stride == 0 {
         return Err(AnalysisError::InvalidParameter { name: "day_stride", value: 0.0 });
     }
     let counts = RackDayCounts::new(output, FaultFilter::Component(HardwareFault::Disk));
-    let mut temps = Vec::new();
-    let mut rates = Vec::new();
+    let mut pairs = Vec::new();
     output.for_each_active_rack_day(day_stride, |index, rack, t, env| {
         // Sensor blackouts leave NaN cells; those rack-days cannot be
         // attributed to a temperature bin.
@@ -64,13 +63,12 @@ pub fn disk_rate_by_temperature(
             return;
         }
         let disks = (rack.servers * rack.sku_spec().disks_per_server).max(1) as f64;
-        temps.push(env.temp_f);
-        rates.push(1000.0 * f64::from(counts.on(index, t.days())) / disks);
+        pairs.push((env.temp_f, 1000.0 * f64::from(counts.on(index, t.days())) / disks));
     });
-    if temps.is_empty() {
+    if pairs.is_empty() {
         return Err(AnalysisError::NoData { what: "no active rack-days".into() });
     }
-    Ok(binned_rows(&GroupedMeans::new(fig16_binner()?, &temps, &rates)?))
+    Ok(binned_rows(&fig16_binner()?, pairs))
 }
 
 /// Control features normalized before environmental threshold discovery.
@@ -138,11 +136,16 @@ pub struct SeriesGroup {
     pub n: usize,
 }
 
+/// The group of `values`; an empty group, or one holding a non-finite
+/// value, is the NaN group with `n = 0`.
 fn group_of(values: &[f64]) -> SeriesGroup {
-    match rainshine_stats::describe::Summary::from_slice(values) {
-        Ok(s) => SeriesGroup { mean: s.mean(), sd: s.sample_stddev(), n: s.count() },
-        Err(_) => SeriesGroup { mean: f64::NAN, sd: f64::NAN, n: 0 },
+    let mut acc = Welford::default();
+    values.iter().for_each(|&v| acc.push(v));
+    // `push` skips non-finite values, so a short count means one was seen.
+    if acc.count() == 0 || acc.count() < values.len() {
+        return SeriesGroup { mean: f64::NAN, sd: f64::NAN, n: 0 };
     }
+    SeriesGroup { mean: acc.mean(), sd: acc.sample_stddev(), n: acc.count() }
 }
 
 /// Normalizes the response by the control-tree stratum means, returning a

@@ -203,4 +203,13 @@ mod tests {
         c.false_positive_rate = 0.95;
         assert!(c.validate().is_err());
     }
+
+    #[test]
+    fn nan_infant_scale_is_rejected() {
+        // A NaN age factor would make every hardware rate NaN, and a NaN
+        // rate draws no ticket, so the run would silently have none.
+        let mut c = FleetConfig::small();
+        c.hazard.infant_scale = f64::NAN;
+        assert!(c.validate().is_err());
+    }
 }

@@ -11,8 +11,6 @@ pub enum SimError {
         /// Explanation of the constraint.
         reason: &'static str,
     },
-    /// An underlying statistics error.
-    Stats(rainshine_stats::StatsError),
 }
 
 impl fmt::Display for SimError {
@@ -21,35 +19,19 @@ impl fmt::Display for SimError {
             SimError::InvalidConfig { field, reason } => {
                 write!(f, "invalid config `{field}`: {reason}")
             }
-            SimError::Stats(e) => write!(f, "statistics error: {e}"),
         }
     }
 }
 
-impl Error for SimError {
-    fn source(&self) -> Option<&(dyn Error + 'static)> {
-        match self {
-            SimError::Stats(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<rainshine_stats::StatsError> for SimError {
-    fn from(e: rainshine_stats::StatsError) -> Self {
-        SimError::Stats(e)
-    }
-}
+impl Error for SimError {}
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn display_and_source() {
+    fn display_names_the_field() {
         let e = SimError::InvalidConfig { field: "span", reason: "end before start" };
         assert!(e.to_string().contains("span"));
-        let e: SimError = rainshine_stats::StatsError::EmptyInput.into();
-        assert!(Error::source(&e).is_some());
     }
 }

@@ -230,10 +230,11 @@ impl Default for HazardConfig {
 }
 
 impl HazardConfig {
-    /// Validates that rates and factors are finite: the base rates and the
+    /// Validates that every numeric field is finite: the base rates and the
     /// calendar, ESD, disk and power step factors positive, the season
-    /// amplitude in `[0, 1)`, and the SKU spread and the burst rates,
-    /// factors and size fractions non-negative (the ablations zero some).
+    /// amplitude in `[0, 1)`, and the SKU spread, the age, temperature, DC2
+    /// and region factors and the burst rates, factors and size fractions
+    /// non-negative (the ablations zero some).
     ///
     /// # Errors
     ///
@@ -266,8 +267,14 @@ impl HazardConfig {
             });
         }
         // A NaN burst rate passes the burst draw's `u >= rate` test on every
-        // day, so a burst would fire on every active rack-day.
+        // day, so a burst would fire on every active rack-day; a NaN hazard
+        // factor makes every rate NaN, so no ticket would be drawn.
         let non_negatives = [
+            ("infant_scale", self.infant_scale),
+            ("wearout_slope", self.wearout_slope),
+            ("disk_temp_slope", self.disk_temp_slope),
+            ("dc2_power_infra_factor", self.dc2_power_infra_factor),
+            ("dc2_network_factor", self.dc2_network_factor),
             ("sku_spread", self.sku_spread),
             ("burst_base", self.burst_base),
             ("burst_power_factor", self.burst_power_factor),
@@ -279,7 +286,9 @@ impl HazardConfig {
             ("burst_storage_frac_range", self.burst_storage_frac_range),
             ("burst_quiet_factor", self.burst_quiet_factor),
         ];
-        for (field, v) in non_negatives {
+        let dc1_regions = self.dc1_region_factors.map(|v| ("dc1_region_factors", v));
+        let dc2_regions = self.dc2_region_factors.map(|v| ("dc2_region_factors", v));
+        for (field, v) in non_negatives.into_iter().chain(dc1_regions).chain(dc2_regions) {
             if !v.is_finite() || v < 0.0 {
                 return Err(SimError::InvalidConfig {
                     field,
@@ -288,7 +297,12 @@ impl HazardConfig {
             }
         }
         let finites = [
+            ("wearout_onset_months", self.wearout_onset_months),
+            ("temp_ref_f", self.temp_ref_f),
             ("disk_hot_threshold_f", self.disk_hot_threshold_f),
+            ("disk_dry_rh_threshold", self.disk_dry_rh_threshold),
+            ("low_rh_threshold", self.low_rh_threshold),
+            ("high_power_threshold_kw", self.high_power_threshold_kw),
             ("burst_disk_exponent", self.burst_disk_exponent),
         ];
         for (field, v) in finites {
@@ -729,9 +743,29 @@ mod tests {
 
     #[test]
     fn validation_accepts_the_presets_and_rejects_nan_in_every_checked_field() {
-        // Every numeric field `validate` checks.
+        // Every numeric field, each region factor on its own.
         type Field = fn(&mut HazardConfig) -> &mut f64;
-        let fields: [(&str, Field); 25] = [
+        // The fields that must be non-negative but may be zero.
+        let non_negatives: [(&str, Field); 12] = [
+            ("infant_scale", |h| &mut h.infant_scale),
+            ("wearout_slope", |h| &mut h.wearout_slope),
+            ("disk_temp_slope", |h| &mut h.disk_temp_slope),
+            ("dc2_power_infra_factor", |h| &mut h.dc2_power_infra_factor),
+            ("dc2_network_factor", |h| &mut h.dc2_network_factor),
+            ("dc1_region_factors[0]", |h| &mut h.dc1_region_factors[0]),
+            ("dc1_region_factors[1]", |h| &mut h.dc1_region_factors[1]),
+            ("dc1_region_factors[2]", |h| &mut h.dc1_region_factors[2]),
+            ("dc1_region_factors[3]", |h| &mut h.dc1_region_factors[3]),
+            ("dc2_region_factors[0]", |h| &mut h.dc2_region_factors[0]),
+            ("dc2_region_factors[1]", |h| &mut h.dc2_region_factors[1]),
+            ("dc2_region_factors[2]", |h| &mut h.dc2_region_factors[2]),
+        ];
+        let others: [(&str, Field); 30] = [
+            ("wearout_onset_months", |h| &mut h.wearout_onset_months),
+            ("temp_ref_f", |h| &mut h.temp_ref_f),
+            ("disk_dry_rh_threshold", |h| &mut h.disk_dry_rh_threshold),
+            ("low_rh_threshold", |h| &mut h.low_rh_threshold),
+            ("high_power_threshold_kw", |h| &mut h.high_power_threshold_kw),
             ("disk_base", |h| &mut h.disk_base),
             ("dimm_base", |h| &mut h.dimm_base),
             ("power_base", |h| &mut h.power_base),
@@ -769,10 +803,17 @@ mod tests {
             let mut base = HazardConfig::default();
             ablate(&mut base);
             assert!(base.validate().is_ok(), "{base:?}");
-            for (name, field) in fields {
+            for (name, field) in non_negatives.into_iter().chain(others) {
                 let mut h = base.clone();
                 *field(&mut h) = f64::NAN;
                 assert!(h.validate().is_err(), "NaN {name} accepted");
+            }
+            for (name, field) in non_negatives {
+                let mut h = base.clone();
+                *field(&mut h) = 0.0;
+                assert!(h.validate().is_ok(), "zero {name} rejected");
+                *field(&mut h) = -1e-9;
+                assert!(h.validate().is_err(), "negative {name} accepted");
             }
         }
         let h = HazardConfig { burst_base: -1e-9, ..HazardConfig::default() };

@@ -17,9 +17,7 @@
 //! "we use only the true positives".
 
 use rainshine_parallel::{derive_seed, par_map_range, Parallelism};
-use rainshine_stats::dist::{
-    Categorical, ContinuousDistribution, DiscreteDistribution, LogNormal, Poisson,
-};
+use rainshine_stats::dist::{Categorical, LogNormal, Poisson};
 use rainshine_telemetry::ids::{DcId, DeviceId};
 use rainshine_telemetry::rma::{BootFault, FaultKind, HardwareFault, RmaTicket, SoftwareFault};
 use rainshine_telemetry::time::SimTime;

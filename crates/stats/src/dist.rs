@@ -8,26 +8,6 @@ use rand::Rng;
 
 use crate::{Result, StatsError};
 
-/// A distribution over `f64` that can be sampled with any RNG.
-///
-/// All continuous distributions in this module implement this trait.
-pub trait ContinuousDistribution {
-    /// Draws one variate.
-    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64;
-
-    /// The distribution mean.
-    fn mean(&self) -> f64;
-}
-
-/// A distribution over `u64` counts.
-pub trait DiscreteDistribution {
-    /// Draws one variate.
-    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> u64;
-
-    /// The distribution mean.
-    fn mean(&self) -> f64;
-}
-
 /// Normal distribution via the Box–Muller transform.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct Normal {
@@ -51,19 +31,14 @@ impl Normal {
         }
         Ok(Normal { mu, sigma })
     }
-}
 
-impl ContinuousDistribution for Normal {
+    /// Draws one variate.
     fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
         // Box–Muller; discard the second variate for simplicity.
         let u1: f64 = rng.gen::<f64>().max(f64::MIN_POSITIVE);
         let u2: f64 = rng.gen();
         let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
         self.mu + self.sigma * z
-    }
-
-    fn mean(&self) -> f64 {
-        self.mu
     }
 }
 
@@ -102,15 +77,10 @@ impl LogNormal {
         }
         Self::new(median.ln(), spread.ln())
     }
-}
 
-impl ContinuousDistribution for LogNormal {
-    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
+    /// Draws one variate.
+    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
         self.normal.sample(rng).exp()
-    }
-
-    fn mean(&self) -> f64 {
-        (self.normal.mu + 0.5 * self.normal.sigma * self.normal.sigma).exp()
     }
 }
 
@@ -147,10 +117,9 @@ impl Poisson {
         }
         Ok(Poisson { lambda })
     }
-}
 
-impl DiscreteDistribution for Poisson {
-    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
+    /// Draws one count.
+    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
         if self.lambda == 0.0 {
             return 0;
         }
@@ -175,10 +144,6 @@ impl DiscreteDistribution for Poisson {
             k += 1;
             p *= rng.gen::<f64>();
         }
-    }
-
-    fn mean(&self) -> f64 {
-        self.lambda
     }
 }
 
@@ -253,8 +218,10 @@ mod tests {
     fn normal_mean_and_sd_converge() {
         let d = Normal::new(5.0, 2.0).unwrap();
         let mut r = rng();
-        let xs: Vec<f64> = (0..50_000).map(|_| d.sample(&mut r)).collect();
-        let s = crate::describe::Summary::from_slice(&xs).unwrap();
+        let mut s = crate::running::Welford::default();
+        for _ in 0..50_000 {
+            s.push(d.sample(&mut r));
+        }
         assert!((s.mean() - 5.0).abs() < 0.05);
         assert!((s.sample_stddev() - 2.0).abs() < 0.05);
     }

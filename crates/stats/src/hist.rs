@@ -1,11 +1,10 @@
-//! Value binning and per-bin means.
+//! Value binning.
 //!
 //! Most of the paper's single-factor figures (Figs. 2–9, 16, 17) are
-//! "bin a factor, average the failure rate per bin" plots; [`Binner`] and
-//! [`GroupedMeans`] are the machinery behind them.
+//! "bin a factor, average the failure rate per bin" plots; [`Binner`]
+//! assigns the bins, and one [`crate::running::Welford`] per bin averages.
 
 use crate::error::ensure_finite;
-use crate::running::Welford;
 use crate::{Result, StatsError};
 
 /// Maps continuous values to bin indices.
@@ -78,48 +77,6 @@ fn fmt_edge(e: f64) -> String {
     }
 }
 
-/// Per-bin summaries of a response variable grouped by a binned factor —
-/// the "mean (and sd) failure rate per factor bin" shape used throughout the
-/// paper's Section V-B evidence figures.
-#[derive(Debug, Clone)]
-pub struct GroupedMeans {
-    binner: Binner,
-    groups: Vec<Welford>,
-}
-
-impl GroupedMeans {
-    /// Accumulates `(factor, response)` pairs into bins of `binner`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StatsError::LengthMismatch`] if the slices differ in length
-    /// or an error for non-finite factor values. Non-finite responses are
-    /// skipped.
-    pub fn new(binner: Binner, factor: &[f64], response: &[f64]) -> Result<Self> {
-        if factor.len() != response.len() {
-            return Err(StatsError::LengthMismatch { left: factor.len(), right: response.len() });
-        }
-        ensure_finite(factor)?;
-        let mut groups = vec![Welford::new(); binner.bin_count()];
-        for (&f, &r) in factor.iter().zip(response) {
-            groups[binner.bin_of(f)].push(r);
-        }
-        Ok(GroupedMeans { binner, groups })
-    }
-
-    /// `(label, mean, sample stddev, count)` rows for non-empty bins, in bin
-    /// order — directly printable as a paper figure's data series.
-    pub fn rows(&self) -> Vec<(String, f64, f64, usize)> {
-        self.groups
-            .iter()
-            .enumerate()
-            .filter_map(|(i, w)| {
-                w.summary().map(|s| (self.binner.label(i), s.mean(), s.sample_stddev(), s.count()))
-            })
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -148,22 +105,5 @@ mod tests {
         assert!(Binner::from_edges(vec![3.0, 1.0]).is_err());
         assert!(Binner::from_edges(vec![1.0, 1.0]).is_err());
         assert!(Binner::from_edges(vec![]).is_err());
-    }
-
-    #[test]
-    fn grouped_means_per_bin() {
-        let b = Binner::from_edges(vec![10.0]).unwrap();
-        let g = GroupedMeans::new(b, &[5.0, 15.0, 20.0], &[1.0, 3.0, 5.0]).unwrap();
-        let rows = g.rows();
-        assert_eq!(rows.len(), 2);
-        assert_eq!((rows[0].1, rows[0].3), (1.0, 1));
-        assert_eq!((rows[1].1, rows[1].3), (4.0, 2));
-        assert_eq!(rows[1].0, ">=10");
-    }
-
-    #[test]
-    fn grouped_means_length_mismatch() {
-        let b = Binner::from_edges(vec![10.0]).unwrap();
-        assert!(GroupedMeans::new(b, &[1.0], &[]).is_err());
     }
 }

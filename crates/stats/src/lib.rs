@@ -6,9 +6,9 @@
 //! substitute, so this crate implements the required statistical machinery
 //! from scratch:
 //!
-//! * descriptive statistics ([`describe`], [`running`]),
+//! * the streaming mean and variance accumulator ([`running`]),
 //! * empirical CDF steps and quantiles ([`ecdf`]),
-//! * binning and per-bin means ([`hist`]),
+//! * binning ([`hist`]),
 //! * the random-variate distributions the simulator samples — Poisson,
 //!   log-normal, categorical ([`dist`]),
 //! * isotonic (pool-adjacent-violators) regression ([`timeseries`]).
@@ -24,7 +24,6 @@
 //! # Ok::<(), rainshine_stats::StatsError>(())
 //! ```
 
-pub mod describe;
 pub mod dist;
 pub mod ecdf;
 pub mod hist;

@@ -1,9 +1,9 @@
 //! Property-based tests for the statistics substrate.
 
 use proptest::prelude::*;
-use rainshine_stats::describe::Summary;
 use rainshine_stats::ecdf::{quantile_interpolated, steps};
 use rainshine_stats::hist::Binner;
+use rainshine_stats::running::Welford;
 
 fn finite_vec() -> impl Strategy<Value = Vec<f64>> {
     prop::collection::vec(-1e6f64..1e6, 1..200)
@@ -80,10 +80,16 @@ proptest! {
     }
 
     #[test]
-    fn summary_mean_between_min_and_max(data in finite_vec()) {
-        let s = Summary::from_slice(&data).unwrap();
-        prop_assert!(s.mean() >= s.min() - 1e-9);
-        prop_assert!(s.mean() <= s.max() + 1e-9);
-        prop_assert!(s.sample_variance() >= 0.0);
+    fn welford_mean_between_min_and_max(data in finite_vec()) {
+        let mut w = Welford::default();
+        for &v in &data {
+            w.push(v);
+        }
+        let min = data.iter().cloned().fold(f64::INFINITY, f64::min);
+        let max = data.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+        prop_assert_eq!(w.count(), data.len());
+        prop_assert!(w.mean() >= min - 1e-9);
+        prop_assert!(w.mean() <= max + 1e-9);
+        prop_assert!(w.sample_variance() >= 0.0);
     }
 }

@@ -37,13 +37,6 @@ pub enum TelemetryError {
     },
     /// A ticket interval was inverted (resolved before opened).
     InvertedInterval,
-    /// An operation needed a non-empty input.
-    Empty {
-        /// What was empty.
-        what: &'static str,
-    },
-    /// An underlying statistics error.
-    Stats(rainshine_stats::StatsError),
 }
 
 impl fmt::Display for TelemetryError {
@@ -63,26 +56,11 @@ impl fmt::Display for TelemetryError {
             TelemetryError::InvertedInterval => {
                 write!(f, "ticket resolved before it was opened")
             }
-            TelemetryError::Empty { what } => write!(f, "empty input: {what}"),
-            TelemetryError::Stats(e) => write!(f, "statistics error: {e}"),
         }
     }
 }
 
-impl Error for TelemetryError {
-    fn source(&self) -> Option<&(dyn Error + 'static)> {
-        match self {
-            TelemetryError::Stats(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<rainshine_stats::StatsError> for TelemetryError {
-    fn from(e: rainshine_stats::StatsError) -> Self {
-        TelemetryError::Stats(e)
-    }
-}
+impl Error for TelemetryError {}
 
 #[cfg(test)]
 mod tests {
@@ -98,12 +76,5 @@ mod tests {
             actual: "nominal",
         };
         assert!(e.to_string().contains("nominal"));
-    }
-
-    #[test]
-    fn stats_error_converts() {
-        let e: TelemetryError = rainshine_stats::StatsError::EmptyInput.into();
-        assert!(matches!(e, TelemetryError::Stats(_)));
-        assert!(Error::source(&e).is_some());
     }
 }
