@@ -1,6 +1,7 @@
 //! Dataset view binding a [`Frame`] to a target column and feature list.
 
-use rainshine_telemetry::frame::{FeatureKind, Frame};
+use rainshine_telemetry::frame::{Column, Frame};
+use rainshine_telemetry::TelemetryError;
 
 use crate::{CartError, Result};
 
@@ -45,7 +46,8 @@ impl FeatureColumn<'_> {
     }
 }
 
-/// A CART-ready dataset: a table, a validated target, and a feature list.
+/// A CART-ready dataset: a table with its target and feature columns
+/// resolved once, at construction.
 ///
 /// Construct with [`CartDataset::regression`] or
 /// [`CartDataset::classification`].
@@ -53,8 +55,8 @@ impl FeatureColumn<'_> {
 pub struct CartDataset<'a> {
     table: &'a Frame,
     target_name: String,
-    feature_names: Vec<String>,
-    is_regression: bool,
+    target: Target<'a>,
+    features: Vec<(String, FeatureColumn<'a>)>,
 }
 
 impl<'a> CartDataset<'a> {
@@ -66,8 +68,10 @@ impl<'a> CartDataset<'a> {
     /// continuous, the feature list is empty, any feature is missing, or
     /// the target appears among the features.
     pub fn regression(table: &'a Frame, target: &str, features: &[&str]) -> Result<Self> {
-        table.continuous(target).map_err(|_| CartError::TargetKind { expected: "continuous" })?;
-        Self::new(table, target, features, true)
+        let values = table
+            .continuous(target)
+            .map_err(|_| CartError::TargetKind { expected: "continuous" })?;
+        Self::new(table, target, Target::Regression(values), features)
     }
 
     /// Creates a classification dataset (nominal target).
@@ -77,33 +81,37 @@ impl<'a> CartDataset<'a> {
     /// Same conditions as [`CartDataset::regression`], with the target
     /// required to be nominal.
     pub fn classification(table: &'a Frame, target: &str, features: &[&str]) -> Result<Self> {
-        table.nominal_codes(target).map_err(|_| CartError::TargetKind { expected: "nominal" })?;
-        Self::new(table, target, features, false)
+        let kind = |_| CartError::TargetKind { expected: "nominal" };
+        let codes = table.nominal_codes(target).map_err(kind)?;
+        let classes = table.dictionary(target).map_err(kind)?.labels();
+        Self::new(table, target, Target::Classification { codes, classes }, features)
     }
 
-    fn new(table: &'a Frame, target: &str, features: &[&str], is_regression: bool) -> Result<Self> {
+    fn new(
+        table: &'a Frame,
+        target_name: &str,
+        target: Target<'a>,
+        features: &[&str],
+    ) -> Result<Self> {
         if table.is_empty() {
             return Err(CartError::EmptyDataset);
         }
         if features.is_empty() {
             return Err(CartError::NoFeatures);
         }
-        for &f in features {
-            if f == target {
-                return Err(CartError::TargetIsFeature { name: f.to_owned() });
-            }
-            if table.schema().index_of(f).is_none() {
-                return Err(CartError::Telemetry(
-                    rainshine_telemetry::TelemetryError::UnknownColumn { name: f.to_owned() },
-                ));
-            }
-        }
-        Ok(CartDataset {
-            table,
-            target_name: target.to_owned(),
-            feature_names: features.iter().map(|&s| s.to_owned()).collect(),
-            is_regression,
-        })
+        let features = features
+            .iter()
+            .map(|&name| {
+                if name == target_name {
+                    return Err(CartError::TargetIsFeature { name: name.to_owned() });
+                }
+                let column = feature_column(table, name).ok_or_else(|| {
+                    CartError::Telemetry(TelemetryError::UnknownColumn { name: name.to_owned() })
+                })?;
+                Ok((name.to_owned(), column))
+            })
+            .collect::<Result<_>>()?;
+        Ok(CartDataset { table, target_name: target_name.to_owned(), target, features })
     }
 
     /// The underlying table.
@@ -123,7 +131,7 @@ impl<'a> CartDataset<'a> {
 
     /// Whether this is a regression dataset.
     pub fn is_regression(&self) -> bool {
-        self.is_regression
+        matches!(self.target, Target::Regression(_))
     }
 
     /// The target column name.
@@ -131,26 +139,14 @@ impl<'a> CartDataset<'a> {
         &self.target_name
     }
 
-    /// Feature names in declaration order.
-    pub fn feature_names(&self) -> &[String] {
-        &self.feature_names
+    /// The features, name and column, in declaration order.
+    pub fn features(&self) -> &[(String, FeatureColumn<'a>)] {
+        &self.features
     }
 
     /// The target values.
-    ///
-    /// # Panics
-    ///
-    /// Never panics for a value constructed through the public constructors
-    /// (column presence and kind were validated there).
     pub fn target(&self) -> Target<'a> {
-        if self.is_regression {
-            Target::Regression(self.table.continuous(&self.target_name).expect("validated"))
-        } else {
-            Target::Classification {
-                codes: self.table.nominal_codes(&self.target_name).expect("validated"),
-                classes: self.table.dictionary(&self.target_name).expect("validated").labels(),
-            }
-        }
+        self.target.clone()
     }
 
     /// A feature's column by name.
@@ -159,34 +155,31 @@ impl<'a> CartDataset<'a> {
     ///
     /// Returns an error if `name` is not one of the dataset's features.
     pub fn feature(&self, name: &str) -> Result<FeatureColumn<'a>> {
-        if !self.feature_names.iter().any(|f| f == name) {
-            return Err(CartError::MissingFeature { name: name.to_owned() });
-        }
-        feature_column(self.table, name)
+        self.features
+            .iter()
+            .find(|(n, _)| n == name)
+            .map(|(_, column)| column.clone())
+            .ok_or_else(|| CartError::MissingFeature { name: name.to_owned() })
     }
 }
 
-/// Reads a column of any kind from a table as a [`FeatureColumn`].
-pub(crate) fn feature_column<'t>(table: &'t Frame, name: &str) -> Result<FeatureColumn<'t>> {
-    let idx = table
-        .schema()
-        .index_of(name)
-        .ok_or_else(|| CartError::MissingFeature { name: name.to_owned() })?;
-    let kind = table.schema().fields()[idx].kind;
-    Ok(match kind {
-        FeatureKind::Continuous => FeatureColumn::Continuous(table.continuous(name)?),
-        FeatureKind::Ordinal => FeatureColumn::Ordinal(table.ordinal(name)?),
-        FeatureKind::Nominal => FeatureColumn::Nominal {
-            codes: table.nominal_codes(name)?,
-            categories: table.dictionary(name)?.labels(),
-        },
+/// Reads the column `name` of any kind from a table as a
+/// [`FeatureColumn`]; `None` if the table has no such column.
+pub(crate) fn feature_column<'t>(table: &'t Frame, name: &str) -> Option<FeatureColumn<'t>> {
+    let idx = table.schema().index_of(name)?;
+    Some(match table.column(idx) {
+        Column::Continuous(values) => FeatureColumn::Continuous(values),
+        Column::Ordinal(values) => FeatureColumn::Ordinal(values),
+        Column::Nominal { codes, dict } => {
+            FeatureColumn::Nominal { codes, categories: dict.labels() }
+        }
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rainshine_telemetry::frame::{Field, FrameBuilder, Schema, Value};
+    use rainshine_telemetry::frame::{FeatureKind, Field, FrameBuilder, Schema, Value};
 
     fn table() -> Frame {
         let schema = Schema::new(vec![
@@ -220,6 +213,16 @@ mod tests {
     }
 
     #[test]
+    fn features_keep_declaration_order() {
+        let t = table();
+        let ds = CartDataset::regression(&t, "y", &["label", "x", "k"]).unwrap();
+        let names: Vec<&str> = ds.features().iter().map(|(name, _)| name.as_str()).collect();
+        assert_eq!(names, ["label", "x", "k"]);
+        assert_eq!(ds.features()[1].1, FeatureColumn::Continuous(t.continuous("x").unwrap()));
+        assert_eq!(ds.feature("x").unwrap(), ds.features()[1].1);
+    }
+
+    #[test]
     fn classification_dataset_validates() {
         let t = table();
         let ds = CartDataset::classification(&t, "label", &["x"]).unwrap();
@@ -246,7 +249,10 @@ mod tests {
             CartDataset::regression(&t, "y", &["y"]),
             Err(CartError::TargetIsFeature { .. })
         ));
-        assert!(CartDataset::regression(&t, "y", &["missing"]).is_err());
+        assert_eq!(
+            CartDataset::regression(&t, "y", &["x", "missing"]).unwrap_err(),
+            CartError::Telemetry(TelemetryError::UnknownColumn { name: "missing".into() })
+        );
         assert!(matches!(
             CartDataset::regression(&t, "y", &["x"]).unwrap().feature("k"),
             Err(CartError::MissingFeature { .. })

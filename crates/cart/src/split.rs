@@ -101,21 +101,6 @@ impl SplitRule {
         }
     }
 
-    /// Whether `row` of `column` goes to the left child.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the column kind does not match the rule kind. Fit-time
-    /// callers use this because the tree guarantees consistency there;
-    /// prediction paths use [`SplitRule::try_goes_left`] instead so that
-    /// schema drift surfaces as a typed error.
-    pub(crate) fn goes_left(&self, column: &FeatureColumn<'_>, row: usize) -> bool {
-        match self.try_goes_left(column, row) {
-            Ok(left) => left,
-            Err(e) => panic!("split rule kind does not match column kind: {e}"),
-        }
-    }
-
     /// Human-readable description, e.g. `temperature_f <= 78.4`.
     pub fn describe(&self) -> String {
         match self {
@@ -272,7 +257,8 @@ pub(crate) fn sorted_order<V: Fn(usize) -> f64>(rows: &[usize], value_of: V) -> 
 }
 
 /// Searches all features for the best split of `rows`, sorting each
-/// ordered feature on the fly.
+/// ordered feature on the fly, and returns it with the winning feature's
+/// slot in `features`.
 ///
 /// This is the per-node-sort reference path, kept for unit tests and
 /// the presort-equivalence oracles; tree growth uses
@@ -286,40 +272,14 @@ pub(crate) fn best_split(
     rows: &[usize],
     parent_risk: f64,
     params: &CartParams,
-) -> Option<BestSplit> {
-    let orders: Vec<Option<Vec<usize>>> = features
-        .iter()
-        .map(|(_, column)| match column {
-            FeatureColumn::Continuous(values) => Some(sorted_order(rows, |r| values[r])),
-            FeatureColumn::Ordinal(values) => Some(sorted_order(rows, |r| values[r] as f64)),
-            FeatureColumn::Nominal { .. } => None,
-        })
-        .collect();
-    let orders: Vec<Option<&[usize]>> = orders.iter().map(Option::as_deref).collect();
-    best_split_presorted(target, features, rows, &orders, parent_risk, params)
-}
-
-/// Searches all features for the best split of `rows`, using a cached
-/// sorted index segment per ordered feature (`orders` is aligned with
-/// `features`; nominal entries are `None`).
-///
-/// Each `Some` segment must hold exactly the node's rows with a finite
-/// value for that feature, stably sorted ascending.
-pub(crate) fn best_split_presorted(
-    target: &Target<'_>,
-    features: &[(String, FeatureColumn<'_>)],
-    rows: &[usize],
-    orders: &[Option<&[usize]>],
-    parent_risk: f64,
-    params: &CartParams,
-) -> Option<BestSplit> {
-    let mut best: Option<BestSplit> = None;
-    for ((name, column), order) in features.iter().zip(orders) {
+) -> Option<(usize, BestSplit)> {
+    let mut best: Option<(usize, BestSplit)> = None;
+    for (slot, (name, column)) in features.iter().enumerate() {
         let candidate = match column {
             FeatureColumn::Continuous(values) => scan_ordered(
                 target,
                 rows,
-                order.expect("continuous feature has a presorted segment"),
+                &sorted_order(rows, |r| values[r]),
                 parent_risk,
                 params,
                 |row| values[row],
@@ -332,7 +292,7 @@ pub(crate) fn best_split_presorted(
             FeatureColumn::Ordinal(values) => scan_ordered(
                 target,
                 rows,
-                order.expect("ordinal feature has a presorted segment"),
+                &sorted_order(rows, |r| values[r] as f64),
                 parent_risk,
                 params,
                 |row| values[row] as f64,
@@ -346,23 +306,20 @@ pub(crate) fn best_split_presorted(
             }
         };
         if let Some(c) = candidate {
-            let better = match &best {
-                None => true,
-                Some(b) => c.improvement > b.improvement,
-            };
-            if better {
-                best = Some(c);
+            if best.as_ref().is_none_or(|(_, b)| c.improvement > b.improvement) {
+                best = Some((slot, c));
             }
         }
     }
     best
 }
 
-/// Scans an ordered feature over its presorted row segment, sweeping
-/// prefix boundaries between distinct values.
+/// Scans an ordered feature over its sorted row order (as
+/// [`sorted_order`] gives it), sweeping prefix boundaries between distinct
+/// values.
 ///
-/// Rows whose value is NaN (missing telemetry) are excluded from `order`
-/// (at presort time); the candidate split's risk is then measured against
+/// Rows whose value is NaN (missing telemetry) are excluded from `order`;
+/// the candidate split's risk is then measured against
 /// the finite subpopulation only, and the rule records which side held
 /// the majority so missing rows route there at partition/prediction
 /// time. With no NaN present the arithmetic is identical to a scan over
@@ -593,8 +550,8 @@ pub(crate) fn ranked_order(rows: &[u32], value_of: impl Fn(usize) -> f64) -> Vec
 /// `rows` in `rows` order. `scratch` is a reusable buffer for the nominal
 /// scan.
 ///
-/// It returns what [`best_split_presorted`] returns on the same node, bit
-/// for bit, together with the winning feature's slot in `features`.
+/// It returns what [`best_split`] returns on the same node, bit for bit,
+/// the winning feature's slot included.
 pub(crate) fn best_split_ranked(
     target: &Target<'_>,
     features: &[(String, FeatureColumn<'_>)],
@@ -875,7 +832,7 @@ mod tests {
         }
         let params = CartParams::default().with_min_sizes(2, 1);
         let features = vec![("x".to_owned(), FeatureColumn::Continuous(&x))];
-        let best = best_split(&t, &features, &rows, parent.risk(), &params).unwrap();
+        let (_, best) = best_split(&t, &features, &rows, parent.risk(), &params).unwrap();
         match best.rule {
             SplitRule::ContinuousThreshold { threshold, .. } => {
                 assert!((threshold - 3.5).abs() < 1e-9);
@@ -902,7 +859,7 @@ mod tests {
         let features =
             vec![("k".to_owned(), FeatureColumn::Nominal { codes: &codes, categories: &cats })];
 
-        let ordered = best_split(&t, &features, &rows, parent.risk(), &params).unwrap();
+        let (_, ordered) = best_split(&t, &features, &rows, parent.risk(), &params).unwrap();
         let exhaustive =
             scan_nominal_exhaustive(&t, &rows, parent.risk(), &params, &codes).unwrap();
         assert!((ordered.improvement - exhaustive.0).abs() < 1e-9);
@@ -948,7 +905,7 @@ mod tests {
                     parent.add_row(&t, r);
                 }
                 let ordered = best_split(&t, &features, &rows, parent.risk(), &params)
-                    .map_or(0.0, |b| b.improvement);
+                    .map_or(0.0, |(_, b)| b.improvement);
                 let exhaustive = scan_nominal_exhaustive(&t, &rows, parent.risk(), &params, &codes)
                     .map_or(0.0, |b| b.0);
                 assert!(
@@ -972,7 +929,7 @@ mod tests {
         // min_leaf = 3 forbids the 1|5 split that isolates the outlier.
         let params = CartParams::default().with_min_sizes(2, 3);
         let features = vec![("x".to_owned(), FeatureColumn::Continuous(&x))];
-        let best = best_split(&t, &features, &rows, parent.risk(), &params).unwrap();
+        let (_, best) = best_split(&t, &features, &rows, parent.risk(), &params).unwrap();
         match best.rule {
             SplitRule::ContinuousThreshold { threshold, .. } => {
                 assert!((threshold - 3.5).abs() < 1e-9, "got {threshold}");
@@ -1007,7 +964,7 @@ mod tests {
         assert!((parent.risk() - 3.0).abs() < 1e-9);
         let features = vec![("x".to_owned(), FeatureColumn::Continuous(&x))];
         let params = CartParams::default().with_min_sizes(2, 1);
-        let best = best_split(&t, &features, &rows, parent.risk(), &params).unwrap();
+        let (_, best) = best_split(&t, &features, &rows, parent.risk(), &params).unwrap();
         assert!((best.improvement - 3.0).abs() < 1e-9, "perfect split");
     }
 
@@ -1020,7 +977,7 @@ mod tests {
         let rows: Vec<usize> = (0..8).collect();
         let params = CartParams::default().with_min_sizes(2, 1);
         let features = vec![("x".to_owned(), FeatureColumn::Continuous(&x))];
-        let best = best_split(&t, &features, &rows, 1e9, &params).unwrap();
+        let (_, best) = best_split(&t, &features, &rows, 1e9, &params).unwrap();
         match &best.rule {
             SplitRule::ContinuousThreshold { threshold, nan_left, .. } => {
                 assert!((threshold - 3.5).abs() < 1e-9, "got {threshold}");
@@ -1030,7 +987,7 @@ mod tests {
             other => panic!("expected continuous rule, got {other:?}"),
         }
         let col = FeatureColumn::Continuous(&x);
-        assert!(best.rule.goes_left(&col, 6), "NaN row follows nan_left");
+        assert!(best.rule.try_goes_left(&col, 6).unwrap(), "NaN row follows nan_left");
     }
 
     #[test]
@@ -1045,7 +1002,7 @@ mod tests {
     }
 
     #[test]
-    fn rule_describe_and_goes_left() {
+    fn rule_describe_and_try_goes_left() {
         let rule = SplitRule::ContinuousThreshold {
             feature: "t".into(),
             threshold: 78.0,
@@ -1053,8 +1010,8 @@ mod tests {
         };
         let values = [70.0, 80.0];
         let col = FeatureColumn::Continuous(&values);
-        assert!(rule.goes_left(&col, 0));
-        assert!(!rule.goes_left(&col, 1));
+        assert!(rule.try_goes_left(&col, 0).unwrap());
+        assert!(!rule.try_goes_left(&col, 1).unwrap());
         assert_eq!(rule.describe(), "t <= 78.0000");
 
         let set: BTreeSet<u32> = [1u32].into_iter().collect();

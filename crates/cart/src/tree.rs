@@ -105,11 +105,7 @@ impl Tree {
             return Self::fit_on_rows_per_node_sort(dataset, params, rows);
         }
         let target = dataset.target();
-        let features: Vec<(String, FeatureColumn<'_>)> = dataset
-            .feature_names()
-            .iter()
-            .map(|name| Ok((name.clone(), dataset.feature(name)?)))
-            .collect::<Result<_>>()?;
+        let features = dataset.features();
         let mut tree = Tree::skeleton(dataset, &target);
 
         // Presort: one NaN-filtered, rank-keyed segment per ordered
@@ -155,7 +151,7 @@ impl Tree {
                     .collect();
                 best_split_ranked(
                     &target,
-                    &features,
+                    features,
                     &rows_arr[lo..hi],
                     &views,
                     &total,
@@ -175,7 +171,7 @@ impl Tree {
             // per row id routes every occurrence (repeated rows
             // included) consistently.
             for &r in &rows_arr[lo..hi] {
-                goes_left[r as usize] = split.rule.goes_left(column, r as usize);
+                goes_left[r as usize] = split.rule.try_goes_left(column, r as usize)?;
             }
             let left_n =
                 partition(&mut rows_arr[lo..hi], |r| goes_left[r as usize], &mut scratch_rows);
@@ -229,11 +225,7 @@ impl Tree {
             return Err(CartError::EmptyDataset);
         }
         let target = dataset.target();
-        let features: Vec<(String, FeatureColumn<'_>)> = dataset
-            .feature_names()
-            .iter()
-            .map(|name| Ok((name.clone(), dataset.feature(name)?)))
-            .collect::<Result<_>>()?;
+        let features = dataset.features();
         let mut tree = Tree::skeleton(dataset, &target);
 
         // Depth-first growth with an explicit stack of (node id, rows).
@@ -246,20 +238,23 @@ impl Tree {
             if depth >= params.max_depth || node_rows.len() < params.min_split || risk <= 1e-12 {
                 continue;
             }
-            let Some(split) = best_split(&target, &features, &node_rows, risk, params) else {
+            let Some((slot, split)) = best_split(&target, features, &node_rows, risk, params)
+            else {
                 continue;
             };
             // rpart semantics: the split must improve fit by cp · root risk.
             if tree.root_risk > 0.0 && split.improvement < params.cp * tree.root_risk {
                 continue;
             }
-            let column = features
-                .iter()
-                .find(|(n, _)| n == split.rule.feature())
-                .map(|(_, c)| c)
-                .expect("split rule references a known feature");
-            let (left_rows, right_rows): (Vec<usize>, Vec<usize>) =
-                node_rows.iter().partition(|&&r| split.rule.goes_left(column, r));
+            let column = &features[slot].1;
+            let (mut left_rows, mut right_rows) = (Vec::new(), Vec::new());
+            for &r in &node_rows {
+                if split.rule.try_goes_left(column, r)? {
+                    left_rows.push(r);
+                } else {
+                    right_rows.push(r);
+                }
+            }
             if left_rows.is_empty() || right_rows.is_empty() {
                 continue;
             }
@@ -289,7 +284,7 @@ impl Tree {
         Tree {
             kind,
             nodes: Vec::new(),
-            feature_names: dataset.feature_names().to_vec(),
+            feature_names: dataset.features().iter().map(|(name, _)| name.clone()).collect(),
             target_name: dataset.target_name().to_owned(),
             root_risk: 0.0,
             classes,
@@ -382,7 +377,9 @@ impl Tree {
     fn resolve_columns<'t>(&self, table: &'t Frame) -> Result<Vec<Option<FeatureColumn<'t>>>> {
         let mut columns = Vec::with_capacity(self.feature_names.len());
         for name in &self.feature_names {
-            columns.push(feature_column(table, name)?);
+            let column = feature_column(table, name)
+                .ok_or_else(|| CartError::MissingFeature { name: name.clone() })?;
+            columns.push(column);
         }
         self.nodes
             .iter()
@@ -502,7 +499,9 @@ impl Tree {
         let mut path = Vec::new();
         let mut id = leaf_id;
         while let Some(&(p, went_left)) = parent.get(&id) {
-            let rule = self.nodes[p].rule.as_ref().expect("parent has rule");
+            let Some(rule) = &self.nodes[p].rule else {
+                break;
+            };
             let mut desc = rule.describe();
             if !went_left {
                 desc.push_str(" (no)");

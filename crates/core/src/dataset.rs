@@ -14,10 +14,12 @@
 //!   features, mean environment, and the caller's response (used by Q1 to
 //!   cluster racks by provisioning need).
 
+use std::sync::Arc;
+
 use rainshine_dcsim::cooling::InletConditions;
 use rainshine_dcsim::topology::RackInfo;
 use rainshine_dcsim::SimulationOutput;
-use rainshine_telemetry::frame::{ColumnBuilder, Frame, FrameBuilder};
+use rainshine_telemetry::frame::{Column, Frame, NominalColumn};
 use rainshine_telemetry::rma::{FaultKind, HardwareFault};
 use rainshine_telemetry::schema::analysis_schema;
 use rainshine_telemetry::time::SimTime;
@@ -127,24 +129,21 @@ pub fn rack_day_table(
     filter: FaultFilter,
     day_stride: usize,
 ) -> Result<Frame> {
-    let mut builder = FrameBuilder::new(analysis_schema());
-    {
-        let mut cols = AnalysisCols::split(&mut builder);
-        // Per-rack nominal codes, interned on the rack's first active day so
-        // code assignment matches first-seen row order.
-        let mut cached: Option<(usize, RackCodes)> = None;
-        for_each_rack_day_count(output, filter, day_stride, |index, rack, t, env, count| {
-            let codes = match cached {
-                Some((i, codes)) if i == index => codes,
-                _ => cached.insert((index, cols.intern_rack(rack))).1,
-            };
-            // Ingested (sanitized) environment: spikes winsorized, blackout
-            // cells NaN — the NaN-tolerant CART and the evidence series
-            // handle missing readings downstream.
-            cols.push(codes, rack, t, env.temp_f, env.rh, count);
-        })?;
-    }
-    Ok(builder.build()?)
+    let mut cols = AnalysisCols::default();
+    // Per-rack nominal codes, interned on the rack's first active day so
+    // code assignment matches first-seen row order.
+    let mut cached: Option<(usize, RackCodes)> = None;
+    for_each_rack_day_count(output, filter, day_stride, |index, rack, t, env, count| {
+        let codes = match cached {
+            Some((i, codes)) if i == index => codes,
+            _ => cached.insert((index, cols.intern_rack(rack))).1,
+        };
+        // Ingested (sanitized) environment: spikes winsorized, blackout
+        // cells NaN — the NaN-tolerant CART and the evidence series
+        // handle missing readings downstream.
+        cols.push(codes, rack, t, env.temp_f, env.rh, count);
+    })?;
+    cols.into_frame()
 }
 
 /// The response column of [`rack_day_table`] alone: the same rows in the
@@ -208,54 +207,31 @@ struct RackCodes {
     rack: u32,
 }
 
-/// The 15 analysis-schema column builders, split-borrowed so the emission
-/// loop can append to all of them without per-row [`Value`] vectors.
+/// The 15 analysis-schema columns as typed buffers, in schema order, so
+/// the emission loop appends to all of them without per-row [`Value`]
+/// vectors.
 ///
 /// [`Value`]: rainshine_telemetry::frame::Value
-struct AnalysisCols<'a> {
-    sku: &'a mut ColumnBuilder,
-    age: &'a mut ColumnBuilder,
-    power: &'a mut ColumnBuilder,
-    workload: &'a mut ColumnBuilder,
-    temp: &'a mut ColumnBuilder,
-    rh: &'a mut ColumnBuilder,
-    dc: &'a mut ColumnBuilder,
-    region: &'a mut ColumnBuilder,
-    row: &'a mut ColumnBuilder,
-    rack: &'a mut ColumnBuilder,
-    dow: &'a mut ColumnBuilder,
-    week: &'a mut ColumnBuilder,
-    month: &'a mut ColumnBuilder,
-    year: &'a mut ColumnBuilder,
-    response: &'a mut ColumnBuilder,
+#[derive(Default)]
+struct AnalysisCols {
+    sku: NominalColumn,
+    age: Vec<f64>,
+    power: Vec<f64>,
+    workload: NominalColumn,
+    temp: Vec<f64>,
+    rh: Vec<f64>,
+    dc: NominalColumn,
+    region: NominalColumn,
+    row: NominalColumn,
+    rack: NominalColumn,
+    dow: Vec<i64>,
+    week: Vec<i64>,
+    month: Vec<i64>,
+    year: Vec<i64>,
+    response: Vec<f64>,
 }
 
-impl<'a> AnalysisCols<'a> {
-    fn split(builder: &'a mut FrameBuilder) -> Self {
-        let [sku, age, power, workload, temp, rh, dc, region, row, rack, dow, week, month, year, response] =
-            builder.columns_mut()
-        else {
-            unreachable!("analysis schema has 15 columns")
-        };
-        AnalysisCols {
-            sku,
-            age,
-            power,
-            workload,
-            temp,
-            rh,
-            dc,
-            region,
-            row,
-            rack,
-            dow,
-            week,
-            month,
-            year,
-            response,
-        }
-    }
-
+impl AnalysisCols {
     fn intern_rack(&mut self, rack: &RackInfo) -> RackCodes {
         RackCodes {
             sku: self.sku.intern(&rack.sku.to_string()),
@@ -277,20 +253,41 @@ impl<'a> AnalysisCols<'a> {
         response: f64,
     ) {
         self.sku.push_code(codes.sku);
-        self.age.push_f64(rack.age_months(t));
-        self.power.push_f64(rack.power_kw);
+        self.age.push(rack.age_months(t));
+        self.power.push(rack.power_kw);
         self.workload.push_code(codes.workload);
-        self.temp.push_f64(temp_f);
-        self.rh.push_f64(rh);
+        self.temp.push(temp_f);
+        self.rh.push(rh);
         self.dc.push_code(codes.dc);
         self.region.push_code(codes.region);
         self.row.push_code(codes.row);
         self.rack.push_code(codes.rack);
-        self.dow.push_i64(t.day_of_week().index() as i64);
-        self.week.push_i64(t.week_of_year() as i64);
-        self.month.push_i64(t.month() as i64);
-        self.year.push_i64(t.year_offset() as i64);
-        self.response.push_f64(response);
+        self.dow.push(t.day_of_week().index() as i64);
+        self.week.push(t.week_of_year() as i64);
+        self.month.push(t.month() as i64);
+        self.year.push(t.year_offset() as i64);
+        self.response.push(response);
+    }
+
+    fn into_frame(self) -> Result<Frame> {
+        let columns = vec![
+            self.sku.finish(),
+            Column::Continuous(self.age),
+            Column::Continuous(self.power),
+            self.workload.finish(),
+            Column::Continuous(self.temp),
+            Column::Continuous(self.rh),
+            self.dc.finish(),
+            self.region.finish(),
+            self.row.finish(),
+            self.rack.finish(),
+            Column::Ordinal(self.dow),
+            Column::Ordinal(self.week),
+            Column::Ordinal(self.month),
+            Column::Ordinal(self.year),
+            Column::Continuous(self.response),
+        ];
+        Ok(Frame::new(Arc::new(analysis_schema()), columns)?)
     }
 }
 
@@ -310,40 +307,35 @@ pub fn rack_table<'r>(
     output: &SimulationOutput,
     rows: impl IntoIterator<Item = (&'r RackInfo, f64)>,
 ) -> Result<Frame> {
-    let mut builder = FrameBuilder::new(analysis_schema());
     let start_day = output.config.start.days() as i64;
     let end_day = output.config.end.days() as i64;
-    let mut emitted = 0usize;
-    {
-        let mut cols = AnalysisCols::split(&mut builder);
-        for (rack, resp) in rows {
-            let active_start = rack.commissioned_day.max(start_day);
-            let mid_day = ((active_start + end_day) / 2) as u64;
-            let t = SimTime::from_days(mid_day);
-            // Mean environment over a monthly sample of the active span.
-            let mut temp = 0.0;
-            let mut rh = 0.0;
-            let mut n = 0.0;
-            for day in (active_start as u64..end_day as u64).step_by(30) {
-                let env = output.ingested_daily_env(rack.dc, rack.region, day);
-                // Skip blacked-out samples; the mean comes from the days the
-                // sensors actually reported.
-                if env.temp_f.is_finite() && env.rh.is_finite() {
-                    temp += env.temp_f;
-                    rh += env.rh;
-                    n += 1.0;
-                }
+    let mut cols = AnalysisCols::default();
+    for (rack, resp) in rows {
+        let active_start = rack.commissioned_day.max(start_day);
+        let mid_day = ((active_start + end_day) / 2) as u64;
+        let t = SimTime::from_days(mid_day);
+        // Mean environment over a monthly sample of the active span.
+        let mut temp = 0.0;
+        let mut rh = 0.0;
+        let mut n = 0.0;
+        for day in (active_start as u64..end_day as u64).step_by(30) {
+            let env = output.ingested_daily_env(rack.dc, rack.region, day);
+            // Skip blacked-out samples; the mean comes from the days the
+            // sensors actually reported.
+            if env.temp_f.is_finite() && env.rh.is_finite() {
+                temp += env.temp_f;
+                rh += env.rh;
+                n += 1.0;
             }
-            let (temp, rh) = if n > 0.0 { (temp / n, rh / n) } else { (65.0, 45.0) };
-            let codes = cols.intern_rack(rack);
-            cols.push(codes, rack, t, temp, rh, resp);
-            emitted += 1;
         }
+        let (temp, rh) = if n > 0.0 { (temp / n, rh / n) } else { (65.0, 45.0) };
+        let codes = cols.intern_rack(rack);
+        cols.push(codes, rack, t, temp, rh, resp);
     }
-    if emitted == 0 {
+    if cols.response.is_empty() {
         return Err(AnalysisError::NoData { what: "no racks with responses".into() });
     }
-    Ok(builder.build()?)
+    cols.into_frame()
 }
 
 #[cfg(test)]

@@ -19,11 +19,13 @@
 //! [`evaluate_prediction`], so the balanced and unbalanced configs share
 //! one table; [`predict_failures`] runs both steps for one config.
 
+use std::sync::Arc;
+
 use rainshine_cart::dataset::CartDataset;
 use rainshine_cart::params::CartParams;
 use rainshine_cart::tree::Tree;
 use rainshine_dcsim::SimulationOutput;
-use rainshine_telemetry::frame::{FeatureKind, Field, Frame, FrameBuilder, Schema};
+use rainshine_telemetry::frame::{Column, FeatureKind, Field, Frame, NominalColumn, Schema};
 use rainshine_telemetry::schema::columns;
 use rainshine_telemetry::time::SimTime;
 use rand::seq::SliceRandom;
@@ -211,51 +213,62 @@ pub fn build_prediction_table(output: &SimulationOutput) -> Result<PredictionTab
     let start_day = output.config.start.days();
     let end_day = output.config.end.days();
     let (short, long) = HISTORY_DAYS;
-    let mut builder = FrameBuilder::new(prediction_schema());
+    let [mut sku_c, mut workload_c, mut dc_c, mut region_c, mut label_c]: [NominalColumn; 5] =
+        Default::default();
+    let [mut age_c, mut power_c, mut temp_c, mut rh_c, mut short_c, mut long_c]: [Vec<f64>; 6] =
+        Default::default();
+    let mut dow_c = Vec::new();
     let mut day_of_row = Vec::new();
-    {
-        let [sku_c, age_c, power_c, workload_c, temp_c, rh_c, dc_c, region_c, dow_c, short_c, long_c, label_c] =
-            builder.columns_mut()
-        else {
-            unreachable!("prediction schema has 12 columns")
-        };
-        for (index, rack) in output.fleet.racks.iter().enumerate() {
-            let window = |from: u64, to: u64| f64::from(counts.between(index, from, to));
-            // Static nominal codes, interned on the rack's first emitted row.
-            let mut rack_codes: Option<(u32, u32, u32, u32)> = None;
-            // Past commissioning, so every visited day is an active one.
-            let first_eligible = start_day.max(rack.commissioned_day.max(0) as u64) + long;
-            let labelled_end = end_day.saturating_sub(HORIZON_DAYS);
-            for day in (first_eligible..labelled_end).step_by(DAY_STRIDE) {
-                let t = SimTime::from_days(day);
-                let env = output.ingested_daily_env(rack.dc, rack.region, day);
-                let (sku, workload, dc, region) = *rack_codes.get_or_insert_with(|| {
-                    (
-                        sku_c.intern(&rack.sku.to_string()),
-                        workload_c.intern(&rack.workload.to_string()),
-                        dc_c.intern(&rack.dc.to_string()),
-                        region_c.intern(&format!("{}-{}", rack.dc, rack.region.0)),
-                    )
-                });
-                sku_c.push_code(sku);
-                age_c.push_f64(rack.age_months(t));
-                power_c.push_f64(rack.power_kw);
-                workload_c.push_code(workload);
-                temp_c.push_f64(env.temp_f);
-                rh_c.push_f64(env.rh);
-                dc_c.push_code(dc);
-                region_c.push_code(region);
-                dow_c.push_i64(t.day_of_week().index() as i64);
-                short_c.push_f64(window((day + 1).saturating_sub(short), day + 1));
-                long_c.push_f64(window((day + 1).saturating_sub(long), day + 1));
-                let fails = window(day + 1, day + 1 + HORIZON_DAYS) > 0.0;
-                let label = label_c.intern(if fails { "fail" } else { "ok" });
-                label_c.push_code(label);
-                day_of_row.push(day);
-            }
+    for (index, rack) in output.fleet.racks.iter().enumerate() {
+        let window = |from: u64, to: u64| f64::from(counts.between(index, from, to));
+        // Static nominal codes, interned on the rack's first emitted row.
+        let mut rack_codes: Option<(u32, u32, u32, u32)> = None;
+        // Past commissioning, so every visited day is an active one.
+        let first_eligible = start_day.max(rack.commissioned_day.max(0) as u64) + long;
+        let labelled_end = end_day.saturating_sub(HORIZON_DAYS);
+        for day in (first_eligible..labelled_end).step_by(DAY_STRIDE) {
+            let t = SimTime::from_days(day);
+            let env = output.ingested_daily_env(rack.dc, rack.region, day);
+            let (sku, workload, dc, region) = *rack_codes.get_or_insert_with(|| {
+                (
+                    sku_c.intern(&rack.sku.to_string()),
+                    workload_c.intern(&rack.workload.to_string()),
+                    dc_c.intern(&rack.dc.to_string()),
+                    region_c.intern(&format!("{}-{}", rack.dc, rack.region.0)),
+                )
+            });
+            sku_c.push_code(sku);
+            age_c.push(rack.age_months(t));
+            power_c.push(rack.power_kw);
+            workload_c.push_code(workload);
+            temp_c.push(env.temp_f);
+            rh_c.push(env.rh);
+            dc_c.push_code(dc);
+            region_c.push_code(region);
+            dow_c.push(t.day_of_week().index() as i64);
+            short_c.push(window((day + 1).saturating_sub(short), day + 1));
+            long_c.push(window((day + 1).saturating_sub(long), day + 1));
+            let fails = window(day + 1, day + 1 + HORIZON_DAYS) > 0.0;
+            let label = label_c.intern(if fails { "fail" } else { "ok" });
+            label_c.push_code(label);
+            day_of_row.push(day);
         }
     }
-    let table = builder.build()?;
+    let columns = vec![
+        sku_c.finish(),
+        Column::Continuous(age_c),
+        Column::Continuous(power_c),
+        workload_c.finish(),
+        Column::Continuous(temp_c),
+        Column::Continuous(rh_c),
+        dc_c.finish(),
+        region_c.finish(),
+        Column::Ordinal(dow_c),
+        Column::Continuous(short_c),
+        Column::Continuous(long_c),
+        label_c.finish(),
+    ];
+    let table = Frame::new(Arc::new(prediction_schema()), columns)?;
     if table.is_empty() {
         return Err(AnalysisError::NoData { what: "no eligible rack-days for prediction".into() });
     }

@@ -13,7 +13,7 @@ use rainshine_cart::tree::Tree;
 use rainshine_cart::SplitRule;
 use rainshine_stats::hist::Binner;
 use rainshine_stats::running::Welford;
-use rainshine_telemetry::frame::{FeatureKind, Field, Frame, FrameBuilder, Schema};
+use rainshine_telemetry::frame::Frame;
 use rainshine_telemetry::schema::columns;
 
 use crate::evidence::{binned_rows, by_binned, SeriesRow};
@@ -162,31 +162,26 @@ fn normalized_env_table(table: &Frame, cart: &CartParams) -> Result<Frame> {
         e.0 += y[i];
         e.1 += 1.0;
     }
-    let temp = table.continuous(columns::TEMPERATURE_F)?;
-    let rh = table.continuous(columns::RELATIVE_HUMIDITY)?;
-    let schema = Schema::new(vec![
-        Field::new(columns::TEMPERATURE_F, FeatureKind::Continuous),
-        Field::new(columns::RELATIVE_HUMIDITY, FeatureKind::Continuous),
-        Field::new(columns::FAILURE_RATE, FeatureKind::Continuous),
-    ]);
-    // Columnar assembly: temperature and RH copy straight from the source
-    // frame's column buffers; only the response is recomputed per row.
-    let mut b = FrameBuilder::new(schema);
-    b.reserve(table.rows());
-    {
-        let [temp_col, rh_col, resp_col] = b.columns_mut() else {
-            unreachable!("schema above has 3 columns")
-        };
-        for i in 0..table.rows() {
-            let (sum, n) = sums[strata[i]];
+    let normalized = strata
+        .iter()
+        .zip(y)
+        .map(|(&s, &y)| {
+            let (sum, n) = sums[s];
             let stratum_mean = sum / n;
-            let normalized = if stratum_mean > 0.0 { y[i] / stratum_mean } else { 0.0 };
-            temp_col.push_f64(temp[i]);
-            rh_col.push_f64(rh[i]);
-            resp_col.push_f64(normalized);
-        }
-    }
-    Ok(b.build()?)
+            if stratum_mean > 0.0 {
+                y / stratum_mean
+            } else {
+                0.0
+            }
+        })
+        .collect();
+    // Temperature and RH are the source frame's columns, shared, not copied.
+    let env = table.select(&[
+        columns::TEMPERATURE_F,
+        columns::RELATIVE_HUMIDITY,
+        columns::FAILURE_RATE,
+    ])?;
+    Ok(env.with_continuous(columns::FAILURE_RATE, normalized)?)
 }
 
 /// Extracts environmental threshold rules from a tree fitted on the

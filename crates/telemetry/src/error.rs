@@ -35,6 +35,13 @@ pub enum TelemetryError {
         /// Column index of the offending value.
         column: usize,
     },
+    /// A nominal column held a code with no label in its dictionary.
+    UnlabelledCode {
+        /// Column index of the offending code.
+        column: usize,
+        /// The code without a label.
+        code: u32,
+    },
     /// A ticket interval was inverted (resolved before opened).
     InvertedInterval,
 }
@@ -52,6 +59,9 @@ impl fmt::Display for TelemetryError {
             }
             TelemetryError::ValueKind { column } => {
                 write!(f, "value kind mismatch at column {column}")
+            }
+            TelemetryError::UnlabelledCode { column, code } => {
+                write!(f, "nominal code {code} at column {column} has no label")
             }
             TelemetryError::InvertedInterval => {
                 write!(f, "ticket resolved before it was opened")

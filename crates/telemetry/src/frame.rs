@@ -10,12 +10,13 @@
 //! and row subsets are materialized by [`Frame::subset`] — values
 //! gathered, dictionaries and schema shared, never cloned.
 //!
-//! Hot paths (the simulator's rack-day emission, CART fitting) assemble
-//! frames column-wise via [`FrameBuilder::columns_mut`] and read them
-//! through the typed accessors, so no per-row `Vec<Value>` or label
-//! `String` is ever allocated there. [`FrameBuilder::push_row`] is the
-//! row-oriented reference path that tests and differential oracles
-//! compare the columnar path against.
+//! Hot paths (the rack-day emission, CART fitting) fill plain typed
+//! buffers (`Vec<f64>`, `Vec<i64>`, and a [`NominalColumn`] that interns
+//! each label once) and hand them to [`Frame::new`], the one validating
+//! constructor; they read frames back through the typed accessors, so no
+//! per-row `Vec<Value>` or label `String` is ever allocated there.
+//! [`FrameBuilder::push_row`] is the row-oriented reference path that
+//! tests and differential oracles compare the columnar path against.
 //!
 //! # Ownership and borrowing rules
 //!
@@ -266,8 +267,8 @@ impl Column {
 
 /// An immutable typed columnar frame.
 ///
-/// Construct one with [`FrameBuilder`], column-wise (zero per-row
-/// overhead) or row by row through [`FrameBuilder::push_row`].
+/// Construct one with [`Frame::new`] from typed column buffers (zero
+/// per-row overhead), or row by row through [`FrameBuilder::push_row`].
 ///
 /// # Example
 ///
@@ -295,13 +296,16 @@ pub struct Frame {
 }
 
 impl Frame {
-    /// Assembles a frame from pre-built columns.
+    /// Assembles a frame from typed columns, one per schema field: the
+    /// one validating constructor every frame goes through.
     ///
     /// # Errors
     ///
     /// Returns [`TelemetryError::ValueKind`] if a column's kind does not
-    /// match its field, and [`TelemetryError::RowArity`] if the column
-    /// count or any column length disagrees with the rest.
+    /// match its field, [`TelemetryError::RowArity`] if the column count or
+    /// any column length disagrees with the rest, and
+    /// [`TelemetryError::UnlabelledCode`] if a nominal code has no label in
+    /// its column's dictionary.
     pub fn new(schema: Arc<Schema>, columns: Vec<Column>) -> Result<Frame> {
         if columns.len() != schema.len() {
             return Err(TelemetryError::RowArity { expected: schema.len(), got: columns.len() });
@@ -313,6 +317,11 @@ impl Frame {
             }
             if col.len() != rows {
                 return Err(TelemetryError::RowArity { expected: rows, got: col.len() });
+            }
+            if let Column::Nominal { codes, dict } = col {
+                if let Some(&code) = codes.iter().find(|&&code| code as usize >= dict.len()) {
+                    return Err(TelemetryError::UnlabelledCode { column: i, code });
+                }
             }
         }
         Ok(Frame { schema, columns: columns.into_iter().map(Arc::new).collect(), rows })
@@ -500,185 +509,97 @@ fn kind_mismatch(name: &str, requested: &'static str, actual: &Column) -> Teleme
     TelemetryError::KindMismatch { name: name.to_owned(), requested, actual: actual.kind().name() }
 }
 
-/// Mutable storage for one column while a frame is being assembled.
+/// A nominal column being filled: per-row codes plus the interner that
+/// grows its label list in first-seen order.
 ///
-/// The typed `push_*` methods let hot loops write a value per column
-/// without constructing row vectors; nominal columns can intern a label
-/// once and then push the returned code per row, so repeated labels cost
-/// one `Vec<u32>` push instead of a `String` allocation plus a hash.
-#[derive(Debug, Clone)]
-pub enum ColumnBuilder {
-    /// Builds a continuous column.
-    Continuous(Vec<f64>),
-    /// Builds a nominal column: codes plus the interner growing its
-    /// dictionary in first-seen order.
-    Nominal {
-        /// Per-row codes pushed so far.
-        codes: Vec<u32>,
-        /// Labels in first-seen (code) order.
-        labels: Vec<String>,
-        /// Label → code lookup.
-        interner: HashMap<String, u32>,
-    },
-    /// Builds an ordinal column.
-    Ordinal(Vec<i64>),
-}
-
-impl ColumnBuilder {
-    /// A fresh builder for `kind`.
-    pub fn new(kind: FeatureKind) -> Self {
-        match kind {
-            FeatureKind::Continuous => ColumnBuilder::Continuous(Vec::new()),
-            FeatureKind::Nominal => ColumnBuilder::Nominal {
-                codes: Vec::new(),
-                labels: Vec::new(),
-                interner: HashMap::new(),
-            },
-            FeatureKind::Ordinal => ColumnBuilder::Ordinal(Vec::new()),
-        }
-    }
-
-    /// The kind this builder produces.
-    pub fn kind(&self) -> FeatureKind {
-        match self {
-            ColumnBuilder::Continuous(_) => FeatureKind::Continuous,
-            ColumnBuilder::Nominal { .. } => FeatureKind::Nominal,
-            ColumnBuilder::Ordinal(_) => FeatureKind::Ordinal,
-        }
-    }
-
-    /// Number of values pushed so far.
-    pub fn len(&self) -> usize {
-        match self {
-            ColumnBuilder::Continuous(data) => data.len(),
-            ColumnBuilder::Nominal { codes, .. } => codes.len(),
-            ColumnBuilder::Ordinal(data) => data.len(),
-        }
-    }
-
-    /// Whether nothing has been pushed yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Reserves capacity for `additional` more values.
-    pub fn reserve(&mut self, additional: usize) {
-        match self {
-            ColumnBuilder::Continuous(data) => data.reserve(additional),
-            ColumnBuilder::Nominal { codes, .. } => codes.reserve(additional),
-            ColumnBuilder::Ordinal(data) => data.reserve(additional),
-        }
-    }
-
-    /// Appends a continuous value.
-    ///
-    /// # Panics
-    ///
-    /// Panics if this is not a continuous builder.
-    pub fn push_f64(&mut self, v: f64) {
-        match self {
-            ColumnBuilder::Continuous(data) => data.push(v),
-            other => panic!("push_f64 on {} column builder", other.kind()),
-        }
-    }
-
-    /// Appends an ordinal value.
-    ///
-    /// # Panics
-    ///
-    /// Panics if this is not an ordinal builder.
-    pub fn push_i64(&mut self, v: i64) {
-        match self {
-            ColumnBuilder::Ordinal(data) => data.push(v),
-            other => panic!("push_i64 on {} column builder", other.kind()),
-        }
-    }
-
-    /// Interns `label` (first-seen order) and returns its code without
-    /// pushing a row. Emission loops intern each label once, then call
-    /// [`ColumnBuilder::push_code`] per row.
-    ///
-    /// # Panics
-    ///
-    /// Panics if this is not a nominal builder.
-    pub fn intern(&mut self, label: &str) -> u32 {
-        match self {
-            ColumnBuilder::Nominal { labels, interner, .. } => {
-                if let Some(&code) = interner.get(label) {
-                    return code;
-                }
-                let code = labels.len() as u32;
-                labels.push(label.to_owned());
-                interner.insert(label.to_owned(), code);
-                code
-            }
-            other => panic!("intern on {} column builder", other.kind()),
-        }
-    }
-
-    /// Appends a previously interned code.
-    ///
-    /// # Panics
-    ///
-    /// Panics if this is not a nominal builder or `code` was never
-    /// returned by [`ColumnBuilder::intern`].
-    pub fn push_code(&mut self, code: u32) {
-        match self {
-            ColumnBuilder::Nominal { codes, labels, .. } => {
-                assert!((code as usize) < labels.len(), "code {code} has no interned label");
-                codes.push(code);
-            }
-            other => panic!("push_code on {} column builder", other.kind()),
-        }
-    }
-
-    /// Interns `label` and appends its code in one step.
-    ///
-    /// # Panics
-    ///
-    /// Panics if this is not a nominal builder.
-    pub fn push_label(&mut self, label: &str) {
-        let code = self.intern(label);
-        match self {
-            ColumnBuilder::Nominal { codes, .. } => codes.push(code),
-            _ => unreachable!("intern already checked the kind"),
-        }
-    }
-
-    fn finish(self) -> Column {
-        match self {
-            ColumnBuilder::Continuous(data) => Column::Continuous(data),
-            ColumnBuilder::Ordinal(data) => Column::Ordinal(data),
-            ColumnBuilder::Nominal { codes, labels, .. } => {
-                Column::Nominal { codes, dict: Dictionary::new(labels) }
-            }
-        }
-    }
-}
-
-/// Builds a [`Frame`] column-wise.
+/// Emission loops intern each distinct label once and then push the
+/// returned code per row, so a repeated label costs one `Vec<u32>` push
+/// instead of a `String` allocation plus a hash. [`Frame::new`] rejects a
+/// code that was never interned.
 ///
 /// # Example
 ///
 /// ```
-/// use rainshine_telemetry::frame::{FeatureKind, Field, FrameBuilder, Schema};
+/// use std::sync::Arc;
+///
+/// use rainshine_telemetry::frame::{Column, FeatureKind, Field, Frame, NominalColumn, Schema};
 ///
 /// let schema = Schema::new(vec![
 ///     Field::new("temp", FeatureKind::Continuous),
 ///     Field::new("sku", FeatureKind::Nominal),
 /// ]);
-/// let mut b = FrameBuilder::new(schema);
-/// let [temp, sku] = b.columns_mut() else { unreachable!() };
+/// let (mut temp, mut sku) = (Vec::new(), NominalColumn::default());
 /// let s1 = sku.intern("S1");
 /// for day in 0..3 {
-///     temp.push_f64(65.0 + day as f64);
+///     temp.push(65.0 + day as f64);
 ///     sku.push_code(s1);
 /// }
-/// let frame = b.build()?;
+/// let frame = Frame::new(Arc::new(schema), vec![Column::Continuous(temp), sku.finish()])?;
 /// assert_eq!(frame.rows(), 3);
 /// assert_eq!(frame.nominal_codes("sku")?, &[0, 0, 0]);
 /// # Ok::<(), rainshine_telemetry::TelemetryError>(())
 /// ```
+#[derive(Debug, Clone, Default)]
+pub struct NominalColumn {
+    codes: Vec<u32>,
+    labels: Vec<String>,
+    interner: HashMap<String, u32>,
+}
+
+impl NominalColumn {
+    /// Interns `label` (first-seen order) and returns its code without
+    /// pushing a row.
+    pub fn intern(&mut self, label: &str) -> u32 {
+        if let Some(&code) = self.interner.get(label) {
+            return code;
+        }
+        let code = self.labels.len() as u32;
+        self.labels.push(label.to_owned());
+        self.interner.insert(label.to_owned(), code);
+        code
+    }
+
+    /// Appends a code returned by [`NominalColumn::intern`].
+    pub fn push_code(&mut self, code: u32) {
+        self.codes.push(code);
+    }
+
+    /// The finished column, its labels in code order.
+    pub fn finish(self) -> Column {
+        Column::Nominal { codes: self.codes, dict: Dictionary::new(self.labels) }
+    }
+}
+
+/// One column of a [`FrameBuilder`], filled a row at a time.
+#[derive(Debug, Clone)]
+enum ColumnBuilder {
+    Continuous(Vec<f64>),
+    Nominal(NominalColumn),
+    Ordinal(Vec<i64>),
+}
+
+impl ColumnBuilder {
+    fn accepts(&self, value: &Value) -> bool {
+        matches!(
+            (self, value),
+            (ColumnBuilder::Continuous(_), Value::Continuous(_))
+                | (ColumnBuilder::Nominal(_), Value::Nominal(_))
+                | (ColumnBuilder::Ordinal(_), Value::Ordinal(_))
+        )
+    }
+
+    fn finish(self) -> Column {
+        match self {
+            ColumnBuilder::Continuous(data) => Column::Continuous(data),
+            ColumnBuilder::Nominal(column) => column.finish(),
+            ColumnBuilder::Ordinal(data) => Column::Ordinal(data),
+        }
+    }
+}
+
+/// Builds a [`Frame`] row by row from cell values: the row-oriented
+/// reference path that frames assembled from typed buffers through
+/// [`Frame::new`] are checked against.
 #[derive(Debug, Clone)]
 pub struct FrameBuilder {
     schema: Arc<Schema>,
@@ -686,31 +607,21 @@ pub struct FrameBuilder {
 }
 
 impl FrameBuilder {
-    /// Creates a builder with one [`ColumnBuilder`] per schema field.
+    /// Creates a builder with one empty column per schema field.
     pub fn new(schema: Schema) -> Self {
-        let columns = schema.fields().iter().map(|f| ColumnBuilder::new(f.kind)).collect();
+        let columns = schema
+            .fields()
+            .iter()
+            .map(|f| match f.kind {
+                FeatureKind::Continuous => ColumnBuilder::Continuous(Vec::new()),
+                FeatureKind::Nominal => ColumnBuilder::Nominal(NominalColumn::default()),
+                FeatureKind::Ordinal => ColumnBuilder::Ordinal(Vec::new()),
+            })
+            .collect();
         FrameBuilder { schema: Arc::new(schema), columns }
     }
 
-    /// The target schema.
-    pub fn schema(&self) -> &Schema {
-        &self.schema
-    }
-
-    /// All column builders, for split borrows in emission loops.
-    pub fn columns_mut(&mut self) -> &mut [ColumnBuilder] {
-        &mut self.columns
-    }
-
-    /// Reserves capacity for `additional` rows in every column.
-    pub fn reserve(&mut self, additional: usize) {
-        for col in &mut self.columns {
-            col.reserve(additional);
-        }
-    }
-
-    /// Appends one row from cell values: the row-oriented reference path
-    /// that the columnar [`ColumnBuilder`] pushes are checked against.
+    /// Appends one row from cell values.
     ///
     /// # Errors
     ///
@@ -722,42 +633,31 @@ impl FrameBuilder {
             return Err(TelemetryError::RowArity { expected: self.schema.len(), got: row.len() });
         }
         // Validate before mutating so a failed push leaves the builder intact.
-        for (i, v) in row.iter().enumerate() {
-            let ok = matches!(
-                (&self.columns[i], v),
-                (ColumnBuilder::Continuous(_), Value::Continuous(_))
-                    | (ColumnBuilder::Nominal { .. }, Value::Nominal(_))
-                    | (ColumnBuilder::Ordinal(_), Value::Ordinal(_))
-            );
-            if !ok {
-                return Err(TelemetryError::ValueKind { column: i });
-            }
+        if let Some(column) = self.columns.iter().zip(&row).position(|(col, v)| !col.accepts(v)) {
+            return Err(TelemetryError::ValueKind { column });
         }
         for (col, v) in self.columns.iter_mut().zip(row) {
-            match v {
-                Value::Continuous(x) => col.push_f64(x),
-                Value::Ordinal(x) => col.push_i64(x),
-                Value::Nominal(label) => col.push_label(&label),
+            match (col, v) {
+                (ColumnBuilder::Continuous(data), Value::Continuous(x)) => data.push(x),
+                (ColumnBuilder::Ordinal(data), Value::Ordinal(x)) => data.push(x),
+                (ColumnBuilder::Nominal(column), Value::Nominal(label)) => {
+                    let code = column.intern(&label);
+                    column.push_code(code);
+                }
+                _ => unreachable!("row kinds were validated above"),
             }
         }
         Ok(self)
     }
 
-    /// Finalizes the frame.
+    /// Finalizes the frame through [`Frame::new`].
     ///
     /// # Errors
     ///
-    /// Returns [`TelemetryError::RowArity`] if the columns were left at
-    /// different lengths.
+    /// As [`Frame::new`]; rows pushed through [`FrameBuilder::push_row`]
+    /// always pass its checks.
     pub fn build(self) -> Result<Frame> {
-        let rows = self.columns.first().map_or(0, ColumnBuilder::len);
-        for col in &self.columns {
-            if col.len() != rows {
-                return Err(TelemetryError::RowArity { expected: rows, got: col.len() });
-            }
-        }
-        let columns = self.columns.into_iter().map(|c| Arc::new(c.finish())).collect();
-        Ok(Frame { schema: self.schema, columns, rows })
+        Frame::new(self.schema, self.columns.into_iter().map(ColumnBuilder::finish).collect())
     }
 }
 
@@ -774,14 +674,15 @@ mod tests {
     }
 
     fn sample_frame() -> Frame {
-        let mut b = FrameBuilder::new(sample_schema());
-        let [x, k, o] = b.columns_mut() else { unreachable!() };
+        let (mut x, mut k, mut o) = (Vec::new(), NominalColumn::default(), Vec::new());
         for (xv, kv, ov) in [(1.0, "a", 0i64), (2.0, "b", 1), (3.0, "a", 2), (4.0, "c", 0)] {
-            x.push_f64(xv);
-            k.push_label(kv);
-            o.push_i64(ov);
+            x.push(xv);
+            let code = k.intern(kv);
+            k.push_code(code);
+            o.push(ov);
         }
-        b.build().unwrap()
+        let columns = vec![Column::Continuous(x), k.finish(), Column::Ordinal(o)];
+        Frame::new(Arc::new(sample_schema()), columns).unwrap()
     }
 
     #[test]
@@ -847,22 +748,16 @@ mod tests {
 
     #[test]
     fn intern_then_push_code_skips_reinterning() {
-        let mut b = FrameBuilder::new(Schema::new(vec![Field::new("k", FeatureKind::Nominal)]));
-        let k = &mut b.columns_mut()[0];
+        let mut k = NominalColumn::default();
         let a = k.intern("a");
-        let b2 = k.intern("b");
+        let b = k.intern("b");
         assert_eq!(k.intern("a"), a);
-        k.push_code(b2);
+        k.push_code(b);
         k.push_code(a);
-        let f = b.build().unwrap();
+        let schema = Schema::new(vec![Field::new("k", FeatureKind::Nominal)]);
+        let f = Frame::new(Arc::new(schema), vec![k.finish()]).unwrap();
         assert_eq!(f.nominal_codes("k").unwrap(), &[1, 0]);
-    }
-
-    #[test]
-    fn build_rejects_ragged_columns() {
-        let mut b = FrameBuilder::new(sample_schema());
-        b.columns_mut()[0].push_f64(1.0);
-        assert!(matches!(b.build(), Err(TelemetryError::RowArity { .. })));
+        assert_eq!(f.dictionary("k").unwrap().labels(), &["a", "b"]);
     }
 
     #[test]
@@ -968,7 +863,20 @@ mod tests {
             Column::Nominal { codes: vec![0], dict: Dictionary::new(vec!["a".into()]) },
             Column::Ordinal(vec![1, 2]),
         ];
-        assert!(matches!(Frame::new(schema, cols), Err(TelemetryError::RowArity { .. })));
+        assert!(matches!(
+            Frame::new(Arc::clone(&schema), cols),
+            Err(TelemetryError::RowArity { .. })
+        ));
+        // A nominal code with no label in its dictionary.
+        let cols = vec![
+            Column::Continuous(vec![1.0, 2.0]),
+            Column::Nominal { codes: vec![0, 1], dict: Dictionary::new(vec!["a".into()]) },
+            Column::Ordinal(vec![1, 2]),
+        ];
+        assert_eq!(
+            Frame::new(schema, cols),
+            Err(TelemetryError::UnlabelledCode { column: 1, code: 1 })
+        );
     }
 
     #[test]

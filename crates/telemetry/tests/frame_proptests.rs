@@ -1,12 +1,16 @@
 //! Property tests for the two frame assembly paths: building a frame row
-//! by row through `FrameBuilder::push_row` and column by column through
-//! the typed `ColumnBuilder` pushes must preserve every value (including
+//! by row through `FrameBuilder::push_row` and column by column from typed
+//! buffers through `Frame::new` must preserve every value (including
 //! NaN and signed-zero cells bit for bit), the column kinds, and the
 //! category dictionaries — and subsets must share those dictionaries
 //! without copying.
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
-use rainshine_telemetry::frame::{FeatureKind, Field, Frame, FrameBuilder, Schema, Value};
+use rainshine_telemetry::frame::{
+    Column, FeatureKind, Field, Frame, FrameBuilder, NominalColumn, Schema, Value,
+};
 
 /// Label pool for nominal cells.
 const LABELS: [&str; 5] = ["alpha", "beta", "gamma", "delta", "epsilon"];
@@ -50,19 +54,28 @@ fn build_by_rows(kinds: &[u8], rows: &[Vec<CellSeed>]) -> Frame {
     builder.build().expect("push_row keeps columns aligned")
 }
 
-/// Assembles the same frame column by column through the typed pushes.
+/// Assembles the same frame column by column: typed buffers filled
+/// straight from the seeds, handed to `Frame::new`.
 fn build_by_columns(kinds: &[u8], rows: &[Vec<CellSeed>]) -> Frame {
-    let mut builder = FrameBuilder::new(schema(kinds));
-    for (i, (col, &k)) in builder.columns_mut().iter_mut().zip(kinds).enumerate() {
-        for row in rows {
-            match cell(kind_of(k), row[i]) {
-                Value::Continuous(x) => col.push_f64(x),
-                Value::Nominal(label) => col.push_label(&label),
-                Value::Ordinal(x) => col.push_i64(x),
+    let columns = kinds
+        .iter()
+        .enumerate()
+        .map(|(i, &k)| match kind_of(k) {
+            FeatureKind::Continuous => Column::Continuous(
+                rows.iter().map(|row| FLOATS[row[i].0 as usize % FLOATS.len()]).collect(),
+            ),
+            FeatureKind::Nominal => {
+                let mut column = NominalColumn::default();
+                for row in rows {
+                    let code = column.intern(LABELS[row[i].1 as usize % LABELS.len()]);
+                    column.push_code(code);
+                }
+                column.finish()
             }
-        }
-    }
-    builder.build().expect("every column received one value per row")
+            FeatureKind::Ordinal => Column::Ordinal(rows.iter().map(|row| row[i].2).collect()),
+        })
+        .collect();
+    Frame::new(Arc::new(schema(kinds)), columns).expect("every column holds one value per row")
 }
 
 /// Bit-level float slice equality: NaN == NaN, +0.0 != -0.0.
