@@ -158,6 +158,26 @@ impl RiskAcc {
         }
     }
 
+    /// Adds `other`'s totals to these. The result equals adding
+    /// `other`'s rows one by one, bit for bit, when every partial sum is
+    /// exact ([`exact_sums`]); otherwise addition order can show.
+    fn merge(&mut self, other: &RiskAcc) {
+        match (self, other) {
+            (RiskAcc::Reg { n, sum, sumsq }, RiskAcc::Reg { n: on, sum: os, sumsq: oss }) => {
+                *n += on;
+                *sum += os;
+                *sumsq += oss;
+            }
+            (RiskAcc::Cls { n, counts }, RiskAcc::Cls { n: on, counts: oc }) => {
+                *n += on;
+                for (c, o) in counts.iter_mut().zip(oc) {
+                    *c += o;
+                }
+            }
+            _ => unreachable!("accumulator kinds match"),
+        }
+    }
+
     pub(crate) fn n(&self) -> f64 {
         match self {
             RiskAcc::Reg { n, .. } | RiskAcc::Cls { n, .. } => *n,
@@ -447,6 +467,35 @@ fn scan_nominal(
     })
 }
 
+/// Whether every partial sum a [`RiskAcc`] takes of `target` over any
+/// sub-multiset of `rows` is exact in `f64`, so that no addition order
+/// can change a bit of it.
+///
+/// Class counts are integers, so a classification target always is. A
+/// regression target is when every `y[r]` over `rows` is a finite integer
+/// and `rows.len() · max|y|² ≤ 2^53`: every partial `n`, `Σy` and `Σy²`
+/// is then an integer no larger than 2^53 in magnitude, which `f64` holds
+/// exactly.
+pub(crate) fn exact_sums(target: &Target<'_>, rows: &[u32]) -> bool {
+    let Target::Regression(y) = target else {
+        return true;
+    };
+    let mut max_abs = 0.0f64;
+    for &r in rows {
+        let v = y[r as usize];
+        if !v.is_finite() || v.fract() != 0.0 {
+            return false;
+        }
+        max_abs = max_abs.max(v.abs());
+    }
+    // `as` saturates, so a huge `max_abs` overflows the product instead
+    // of wrapping.
+    let m = max_abs as u64;
+    m.checked_mul(m)
+        .and_then(|square| square.checked_mul(rows.len() as u64))
+        .is_some_and(|bound| bound <= 1 << 53)
+}
+
 /// One entry of a rank-keyed presorted segment: a row id and the dense
 /// rank of its value. Two entries hold `==` values exactly when their
 /// ranks are equal, so the scan never reads the column to find a
@@ -472,83 +521,124 @@ fn value_of_key(key: u64) -> f64 {
     f64::from_bits(if key >> 63 == 1 { key ^ 1 << 63 } else { !key })
 }
 
-/// Radix digit width of the presort: six 11-bit passes cover a 64-bit key.
-const DIGIT_BITS: u32 = 11;
-const DIGITS: usize = 64usize.div_ceil(DIGIT_BITS as usize);
-const BUCKETS: usize = 1 << DIGIT_BITS;
+/// The id of a NaN row in [`ranked_order`]: no distinct key has it.
+const NO_ID: u32 = u32::MAX;
+
+/// An open-addressing table of the distinct keys of one column, each with
+/// a dense `u32` id in first-seen order. The table doubles whenever it
+/// would pass half load, so a probe stays short.
+struct KeyInterner {
+    /// `NO_ID` or an id into `keys`; the length is a power of two.
+    slots: Vec<u32>,
+    /// The distinct keys, by id.
+    keys: Vec<u64>,
+}
+
+impl KeyInterner {
+    fn new() -> Self {
+        KeyInterner { slots: vec![NO_ID; 16], keys: Vec::new() }
+    }
+
+    /// The first slot to probe for `key` in a table of `len` slots
+    /// (Fibonacci hashing: the top bits of a multiplicative hash).
+    fn home(key: u64, len: usize) -> usize {
+        (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - len.trailing_zeros())) as usize
+    }
+
+    /// The slot holding `key`, or the empty slot where it belongs.
+    fn find(slots: &[u32], keys: &[u64], key: u64) -> usize {
+        let mask = slots.len() - 1;
+        let mut slot = Self::home(key, slots.len());
+        while slots[slot] != NO_ID && keys[slots[slot] as usize] != key {
+            slot = (slot + 1) & mask;
+        }
+        slot
+    }
+
+    /// The id of `key`, interning it if it is new.
+    fn id(&mut self, key: u64) -> u32 {
+        let slot = Self::find(&self.slots, &self.keys, key);
+        if self.slots[slot] != NO_ID {
+            return self.slots[slot];
+        }
+        let id = self.keys.len() as u32;
+        self.keys.push(key);
+        if 2 * self.keys.len() > self.slots.len() {
+            let mut grown = vec![NO_ID; 2 * self.slots.len()];
+            for (id, &key) in self.keys.iter().enumerate() {
+                let slot = Self::find(&grown, &self.keys, key);
+                grown[slot] = id as u32;
+            }
+            self.slots = grown;
+        } else {
+            self.slots[slot] = id;
+        }
+        id
+    }
+}
 
 /// The NaN-free presorted segment of one ordered feature over `rows`, with
 /// dense ranks: the same row order as [`sorted_order`] gives.
 ///
-/// A stable LSD radix sort of `u32` positions into `rows`, keyed by
-/// [`total_order_key`], keeps equal keys in `rows` order, which is exactly
-/// what the stable `sort_by(total_cmp)` of [`sorted_order`] does; digits
-/// on which every key agrees are skipped. Keys plus two position buffers
-/// hold 16 B per row, what the reference's `usize` merge sort holds, and
-/// the ranks reuse a position buffer once the keys are read, so the peak
-/// stays there. Adjacent sorted values share a rank when they are `==`, so
-/// −0.0 and +0.0 stay a tie. `==`-equal values are contiguous in total
-/// order, so equal ranks mean equal values for any two entries, adjacent
-/// or not, as they are after the segment is partitioned.
+/// Each finite value's [`total_order_key`] is interned to a distinct-value
+/// id ([`KeyInterner`]); only the k distinct keys are sorted, and the rows
+/// are counting-sorted by id in key order. The counting sort is stable,
+/// so equal keys keep `rows` order, repeated rows included, exactly as
+/// the stable `sort_by(total_cmp)` of [`sorted_order`] leaves them. The
+/// ids and the output hold 12 B per row. Adjacent sorted keys share a
+/// rank when their values are `==`, so −0.0 and +0.0 stay a tie.
+/// `==`-equal values are contiguous in total order, so equal ranks mean
+/// equal values for any two entries, adjacent or not, as they are after
+/// the segment is partitioned.
 pub(crate) fn ranked_order(rows: &[u32], value_of: impl Fn(usize) -> f64) -> Vec<Ranked> {
-    let mut keys = Vec::with_capacity(rows.len());
-    let mut order: Vec<u32> = Vec::with_capacity(rows.len());
-    for (position, &r) in rows.iter().enumerate() {
-        let v = value_of(r as usize);
-        keys.push(total_order_key(v));
-        if !v.is_nan() {
-            order.push(position as u32);
-        }
-    }
-    let n = order.len();
-    let digit = |key: u64, d: usize| ((key >> (d as u32 * DIGIT_BITS)) as usize) & (BUCKETS - 1);
-    let mut counts = vec![[0usize; BUCKETS]; DIGITS];
-    for &position in &order {
-        let key = keys[position as usize];
-        for (d, count) in counts.iter_mut().enumerate() {
-            count[digit(key, d)] += 1;
-        }
-    }
-    let mut spare = vec![0u32; n];
-    for (d, count) in counts.iter_mut().enumerate() {
-        if count.contains(&n) {
-            continue;
-        }
-        let mut offset = 0;
-        for c in count.iter_mut() {
-            let size = *c;
-            *c = offset;
-            offset += size;
-        }
-        for &position in &order {
-            let slot = &mut count[digit(keys[position as usize], d)];
-            spare[*slot] = position;
-            *slot += 1;
-        }
-        std::mem::swap(&mut order, &mut spare);
-    }
-    let mut ranks = spare;
-    let mut rank = 0u32;
-    for (i, &position) in order.iter().enumerate() {
-        let key = keys[position as usize];
-        if i > 0 && value_of_key(key) != value_of_key(keys[order[i - 1] as usize]) {
+    let mut interner = KeyInterner::new();
+    let mut rows_of: Vec<u32> = Vec::new();
+    let ids: Vec<u32> = rows
+        .iter()
+        .map(|&r| {
+            let v = value_of(r as usize);
+            if v.is_nan() {
+                return NO_ID;
+            }
+            let id = interner.id(total_order_key(v));
+            if id as usize == rows_of.len() {
+                rows_of.push(0);
+            }
+            rows_of[id as usize] += 1;
+            id
+        })
+        .collect();
+    let keys = interner.keys;
+    let mut by_key: Vec<u32> = (0..keys.len() as u32).collect();
+    by_key.sort_unstable_by_key(|&id| keys[id as usize]);
+    // Per id: the next output slot of its rows, and its dense rank.
+    let mut place = vec![(0u32, 0u32); keys.len()];
+    let (mut next, mut rank) = (0u32, 0u32);
+    for (i, &id) in by_key.iter().enumerate() {
+        let key = keys[id as usize];
+        if i > 0 && value_of_key(key) != value_of_key(keys[by_key[i - 1] as usize]) {
             rank += 1;
         }
-        ranks[i] = rank;
+        place[id as usize] = (next, rank);
+        next += rows_of[id as usize];
     }
-    drop(keys);
-    order
-        .iter()
-        .zip(&ranks)
-        .map(|(&position, &rank)| Ranked { row: rows[position as usize], rank })
-        .collect()
+    let mut out = vec![Ranked { row: 0, rank: 0 }; next as usize];
+    for (&row, &id) in rows.iter().zip(&ids) {
+        if id == NO_ID {
+            continue;
+        }
+        let (slot, rank) = &mut place[id as usize];
+        out[*slot as usize] = Ranked { row, rank: *rank };
+        *slot += 1;
+    }
+    out
 }
 
 /// Searches all features for the best split of a node, using each ordered
 /// feature's rank-keyed segment (`segments` is aligned with `features`;
 /// nominal entries are `None`) and the node's accumulated `total` over
-/// `rows` in `rows` order. `scratch` is a reusable buffer for the nominal
-/// scan.
+/// `rows` in `rows` order. `bucketed` is the nominal scan's reusable
+/// buffer, `None` when the fit's sums are exact ([`scan_bucketed`]).
 ///
 /// It returns what [`best_split`] returns on the same node, bit for bit,
 /// the winning feature's slot included.
@@ -559,7 +649,7 @@ pub(crate) fn best_split_ranked(
     segments: &[Option<&[Ranked]>],
     total: &RiskAcc,
     params: &CartParams,
-    scratch: &mut Vec<u32>,
+    mut bucketed: Option<&mut Vec<u32>>,
 ) -> Option<(usize, BestSplit)> {
     // Where the winning candidate splits: a boundary index into its
     // segment, or its left category codes.
@@ -572,7 +662,7 @@ pub(crate) fn best_split_ranked(
         let candidate = match (column, segment) {
             (FeatureColumn::Nominal { codes, categories }, _) => {
                 let k = categories.len();
-                scan_bucketed(target, rows, total, params, codes, k, scratch)
+                scan_bucketed(target, rows, total, params, codes, k, bucketed.as_deref_mut())
                     .map(|(improvement, codes)| (improvement, Cut::Codes(codes)))
             }
             (_, Some(segment)) => scan_ranked(target, rows.len(), segment, total, params)
@@ -663,11 +753,17 @@ fn scan_ranked(
     best
 }
 
-/// [`scan_nominal`] in one pass over the node's rows: the rows are
-/// bucketed by category (row order kept inside each bucket), and the
-/// prefix sweep walks the buckets in sorted-category order, so `left`
-/// receives the same adds in the same order at O(n + k) per node instead
-/// of O(k·n). Returns the best improvement and its left category codes.
+/// [`scan_nominal`] at O(n + k) per node instead of O(k·n): one pass over
+/// the node's rows builds the per-category totals, and the prefix sweep
+/// moves whole categories into `left` in sorted-category order. Returns
+/// the best improvement and its left category codes.
+///
+/// With no `bucketed` buffer, which the caller passes when the sums are
+/// exact ([`exact_sums`]), the sweep merges each category's total.
+/// Otherwise the rows are counting-sorted into per-category buckets in
+/// `bucketed` (row order kept inside each bucket) and the sweep re-adds
+/// them bucket by bucket, so `left` receives the reference's adds in the
+/// reference's order.
 fn scan_bucketed(
     target: &Target<'_>,
     rows: &[u32],
@@ -675,7 +771,7 @@ fn scan_bucketed(
     params: &CartParams,
     codes: &[u32],
     k: usize,
-    bucketed: &mut Vec<u32>,
+    bucketed: Option<&mut Vec<u32>>,
 ) -> Option<(f64, Vec<u32>)> {
     // Per-category accumulators in row order, as the reference builds them.
     let mut per_cat: Vec<Option<RiskAcc>> = vec![None; k];
@@ -695,18 +791,21 @@ fn scan_bucketed(
     }
     order.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
 
-    // Counting-sort the rows into per-category buckets.
-    let mut starts = vec![0; k + 1];
-    for (code, acc) in per_cat.iter().enumerate() {
-        starts[code + 1] = starts[code] + acc.as_ref().map_or(0, |a| a.n() as usize);
-    }
-    bucketed.resize(rows.len(), 0);
-    let mut next = starts[..k].to_vec();
-    for &r in rows {
-        let slot = &mut next[codes[r as usize] as usize];
-        bucketed[*slot] = r;
-        *slot += 1;
-    }
+    // Bucket starts by code, for the row-by-row sweep only.
+    let buckets = bucketed.map(|bucketed| {
+        let mut starts = vec![0; k + 1];
+        for (code, acc) in per_cat.iter().enumerate() {
+            starts[code + 1] = starts[code] + acc.as_ref().map_or(0, |a| a.n() as usize);
+        }
+        bucketed.resize(rows.len(), 0);
+        let mut next = starts[..k].to_vec();
+        for &r in rows {
+            let slot = &mut next[codes[r as usize] as usize];
+            bucketed[*slot] = r;
+            *slot += 1;
+        }
+        (starts, &*bucketed)
+    });
 
     let n = rows.len();
     let parent_risk = total.risk();
@@ -714,8 +813,17 @@ fn scan_bucketed(
     let mut best: Option<(f64, usize)> = None;
     for (prefix, &(code, _)) in order[..order.len() - 1].iter().enumerate() {
         let code = code as usize;
-        for &r in &bucketed[starts[code]..starts[code + 1]] {
-            left.add_row(target, r as usize);
+        match &buckets {
+            None => {
+                if let Some(acc) = &per_cat[code] {
+                    left.merge(acc);
+                }
+            }
+            Some((starts, bucketed)) => {
+                for &r in &bucketed[starts[code]..starts[code + 1]] {
+                    left.add_row(target, r as usize);
+                }
+            }
         }
         let left_n = left.n() as usize;
         if left_n < params.min_leaf || n - left_n < params.min_leaf {
@@ -787,6 +895,96 @@ mod tests {
             }
         }
         best
+    }
+
+    /// [`ranked_order`] as [`sorted_order`] and dense `==` ranks give it.
+    fn reference_ranked(rows: &[u32], values: &[f64]) -> Vec<(u32, u32)> {
+        let rows: Vec<usize> = rows.iter().map(|&r| r as usize).collect();
+        let order = sorted_order(&rows, |r| values[r]);
+        let mut rank = 0;
+        order
+            .iter()
+            .enumerate()
+            .map(|(i, &r)| {
+                if i > 0 && values[r] != values[order[i - 1]] {
+                    rank += 1;
+                }
+                (r as u32, rank)
+            })
+            .collect()
+    }
+
+    fn pairs(ranked: &[Ranked]) -> Vec<(u32, u32)> {
+        ranked.iter().map(|e| (e.row, e.rank)).collect()
+    }
+
+    #[test]
+    fn ranked_order_matches_sorted_order_on_all_distinct_values() {
+        // 5,000 distinct values in shuffled order: the intern table grows
+        // from 16 slots ten times, and every value gets its own rank.
+        let mut rng = StdRng::seed_from_u64(7);
+        let mut values: Vec<f64> = (0..5_000).map(|i| f64::from(i) * 0.37 - 900.0).collect();
+        for i in (1..values.len()).rev() {
+            values.swap(i, rng.gen_range(0..=i));
+        }
+        let rows: Vec<u32> = (0..values.len() as u32).collect();
+        let ranked = ranked_order(&rows, |r| values[r]);
+        assert_eq!(pairs(&ranked), reference_ranked(&rows, &values));
+        assert!(ranked.iter().enumerate().all(|(i, e)| e.rank as usize == i));
+    }
+
+    #[test]
+    fn ranked_order_ties_signed_zeros_drops_nan_and_keeps_repeated_rows_in_order() {
+        let values = [0.0, f64::NAN, -0.0, 2.5, -1.0, 0.0, 2.5, -0.0, f64::NAN, -1.0];
+        // Repeated rows, a NaN row twice, and rows out of index order.
+        let rows = [5, 1, 0, 7, 2, 3, 5, 9, 8, 4, 6, 2, 0, 3];
+        let ranked = ranked_order(&rows, |r| values[r]);
+        assert_eq!(pairs(&ranked), reference_ranked(&rows, &values));
+        // −1.0 rows, then −0.0 and +0.0 as one rank, then 2.5: three ranks,
+        // and −0.0 rows sort before +0.0 rows as `total_cmp` puts them.
+        assert_eq!(
+            pairs(&ranked),
+            [
+                (9, 0),
+                (4, 0),
+                (7, 1),
+                (2, 1),
+                (2, 1),
+                (5, 1),
+                (0, 1),
+                (5, 1),
+                (0, 1),
+                (3, 2),
+                (6, 2),
+                (3, 2)
+            ]
+        );
+    }
+
+    #[test]
+    fn exact_sums_holds_for_small_integer_targets_and_classes_only() {
+        let rows = |n: u32| (0..n).collect::<Vec<u32>>();
+        let exact = |y: &[f64]| exact_sums(&Target::Regression(y), &rows(y.len() as u32));
+        assert!(exact(&[0.0, 3.0, -7.0, -0.0, 12.0]));
+        assert!(!exact(&[0.0, 1.5, 2.0]), "a non-integer");
+        assert!(!exact(&[0.0, f64::NAN]), "a NaN");
+        assert!(!exact(&[1.0, f64::INFINITY]), "an infinity");
+        assert!(!exact(&[f64::NEG_INFINITY, 1.0]), "an infinity");
+        assert!(!exact(&[1.0e300, 1.0]), "a square far past 2^53");
+        // The bound is rows · max|y|² ≤ 2^53: 2 · (2^26)² is on it, 3 rows
+        // are past it.
+        let big = f64::from(1u32 << 26);
+        assert!(exact(&[big, -big]));
+        assert!(!exact(&[big, -big, 0.0]));
+        // Only the fit's rows count, repeats included.
+        let y = [big, 0.5, 1.0];
+        assert!(!exact_sums(&Target::Regression(&y), &[0, 0, 2]));
+        assert!(exact_sums(&Target::Regression(&y), &[0, 2]));
+        assert!(!exact_sums(&Target::Regression(&y), &[1]));
+
+        let codes = [0u32, 1, 1];
+        let classes: Vec<String> = vec!["a".into(), "b".into()];
+        assert!(exact_sums(&Target::Classification { codes: &codes, classes: &classes }, &rows(3)));
     }
 
     #[test]

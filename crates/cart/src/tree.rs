@@ -7,7 +7,9 @@ use serde::Serialize;
 
 use crate::dataset::{feature_column, CartDataset, FeatureColumn, Target};
 use crate::params::CartParams;
-use crate::split::{best_split, best_split_ranked, ranked_order, Ranked, RiskAcc, SplitRule};
+use crate::split::{
+    best_split, best_split_ranked, exact_sums, ranked_order, Ranked, RiskAcc, SplitRule,
+};
 use crate::{CartError, Result};
 
 /// Whether a tree predicts a continuous mean or a class.
@@ -77,15 +79,18 @@ impl Tree {
     /// repeat).
     ///
     /// Growth uses the presort-once / partition-many scheme. Each ordered
-    /// feature is presorted **once** over `rows` by a stable radix sort on
-    /// its values' total-order key bits, into a segment of `u32` row ids
-    /// with a dense rank per value; splitting a node partitions the rows
-    /// and every segment in place in one pass each (no per-node sort). The
-    /// scans find boundaries between distinct values by comparing ranks,
-    /// reuse each node's target totals from when the node was made, and
-    /// sweep a nominal feature's categories over rows bucketed in one
-    /// pass. Every sort, partition and sum keeps the reference's order,
-    /// so the fitted tree is bit-identical to the per-node-sort reference
+    /// feature is presorted **once** over `rows`, by a stable counting
+    /// sort over its distinct values in total order, into a segment of
+    /// `u32` row ids with a dense rank per value; splitting a node
+    /// partitions the rows and every segment in place in one pass each (no
+    /// per-node sort). The scans find boundaries between distinct values
+    /// by comparing ranks, reuse each node's target totals from when the
+    /// node was made, and sweep a nominal feature's categories in one pass
+    /// over the node's rows: by merged category totals when every partial
+    /// sum of the target is exact, so addition order cannot show, and
+    /// otherwise over rows bucketed by category in row order. Every sort,
+    /// partition and inexact sum keeps the reference's order, so the
+    /// fitted tree is bit-identical to the per-node-sort reference
     /// ([`Tree::fit_on_rows_per_node_sort`]), which this falls back to
     /// when a row id does not fit in `u32`.
     ///
@@ -124,10 +129,16 @@ impl Tree {
         let root_segs: Vec<(usize, usize)> =
             segments.iter().map(|s| (0, s.as_ref().map_or(0, Vec::len))).collect();
 
+        // Decided once per fit: whether the nominal scans may sweep merged
+        // category totals instead of re-adding rows in the reference's
+        // order.
+        let exact = exact_sums(&target, &rows_arr);
+
         // Workspace buffers shared by every split of this fit.
         let mut goes_left = vec![false; dataset.len()];
-        // `scratch_rows` buckets a node's rows in the nominal scan, then
-        // parks the right rows when the node splits.
+        // `scratch_rows` buckets a node's rows in the nominal scan (when
+        // the sums are inexact), then parks the right rows when the node
+        // splits.
         let mut scratch_rows: Vec<u32> = Vec::new();
         let mut right_ranked: Vec<Ranked> = Vec::new();
 
@@ -156,7 +167,7 @@ impl Tree {
                     &views,
                     &total,
                     params,
-                    &mut scratch_rows,
+                    (!exact).then_some(&mut scratch_rows),
                 )
             };
             let Some((slot, split)) = split else {
@@ -741,6 +752,50 @@ mod tests {
             let presort = Tree::fit_on_rows(&ds, &params, rows).unwrap();
             let reference = Tree::fit_on_rows_per_node_sort(&ds, &params, rows).unwrap();
             assert_eq!(presort, reference);
+        }
+    }
+
+    #[test]
+    fn targets_with_inexact_sums_fit_as_the_reference() {
+        // Targets `exact_sums` rejects: a non-integer, a NaN, an infinity,
+        // and integers past its 2^53 bound. The nominal scans then re-add
+        // rows in the reference's order. NaN and infinite targets give NaN
+        // risks, which `==` never matches, so trees compare as Debug text.
+        let n = 300;
+        let base = |i: usize| ((i * 7) % 5) as f64 * 3.0 + (i % 3) as f64;
+        let with_cell = |cell: f64| -> Vec<f64> {
+            (0..n).map(|i| if i == 17 { cell } else { base(i) }).collect()
+        };
+        let targets = [
+            ("non-integer", (0..n).map(|i| base(i) + 0.1 * (i % 37) as f64).collect()),
+            ("NaN", with_cell(f64::NAN)),
+            ("infinity", with_cell(f64::INFINITY)),
+            ("past 2^53", (0..n).map(|i| base(i) * 12_345_677.0 + (1u64 << 40) as f64).collect()),
+        ];
+        let schema = Schema::new(vec![
+            Field::new("x", FeatureKind::Continuous),
+            Field::new("k", FeatureKind::Nominal),
+            Field::new("y", FeatureKind::Continuous),
+        ]);
+        for (what, y) in targets {
+            let mut b = FrameBuilder::new(schema.clone());
+            for (i, &y) in y.iter().enumerate() {
+                let k = ["a", "b", "c", "d", "e"][(i * 7) % 5];
+                b.push_row(vec![Value::Continuous((i % 37) as f64), k.into(), y.into()]).unwrap();
+            }
+            let t = b.build().unwrap();
+            let ds = CartDataset::regression(&t, "y", &["x", "k"]).unwrap();
+            let rows: Vec<usize> = (0..n).collect();
+            let ids: Vec<u32> = (0..n as u32).collect();
+            assert!(!exact_sums(&ds.target(), &ids), "{what}");
+            let params = CartParams::default().with_cp(0.0001).with_min_sizes(4, 2);
+            let tree = Tree::fit_on_rows(&ds, &params, &rows).unwrap();
+            let reference = Tree::fit_on_rows_per_node_sort(&ds, &params, &rows).unwrap();
+            assert_eq!(format!("{tree:?}"), format!("{reference:?}"), "{what}");
+            // A finite target grows a tree, so nodes below the root are
+            // scanned too; a NaN root risk admits no split.
+            let finite = t.continuous("y").unwrap().iter().all(|v| v.is_finite());
+            assert_eq!(tree.leaf_count() > 1, finite, "{what}");
         }
     }
 

@@ -35,31 +35,39 @@ fn rows_strategy() -> impl Strategy<Value = Vec<(f64, u8, f64)>> {
 const TIE_VALUES: [f64; 7] = [f64::NAN, -0.0, 0.0, 1.0, 2.5, -3.0, 7.0];
 
 /// One generated oracle row: two continuous value indices into
-/// [`TIE_VALUES`], an ordinal level, two nominal codes (up to 6 and 3
-/// categories), a regression target index and a class code.
-type OracleRow = (usize, usize, i64, u8, u8, u8, u8);
+/// [`TIE_VALUES`], a high-cardinality continuous value, an ordinal level,
+/// two nominal codes (up to 6 and 3 categories), a regression target
+/// index (for `y`, and `v` whose values are not dyadic), an integer
+/// regression target and a class code.
+type OracleRow = (usize, usize, f64, i64, u8, u8, u8, i64, u8);
 
-const ORACLE_FEATURES: [&str; 5] = ["x", "z", "o", "k", "j"];
+const ORACLE_FEATURES: [&str; 6] = ["x", "z", "h", "o", "k", "j"];
 
 fn oracle_table(rows: &[OracleRow]) -> Frame {
     let schema = Schema::new(vec![
         Field::new("x", FeatureKind::Continuous),
         Field::new("z", FeatureKind::Continuous),
+        Field::new("h", FeatureKind::Continuous),
         Field::new("o", FeatureKind::Ordinal),
         Field::new("k", FeatureKind::Nominal),
         Field::new("j", FeatureKind::Nominal),
         Field::new("y", FeatureKind::Continuous),
+        Field::new("v", FeatureKind::Continuous),
+        Field::new("w", FeatureKind::Continuous),
         Field::new("c", FeatureKind::Nominal),
     ]);
     let mut b = FrameBuilder::new(schema);
-    for &(x, z, o, k, j, y, c) in rows {
+    for &(x, z, h, o, k, j, y, w, c) in rows {
         b.push_row(vec![
             Value::Continuous(TIE_VALUES[x]),
             Value::Continuous(TIE_VALUES[z]),
+            Value::Continuous(h),
             Value::Ordinal(o),
             Value::Nominal(format!("k{k}")),
             Value::Nominal(format!("j{j}")),
             Value::Continuous([0.0, 1.0, 1.5, 4.0, -2.0, 9.0][y as usize]),
+            Value::Continuous([0.1, 1.0, 1.7, 4.3, -2.2, 9.9][y as usize]),
+            Value::Continuous(w as f64),
             Value::Nominal(format!("c{c}")),
         ])
         .unwrap();
@@ -67,8 +75,24 @@ fn oracle_table(rows: &[OracleRow]) -> Frame {
     b.build().unwrap()
 }
 
+/// Up to 79 rows: `h`'s values are almost all distinct, so they grow the
+/// presort's intern table (16 slots, doubled past half load) up to four
+/// times.
 fn oracle_rows_strategy() -> impl Strategy<Value = Vec<OracleRow>> {
-    prop::collection::vec((0usize..7, 0usize..7, -2i64..3, 0u8..6, 0u8..3, 0u8..6, 0u8..3), 2..80)
+    prop::collection::vec(
+        (
+            0usize..7,
+            0usize..7,
+            -1.0e6f64..1.0e6,
+            -2i64..3,
+            0u8..6,
+            0u8..3,
+            0u8..6,
+            -20i64..21,
+            0u8..3,
+        ),
+        2..80,
+    )
 }
 
 /// The leaf `row` lands in, walking the tree by feature name through
@@ -88,22 +112,26 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     // The presort fitter against the per-node-sort reference on small
-    // tie-dense tables with NaN and signed zeros, regression and
-    // classification, training rows with repeats and random stopping
-    // rules; and the tree's walks against a by-name walker.
+    // tie-dense tables with NaN and signed zeros plus a high-cardinality
+    // column; regression targets the exact-sum test rejects (`y` holds
+    // 1.5; `v` holds 0.1, so its sums round and their order shows), an
+    // integer one whose sums are exact (`w`) and a classification one;
+    // training rows with repeats and random stopping rules; and the
+    // tree's walks against a by-name walker.
     #[test]
     fn presort_fitter_matches_the_per_node_sort_reference(
         data in oracle_rows_strategy(),
         picks in prop::collection::vec(0usize..1000, 1..120),
-        classify in 0u8..2,
+        target in 0u8..4,
         knobs in (1usize..6, 2usize..12, 1usize..7, 0u8..4),
     ) {
         let (min_leaf, min_split, max_depth, cp_step) = knobs;
         let table = oracle_table(&data);
-        let ds = if classify == 1 {
-            CartDataset::classification(&table, "c", &ORACLE_FEATURES).unwrap()
-        } else {
-            CartDataset::regression(&table, "y", &ORACLE_FEATURES).unwrap()
+        let ds = match target {
+            0 => CartDataset::regression(&table, "y", &ORACLE_FEATURES).unwrap(),
+            1 => CartDataset::classification(&table, "c", &ORACLE_FEATURES).unwrap(),
+            2 => CartDataset::regression(&table, "w", &ORACLE_FEATURES).unwrap(),
+            _ => CartDataset::regression(&table, "v", &ORACLE_FEATURES).unwrap(),
         };
         let params = CartParams::default()
             .with_min_sizes(min_split, min_leaf)

@@ -17,6 +17,7 @@
 //! numeric pairs diverge by absolute difference.
 
 use std::collections::BTreeMap;
+use std::num::NonZeroUsize;
 
 use rainshine_cart::dataset::CartDataset;
 use rainshine_cart::params::CartParams;
@@ -214,8 +215,9 @@ impl DiffOracle {
 ///
 /// # Errors
 ///
-/// Returns [`ConformanceError::InvalidScenario`] if the rebuild pushes an
-/// inconsistent row (which would itself be an oracle failure), and
+/// Returns [`ConformanceError::InvalidScenario`] if `day_stride` is 0 or
+/// the rebuild pushes an inconsistent row (which would itself be an
+/// oracle failure), and
 /// [`ConformanceError::Analysis`] if the columns end at different lengths.
 fn row_path_rack_day_table(
     output: &SimulationOutput,
@@ -230,6 +232,8 @@ fn row_path_rack_day_table(
             *counts.entry((t.location.rack, t.opened.days())).or_insert(0) += 1;
         }
     }
+    let day_stride = NonZeroUsize::new(day_stride)
+        .ok_or(ConformanceError::InvalidScenario { what: "day_stride must be ≥ 1".into() })?;
     let mut builder = FrameBuilder::new(analysis_schema());
     let mut push_error: Option<String> = None;
     output.for_each_active_rack_day(day_stride, |_, rack, t, env| {

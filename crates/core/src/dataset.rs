@@ -14,6 +14,7 @@
 //!   features, mean environment, and the caller's response (used by Q1 to
 //!   cluster racks by provisioning need).
 
+use std::num::NonZeroUsize;
 use std::sync::Arc;
 
 use rainshine_dcsim::cooling::InletConditions;
@@ -129,7 +130,14 @@ pub fn rack_day_table(
     filter: FaultFilter,
     day_stride: usize,
 ) -> Result<Frame> {
-    let mut cols = AnalysisCols::default();
+    let day_stride = checked_stride(day_stride)?;
+    let mut cols = AnalysisCols::with_capacity(active_rack_days(output, day_stride));
+    // Each day's calendar ordinals, decomposed once for the span instead
+    // of once per rack-day.
+    let start_day = output.config.start.days();
+    let calendar: Vec<[i64; 4]> = (start_day..output.config.end.days())
+        .map(|day| calendar_of(SimTime::from_days(day)))
+        .collect();
     // Per-rack nominal codes, interned on the rack's first active day so
     // code assignment matches first-seen row order.
     let mut cached: Option<(usize, RackCodes)> = None;
@@ -141,7 +149,8 @@ pub fn rack_day_table(
         // Ingested (sanitized) environment: spikes winsorized, blackout
         // cells NaN — the NaN-tolerant CART and the evidence series
         // handle missing readings downstream.
-        cols.push(codes, rack, t, env.temp_f, env.rh, count);
+        let day = calendar[(t.days() - start_day) as usize];
+        cols.push(codes, rack, t, day, env, count);
     })?;
     cols.into_frame()
 }
@@ -164,9 +173,39 @@ pub fn rack_day_response(
     filter: FaultFilter,
     day_stride: usize,
 ) -> Result<Vec<f64>> {
-    let mut response = Vec::new();
+    let day_stride = checked_stride(day_stride)?;
+    let mut response = Vec::with_capacity(active_rack_days(output, day_stride));
     for_each_rack_day_count(output, filter, day_stride, |_, _, _, _, count| response.push(count))?;
     Ok(response)
+}
+
+/// `day_stride` as the positive stride the rack-day walk takes.
+///
+/// # Errors
+///
+/// Returns [`AnalysisError::InvalidParameter`] if `day_stride == 0`.
+pub(crate) fn checked_stride(day_stride: usize) -> Result<NonZeroUsize> {
+    NonZeroUsize::new(day_stride)
+        .ok_or(AnalysisError::InvalidParameter { name: "day_stride", value: 0.0 })
+}
+
+/// The number of (rack, day) visits of
+/// [`SimulationOutput::for_each_active_rack_day`] at `day_stride`: for
+/// each rack, the strided days of the span on or after its commissioning.
+fn active_rack_days(output: &SimulationOutput, day_stride: NonZeroUsize) -> usize {
+    let stride = day_stride.get() as u64;
+    let start_day = output.config.start.days();
+    let strided_days = output.config.end.days().saturating_sub(start_day).div_ceil(stride);
+    output
+        .fleet
+        .racks
+        .iter()
+        .map(|rack| {
+            let first_day = u64::try_from(rack.commissioned_day).unwrap_or(0).max(start_day);
+            let skipped = (first_day - start_day).div_ceil(stride);
+            strided_days.saturating_sub(skipped) as usize
+        })
+        .sum()
 }
 
 /// The one rack-day walk behind [`rack_day_table`] and
@@ -176,15 +215,12 @@ pub fn rack_day_response(
 fn for_each_rack_day_count<F>(
     output: &SimulationOutput,
     filter: FaultFilter,
-    day_stride: usize,
+    day_stride: NonZeroUsize,
     mut visit: F,
 ) -> Result<()>
 where
     F: FnMut(usize, &RackInfo, SimTime, InletConditions, f64),
 {
-    if day_stride == 0 {
-        return Err(AnalysisError::InvalidParameter { name: "day_stride", value: 0.0 });
-    }
     let counts = RackDayCounts::new(output, filter);
     let rows = output.for_each_active_rack_day(day_stride, |index, rack, t, env| {
         visit(index, rack, t, env, f64::from(counts.on(index, t.days())));
@@ -231,7 +267,42 @@ struct AnalysisCols {
     response: Vec<f64>,
 }
 
+/// The calendar ordinals of `t` in schema order: day of week, week of
+/// year, month and year offset.
+fn calendar_of(t: SimTime) -> [i64; 4] {
+    [
+        t.day_of_week().index() as i64,
+        i64::from(t.week_of_year()),
+        i64::from(t.month()),
+        i64::from(t.year_offset()),
+    ]
+}
+
 impl AnalysisCols {
+    /// Empty buffers with room for `rows` rows in every column.
+    fn with_capacity(rows: usize) -> Self {
+        let mut cols = AnalysisCols::default();
+        for nominal in [
+            &mut cols.sku,
+            &mut cols.workload,
+            &mut cols.dc,
+            &mut cols.region,
+            &mut cols.row,
+            &mut cols.rack,
+        ] {
+            nominal.reserve(rows);
+        }
+        for continuous in
+            [&mut cols.age, &mut cols.power, &mut cols.temp, &mut cols.rh, &mut cols.response]
+        {
+            continuous.reserve_exact(rows);
+        }
+        for ordinal in [&mut cols.dow, &mut cols.week, &mut cols.month, &mut cols.year] {
+            ordinal.reserve_exact(rows);
+        }
+        cols
+    }
+
     fn intern_rack(&mut self, rack: &RackInfo) -> RackCodes {
         RackCodes {
             sku: self.sku.intern(&rack.sku.to_string()),
@@ -243,29 +314,32 @@ impl AnalysisCols {
         }
     }
 
+    /// Appends one row at `t`, whose calendar ordinals are `calendar`
+    /// ([`calendar_of`]).
     fn push(
         &mut self,
         codes: RackCodes,
         rack: &RackInfo,
         t: SimTime,
-        temp_f: f64,
-        rh: f64,
+        calendar: [i64; 4],
+        env: InletConditions,
         response: f64,
     ) {
         self.sku.push_code(codes.sku);
         self.age.push(rack.age_months(t));
         self.power.push(rack.power_kw);
         self.workload.push_code(codes.workload);
-        self.temp.push(temp_f);
-        self.rh.push(rh);
+        self.temp.push(env.temp_f);
+        self.rh.push(env.rh);
         self.dc.push_code(codes.dc);
         self.region.push_code(codes.region);
         self.row.push_code(codes.row);
         self.rack.push_code(codes.rack);
-        self.dow.push(t.day_of_week().index() as i64);
-        self.week.push(t.week_of_year() as i64);
-        self.month.push(t.month() as i64);
-        self.year.push(t.year_offset() as i64);
+        let [dow, week, month, year] = calendar;
+        self.dow.push(dow);
+        self.week.push(week);
+        self.month.push(month);
+        self.year.push(year);
         self.response.push(response);
     }
 
@@ -330,7 +404,8 @@ pub fn rack_table<'r>(
         }
         let (temp, rh) = if n > 0.0 { (temp / n, rh / n) } else { (65.0, 45.0) };
         let codes = cols.intern_rack(rack);
-        cols.push(codes, rack, t, temp, rh, resp);
+        let env = InletConditions { temp_f: temp, rh };
+        cols.push(codes, rack, t, calendar_of(t), env, resp);
     }
     if cols.response.is_empty() {
         return Err(AnalysisError::NoData { what: "no racks with responses".into() });
@@ -361,6 +436,21 @@ mod tests {
         let y = t.continuous(columns::FAILURE_RATE).unwrap();
         assert!(y.iter().all(|&v| v >= 0.0));
         assert!(y.iter().sum::<f64>() > 0.0);
+    }
+
+    #[test]
+    fn reserved_rows_are_the_visited_rack_days() {
+        let out = sim();
+        let start_day = out.config.start.days() as i64;
+        assert!(
+            out.fleet.racks.iter().any(|r| r.commissioned_day > start_day),
+            "some rack is commissioned inside the span"
+        );
+        for stride in [1, 2, 7, 30, 5000] {
+            let stride = NonZeroUsize::new(stride).unwrap();
+            let visited = out.for_each_active_rack_day(stride, |_, _, _, _| {});
+            assert_eq!(active_rack_days(&out, stride), visited, "stride {stride}");
+        }
     }
 
     #[test]

@@ -48,12 +48,10 @@ pub fn disk_rate_by_temperature(
     output: &rainshine_dcsim::SimulationOutput,
     day_stride: usize,
 ) -> Result<Vec<SeriesRow>> {
-    use crate::dataset::{FaultFilter, RackDayCounts};
+    use crate::dataset::{checked_stride, FaultFilter, RackDayCounts};
     use rainshine_telemetry::rma::HardwareFault;
 
-    if day_stride == 0 {
-        return Err(AnalysisError::InvalidParameter { name: "day_stride", value: 0.0 });
-    }
+    let day_stride = checked_stride(day_stride)?;
     let counts = RackDayCounts::new(output, FaultFilter::Component(HardwareFault::Disk));
     let mut pairs = Vec::new();
     output.for_each_active_rack_day(day_stride, |index, rack, t, env| {

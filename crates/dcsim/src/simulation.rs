@@ -1,5 +1,7 @@
 //! Top-level simulation driver.
 
+use std::num::NonZeroUsize;
+
 use rainshine_obs::Obs;
 use rainshine_parallel::derive_seed;
 use rainshine_telemetry::ids::{DcId, RegionId};
@@ -265,20 +267,15 @@ impl SimulationOutput {
     /// This is the zero-copy emission path for columnar dataset assembly:
     /// callers append straight into column builders instead of materializing
     /// per-row value vectors. Returns the number of rack-days visited.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `day_stride == 0`.
-    pub fn for_each_active_rack_day<F>(&self, day_stride: usize, mut emit: F) -> usize
+    pub fn for_each_active_rack_day<F>(&self, day_stride: NonZeroUsize, mut emit: F) -> usize
     where
         F: FnMut(usize, &crate::topology::RackInfo, SimTime, InletConditions),
     {
-        assert!(day_stride > 0, "day_stride must be positive");
         let start_day = self.config.start.days();
         let end_day = self.config.end.days();
         let mut visited = 0usize;
         for (index, rack) in self.fleet.racks.iter().enumerate() {
-            for day in (start_day..end_day).step_by(day_stride) {
+            for day in (start_day..end_day).step_by(day_stride.get()) {
                 let t = SimTime::from_days(day);
                 if !rack.is_active(t) {
                     continue;

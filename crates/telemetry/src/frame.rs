@@ -559,6 +559,11 @@ impl NominalColumn {
         code
     }
 
+    /// Reserves room for at least `additional` more codes.
+    pub fn reserve(&mut self, additional: usize) {
+        self.codes.reserve_exact(additional);
+    }
+
     /// Appends a code returned by [`NominalColumn::intern`].
     pub fn push_code(&mut self, code: u32) {
         self.codes.push(code);
