@@ -66,10 +66,11 @@ done
 #   one on the paper fleet's clean and dirty streams, seeds 1, 2, 11
 #   (about 5 s);
 # - cart_oracle: the presort CART fitter against the per-node-sort
-#   reference on every tree the experiments fit at paper scale: f15's MF
+#   reference on the paper-scale trees the presort path grows: f15's MF
 #   tree, f18's control and environment trees clean and dirty (about 2 s);
 #   the rainshine-core line after it does the same for P1's two
-#   classification trees (about 1 s);
+#   classification trees (about 1 s). Q1's MF cluster trees (a nominal
+#   feature and inexact sums) are grown by the reference itself;
 # - derived_table: the disk rack-day table the experiments derive from the
 #   all-hardware one against a fresh build, column for column, on the paper
 #   fleet clean and dirty, seed 42 (about 1 s);

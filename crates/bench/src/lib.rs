@@ -193,20 +193,36 @@ fn dispatch(id: &str, ctx: &ExperimentContext, out_dir: &Path) -> Result<String,
         "t3" => t3(out_dir),
         "t4" => t4(ctx, out_dir),
         "f1" | "f11" => f11(ctx, out_dir, id),
-        "f2" => evidence_fig(ctx, out_dir, id, "region"),
-        "f3" => evidence_fig(ctx, out_dir, id, "dow"),
-        "f4" => evidence_fig(ctx, out_dir, id, "month"),
-        "f5" => evidence_fig(ctx, out_dir, id, "rh"),
-        "f6" => evidence_fig(ctx, out_dir, id, "workload"),
-        "f7" => evidence_fig(ctx, out_dir, id, "sku"),
-        "f8" => evidence_fig(ctx, out_dir, id, "power"),
-        "f9" => evidence_fig(ctx, out_dir, id, "age"),
+        "f2" => evidence_fig(ctx, out_dir, id, "Fig 2 — λ by DC region", evidence::by_region),
+        "f3" => evidence_fig(ctx, out_dir, id, "Fig 3 — λ by day of week (2012)", |t| {
+            evidence::by_day_of_week(t, 0)
+        }),
+        "f4" => evidence_fig(ctx, out_dir, id, "Fig 4 — λ by month (2012)", |t| {
+            evidence::by_month(t, 0)
+        }),
+        "f5" => {
+            evidence_fig(ctx, out_dir, id, "Fig 5 — λ by relative humidity", evidence::by_rh_bin)
+        }
+        "f6" => evidence_fig(ctx, out_dir, id, "Fig 6 — λ by workload", evidence::by_workload),
+        "f7" => evidence_fig(ctx, out_dir, id, "Fig 7 — λ by SKU", evidence::by_sku),
+        "f8" => {
+            evidence_fig(ctx, out_dir, id, "Fig 8 — λ by rack power rating", evidence::by_power)
+        }
+        "f9" => {
+            evidence_fig(ctx, out_dir, id, "Fig 9 — λ by equipment age (months)", evidence::by_age)
+        }
         "f10" => f10(ctx, out_dir, TimeGranularity::Daily, "f10"),
         "f12" => f10(ctx, out_dir, TimeGranularity::Hourly, "f12"),
         "f13" => f13(ctx, out_dir),
         "f14" => f14(ctx, out_dir),
         "f15" => f15(ctx, out_dir),
-        "f16" => evidence_fig(ctx, out_dir, id, "temperature"),
+        "f16" => evidence_fig(
+            ctx,
+            out_dir,
+            id,
+            "Fig 16 — temperature vs all hardware failures (SF)",
+            q3::rate_by_temperature,
+        ),
         "f17" => f17(ctx, out_dir),
         "f18" => f18(ctx, out_dir),
         "p1" => p1(ctx, out_dir),
@@ -295,23 +311,11 @@ fn evidence_fig(
     ctx: &ExperimentContext,
     dir: &Path,
     id: &str,
-    which: &str,
+    title: &str,
+    series: fn(&Frame) -> rainshine_core::Result<Vec<SeriesRow>>,
 ) -> Result<String, ExperimentError> {
     let table = &*ctx.analyses.all_hw_table(&ctx.output, ctx.day_stride_pub())?;
-    let (title, mut rows) = match which {
-        "region" => ("Fig 2 — λ by DC region", evidence::by_region(table)?),
-        "dow" => ("Fig 3 — λ by day of week (2012)", evidence::by_day_of_week(table, 0)?),
-        "month" => ("Fig 4 — λ by month (2012)", evidence::by_month(table, 0)?),
-        "rh" => ("Fig 5 — λ by relative humidity", evidence::by_rh_bin(table)?),
-        "workload" => ("Fig 6 — λ by workload", evidence::by_workload(table)?),
-        "sku" => ("Fig 7 — λ by SKU", evidence::by_sku(table)?),
-        "power" => ("Fig 8 — λ by rack power rating", evidence::by_power(table)?),
-        "age" => ("Fig 9 — λ by equipment age (months)", evidence::by_age(table)?),
-        "temperature" => {
-            ("Fig 16 — temperature vs all hardware failures (SF)", q3::rate_by_temperature(table)?)
-        }
-        _ => return Err(format!("unknown evidence figure `{which}`").into()),
-    };
+    let mut rows = series(table)?;
     evidence::normalize(&mut rows);
     write_csv(dir, id, "label,mean,sd,n", &series_csv(&rows))?;
     Ok(series_preview(title, &rows))

@@ -280,9 +280,10 @@ pub(crate) fn sorted_order<V: Fn(usize) -> f64>(rows: &[usize], value_of: V) -> 
 /// ordered feature on the fly, and returns it with the winning feature's
 /// slot in `features`.
 ///
-/// This is the per-node-sort reference path, kept for unit tests and
-/// the presort-equivalence oracles; tree growth uses
-/// [`best_split_ranked`] with presorted rank-keyed segments instead.
+/// This is the per-node-sort reference path: the presort-equivalence
+/// oracles compare against it, and it grows the fits whose nominal sweep
+/// would not be exact ([`exact_sums`]). Other fits grow with
+/// [`best_split_ranked`] over presorted rank-keyed segments instead.
 ///
 /// Returns `None` if no admissible split exists (all features constant on
 /// the node, or min_leaf cannot be satisfied).
@@ -637,11 +638,12 @@ pub(crate) fn ranked_order(rows: &[u32], value_of: impl Fn(usize) -> f64) -> Vec
 /// Searches all features for the best split of a node, using each ordered
 /// feature's rank-keyed segment (`segments` is aligned with `features`;
 /// nominal entries are `None`) and the node's accumulated `total` over
-/// `rows` in `rows` order. `bucketed` is the nominal scan's reusable
-/// buffer, `None` when the fit's sums are exact ([`scan_bucketed`]).
+/// `rows` in `rows` order.
 ///
 /// It returns what [`best_split`] returns on the same node, bit for bit,
-/// the winning feature's slot included.
+/// the winning feature's slot included, when `features` has no nominal
+/// feature or the target's sums over `rows` are exact ([`exact_sums`]):
+/// the nominal scan merges category totals ([`scan_merged`]).
 pub(crate) fn best_split_ranked(
     target: &Target<'_>,
     features: &[(String, FeatureColumn<'_>)],
@@ -649,7 +651,6 @@ pub(crate) fn best_split_ranked(
     segments: &[Option<&[Ranked]>],
     total: &RiskAcc,
     params: &CartParams,
-    mut bucketed: Option<&mut Vec<u32>>,
 ) -> Option<(usize, BestSplit)> {
     // Where the winning candidate splits: a boundary index into its
     // segment, or its left category codes.
@@ -662,7 +663,7 @@ pub(crate) fn best_split_ranked(
         let candidate = match (column, segment) {
             (FeatureColumn::Nominal { codes, categories }, _) => {
                 let k = categories.len();
-                scan_bucketed(target, rows, total, params, codes, k, bucketed.as_deref_mut())
+                scan_merged(target, rows, total, params, codes, k)
                     .map(|(improvement, codes)| (improvement, Cut::Codes(codes)))
             }
             (_, Some(segment)) => scan_ranked(target, rows.len(), segment, total, params)
@@ -755,25 +756,21 @@ fn scan_ranked(
 
 /// [`scan_nominal`] at O(n + k) per node instead of O(k·n): one pass over
 /// the node's rows builds the per-category totals, and the prefix sweep
-/// moves whole categories into `left` in sorted-category order. Returns
+/// merges whole categories into `left` in sorted-category order. Returns
 /// the best improvement and its left category codes.
 ///
-/// With no `bucketed` buffer, which the caller passes when the sums are
-/// exact ([`exact_sums`]), the sweep merges each category's total.
-/// Otherwise the rows are counting-sorted into per-category buckets in
-/// `bucketed` (row order kept inside each bucket) and the sweep re-adds
-/// them bucket by bucket, so `left` receives the reference's adds in the
-/// reference's order.
-fn scan_bucketed(
+/// Merging a category's total equals the reference's row-by-row adds only
+/// when every partial sum is exact ([`exact_sums`]), which is why
+/// [`Tree::fit_on_rows`](crate::Tree::fit_on_rows) hands every other fit
+/// with a nominal feature to the reference.
+fn scan_merged(
     target: &Target<'_>,
     rows: &[u32],
     total: &RiskAcc,
     params: &CartParams,
     codes: &[u32],
     k: usize,
-    bucketed: Option<&mut Vec<u32>>,
 ) -> Option<(f64, Vec<u32>)> {
-    // Per-category accumulators in row order, as the reference builds them.
     let mut per_cat: Vec<Option<RiskAcc>> = vec![None; k];
     for &r in rows {
         let r = r as usize;
@@ -791,39 +788,13 @@ fn scan_bucketed(
     }
     order.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
 
-    // Bucket starts by code, for the row-by-row sweep only.
-    let buckets = bucketed.map(|bucketed| {
-        let mut starts = vec![0; k + 1];
-        for (code, acc) in per_cat.iter().enumerate() {
-            starts[code + 1] = starts[code] + acc.as_ref().map_or(0, |a| a.n() as usize);
-        }
-        bucketed.resize(rows.len(), 0);
-        let mut next = starts[..k].to_vec();
-        for &r in rows {
-            let slot = &mut next[codes[r as usize] as usize];
-            bucketed[*slot] = r;
-            *slot += 1;
-        }
-        (starts, &*bucketed)
-    });
-
     let n = rows.len();
     let parent_risk = total.risk();
     let mut left = RiskAcc::empty_like(target);
     let mut best: Option<(f64, usize)> = None;
     for (prefix, &(code, _)) in order[..order.len() - 1].iter().enumerate() {
-        let code = code as usize;
-        match &buckets {
-            None => {
-                if let Some(acc) = &per_cat[code] {
-                    left.merge(acc);
-                }
-            }
-            Some((starts, bucketed)) => {
-                for &r in &bucketed[starts[code]..starts[code + 1]] {
-                    left.add_row(target, r as usize);
-                }
-            }
+        if let Some(acc) = &per_cat[code as usize] {
+            left.merge(acc);
         }
         let left_n = left.n() as usize;
         if left_n < params.min_leaf || n - left_n < params.min_leaf {

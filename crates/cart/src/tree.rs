@@ -85,14 +85,17 @@ impl Tree {
     /// partitions the rows and every segment in place in one pass each (no
     /// per-node sort). The scans find boundaries between distinct values
     /// by comparing ranks, reuse each node's target totals from when the
-    /// node was made, and sweep a nominal feature's categories in one pass
-    /// over the node's rows: by merged category totals when every partial
-    /// sum of the target is exact, so addition order cannot show, and
-    /// otherwise over rows bucketed by category in row order. Every sort,
-    /// partition and inexact sum keeps the reference's order, so the
-    /// fitted tree is bit-identical to the per-node-sort reference
-    /// ([`Tree::fit_on_rows_per_node_sort`]), which this falls back to
-    /// when a row id does not fit in `u32`.
+    /// node was made, and sweep a nominal feature's categories by merged
+    /// category totals in one pass over the node's rows. Every sort and
+    /// partition keeps the reference's order, so the fitted tree is
+    /// bit-identical to the per-node-sort reference
+    /// ([`Tree::fit_on_rows_per_node_sort`]).
+    ///
+    /// Merged totals equal the reference's row-by-row adds only when every
+    /// partial sum of the target is exact (`split::exact_sums`), so a fit
+    /// with a nominal feature whose target sums are not exact over `rows`
+    /// is handed to the reference before anything is presorted, as is a
+    /// fit whose row ids do not fit in `u32`.
     ///
     /// # Errors
     ///
@@ -111,11 +114,17 @@ impl Tree {
         }
         let target = dataset.target();
         let features = dataset.features();
+        let mut rows_arr: Vec<u32> = rows.iter().map(|&r| r as u32).collect();
+        // The nominal scans merge category totals, which match the
+        // reference's row-by-row adds only when the sums are exact.
+        let has_nominal = features.iter().any(|(_, c)| matches!(c, FeatureColumn::Nominal { .. }));
+        if has_nominal && !exact_sums(&target, &rows_arr) {
+            return Self::fit_on_rows_per_node_sort(dataset, params, rows);
+        }
         let mut tree = Tree::skeleton(dataset, &target);
 
         // Presort: one NaN-filtered, rank-keyed segment per ordered
         // feature, partitioned (never re-sorted) down the tree.
-        let mut rows_arr: Vec<u32> = rows.iter().map(|&r| r as u32).collect();
         let mut segments: Vec<Option<Vec<Ranked>>> = features
             .iter()
             .map(|(_, column)| match column {
@@ -129,16 +138,9 @@ impl Tree {
         let root_segs: Vec<(usize, usize)> =
             segments.iter().map(|s| (0, s.as_ref().map_or(0, Vec::len))).collect();
 
-        // Decided once per fit: whether the nominal scans may sweep merged
-        // category totals instead of re-adding rows in the reference's
-        // order.
-        let exact = exact_sums(&target, &rows_arr);
-
         // Workspace buffers shared by every split of this fit.
         let mut goes_left = vec![false; dataset.len()];
-        // `scratch_rows` buckets a node's rows in the nominal scan (when
-        // the sums are inexact), then parks the right rows when the node
-        // splits.
+        // `scratch_rows` parks a node's right rows while it is partitioned.
         let mut scratch_rows: Vec<u32> = Vec::new();
         let mut right_ranked: Vec<Ranked> = Vec::new();
 
@@ -160,15 +162,7 @@ impl Tree {
                     .zip(&segs)
                     .map(|(segment, &(a, b))| segment.as_ref().map(|v| &v[a..b]))
                     .collect();
-                best_split_ranked(
-                    &target,
-                    features,
-                    &rows_arr[lo..hi],
-                    &views,
-                    &total,
-                    params,
-                    (!exact).then_some(&mut scratch_rows),
-                )
+                best_split_ranked(&target, features, &rows_arr[lo..hi], &views, &total, params)
             };
             let Some((slot, split)) = split else {
                 continue;
@@ -216,11 +210,15 @@ impl Tree {
         Ok(tree)
     }
 
-    /// The pre-refactor fitter, which re-sorts every ordered feature at
-    /// every node. Kept as the reference implementation for the
-    /// presort-equivalence tests and oracles (the proptest, the medium and
-    /// paper-scale fleet tests, and the `cart_presort_vs_per_node_sort`
-    /// conformance oracle); analysis code should use [`Tree::fit_on_rows`].
+    /// The reference fitter, which re-sorts every ordered feature at every
+    /// node and re-adds a nominal feature's rows category by category. It
+    /// is the oracle of the presort-equivalence tests (the proptest, the
+    /// medium and paper-scale fleet tests, and the
+    /// `cart_presort_vs_per_node_sort` conformance oracle), and
+    /// [`Tree::fit_on_rows`] hands it the fits its presort path does not
+    /// take: those with a nominal feature and a target whose sums are not
+    /// exact, and those whose row ids do not fit in `u32`. Analysis code
+    /// should call [`Tree::fit_on_rows`].
     ///
     /// # Errors
     ///
@@ -758,9 +756,11 @@ mod tests {
     #[test]
     fn targets_with_inexact_sums_fit_as_the_reference() {
         // Targets `exact_sums` rejects: a non-integer, a NaN, an infinity,
-        // and integers past its 2^53 bound. The nominal scans then re-add
-        // rows in the reference's order. NaN and infinite targets give NaN
-        // risks, which `==` never matches, so trees compare as Debug text.
+        // and integers past its 2^53 bound. With the nominal feature `k`
+        // the fit is handed to the reference; on `x` alone the presort
+        // path's ordered scans run on the inexact sums. NaN and infinite
+        // targets give NaN risks, which `==` never matches, so trees
+        // compare as Debug text.
         let n = 300;
         let base = |i: usize| ((i * 7) % 5) as f64 * 3.0 + (i % 3) as f64;
         let with_cell = |cell: f64| -> Vec<f64> {
@@ -784,18 +784,20 @@ mod tests {
                 b.push_row(vec![Value::Continuous((i % 37) as f64), k.into(), y.into()]).unwrap();
             }
             let t = b.build().unwrap();
-            let ds = CartDataset::regression(&t, "y", &["x", "k"]).unwrap();
             let rows: Vec<usize> = (0..n).collect();
             let ids: Vec<u32> = (0..n as u32).collect();
-            assert!(!exact_sums(&ds.target(), &ids), "{what}");
             let params = CartParams::default().with_cp(0.0001).with_min_sizes(4, 2);
-            let tree = Tree::fit_on_rows(&ds, &params, &rows).unwrap();
-            let reference = Tree::fit_on_rows_per_node_sort(&ds, &params, &rows).unwrap();
-            assert_eq!(format!("{tree:?}"), format!("{reference:?}"), "{what}");
             // A finite target grows a tree, so nodes below the root are
             // scanned too; a NaN root risk admits no split.
             let finite = t.continuous("y").unwrap().iter().all(|v| v.is_finite());
-            assert_eq!(tree.leaf_count() > 1, finite, "{what}");
+            for features in [&["x", "k"][..], &["x"]] {
+                let ds = CartDataset::regression(&t, "y", features).unwrap();
+                assert!(!exact_sums(&ds.target(), &ids), "{what}");
+                let tree = Tree::fit_on_rows(&ds, &params, &rows).unwrap();
+                let reference = Tree::fit_on_rows_per_node_sort(&ds, &params, &rows).unwrap();
+                assert_eq!(format!("{tree:?}"), format!("{reference:?}"), "{what} on {features:?}");
+                assert_eq!(tree.leaf_count() > 1, finite, "{what} on {features:?}");
+            }
         }
     }
 

@@ -27,7 +27,7 @@ use rainshine_dcsim::{Simulation, SimulationOutput};
 use rainshine_parallel::Parallelism;
 use rainshine_telemetry::frame::{FeatureKind, Frame, FrameBuilder, Value};
 use rainshine_telemetry::ids::RackId;
-use rainshine_telemetry::quality::{Sanitizer, SanitizerConfig};
+use rainshine_telemetry::quality::Sanitizer;
 use rainshine_telemetry::schema::{analysis_schema, columns};
 
 use crate::scenario::Scenario;
@@ -314,10 +314,8 @@ pub fn standard_oracles(scenario: &Scenario, seed: u64) -> Result<Vec<OracleRepo
     } else {
         &seq
     };
-    let sanitizer = Sanitizer::new(
-        clean_out.fleet.manifest(),
-        SanitizerConfig::for_span(clean_out.config.start, clean_out.config.end),
-    );
+    let sanitizer =
+        Sanitizer::new(clean_out.fleet.manifest(), clean_out.config.start..clean_out.config.end);
     let (resanitized, _) = sanitizer.sanitize(&clean_out.tickets);
     let fixed = DiffOracle::new("sanitizer_fixed_point", DivergenceBound::BitIdentical);
     reports.push(fixed.compare_serialized(

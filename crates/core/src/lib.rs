@@ -52,21 +52,3 @@ pub use error::AnalysisError;
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, AnalysisError>;
-
-/// Default feature list for CART models: every Table III candidate except
-/// the identity columns (`rack`, `row`), which would let a tree memorize
-/// individual racks instead of explaining them.
-pub const DEFAULT_FEATURES: &[&str] = &[
-    rainshine_telemetry::schema::columns::SKU,
-    rainshine_telemetry::schema::columns::AGE_MONTHS,
-    rainshine_telemetry::schema::columns::RATED_POWER_KW,
-    rainshine_telemetry::schema::columns::WORKLOAD,
-    rainshine_telemetry::schema::columns::TEMPERATURE_F,
-    rainshine_telemetry::schema::columns::RELATIVE_HUMIDITY,
-    rainshine_telemetry::schema::columns::DATACENTER,
-    rainshine_telemetry::schema::columns::REGION,
-    rainshine_telemetry::schema::columns::DAY_OF_WEEK,
-    rainshine_telemetry::schema::columns::WEEK,
-    rainshine_telemetry::schema::columns::MONTH,
-    rainshine_telemetry::schema::columns::YEAR,
-];

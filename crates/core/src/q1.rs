@@ -33,10 +33,10 @@ use crate::dataset::{rack_table, FaultFilter};
 use crate::tco::TcoModel;
 use crate::{AnalysisError, Result};
 
-/// Features used to cluster racks for MF provisioning. Unlike
-/// [`crate::DEFAULT_FEATURES`], the calendar ordinals are excluded: a
-/// rack-level summary row has no meaningful day-of-week/month, only the
-/// rack's static attributes and mean environment.
+/// Features used to cluster racks for MF provisioning. Unlike a rack-day
+/// table's candidates, the calendar ordinals are excluded: a rack-level
+/// summary row has no meaningful day-of-week/month, only the rack's static
+/// attributes and mean environment.
 const CLUSTER_FEATURES: &[&str] = &[
     columns::SKU,
     columns::AGE_MONTHS,

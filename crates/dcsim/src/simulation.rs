@@ -5,9 +5,7 @@ use std::num::NonZeroUsize;
 use rainshine_obs::Obs;
 use rainshine_parallel::derive_seed;
 use rainshine_telemetry::ids::{DcId, RegionId};
-use rainshine_telemetry::quality::{
-    DataQualityReport, DefectClass, Sanitizer, SanitizerConfig, SENSOR_BOUNDS,
-};
+use rainshine_telemetry::quality::{DataQualityReport, DefectClass, Sanitizer, SENSOR_BOUNDS};
 use rainshine_telemetry::rma::{self, RmaTicket};
 use rainshine_telemetry::time::SimTime;
 use rand::rngs::StdRng;
@@ -166,10 +164,7 @@ impl Simulation {
             obs.incr("corruption.defects_injected", injection.total_ticket_defects());
         }
 
-        let sanitizer = Sanitizer::new(
-            fleet.manifest(),
-            SanitizerConfig::for_span(self.config.start, self.config.end),
-        );
+        let sanitizer = Sanitizer::new(fleet.manifest(), self.config.start..self.config.end);
         let (tickets, mut quality) = {
             let mut span = obs.span("dcsim.sanitize");
             span.add_items(all.len() as u64);

@@ -16,6 +16,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::ops::Range;
 
 use serde::Serialize;
 
@@ -263,24 +264,6 @@ impl SensorBounds {
     }
 }
 
-/// Sanitizer settings: the observation span. The dedup window and the
-/// sensor bounds are the constants [`DEDUP_WINDOW_HOURS`] and
-/// [`SENSOR_BOUNDS`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SanitizerConfig {
-    /// Observation span start (tickets must open at or after this).
-    pub span_start: SimTime,
-    /// Observation span end (tickets must open strictly before this).
-    pub span_end: SimTime,
-}
-
-impl SanitizerConfig {
-    /// Settings for an observation span.
-    pub fn for_span(start: SimTime, end: SimTime) -> Self {
-        Self { span_start: start, span_end: end }
-    }
-}
-
 /// Fallback imputed outage (hours) when a fault class has no clean
 /// exemplars to take a median from.
 const FALLBACK_OUTAGE_HOURS: u64 = 4;
@@ -293,20 +276,24 @@ pub struct Sanitizer {
     /// `4 * len + 64` so a hostile sparse id cannot size the table; ids past
     /// its end fall back to the manifest map.
     racks: Vec<Option<RackRecord>>,
-    config: SanitizerConfig,
+    /// The observation span: tickets must open at or after its start and
+    /// strictly before its end.
+    span: Range<SimTime>,
 }
 
 impl Sanitizer {
-    /// Builds a sanitizer for one fleet and observation span.
-    pub fn new(manifest: FleetManifest, config: SanitizerConfig) -> Self {
-        let span = manifest.racks.last_key_value().map_or(0, |(&id, _)| id as usize + 1);
-        let mut racks = vec![None; span.min(4 * manifest.len() + 64)];
+    /// Builds a sanitizer for one fleet and observation span. The dedup
+    /// window and the sensor bounds are the constants
+    /// [`DEDUP_WINDOW_HOURS`] and [`SENSOR_BOUNDS`].
+    pub fn new(manifest: FleetManifest, span: Range<SimTime>) -> Self {
+        let ids = manifest.racks.last_key_value().map_or(0, |(&id, _)| id as usize + 1);
+        let mut racks = vec![None; ids.min(4 * manifest.len() + 64)];
         for (&id, record) in &manifest.racks {
             if let Some(slot) = racks.get_mut(id as usize) {
                 *slot = Some(*record);
             }
         }
-        Self { manifest, racks, config }
+        Self { manifest, racks, span }
     }
 
     /// The manifest record of a rack, `None` when it is not registered.
@@ -370,7 +357,7 @@ impl Sanitizer {
                     }
                 }
             }
-            if t.opened < self.config.span_start || t.opened >= self.config.span_end {
+            if !self.span.contains(&t.opened) {
                 report.record(DefectClass::ClockSkew, false);
                 continue;
             }
@@ -516,7 +503,7 @@ mod tests {
     }
 
     fn sanitizer() -> Sanitizer {
-        Sanitizer::new(manifest(), SanitizerConfig::for_span(SimTime(0), SimTime(1000)))
+        Sanitizer::new(manifest(), SimTime(0)..SimTime(1000))
     }
 
     #[test]
@@ -595,7 +582,7 @@ mod tests {
         let mut m = manifest();
         let far = RackRecord { dc: DcId(2), region: RegionId(1), row: RowId(1) };
         m.insert(RackId(1_000_000), far);
-        let s = Sanitizer::new(m, SanitizerConfig::for_span(SimTime(0), SimTime(1000)));
+        let s = Sanitizer::new(m, SimTime(0)..SimTime(1000));
         for rack in [0, 5, 999_999, 1_000_001, u32::MAX] {
             assert_eq!(s.rack(RackId(rack)), None, "rack {rack}");
         }

@@ -161,14 +161,20 @@ impl SimTime {
         DayOfWeek::ALL[(self.days() % 7) as usize]
     }
 
-    /// Decomposes into a calendar date.
-    pub fn date(&self) -> CalendarDate {
-        let mut remaining = self.days();
+    /// The calendar year and the zero-based day of that year.
+    fn year_and_day(&self) -> (u16, u64) {
+        let mut day = self.days();
         let mut year = 2012u16;
-        while remaining >= days_in_year(year) {
-            remaining -= days_in_year(year);
+        while day >= days_in_year(year) {
+            day -= days_in_year(year);
             year += 1;
         }
+        (year, day)
+    }
+
+    /// Decomposes into a calendar date.
+    pub fn date(&self) -> CalendarDate {
+        let (year, mut remaining) = self.year_and_day();
         let mut month0 = 0usize;
         while remaining >= days_in_month(year, month0) {
             remaining -= days_in_month(year, month0);
@@ -184,7 +190,7 @@ impl SimTime {
 
     /// Calendar year.
     pub fn year(&self) -> u16 {
-        self.date().year
+        self.year_and_day().0
     }
 
     /// Year offset from 2012 (the paper's "Year 0-2" ordinal feature).
@@ -195,24 +201,13 @@ impl SimTime {
     /// ISO-less week of year: `1 + day_of_year / 7`, range 1–53 (the paper's
     /// "Week 1-52" ordinal feature).
     pub fn week_of_year(&self) -> u8 {
-        let date = self.date();
-        let mut doy: u64 = 0;
-        for m in 0..(date.month - 1) as usize {
-            doy += days_in_month(date.year, m);
-        }
-        doy += (date.day - 1) as u64;
-        (doy / 7 + 1) as u8
+        (self.year_and_day().1 / 7 + 1) as u8
     }
 
     /// Fraction of the year elapsed, in `[0, 1)` — used by seasonal models.
     pub fn year_fraction(&self) -> f64 {
-        let date = self.date();
-        let mut doy: u64 = 0;
-        for m in 0..(date.month - 1) as usize {
-            doy += days_in_month(date.year, m);
-        }
-        doy += (date.day - 1) as u64;
-        (doy as f64 + self.hour_of_day() as f64 / 24.0) / days_in_year(date.year) as f64
+        let (year, doy) = self.year_and_day();
+        (doy as f64 + self.hour_of_day() as f64 / 24.0) / days_in_year(year) as f64
     }
 
     /// Adds whole hours.

@@ -36,6 +36,16 @@ proptest! {
         prop_assert!((1..=12).contains(&d.month));
         prop_assert!((1..=31).contains(&d.day));
         prop_assert!((1..=53).contains(&t.week_of_year()));
+        prop_assert_eq!(t.year(), d.year);
+        // Day of year from `from_date`'s own walk, not `date()`'s.
+        let new_year = SimTime::from_date(d.year, 1, 1, 0).days();
+        let doy = t.days() - new_year;
+        let year_len = SimTime::from_date(d.year + 1, 1, 1, 0).days() - new_year;
+        prop_assert_eq!(u64::from(t.week_of_year()), doy / 7 + 1);
+        prop_assert_eq!(
+            t.year_fraction().to_bits(),
+            ((doy as f64 + f64::from(hour) / 24.0) / year_len as f64).to_bits()
+        );
     }
 
     #[test]

@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 use rainshine_telemetry::ids::{DcId, DeviceId, RackId, RegionId, RowId, ServerId, ServerLocation};
-use rainshine_telemetry::quality::{FleetManifest, Sanitizer, SanitizerConfig};
+use rainshine_telemetry::quality::{FleetManifest, Sanitizer};
 use rainshine_telemetry::rma::{FaultKind, HardwareFault, RmaTicket};
 use rainshine_telemetry::time::SimTime;
 
@@ -38,10 +38,7 @@ fn dirty_ticket_strategy() -> impl Strategy<Value = RmaTicket> {
 
 fn sanitizer() -> Sanitizer {
     // Empty manifest: location repair is skipped, all other passes run.
-    Sanitizer::new(
-        FleetManifest::new(),
-        SanitizerConfig::for_span(SimTime(0), SimTime::from_days(60)),
-    )
+    Sanitizer::new(FleetManifest::new(), SimTime(0)..SimTime::from_days(60))
 }
 
 proptest! {

@@ -2,12 +2,13 @@
 //!
 //! `Tree::fit_on_rows` presorts each ordered feature once, by a counting
 //! sort over its distinct values, into rank-keyed segments, reuses each
-//! node's target totals, sweeps nominal categories by merged totals when
-//! the target's sums are exact (by rows bucketed in one pass otherwise)
-//! and partitions in one pass.
+//! node's target totals, sweeps nominal categories by merged totals and
+//! partitions in one pass.
 //! `Tree::fit_on_rows_per_node_sort` is the reference that re-sorts every
-//! node. On every dataset the experiments fit at paper scale, seed 42, the
-//! two must return equal trees (`==`, every float to the bit):
+//! node, and it grows the fits whose nominal sweep would not be exact
+//! (Q1's MF cluster trees) itself. On every dataset the presort path fits
+//! at paper scale, seed 42, the two must return equal trees (`==`, every
+//! float to the bit):
 //!
 //! - f15's MF control tree on the all-hardware rack-day table;
 //! - f18's DC1 and DC2 control trees and their environment trees;

@@ -11,6 +11,7 @@
 //! with the `dirty_default` corruption applied.
 
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 use proptest::prelude::*;
 use rainshine::dcsim::corruption::corrupt_tickets;
@@ -19,8 +20,7 @@ use rainshine::telemetry::ids::{
     DcId, DeviceId, RackId, RegionId, RowId, ServerId, ServerLocation,
 };
 use rainshine::telemetry::quality::{
-    DataQualityReport, DefectClass, FleetManifest, RackRecord, Sanitizer, SanitizerConfig,
-    DEDUP_WINDOW_HOURS,
+    DataQualityReport, DefectClass, FleetManifest, RackRecord, Sanitizer, DEDUP_WINDOW_HOURS,
 };
 use rainshine::telemetry::rma::{FaultKind, HardwareFault, RmaTicket};
 use rainshine::telemetry::time::SimTime;
@@ -56,7 +56,7 @@ fn median_outage_by_fault(tickets: &[RmaTicket]) -> BTreeMap<FaultKind, u64> {
 /// The map-based sanitizer, pass for pass.
 fn sanitize_reference(
     manifest: &FleetManifest,
-    config: &SanitizerConfig,
+    span: &Range<SimTime>,
     tickets: &[RmaTicket],
 ) -> (Vec<RmaTicket>, DataQualityReport) {
     let mut report = DataQualityReport { tickets_seen: tickets.len() as u64, ..Default::default() };
@@ -89,7 +89,7 @@ fn sanitize_reference(
                 }
             }
         }
-        if t.opened < config.span_start || t.opened >= config.span_end {
+        if t.opened < span.start || t.opened >= span.end {
             report.record(DefectClass::ClockSkew, false);
             continue;
         }
@@ -149,12 +149,12 @@ fn sanitize_reference(
 
 /// Asserts the sanitizer matches the reference on `tickets` as given and
 /// in the simulator's sorted order.
-fn check(manifest: &FleetManifest, config: SanitizerConfig, tickets: &[RmaTicket], what: &str) {
-    let sanitizer = Sanitizer::new(manifest.clone(), config);
+fn check(manifest: &FleetManifest, span: &Range<SimTime>, tickets: &[RmaTicket], what: &str) {
+    let sanitizer = Sanitizer::new(manifest.clone(), span.clone());
     let mut sorted = tickets.to_vec();
     sorted.sort_by_key(|t| (t.opened, t.location.rack, t.device));
     for (order, stream) in [("as given", tickets), ("sorted", &sorted)] {
-        let (want, want_report) = sanitize_reference(manifest, &config, stream);
+        let (want, want_report) = sanitize_reference(manifest, span, stream);
         let (got, got_report) = sanitizer.sanitize(stream);
         assert_eq!(got_report, want_report, "{what}, {order}: report");
         // `assert!`, not `assert_eq!`: a paper stream's Debug dump is huge.
@@ -221,9 +221,9 @@ proptest! {
     ) {
         let mut tickets: Vec<RmaTicket> = events.into_iter().flatten().collect();
         tickets.shuffle(&mut StdRng::seed_from_u64(shuffle_seed));
-        let config = SanitizerConfig::for_span(SimTime(0), SimTime(36));
-        check(&manifest(), config, &tickets, "manifest");
-        check(&FleetManifest::new(), config, &tickets, "empty manifest");
+        let span = SimTime(0)..SimTime(36);
+        check(&manifest(), &span, &tickets, "manifest");
+        check(&FleetManifest::new(), &span, &tickets, "empty manifest");
     }
 }
 
@@ -236,16 +236,20 @@ fn sanitizer_matches_the_reference_on_paper_streams() {
     for seed in [1, 2, 11] {
         let output = Simulation::new(FleetConfig::paper_scale(), seed).run();
         let manifest = output.fleet.manifest();
-        let span = (output.config.start, output.config.end);
-        let config = SanitizerConfig::for_span(span.0, span.1);
-        check(&manifest, config, &output.tickets, &format!("seed {seed}, clean"));
+        let span = output.config.start..output.config.end;
+        check(&manifest, &span, &output.tickets, &format!("seed {seed}, clean"));
 
         let mut dirty = output.tickets.clone();
         let mut rng = StdRng::seed_from_u64(seed);
-        let log = corrupt_tickets(&mut dirty, &CorruptionConfig::dirty_default(), span, &mut rng);
+        let log = corrupt_tickets(
+            &mut dirty,
+            &CorruptionConfig::dirty_default(),
+            (span.start, span.end),
+            &mut rng,
+        );
         assert!(log.duplicates > 0 && log.censored > 0 && log.mislabeled > 0, "seed {seed}");
-        check(&manifest, config, &dirty, &format!("seed {seed}, dirty_default"));
+        check(&manifest, &span, &dirty, &format!("seed {seed}, dirty_default"));
         dirty.shuffle(&mut rng);
-        check(&manifest, config, &dirty, &format!("seed {seed}, dirty_default shuffled"));
+        check(&manifest, &span, &dirty, &format!("seed {seed}, dirty_default shuffled"));
     }
 }
