@@ -316,7 +316,7 @@ pub fn standard_oracles(scenario: &Scenario, seed: u64) -> Result<Vec<OracleRepo
     };
     let sanitizer =
         Sanitizer::new(clean_out.fleet.manifest(), clean_out.config.start..clean_out.config.end);
-    let (resanitized, _) = sanitizer.sanitize(&clean_out.tickets);
+    let (resanitized, _) = sanitizer.sanitize(clean_out.tickets.clone());
     let fixed = DiffOracle::new("sanitizer_fixed_point", DivergenceBound::BitIdentical);
     reports.push(fixed.compare_serialized(
         &serde_json::to_string(&clean_out.tickets).expect("tickets serialize"),

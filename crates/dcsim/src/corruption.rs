@@ -24,7 +24,7 @@
 //! [`SensorBounds`]: rainshine_telemetry::quality::SensorBounds
 
 use rainshine_telemetry::ids::{DcId, RegionId};
-use rainshine_telemetry::rma::RmaTicket;
+use rainshine_telemetry::rma::{self, RmaTicket};
 use rainshine_telemetry::time::SimTime;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -248,8 +248,8 @@ impl InjectionLog {
 
 /// Corrupts a sorted ticket stream in place (appending duplicates), one
 /// defect per ticket at most, skipping flagged false positives. The stream
-/// is re-sorted afterwards so downstream consumers still see open-time
-/// order.
+/// is put back in canonical order afterwards ([`rma::sort_canonical`]) so
+/// downstream consumers still see open-time order.
 pub fn corrupt_tickets(
     tickets: &mut Vec<RmaTicket>,
     config: &CorruptionConfig,
@@ -304,7 +304,7 @@ pub fn corrupt_tickets(
         }
     }
     tickets.extend(clones);
-    tickets.sort_by_key(|t| (t.opened, t.location.rack, t.device));
+    rma::sort_canonical(tickets);
     log
 }
 

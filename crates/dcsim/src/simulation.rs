@@ -127,7 +127,7 @@ impl Simulation {
             obs.incr("tickets.false_positives", fps.len() as u64);
             all.extend(fps);
         }
-        all.sort_by_key(|t| (t.opened, t.location.rack, t.device));
+        rma::sort_canonical(&mut all);
         obs.incr("tickets.generated", all.len() as u64);
         obs.observe("tickets.per_rack_mean", (all.len() / fleet.racks.len().max(1)) as u64);
 
@@ -168,10 +168,10 @@ impl Simulation {
         let (tickets, mut quality) = {
             let mut span = obs.span("dcsim.sanitize");
             span.add_items(all.len() as u64);
-            sanitizer.sanitize(&all)
+            sanitizer.sanitize(all)
         };
         obs.incr("tickets.sanitized", tickets.len() as u64);
-        obs.incr("tickets.quarantined", all.len().saturating_sub(tickets.len()) as u64);
+        obs.incr("tickets.quarantined", quality.tickets_seen.saturating_sub(quality.tickets_kept));
 
         // Environment-sensor audit: every (DC, region, day) cell as the
         // sensors reported it (NaN in a blackout, spiked in a spike cell) is

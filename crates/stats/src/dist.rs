@@ -166,6 +166,8 @@ impl Poisson {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Categorical {
     cumulative: Vec<f64>,
+    /// The weights' sum, the last cumulative entry.
+    total: f64,
 }
 
 impl Categorical {
@@ -192,13 +194,12 @@ impl Categorical {
         if acc <= 0.0 {
             return Err(StatsError::DegenerateDimension { what: "all categorical weights zero" });
         }
-        Ok(Categorical { cumulative })
+        Ok(Categorical { cumulative, total: acc })
     }
 
     /// Draws one index.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
-        let total = *self.cumulative.last().expect("non-empty by construction");
-        let u = rng.gen::<f64>() * total;
+        let u = rng.gen::<f64>() * self.total;
         self.cumulative.partition_point(|&c| c <= u).min(self.cumulative.len() - 1)
     }
 }

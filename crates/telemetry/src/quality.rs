@@ -21,7 +21,7 @@ use std::ops::Range;
 use serde::Serialize;
 
 use crate::ids::{DcId, RackId, RegionId, RowId};
-use crate::rma::{FaultKind, RmaTicket};
+use crate::rma::{self, FaultKind, RmaTicket};
 use crate::time::SimTime;
 
 /// The defect taxonomy the ingestion layer detects and accounts for.
@@ -304,7 +304,7 @@ impl Sanitizer {
         }
     }
 
-    /// Sanitizes a ticket stream.
+    /// Sanitizes a ticket stream, repairing and filtering it in place.
     ///
     /// Passes, in order:
     /// 1. flagged false positives pass through untouched (counted);
@@ -319,24 +319,25 @@ impl Sanitizer {
     ///    later one is quarantined when it opened within the dedup window
     ///    of the earliest `opened` among them (on the simulator's sorted
     ///    stream the first report is the earliest);
-    /// 7. the stream is re-sorted by `(opened, rack, device)`.
+    /// 7. the stream is put in canonical order by [`rma::sort_canonical`].
     ///
     /// The returned report accounts for every input row. On a stream with
     /// no defects the output is bit-identical to the input.
-    pub fn sanitize(&self, tickets: &[RmaTicket]) -> (Vec<RmaTicket>, DataQualityReport) {
+    pub fn sanitize(&self, mut tickets: Vec<RmaTicket>) -> (Vec<RmaTicket>, DataQualityReport) {
         let mut report =
             DataQualityReport { tickets_seen: tickets.len() as u64, ..Default::default() };
 
         // Passes 1–4: pass-through, location repair, span check, un-invert.
-        let mut kept: Vec<RmaTicket> = Vec::with_capacity(tickets.len());
+        // `kept` counts the rows retained so far, so a censored row's index
+        // is its position in the filtered stream.
+        let mut kept = 0;
         let mut censored: Vec<usize> = Vec::new();
-        for t in tickets {
+        tickets.retain_mut(|t| {
             if t.false_positive {
                 report.false_positives_flagged += 1;
-                kept.push(t.clone());
-                continue;
+                kept += 1;
+                return true;
             }
-            let mut t = t.clone();
             match self.rack(t.location.rack) {
                 Some(rec) => {
                     if t.location.dc != rec.dc
@@ -353,72 +354,82 @@ impl Sanitizer {
                     if !self.manifest.is_empty() {
                         // Unknown rack: nothing to repair against.
                         report.record(DefectClass::MislabeledLocation, false);
-                        continue;
+                        return false;
                     }
                 }
             }
             if !self.span.contains(&t.opened) {
                 report.record(DefectClass::ClockSkew, false);
-                continue;
+                return false;
             }
             if t.resolved < t.opened {
                 std::mem::swap(&mut t.opened, &mut t.resolved);
                 report.record(DefectClass::InvertedInterval, true);
             }
             if t.resolved == t.opened {
-                censored.push(kept.len());
+                censored.push(kept);
             }
-            kept.push(t);
-        }
+            kept += 1;
+            true
+        });
 
         // Pass 5: impute censored resolutions from the clean population.
         if !censored.is_empty() {
-            let medians = median_outage_by_fault(&kept);
+            let medians = median_outage_by_fault(&tickets);
             for &i in &censored {
-                let t = &mut kept[i];
-                let hours = medians.get(&t.fault).copied().unwrap_or(FALLBACK_OUTAGE_HOURS);
+                let t = &mut tickets[i];
+                let hours = medians[t.fault.ordinal()].unwrap_or(FALLBACK_OUTAGE_HOURS);
                 t.resolved = SimTime(t.opened.hours().saturating_add(hours.max(1)));
                 report.record(DefectClass::CensoredResolution, true);
             }
         }
 
         // Pass 6: dedup. Two non-FP tickets share an event when every field
-        // except `opened` matches. Sorting (key, stream index) lays each
-        // event's reports out as one run in stream order; in a run, the
-        // first report is kept and a later one is a pipeline retry when it
-        // opened within the window of the run's earliest `opened`, once an
-        // earlier report of the run has been kept.
-        let mut keyed: Vec<(DedupKey, usize)> = kept
-            .iter()
-            .enumerate()
-            .filter(|(_, t)| !t.false_positive)
-            .map(|(i, t)| (DedupKey::of(t), i))
-            .collect();
-        keyed.sort_unstable();
-        let mut duplicate = vec![false; kept.len()];
-        for run in keyed.chunk_by(|a, b| a.0 == b.0).filter(|run| run.len() > 1) {
-            let first = run.iter().map(|&(_, i)| kept[i].opened.hours()).min().unwrap_or(0);
-            let mut emitted = false;
-            for &(_, i) in run {
-                if emitted && kept[i].opened.hours().saturating_sub(first) <= DEDUP_WINDOW_HOURS {
-                    duplicate[i] = true;
-                    report.record(DefectClass::DuplicateTicket, false);
-                } else {
-                    emitted = true;
+        // except `opened` matches, so an event's reports all share one
+        // `resolved` hour. The radix groups the non-FP rows by that hour in
+        // stream order; sorting each hour's few `(key, stream index)` pairs
+        // lays each event's reports out as one run in stream order. In a
+        // run, the first report is kept and a later one is a pipeline retry
+        // when it opened within the window of the run's earliest `opened`,
+        // once an earlier report of the run has been kept.
+        let resolved: Vec<u64> = tickets.iter().map(|t| t.resolved.hours()).collect();
+        let mut order: Vec<usize> =
+            (0..tickets.len()).filter(|&i| !tickets[i].false_positive).collect();
+        rma::radix_sort_by_hour(&mut order, &resolved);
+        let mut duplicate = vec![false; tickets.len()];
+        let mut keyed: Vec<(DedupKey, usize)> = Vec::new();
+        for hour in order.chunk_by(|&a, &b| resolved[a] == resolved[b]).filter(|h| h.len() > 1) {
+            keyed.clear();
+            keyed.extend(hour.iter().map(|&i| (DedupKey::of(&tickets[i]), i)));
+            keyed.sort_unstable();
+            for run in keyed.chunk_by(|a, b| a.0 == b.0).filter(|run| run.len() > 1) {
+                let first = run.iter().map(|&(_, i)| tickets[i].opened.hours()).min().unwrap_or(0);
+                let mut emitted = false;
+                for &(_, i) in run {
+                    if emitted
+                        && tickets[i].opened.hours().saturating_sub(first) <= DEDUP_WINDOW_HOURS
+                    {
+                        duplicate[i] = true;
+                        report.record(DefectClass::DuplicateTicket, false);
+                    } else {
+                        emitted = true;
+                    }
                 }
             }
         }
         let mut is_duplicate = duplicate.into_iter();
-        kept.retain(|_| !is_duplicate.next().unwrap_or(false));
+        tickets.retain(|_| !is_duplicate.next().unwrap_or(false));
 
-        // Pass 7: restore canonical stream order. Stable sort on the same
-        // key the simulator uses, so an already-clean stream is untouched.
-        kept.sort_by(|a, b| {
-            (a.opened, a.location.rack, a.device).cmp(&(b.opened, b.location.rack, b.device))
-        });
+        // Pass 7: restore canonical stream order, which leaves an
+        // already-clean stream untouched.
+        rma::sort_canonical(&mut tickets);
+        // The caller keeps the stream for the whole analysis, so hand back
+        // the quarantined rows' slots and any spare capacity the stream
+        // arrived with (a shrinking realloc, not a copy).
+        tickets.shrink_to_fit();
 
-        report.tickets_kept = kept.len() as u64;
-        (kept, report)
+        report.tickets_kept = tickets.len() as u64;
+        (tickets, report)
     }
 }
 
@@ -446,22 +457,20 @@ impl DedupKey {
     }
 }
 
-/// Median outage hours per fault kind over valid, uncensored tickets.
-fn median_outage_by_fault(tickets: &[RmaTicket]) -> BTreeMap<FaultKind, u64> {
-    let mut samples: BTreeMap<FaultKind, Vec<u64>> = BTreeMap::new();
+/// Median outage hours per fault kind over valid, uncensored tickets,
+/// indexed by [`FaultKind::ordinal`]; `None` for a kind with no such ticket.
+fn median_outage_by_fault(tickets: &[RmaTicket]) -> [Option<u64>; FaultKind::COUNT] {
+    let mut samples: [Vec<u64>; FaultKind::COUNT] = Default::default();
     for t in tickets {
         if t.false_positive || t.resolved <= t.opened {
             continue;
         }
-        samples.entry(t.fault).or_default().push(t.outage_hours());
+        samples[t.fault.ordinal()].push(t.outage_hours());
     }
-    samples
-        .into_iter()
-        .map(|(fault, mut hours)| {
-            let mid = hours.len() / 2;
-            (fault, *hours.select_nth_unstable(mid).1)
-        })
-        .collect()
+    samples.map(|mut hours| {
+        let mid = hours.len() / 2;
+        (!hours.is_empty()).then(|| *hours.select_nth_unstable(mid).1)
+    })
 }
 
 #[cfg(test)]
@@ -509,7 +518,7 @@ mod tests {
     #[test]
     fn clean_stream_is_untouched() {
         let tickets = vec![ticket(1, 10, 5, 9), ticket(2, 11, 7, 20), ticket(3, 12, 7, 30)];
-        let (out, report) = sanitizer().sanitize(&tickets);
+        let (out, report) = sanitizer().sanitize(tickets.clone());
         assert_eq!(out, tickets);
         assert_eq!(report.tickets_seen, 3);
         assert_eq!(report.tickets_kept, 3);
@@ -520,7 +529,7 @@ mod tests {
     fn inverted_interval_is_swapped_back() {
         let mut t = ticket(1, 10, 5, 9);
         std::mem::swap(&mut t.opened, &mut t.resolved);
-        let (out, report) = sanitizer().sanitize(&[t]);
+        let (out, report) = sanitizer().sanitize(vec![t]);
         assert_eq!(out[0].opened, SimTime(5));
         assert_eq!(out[0].resolved, SimTime(9));
         assert_eq!(report.counts(DefectClass::InvertedInterval).repaired, 1);
@@ -529,7 +538,7 @@ mod tests {
     #[test]
     fn out_of_span_ticket_is_quarantined() {
         let t = ticket(1, 10, 5000, 5004);
-        let (out, report) = sanitizer().sanitize(&[t]);
+        let (out, report) = sanitizer().sanitize(vec![t]);
         assert!(out.is_empty());
         assert_eq!(report.counts(DefectClass::ClockSkew).quarantined, 1);
         assert_eq!(report.tickets_kept, 0);
@@ -539,7 +548,7 @@ mod tests {
     fn mislabeled_location_is_repaired_from_manifest() {
         let mut t = ticket(1, 10, 5, 9);
         t.location.dc = DcId(2); // rack 1 lives in DC1
-        let (out, report) = sanitizer().sanitize(&[t]);
+        let (out, report) = sanitizer().sanitize(vec![t]);
         assert_eq!(out[0].location.dc, DcId(1));
         assert_eq!(report.counts(DefectClass::MislabeledLocation).repaired, 1);
     }
@@ -550,7 +559,7 @@ mod tests {
             [4u64, 6, 8].iter().map(|&h| ticket(1, h, 10, 10 + h)).collect();
         let mut tickets = clean;
         tickets.push(ticket(2, 99, 50, 50)); // censored
-        let (out, report) = sanitizer().sanitize(&tickets);
+        let (out, report) = sanitizer().sanitize(tickets);
         let imputed = out.iter().find(|t| t.device.0 == 99).unwrap();
         assert_eq!(imputed.resolved, SimTime(56)); // median outage = 6h
         assert_eq!(report.counts(DefectClass::CensoredResolution).repaired, 1);
@@ -562,7 +571,7 @@ mod tests {
         let mut dup = original.clone();
         dup.opened = SimTime(7); // same resolution, +2h open
         let distinct = ticket(1, 10, 100, 120); // same device+fault, far later
-        let (out, report) = sanitizer().sanitize(&[original.clone(), dup, distinct.clone()]);
+        let (out, report) = sanitizer().sanitize(vec![original.clone(), dup, distinct.clone()]);
         assert_eq!(out, vec![original, distinct]);
         assert_eq!(report.counts(DefectClass::DuplicateTicket).quarantined, 1);
     }
@@ -572,7 +581,7 @@ mod tests {
         let first = ticket(1, 10, 10, 20);
         let mut earlier = first.clone();
         earlier.opened = SimTime(8); // same event, reported later in the stream
-        let (out, report) = sanitizer().sanitize(&[first.clone(), earlier]);
+        let (out, report) = sanitizer().sanitize(vec![first.clone(), earlier]);
         assert_eq!(out, vec![first]);
         assert_eq!(report.counts(DefectClass::DuplicateTicket).quarantined, 1);
     }
@@ -588,7 +597,7 @@ mod tests {
         }
         assert_eq!(s.rack(RackId(1_000_000)), Some(&far));
         assert_eq!(s.rack(RackId(3)).map(|r| r.dc), Some(DcId(2)));
-        let (out, report) = s.sanitize(&[ticket(1, 10, 5, 9), ticket(5, 11, 5, 9)]);
+        let (out, report) = s.sanitize(vec![ticket(1, 10, 5, 9), ticket(5, 11, 5, 9)]);
         assert_eq!(out.len(), 1);
         assert_eq!(report.counts(DefectClass::MislabeledLocation).quarantined, 1);
     }
@@ -598,7 +607,7 @@ mod tests {
         let mut fp = ticket(1, 10, 5, 9);
         fp.false_positive = true;
         let dup_fp = fp.clone();
-        let (out, report) = sanitizer().sanitize(&[fp, dup_fp]);
+        let (out, report) = sanitizer().sanitize(vec![fp, dup_fp]);
         assert_eq!(out.len(), 2, "flagged FPs are never deduped or repaired");
         assert_eq!(report.false_positives_flagged, 2);
     }
@@ -610,7 +619,7 @@ mod tests {
             ticket(1, 2, 5000, 5004), // clock skew
             ticket(2, 3, 9, 5),       // inverted
         ];
-        let (out, report) = sanitizer().sanitize(&tickets);
+        let (out, report) = sanitizer().sanitize(tickets);
         assert_eq!(report.tickets_seen, 3);
         assert_eq!(report.tickets_kept as usize, out.len());
         assert_eq!(report.tickets_seen, report.tickets_kept + report.total_quarantined());

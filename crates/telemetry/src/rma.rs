@@ -123,6 +123,20 @@ impl FaultKind {
     pub fn is_hardware(&self) -> bool {
         matches!(self, FaultKind::Hardware(_))
     }
+
+    /// How many fault kinds there are: the length of a table indexed by
+    /// [`ordinal`](Self::ordinal).
+    pub(crate) const COUNT: usize = 11;
+
+    /// A dense index in `0..COUNT`, one per fault kind.
+    pub(crate) fn ordinal(self) -> usize {
+        match self {
+            FaultKind::Hardware(h) => h as usize,
+            FaultKind::Software(s) => 5 + s as usize,
+            FaultKind::Boot(b) => 8 + b as usize,
+            FaultKind::Other => 10,
+        }
+    }
 }
 
 impl fmt::Display for FaultKind {
@@ -171,6 +185,78 @@ impl RmaTicket {
     /// Outage duration in hours.
     pub fn outage_hours(&self) -> u64 {
         self.resolved.hours().saturating_sub(self.opened.hours())
+    }
+}
+
+/// Sorts a ticket stream into canonical order: by `opened`, then rack, then
+/// device, with ties left in stream order. This is the order a stable sort
+/// on `(opened, location.rack, device)` gives, and every stage that orders
+/// tickets uses this one function.
+///
+/// It runs in linear time for any input. A stream already in order costs
+/// one check. Otherwise a stable radix over the `opened` hours orders row
+/// indices, a stable sort orders each run of equal hours by rack and
+/// device, and the tickets are permuted in place by walking the order's
+/// cycles. The scratch memory is hours and indices, never a second copy
+/// of the stream.
+pub fn sort_canonical(tickets: &mut [RmaTicket]) {
+    let key = |t: &RmaTicket| (t.opened, t.location.rack, t.device);
+    if tickets.windows(2).all(|w| key(&w[0]) <= key(&w[1])) {
+        return;
+    }
+    let hours: Vec<u64> = tickets.iter().map(|t| t.opened.hours()).collect();
+    let mut order: Vec<usize> = (0..tickets.len()).collect();
+    radix_sort_by_hour(&mut order, &hours);
+    for run in order.chunk_by_mut(|&a, &b| hours[a] == hours[b]) {
+        run.sort_by_key(|&i| (tickets[i].location.rack, tickets[i].device));
+    }
+    permute(tickets, order);
+}
+
+/// Stably reorders `order`, a list of indices into `hours`, by ascending
+/// `hours[i]`. It is a least-significant-digit radix over the hours' bytes
+/// that skips each byte on which every listed hour agrees.
+pub(crate) fn radix_sort_by_hour(order: &mut Vec<usize>, hours: &[u64]) {
+    let Some(&first) = order.first() else { return };
+    let differ = order.iter().fold(0, |acc, &i| acc | (hours[i] ^ hours[first]));
+    if differ == 0 {
+        return;
+    }
+    let mut scratch = vec![0; order.len()];
+    for shift in (0..u64::BITS).step_by(8).filter(|&shift| (differ >> shift) & 0xff != 0) {
+        let digit = |i: usize| (hours[i] >> shift) as usize & 0xff;
+        let mut starts = [0usize; 256];
+        for &i in order.iter() {
+            starts[digit(i)] += 1;
+        }
+        let mut next = 0;
+        for start in &mut starts {
+            (*start, next) = (next, next + *start);
+        }
+        for &i in order.iter() {
+            let slot = &mut starts[digit(i)];
+            scratch[*slot] = i;
+            *slot += 1;
+        }
+        std::mem::swap(order, &mut scratch);
+    }
+}
+
+/// Moves `items[order[k]]` to position `k` for every `k`, in place, by
+/// walking the permutation's cycles. A visited slot is marked by setting
+/// `order[k] = k`, which is why `order` is taken by value.
+fn permute<T>(items: &mut [T], mut order: Vec<usize>) {
+    for start in 0..order.len() {
+        let mut at = start;
+        loop {
+            let from = order[at];
+            order[at] = at;
+            if from == start {
+                break;
+            }
+            items.swap(at, from);
+            at = from;
+        }
     }
 }
 
@@ -297,6 +383,19 @@ mod tests {
         assert!((rows[0].2 - 50.0).abs() < 1e-12);
         let total: f64 = rows.iter().map(|r| r.2).sum();
         assert!((total - 100.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn fault_ordinals_are_dense_and_distinct() {
+        let mut kinds: Vec<FaultKind> = HardwareFault::ALL.map(FaultKind::Hardware).to_vec();
+        kinds.extend(
+            [SoftwareFault::Timeout, SoftwareFault::Deployment, SoftwareFault::Crash]
+                .map(FaultKind::Software),
+        );
+        kinds.extend([BootFault::Pxe, BootFault::Reboot].map(FaultKind::Boot));
+        kinds.push(FaultKind::Other);
+        let ordinals: Vec<usize> = kinds.iter().map(|k| k.ordinal()).collect();
+        assert_eq!(ordinals, (0..FaultKind::COUNT).collect::<Vec<_>>());
     }
 
     #[test]

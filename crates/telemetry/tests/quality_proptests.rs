@@ -46,7 +46,7 @@ proptest! {
     fn sanitized_output_always_validates(
         tickets in prop::collection::vec(dirty_ticket_strategy(), 0..80),
     ) {
-        let (kept, report) = sanitizer().sanitize(&tickets);
+        let (kept, report) = sanitizer().sanitize(tickets.clone());
         // Every non-FP survivor is valid and in-span. False positives pass
         // through untouched whatever their shape — they are flagged, not
         // analyzed, so repairing them would only mask the flag.
@@ -72,8 +72,8 @@ proptest! {
     fn sanitization_is_idempotent(
         tickets in prop::collection::vec(dirty_ticket_strategy(), 0..80),
     ) {
-        let (once, _) = sanitizer().sanitize(&tickets);
-        let (twice, report) = sanitizer().sanitize(&once);
+        let (once, _) = sanitizer().sanitize(tickets.clone());
+        let (twice, report) = sanitizer().sanitize(once.clone());
         prop_assert_eq!(&twice, &once, "second pass changed the stream");
         prop_assert_eq!(report.total_detected(), 0, "second pass found defects: {report}");
         prop_assert_eq!(report.tickets_kept, report.tickets_seen);
@@ -98,7 +98,7 @@ proptest! {
                 false_positive: false,
             })
             .collect();
-        let (kept, report) = sanitizer().sanitize(&tickets);
+        let (kept, report) = sanitizer().sanitize(tickets.clone());
         prop_assert_eq!(kept.len(), tickets.len(), "a distinct ticket was dropped");
         prop_assert_eq!(report.total_detected(), 0);
         let mut ids: Vec<u64> = kept.iter().map(|t| t.device.0).collect();

@@ -1,5 +1,6 @@
-//! Differential oracle for the sort-and-sweep sanitizer
-//! (`telemetry::quality::Sanitizer`).
+//! Differential oracle for the in-place sanitizer
+//! (`telemetry::quality::Sanitizer`), whose dedup groups rows by `resolved`
+//! hour and whose final ordering is `rma::sort_canonical`, both radix sorts.
 //!
 //! `sanitize_reference` is the map-based sanitizer: passes 1–4 look racks up
 //! in the manifest's map, and pass 6 keeps two `BTreeMap`s keyed on the
@@ -155,7 +156,7 @@ fn check(manifest: &FleetManifest, span: &Range<SimTime>, tickets: &[RmaTicket],
     sorted.sort_by_key(|t| (t.opened, t.location.rack, t.device));
     for (order, stream) in [("as given", tickets), ("sorted", &sorted)] {
         let (want, want_report) = sanitize_reference(manifest, span, stream);
-        let (got, got_report) = sanitizer.sanitize(stream);
+        let (got, got_report) = sanitizer.sanitize(stream.to_vec());
         assert_eq!(got_report, want_report, "{what}, {order}: report");
         // `assert!`, not `assert_eq!`: a paper stream's Debug dump is huge.
         assert!(got == want, "{what}, {order}: stream differs");
@@ -179,36 +180,46 @@ fn manifest() -> FleetManifest {
 }
 
 /// One reported failure and its pipeline retries: a few devices, two
-/// faults, `resolved` in a three-hour band or equal to `opened`
+/// faults, `resolved` in a three-hour band, in a band past 2^40 (so the
+/// dedup buckets need the high radix digits) or equal to `opened`
 /// (censored, so copies collide only after imputation), `opened` past the
-/// band (inverted) or past the span end (clock skew), the DC flipped
-/// (mislabeled), an unknown rack, a false-positive flag, and up to three
-/// copies `step` hours apart, inside and outside the 6 h window.
+/// band (inverted), past the span end (clock skew) or past 2^50 (a
+/// far-future false positive passes untouched, so the final ordering needs
+/// the high digits too), the DC flipped (mislabeled), an unknown rack, a
+/// false-positive flag, and up to three copies `step` hours apart, inside
+/// and outside the 6 h window.
 fn event_strategy() -> impl Strategy<Value = Vec<RmaTicket>> {
-    (0u64..3, 0u8..2, 0u32..6, 0u8..5, 0u64..40, 0u64..4, 0u32..2, 0u8..6, 0usize..4, 0u64..9)
-        .prop_map(|(device, fault, rack, flip, opened, res, repeat, fp, copies, step)| {
-            let home = if rack <= 2 { 1 } else { 2 };
-            let ticket = |opened: u64| RmaTicket {
-                device: DeviceId(device),
-                location: ServerLocation {
-                    dc: DcId(if flip == 0 { 3 - home } else { home }),
-                    region: RegionId(1),
-                    row: RowId(1),
-                    rack: RackId(rack),
-                    server: ServerId(rack * 40),
-                },
-                fault: if fault == 0 {
-                    FaultKind::Hardware(HardwareFault::Disk)
-                } else {
-                    FaultKind::Other
-                },
-                opened: SimTime(opened),
-                resolved: SimTime(if res == 0 { opened } else { 20 + res }),
-                repeat_count: repeat,
-                false_positive: fp == 0,
-            };
-            (0..=copies as u64).map(|k| ticket(opened + k * step)).collect()
-        })
+    (
+        (0u64..3, 0u8..2, 0u32..6, 0u8..5, 0u32..2, 0u8..6),
+        (0u64..40, 0u64..4, 0u8..4, 0usize..4, 0u64..9),
+    )
+        .prop_map(
+            |((device, fault, rack, flip, repeat, fp), (opened, res, reach, copies, step))| {
+                let home = if rack <= 2 { 1 } else { 2 };
+                let opened = if reach == 1 { (1 << 50) + opened } else { opened };
+                let band = if reach == 0 { 1 << 40 } else { 20 };
+                let ticket = |opened: u64| RmaTicket {
+                    device: DeviceId(device),
+                    location: ServerLocation {
+                        dc: DcId(if flip == 0 { 3 - home } else { home }),
+                        region: RegionId(1),
+                        row: RowId(1),
+                        rack: RackId(rack),
+                        server: ServerId(rack * 40),
+                    },
+                    fault: if fault == 0 {
+                        FaultKind::Hardware(HardwareFault::Disk)
+                    } else {
+                        FaultKind::Other
+                    },
+                    opened: SimTime(opened),
+                    resolved: SimTime(if res == 0 { opened } else { band + res }),
+                    repeat_count: repeat,
+                    false_positive: fp == 0,
+                };
+                (0..=copies as u64).map(|k| ticket(opened + k * step)).collect()
+            },
+        )
 }
 
 proptest! {
