@@ -1,6 +1,7 @@
 #!/usr/bin/env sh
-# Local CI gate: formatting, release build, the examples, full test suite,
-# the dirty-pipeline e2e gate, lint-clean clippy, the benchmark quick tier.
+# Local CI gate: formatting, release build, the examples, the artifact
+# manifest, full test suite, the dirty-pipeline e2e gate, lint-clean clippy,
+# the benchmark quick tier.
 # Run from the repository root.
 # Fails fast on the first broken step.
 set -eu
@@ -13,7 +14,7 @@ cargo fmt --check
 # other item cuts nothing, so the library code after it still counts.
 # Comment and doc lines (first non-blank characters `//`) are not code, so
 # they do not count. Lower it when a change removes sites.
-MAX_PANIC_SITES=25
+MAX_PANIC_SITES=19
 panic_sites=$(find crates/*/src -name '*.rs' -exec awk '
     FNR == 1 { cut = 0; held = "" }
     cut { next }
@@ -70,6 +71,21 @@ for example in examples/*.rs; do
     example=${example#examples/}
     cargo run --release -q --example "${example%.rs}" >/dev/null
 done
+# Artifact manifest: the paper-scale experiment CSVs, stdout and run
+# reports (clean and --corrupt 0.06) and the dirty simulate files must
+# match results/artifacts.sha256 byte for byte, at --threads 1 and auto
+# (about 2 s). artifacts.sh says how to rewrite the manifest after an
+# intentional change.
+artifacts=$(mktemp -d)
+trap 'rm -rf "$artifacts"' EXIT
+manifest=$(pwd)/results/artifacts.sha256
+for threads in 1 auto; do
+    ./artifacts.sh "$artifacts/$threads" "$threads" >/dev/null
+    (cd "$artifacts/$threads" && sha256sum -c --quiet "$manifest") || {
+        echo "ci: artifacts at --threads $threads differ from results/artifacts.sha256" >&2
+        exit 1
+    }
+done
 # Paper-scale differential oracles, too slow for the debug suite, so they
 # are #[ignore]d there and run here in release in one call:
 # - mu_engine, provision_scope, hazard_prefix: the μ engine, the
@@ -77,8 +93,8 @@ done
 #   the paper fleet's ticket-stream pins (about 1 s, 3 s and 6 s);
 # - sanitizer_oracle: the in-place sanitizer (dedup bucketed by resolved
 #   hour, final order by rma::sort_canonical) against the map-based one
-#   on the paper fleet's clean and dirty streams, seeds 1, 2, 11 (about
-#   5 s);
+#   on the paper fleet's clean and dirty streams, seeds 1, 2, 11, and its
+#   fixed point on the clean streams (about 5 s);
 # - cart_oracle: the presort CART fitter against the per-node-sort
 #   reference on the paper-scale trees the presort path grows: f15's MF
 #   tree, f18's control and environment trees clean and dirty (about 2 s);
@@ -86,7 +102,8 @@ done
 #   classification trees (about 1 s). Q1's MF cluster trees (a nominal
 #   feature and inexact sums) are grown by the reference itself;
 # - derived_table: the disk rack-day table the experiments derive from the
-#   all-hardware one against a fresh build, column for column, on the paper
+#   all-hardware one against a fresh build, and the columnar all-hardware
+#   table against a row-by-row rebuild, column for column, on the paper
 #   fleet clean and dirty, seed 42 (about 1 s);
 # - fleet_analyses: every FleetAnalyses memo entry against a fresh public
 #   call on the medium fleet, clean and dirty, at strides 1 and 2 (under a
@@ -97,9 +114,9 @@ cargo test --release -q --test mu_engine --test provision_scope --test hazard_pr
 cargo test --release -q -p rainshine-core --lib -- --ignored p1_trees_match
 cargo test --workspace -q
 # Fast-tier statistical conformance gate: 3-seed prefix of the calibrated
-# full-scenario sweep plus the differential oracle suite, byte-compared
-# against the committed baseline report (regenerate with the same flags
-# plus --report results/conformance.json after an intentional change).
+# full-scenario sweep, byte-compared against the committed baseline report
+# (regenerate with the same flags plus --report results/conformance.json
+# after an intentional change).
 cargo run --release -q -p rainshine-bench -- conformance \
     --scenario scenarios/full.json --seeds 3 --baseline results/conformance.json
 # Every experiment's CSV and preview under Sequential, Threads(2) and Auto,

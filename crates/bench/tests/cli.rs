@@ -55,9 +55,7 @@ fn experiments_write_csvs_and_report() {
 #[test]
 fn conformance_smoke_passes() {
     let smoke = smoke_scenario();
-    let output =
-        rainshine(&["conformance", "--scenario", &smoke, "--seeds", "1", "--skip-oracles"]);
-    assert_exit(&output, 0);
+    assert_exit(&rainshine(&["conformance", "--scenario", &smoke, "--seeds", "1"]), 0);
 }
 
 #[test]
@@ -78,7 +76,7 @@ fn overflowing_seed_sweep_is_an_error_not_a_panic() {
     let text = text.replace("\"seed_base\": 5,", &format!("\"seed_base\": {},", u64::MAX));
     let path = format!("{}/max_seed.json", scratch("seed-overflow"));
     std::fs::write(&path, text).expect("write scenario");
-    let output = rainshine(&["conformance", "--scenario", &path, "--seeds", "2", "--skip-oracles"]);
+    let output = rainshine(&["conformance", "--scenario", &path, "--seeds", "2"]);
     assert_exit(&output, 1);
     assert!(stderr(&output).contains("overflows"), "stderr: {}", stderr(&output));
 }
@@ -97,6 +95,10 @@ fn usage_errors_exit_1_and_help_exits_0() {
         assert_exit(&output, 1);
         assert!(stderr(&output).contains("usage: rainshine"), "{args:?}: {}", stderr(&output));
     }
+    // The differential oracles run as tests, not under `conformance`.
+    let output = rainshine(&["conformance", "--scenario", &smoke_scenario(), "--skip-oracles"]);
+    assert_exit(&output, 1);
+    assert!(stderr(&output).contains("unknown flag `--skip-oracles`"), "{}", stderr(&output));
     for args in [&["--help"][..], &["experiments", "--help"], &["conformance", "-h"]] {
         let output = rainshine(args);
         assert_exit(&output, 0);

@@ -12,14 +12,12 @@
 
 use std::collections::BTreeSet;
 
-use serde::Serialize;
-
 use crate::dataset::{FeatureColumn, Target};
 use crate::error::CartError;
 use crate::params::CartParams;
 
 /// A fitted split rule. Rows satisfying the rule go to the **left** child.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum SplitRule {
     /// Continuous: `value <= threshold` goes left. NaN values (missing
     /// telemetry, e.g. a sensor blackout) route to the majority branch

@@ -3,7 +3,6 @@
 use std::collections::HashMap;
 
 use rainshine_telemetry::frame::Frame;
-use serde::Serialize;
 
 use crate::dataset::{feature_column, CartDataset, FeatureColumn, Target};
 use crate::params::CartParams;
@@ -13,7 +12,7 @@ use crate::split::{
 use crate::{CartError, Result};
 
 /// Whether a tree predicts a continuous mean or a class.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TreeKind {
     /// Continuous target, variance impurity (`rpart` "anova").
     Regression,
@@ -22,7 +21,7 @@ pub enum TreeKind {
 }
 
 /// One node of a fitted tree.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Node {
     /// Index of this node in [`Tree::nodes`].
     pub id: usize,
@@ -54,7 +53,7 @@ impl Node {
 }
 
 /// A fitted CART model.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Tree {
     kind: TreeKind,
     nodes: Vec<Node>,
@@ -212,9 +211,8 @@ impl Tree {
 
     /// The reference fitter, which re-sorts every ordered feature at every
     /// node and re-adds a nominal feature's rows category by category. It
-    /// is the oracle of the presort-equivalence tests (the proptest, the
-    /// medium and paper-scale fleet tests, and the
-    /// `cart_presort_vs_per_node_sort` conformance oracle), and
+    /// is the oracle of the presort-equivalence tests (the proptest and
+    /// the medium and paper-scale fleet tests), and
     /// [`Tree::fit_on_rows`] hands it the fits its presort path does not
     /// take: those with a nominal feature and a target whose sums are not
     /// exact, and those whose row ids do not fit in `u32`. Analysis code

@@ -18,9 +18,6 @@ pub enum ConformanceError {
     Parse(String),
     /// The scenario's fleet configuration was rejected by the simulator.
     Sim(rainshine_dcsim::SimError),
-    /// An underlying analysis error outside claim evaluation (claim-level
-    /// analysis errors are captured per-measurement instead).
-    Analysis(rainshine_core::AnalysisError),
 }
 
 impl fmt::Display for ConformanceError {
@@ -29,7 +26,6 @@ impl fmt::Display for ConformanceError {
             ConformanceError::InvalidScenario { what } => write!(f, "invalid scenario: {what}"),
             ConformanceError::Parse(what) => write!(f, "parse error: {what}"),
             ConformanceError::Sim(e) => write!(f, "simulator rejected scenario config: {e}"),
-            ConformanceError::Analysis(e) => write!(f, "analysis error: {e}"),
         }
     }
 }
@@ -39,11 +35,5 @@ impl Error for ConformanceError {}
 impl From<rainshine_dcsim::SimError> for ConformanceError {
     fn from(e: rainshine_dcsim::SimError) -> Self {
         ConformanceError::Sim(e)
-    }
-}
-
-impl From<rainshine_core::AnalysisError> for ConformanceError {
-    fn from(e: rainshine_core::AnalysisError) -> Self {
-        ConformanceError::Analysis(e)
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! The simulator plants known multi-factor effect structure (DESIGN.md §3);
 //! the analyses claim to recover it. This crate turns that claim into a
-//! machine-checked contract with three layers:
+//! machine-checked contract with two layers:
 //!
 //! * [`scenario`] — declarative, serde-serializable [`scenario::Scenario`]
 //!   specs (checked in under `scenarios/*.json`) that plant or ablate
@@ -14,20 +14,14 @@
 //!   rates and effect-size quartiles (Q1/Q2/Q3). Test tolerances become
 //!   *derived* envelopes ("the 78 °F split is found in ≥ 18/20 seeds")
 //!   instead of hand-tuned per-seed constants.
-//! * [`oracle`] — differential oracles asserting bit-identity or bounded
-//!   divergence between paired executions: presorted vs per-node-sort CART
-//!   fitting, `Sequential` vs `Threads(n)` simulation, sanitizer
-//!   fixed-point on clean streams, and frame-path vs row-path table
-//!   assembly.
 //!
-//! [`report::ConformanceReport`] aggregates all of it with the same
+//! [`report::ConformanceReport`] aggregates both with the same
 //! deterministic/wall split as [`rainshine_obs::RunReport`]: the
 //! deterministic section is byte-identical across thread counts and is
 //! what `rainshine conformance` gates against a committed baseline.
 
 pub mod error;
 pub mod eval;
-pub mod oracle;
 pub mod power;
 pub mod report;
 pub mod scenario;
@@ -36,7 +30,6 @@ pub use error::{ConformanceError, Result};
 // Re-exported so downstream tests can drive the runner without depending
 // on the parallel/obs crates directly.
 pub use eval::{Measurement, SeedRun};
-pub use oracle::{cell_divergence, DiffOracle, DivergenceBound, OracleReport};
 pub use power::{run_scenario, ClaimOutcome, ScenarioOutcome};
 pub use rainshine_obs::Obs;
 pub use rainshine_parallel::Parallelism;

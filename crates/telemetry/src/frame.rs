@@ -16,7 +16,7 @@
 //! constructor; they read frames back through the typed accessors, so no
 //! per-row `Vec<Value>` or label `String` is ever allocated there.
 //! [`FrameBuilder::push_row`] is the row-oriented reference path that
-//! tests and differential oracles compare the columnar path against.
+//! tests compare the columnar path against.
 //!
 //! # Ownership and borrowing rules
 //!

@@ -42,9 +42,8 @@ fn presort_fitter_matches_per_node_sort_on_medium_fleet() {
 
     assert!(presort.leaves().len() > 1, "fit found structure worth comparing");
     assert_eq!(presort, reference);
-    // Byte-level check on top of PartialEq: serialized JSON captures every
-    // float exactly, so identical strings mean identical trees to the bit.
-    let a = serde_json::to_string(&presort).expect("tree serializes");
-    let b = serde_json::to_string(&reference).expect("tree serializes");
-    assert_eq!(a, b);
+    // Bit-level check on top of PartialEq, which equates -0.0 and 0.0:
+    // Debug prints each float in its shortest round-trip form and keeps the
+    // sign of zero, so identical strings mean identical trees to the bit.
+    assert_eq!(format!("{presort:?}"), format!("{reference:?}"));
 }

@@ -9,7 +9,9 @@
 //! stream and the same `DataQualityReport` (`==`) on every input, sorted
 //! or not: collision-dense random streams against a manifest with
 //! mislabeled and unknown racks, and the paper fleet's streams clean and
-//! with the `dirty_default` corruption applied.
+//! with the `dirty_default` corruption applied. On the paper fleet's clean
+//! stream, which the simulation has already sanitized, a second pass must
+//! be the identity: the same stream bit for bit and no defect recorded.
 
 use std::collections::BTreeMap;
 use std::ops::Range;
@@ -239,7 +241,8 @@ proptest! {
 }
 
 /// The paper fleet for seeds 1, 2 and 11: the clean stream, and the same
-/// stream after `dirty_default` corruption, in sorted and shuffled order.
+/// stream after `dirty_default` corruption, in sorted and shuffled order;
+/// and the sanitizer's fixed point on the clean stream.
 /// Run with `cargo test --release --test sanitizer_oracle -- --ignored`.
 #[test]
 #[ignore = "paper-scale fleet; run in release"]
@@ -249,6 +252,14 @@ fn sanitizer_matches_the_reference_on_paper_streams() {
         let manifest = output.fleet.manifest();
         let span = output.config.start..output.config.end;
         check(&manifest, &span, &output.tickets, &format!("seed {seed}, clean"));
+
+        // Fixed point: the simulation's clean stream is already sanitized,
+        // so a second pass returns it bit for bit and records no defect.
+        let sanitizer = Sanitizer::new(manifest.clone(), span.clone());
+        let (again, report) = sanitizer.sanitize(output.tickets.clone());
+        assert!(again == output.tickets, "seed {seed}: re-sanitizing changed the clean stream");
+        assert_eq!(report.total_detected(), 0, "seed {seed}: second pass {report:?}");
+        assert_eq!(report.tickets_kept, report.tickets_seen, "seed {seed}: second pass kept");
 
         let mut dirty = output.tickets.clone();
         let mut rng = StdRng::seed_from_u64(seed);
