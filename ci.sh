@@ -40,14 +40,17 @@ if [ -n "$deserialize_sites" ]; then
     echo "$deserialize_sites" >&2
     exit 1
 fi
-# Rack lookups go by position (`Fleet::index_of`), so no code line of
-# crates/core/src names a hash map keyed by rack id or a hash set of
-# spatial keys. Comment and doc lines do not count.
-rack_hash_sites=$(grep -rnE 'HashMap<RackId|HashSet<SpatialKey>' crates/core/src --include='*.rs' |
+# Rack lookups go by position (`RackId::position`, through
+# `Fleet::index_of` or `FleetManifest::get`), so no code line of
+# crates/*/src names a hash map keyed by rack id, a hash set of spatial
+# keys, or a hash or ordered map from a rack id to its `RackRecord`.
+# Comment and doc lines do not count.
+rack_map_sites=$(grep -rnE 'HashMap<RackId|HashSet<SpatialKey>|(Hash|BTree)Map<(RackId|u32), *RackRecord>' \
+    crates/*/src --include='*.rs' |
     grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' || true)
-if [ -n "$rack_hash_sites" ]; then
-    echo "ci: rack-keyed hash lookup in crates/core/src (index by Fleet::index_of):" >&2
-    echo "$rack_hash_sites" >&2
+if [ -n "$rack_map_sites" ]; then
+    echo "ci: rack-keyed map lookup in crates/*/src (index by RackId::position):" >&2
+    echo "$rack_map_sites" >&2
     exit 1
 fi
 # One canonical ticket order: `rma::sort_canonical` is the only code that
@@ -112,6 +115,10 @@ cargo test --release -q --test mu_engine --test provision_scope --test hazard_pr
     --test sanitizer_oracle --test cart_oracle --test derived_table --test fleet_analyses \
     -- --ignored
 cargo test --release -q -p rainshine-core --lib -- --ignored p1_trees_match
+# The full suite in debug; this includes tests/determinism.rs, which pins
+# every experiment's CSV and preview under Sequential, Threads(2) and Auto,
+# clean and dirty (the fan-out inside t4, f13, f15, f18, p1 and the
+# FleetAnalyses memo they share).
 cargo test --workspace -q
 # Fast-tier statistical conformance gate: 3-seed prefix of the calibrated
 # full-scenario sweep, byte-compared against the committed baseline report
@@ -119,10 +126,6 @@ cargo test --workspace -q
 # after an intentional change).
 cargo run --release -q -p rainshine-bench -- conformance \
     --scenario scenarios/full.json --seeds 3 --baseline results/conformance.json
-# Every experiment's CSV and preview under Sequential, Threads(2) and Auto,
-# clean and dirty: pins the fan-out inside t4, f13, f15, f18, p1 and the
-# FleetAnalyses memo they share (about 2 s in release).
-cargo test --release -q --test determinism experiment_artifacts_do_not_depend_on_thread_count
 cargo clippy --workspace --all-targets -- -D warnings
 # The benchmark package (perfbench/) builds against the public library API
 # the same way perfbench/run.py builds it, so an API change that breaks the

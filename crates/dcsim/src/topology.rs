@@ -13,6 +13,7 @@ use rainshine_telemetry::ids::{
     DcId, RackId, RegionId, RowId, ServerId, ServerLocation, Sku, Workload,
 };
 use rainshine_telemetry::metrics::{SpatialGranularity, SpatialKey};
+use rainshine_telemetry::quality::{FleetManifest, RackRecord};
 use rainshine_telemetry::time::SimTime;
 
 use crate::climate::unit_noise;
@@ -120,7 +121,7 @@ pub struct Fleet {
     /// The two datacenters.
     pub datacenters: Vec<Datacenter>,
     /// All racks across both DCs; [`Fleet::build`] gives `racks[i]` the id
-    /// `RackId(i + 1)`, which [`Fleet::index_of`] relies on.
+    /// `RackId(i + 1)`, which [`Fleet::index_of`] and the manifest rely on.
     pub racks: Vec<RackInfo>,
 }
 
@@ -273,10 +274,11 @@ impl Fleet {
         self.racks.iter().map(|r| r.servers as u64).sum()
     }
 
-    /// The position of rack `id` in [`Fleet::racks`]: slot `id − 1` if that
-    /// slot holds rack `id`, else `None`.
+    /// The position of rack `id` in [`Fleet::racks`]: slot
+    /// [`RackId::position`] (`id − 1`) if that slot holds rack `id`, else
+    /// `None`.
     pub fn index_of(&self, id: RackId) -> Option<usize> {
-        let index = usize::try_from(id.0).ok()?.checked_sub(1)?;
+        let index = id.position()?;
         (self.racks.get(index)?.id == id).then_some(index)
     }
 
@@ -286,17 +288,15 @@ impl Fleet {
     }
 
     /// The fleet inventory the ingestion layer checks ticket locations
-    /// against (rack ids are globally unique, so a rack record pins down
-    /// every spatial field).
-    pub fn manifest(&self) -> rainshine_telemetry::quality::FleetManifest {
-        let mut manifest = rainshine_telemetry::quality::FleetManifest::new();
-        for r in &self.racks {
-            manifest.insert(
-                r.id,
-                rainshine_telemetry::quality::RackRecord { dc: r.dc, region: r.region, row: r.row },
-            );
-        }
-        manifest
+    /// against: each rack's record in fleet order, so the manifest finds a
+    /// rack exactly where [`Fleet::index_of`] does.
+    pub fn manifest(&self) -> FleetManifest {
+        FleetManifest::new(
+            self.racks
+                .iter()
+                .map(|r| (r.id, RackRecord { dc: r.dc, region: r.region, row: r.row }))
+                .collect(),
+        )
     }
 }
 
@@ -346,6 +346,17 @@ mod tests {
             f.racks[2] = f.racks[0].clone();
             assert_eq!(f.rack(RackId(3)), None);
             assert_eq!(f.index_of(RackId(1)), Some(0));
+        }
+    }
+
+    #[test]
+    fn manifest_finds_racks_where_index_of_does() {
+        let f = fleet();
+        let manifest = f.manifest();
+        for id in (0..=f.racks.len() as u32 + 1).chain([u32::MAX]).map(RackId) {
+            // `rack` misses exactly where `index_of` does.
+            let want = f.rack(id).map(|r| RackRecord { dc: r.dc, region: r.region, row: r.row });
+            assert_eq!(manifest.get(id), want.as_ref(), "rack {id}");
         }
     }
 

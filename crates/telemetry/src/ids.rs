@@ -7,10 +7,8 @@
 
 use std::fmt;
 
-use serde::Serialize;
-
 /// Datacenter identifier. The paper studies `DC1` and `DC2`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct DcId(pub u8);
 
 impl fmt::Display for DcId {
@@ -20,7 +18,7 @@ impl fmt::Display for DcId {
 }
 
 /// Region within a datacenter (e.g. `DC1-1` … `DC1-4` in Fig. 2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct RegionId(pub u8);
 
 impl fmt::Display for RegionId {
@@ -30,7 +28,7 @@ impl fmt::Display for RegionId {
 }
 
 /// Row of racks within a datacenter (DC1: 1–18, DC2: 1–32 per Table III).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct RowId(pub u16);
 
 impl fmt::Display for RowId {
@@ -40,8 +38,16 @@ impl fmt::Display for RowId {
 }
 
 /// Rack identifier, unique within the whole fleet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct RackId(pub u32);
+
+impl RackId {
+    /// The rack's slot in fleet order, `id − 1` (racks are numbered from
+    /// 1), or `None` for id 0. Callers check that the slot holds this id.
+    pub fn position(self) -> Option<usize> {
+        usize::try_from(self.0).ok()?.checked_sub(1)
+    }
+}
 
 impl fmt::Display for RackId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -50,7 +56,7 @@ impl fmt::Display for RackId {
 }
 
 /// Server identifier, unique within the whole fleet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ServerId(pub u32);
 
 impl fmt::Display for ServerId {
@@ -61,7 +67,7 @@ impl fmt::Display for ServerId {
 
 /// Device identifier for RMA tracking (`C1-Cxxxxx` in Table III): a server
 /// or one of its components.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct DeviceId(pub u64);
 
 impl fmt::Display for DeviceId {
@@ -203,7 +209,7 @@ impl fmt::Display for Workload {
 }
 
 /// Full spatial address of a server.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ServerLocation {
     /// Datacenter.
     pub dc: DcId,

@@ -183,32 +183,26 @@ pub struct RackRecord {
     pub row: RowId,
 }
 
-/// Fleet inventory keyed by rack id — rack ids are globally unique, so a
+/// Fleet inventory in fleet order: entry `i` is the record of the rack at
+/// position `i` ([`RackId::position`]). Rack ids are globally unique, so a
 /// ticket's rack id pins down every other location field.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FleetManifest {
-    racks: BTreeMap<u32, RackRecord>,
+    racks: Vec<(RackId, RackRecord)>,
 }
 
 impl FleetManifest {
-    /// Empty manifest (every rack unknown).
-    pub fn new() -> Self {
-        Self::default()
+    /// A manifest of `racks` in fleet order. An entry answers only for the
+    /// id of its position, so an entry out of place is never found; the
+    /// empty list (or [`Default`]) is the manifest with every rack unknown.
+    pub fn new(racks: Vec<(RackId, RackRecord)>) -> Self {
+        Self { racks }
     }
 
-    /// Registers a rack.
-    pub fn insert(&mut self, rack: RackId, record: RackRecord) {
-        self.racks.insert(rack.0, record);
-    }
-
-    /// Looks up a rack.
+    /// Looks up a rack: the entry at its position, if that entry holds it.
     pub fn get(&self, rack: RackId) -> Option<&RackRecord> {
-        self.racks.get(&rack.0)
-    }
-
-    /// Registered racks.
-    pub fn len(&self) -> usize {
-        self.racks.len()
+        let (id, record) = self.racks.get(rack.position()?)?;
+        (*id == rack).then_some(record)
     }
 
     /// Whether no racks are registered.
@@ -272,36 +266,18 @@ const FALLBACK_OUTAGE_HOURS: u64 = 4;
 #[derive(Debug, Clone)]
 pub struct Sanitizer {
     manifest: FleetManifest,
-    /// The manifest's records indexed by rack id, covering ids below
-    /// `4 * len + 64` so a hostile sparse id cannot size the table; ids past
-    /// its end fall back to the manifest map.
-    racks: Vec<Option<RackRecord>>,
     /// The observation span: tickets must open at or after its start and
     /// strictly before its end.
     span: Range<SimTime>,
 }
 
 impl Sanitizer {
-    /// Builds a sanitizer for one fleet and observation span. The dedup
+    /// Builds a sanitizer for one fleet and observation span; passes 1–4
+    /// look each ticket's rack up in `manifest` by position. The dedup
     /// window and the sensor bounds are the constants
     /// [`DEDUP_WINDOW_HOURS`] and [`SENSOR_BOUNDS`].
     pub fn new(manifest: FleetManifest, span: Range<SimTime>) -> Self {
-        let ids = manifest.racks.last_key_value().map_or(0, |(&id, _)| id as usize + 1);
-        let mut racks = vec![None; ids.min(4 * manifest.len() + 64)];
-        for (&id, record) in &manifest.racks {
-            if let Some(slot) = racks.get_mut(id as usize) {
-                *slot = Some(*record);
-            }
-        }
-        Self { manifest, racks, span }
-    }
-
-    /// The manifest record of a rack, `None` when it is not registered.
-    fn rack(&self, rack: RackId) -> Option<&RackRecord> {
-        match self.racks.get(rack.0 as usize) {
-            Some(slot) => slot.as_ref(),
-            None => self.manifest.get(rack),
-        }
+        Self { manifest, span }
     }
 
     /// Sanitizes a ticket stream, repairing and filtering it in place.
@@ -338,7 +314,7 @@ impl Sanitizer {
                 kept += 1;
                 return true;
             }
-            match self.rack(t.location.rack) {
+            match self.manifest.get(t.location.rack) {
                 Some(rec) => {
                     if t.location.dc != rec.dc
                         || t.location.region != rec.region
@@ -478,19 +454,12 @@ mod tests {
     use super::*;
     use crate::ids::{DeviceId, ServerId, ServerLocation};
 
+    fn record(rack: u32) -> RackRecord {
+        RackRecord { dc: DcId(if rack <= 2 { 1 } else { 2 }), region: RegionId(1), row: RowId(1) }
+    }
+
     fn manifest() -> FleetManifest {
-        let mut m = FleetManifest::new();
-        for rack in 1..=4u32 {
-            m.insert(
-                RackId(rack),
-                RackRecord {
-                    dc: DcId(if rack <= 2 { 1 } else { 2 }),
-                    region: RegionId(1),
-                    row: RowId(1),
-                },
-            );
-        }
-        m
+        FleetManifest::new((1..=4u32).map(|rack| (RackId(rack), record(rack))).collect())
     }
 
     fn ticket(rack: u32, device: u64, opened: u64, resolved: u64) -> RmaTicket {
@@ -587,19 +556,32 @@ mod tests {
     }
 
     #[test]
-    fn unknown_racks_miss_like_the_manifest_map() {
-        let mut m = manifest();
-        let far = RackRecord { dc: DcId(2), region: RegionId(1), row: RowId(1) };
-        m.insert(RackId(1_000_000), far);
-        let s = Sanitizer::new(m, SimTime(0)..SimTime(1000));
-        for rack in [0, 5, 999_999, 1_000_001, u32::MAX] {
-            assert_eq!(s.rack(RackId(rack)), None, "rack {rack}");
+    fn racks_are_found_by_position_only() {
+        // Rack 5's slot holds rack 3's record under the id 3: out of place.
+        let mut racks: Vec<_> = (1..=4u32).map(|rack| (RackId(rack), record(rack))).collect();
+        racks.push((RackId(3), record(3)));
+        let m = FleetManifest::new(racks);
+        for rack in [0, 5, 6, u32::MAX] {
+            assert_eq!(m.get(RackId(rack)), None, "rack {rack}");
         }
-        assert_eq!(s.rack(RackId(1_000_000)), Some(&far));
-        assert_eq!(s.rack(RackId(3)).map(|r| r.dc), Some(DcId(2)));
-        let (out, report) = s.sanitize(vec![ticket(1, 10, 5, 9), ticket(5, 11, 5, 9)]);
-        assert_eq!(out.len(), 1);
-        assert_eq!(report.counts(DefectClass::MislabeledLocation).quarantined, 1);
+        for rack in 1..=4u32 {
+            assert_eq!(m.get(RackId(rack)), Some(&record(rack)), "rack {rack}");
+        }
+        assert!(!m.is_empty() && FleetManifest::default().is_empty());
+
+        let s = Sanitizer::new(m, SimTime(0)..SimTime(1000));
+        let mut mislabeled = ticket(3, 10, 5, 9);
+        mislabeled.location.dc = DcId(1); // rack 3 lives in DC2
+        let mut tickets = vec![mislabeled];
+        for (device, rack) in [(11, 0), (12, 5), (13, u32::MAX)] {
+            let mut unknown = ticket(1, device, 5, 9);
+            unknown.location.rack = RackId(rack);
+            tickets.push(unknown);
+        }
+        let (out, report) = s.sanitize(tickets);
+        assert_eq!(out, vec![ticket(3, 10, 5, 9)]);
+        let counts = report.counts(DefectClass::MislabeledLocation);
+        assert_eq!((counts.repaired, counts.quarantined), (1, 3));
     }
 
     #[test]

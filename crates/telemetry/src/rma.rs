@@ -8,14 +8,12 @@
 
 use std::fmt;
 
-use serde::Serialize;
-
 use crate::ids::{DeviceId, ServerLocation};
 use crate::time::SimTime;
 use crate::{Result, TelemetryError};
 
 /// Hardware fault types from Table II.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum HardwareFault {
     /// Hard-disk failure (leading hardware cause in both DCs).
     Disk,
@@ -54,7 +52,7 @@ impl fmt::Display for HardwareFault {
 }
 
 /// Software fault types from Table II.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum SoftwareFault {
     /// Service timeout (the leading cause overall).
     Timeout,
@@ -76,7 +74,7 @@ impl fmt::Display for SoftwareFault {
 }
 
 /// Boot fault types from Table II.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum BootFault {
     /// PXE network-boot failure.
     Pxe,
@@ -95,7 +93,7 @@ impl fmt::Display for BootFault {
 }
 
 /// The full fault taxonomy of Table II.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum FaultKind {
     /// Physical hardware fault, resolved by repair or replacement.
     Hardware(HardwareFault),
@@ -151,7 +149,7 @@ impl fmt::Display for FaultKind {
 }
 
 /// One RMA ticket.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RmaTicket {
     /// Device the ticket was filed against.
     pub device: DeviceId,

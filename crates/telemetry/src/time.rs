@@ -6,13 +6,11 @@
 
 use std::fmt;
 
-use serde::Serialize;
-
 /// Days in each month of a non-leap year.
 const MONTH_DAYS: [u16; 12] = [31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31];
 
 /// A point in simulated time: whole hours since 2012-01-01 00:00 (a Sunday).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(pub u64);
 
 /// Day of week, `Sun` through `Sat` (the paper's Fig. 3 x-axis).

@@ -38,7 +38,7 @@ fn dirty_ticket_strategy() -> impl Strategy<Value = RmaTicket> {
 
 fn sanitizer() -> Sanitizer {
     // Empty manifest: location repair is skipped, all other passes run.
-    Sanitizer::new(FleetManifest::new(), SimTime(0)..SimTime::from_days(60))
+    Sanitizer::new(FleetManifest::default(), SimTime(0)..SimTime::from_days(60))
 }
 
 proptest! {

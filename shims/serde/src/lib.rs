@@ -9,7 +9,7 @@
 //! serialized output is drop-in compatible for the shapes this
 //! workspace uses.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fmt;
 
 #[cfg(feature = "derive")]
@@ -294,12 +294,6 @@ impl<T: Serialize> Serialize for [T] {
 }
 
 impl<T: Serialize, const N: usize> Serialize for [T; N] {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
-    }
-}
-
-impl<T: Serialize + Ord> Serialize for BTreeSet<T> {
     fn to_value(&self) -> Value {
         Value::Array(self.iter().map(Serialize::to_value).collect())
     }

@@ -2,11 +2,11 @@
 //!
 //! Implemented without `syn`/`quote` (unavailable offline): the item is
 //! parsed directly from the raw `TokenStream` and the impl is emitted as
-//! a source string. `Serialize` supports named, tuple/newtype and unit
-//! structs and enums with unit / newtype / tuple / struct variants;
-//! `Deserialize`, derived only on the scenario-spec input types, supports
-//! named structs and enums with unit / struct variants. Generic types,
-//! lifetimes, and `#[serde(...)]` attributes are intentionally unsupported.
+//! a source string. `Serialize` supports named structs and enums with
+//! unit / newtype / struct variants; `Deserialize`, derived only on the
+//! scenario-spec input types, supports named structs and enums with unit /
+//! struct variants. Generic types, lifetimes, and `#[serde(...)]`
+//! attributes are intentionally unsupported.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
@@ -227,13 +227,9 @@ fn gen_serialize(item: &Item) -> String {
                 .collect();
             format!("::serde::Value::Object(::std::vec![{}])", pairs.join(", "))
         }
-        ItemKind::Struct(Fields::Tuple(1)) => "::serde::Serialize::to_value(&self.0)".to_string(),
-        ItemKind::Struct(Fields::Tuple(n)) => {
-            let items: Vec<String> =
-                (0..*n).map(|k| format!("::serde::Serialize::to_value(&self.{k})")).collect();
-            format!("::serde::Value::Array(::std::vec![{}])", items.join(", "))
+        ItemKind::Struct(_) => {
+            panic!("serde shim derive: Serialize needs named fields (type `{name}`)")
         }
-        ItemKind::Struct(Fields::Unit) => "::serde::Value::Null".to_string(),
         ItemKind::Enum(variants) => {
             let arms: Vec<String> = variants
                 .iter()
@@ -242,23 +238,15 @@ fn gen_serialize(item: &Item) -> String {
                         "{name}::{v} => \
                          ::serde::Value::Str(::std::string::String::from(\"{v}\")),"
                     ),
-                    Fields::Tuple(n) => {
-                        let binds: Vec<String> = (0..*n).map(|k| format!("__f{k}")).collect();
-                        let inner = if *n == 1 {
-                            "::serde::Serialize::to_value(__f0)".to_string()
-                        } else {
-                            let items: Vec<String> = binds
-                                .iter()
-                                .map(|b| format!("::serde::Serialize::to_value({b})"))
-                                .collect();
-                            format!("::serde::Value::Array(::std::vec![{}])", items.join(", "))
-                        };
-                        format!(
-                            "{name}::{v}({}) => ::serde::Value::Object(::std::vec![\
-                             (::std::string::String::from(\"{v}\"), {inner})]),",
-                            binds.join(", ")
-                        )
-                    }
+                    Fields::Tuple(1) => format!(
+                        "{name}::{v}(__f0) => ::serde::Value::Object(::std::vec![\
+                         (::std::string::String::from(\"{v}\"), \
+                         ::serde::Serialize::to_value(__f0))]),"
+                    ),
+                    Fields::Tuple(_) => panic!(
+                        "serde shim derive: Serialize supports only newtype variants, \
+                         not tuple variant `{name}::{v}`"
+                    ),
                     Fields::Named(fs) => {
                         let pairs: Vec<String> = fs
                             .iter()

@@ -1,5 +1,5 @@
 //! Determinism suite: runs the pipeline — dcsim → q1/q2/q3 — once per
-//! thread-count policy and diffs the serialized or Debug-printed results. dcsim is the
+//! thread-count policy and diffs the Debug-printed results. dcsim is the
 //! parallel stage: it derives per-rack RNG streams from the run seed and
 //! merges in rack order, so the byte-for-byte output of every downstream
 //! analysis must not depend on how many worker threads ran it. The run
@@ -18,10 +18,9 @@ use rainshine::telemetry::ids::{Sku, Workload};
 use rainshine::telemetry::time::TimeGranularity;
 
 /// Runs the whole pipeline under one thread policy and prints every
-/// stage's result: the tickets as JSON, the analysis results with `Debug`.
-/// `Debug` prints each finite float uniquely and keeps NaN distinct (the
-/// JSON writer maps NaN to `null`), so comparing strings is a bit-level
-/// diff.
+/// stage's result with `Debug`: the tickets (integers and flags only) and
+/// the analysis results. `Debug` prints each finite float uniquely and
+/// keeps NaN distinct, so comparing strings is a bit-level diff.
 fn pipeline(parallelism: Parallelism) -> Vec<(&'static str, String)> {
     let mut stages = Vec::new();
 
@@ -29,8 +28,7 @@ fn pipeline(parallelism: Parallelism) -> Vec<(&'static str, String)> {
     let mut config = FleetConfig::small();
     config.parallelism = parallelism;
     let output = Simulation::new(config, 2024).run();
-    let tickets = serde_json::to_string(&output.tickets).expect("tickets serialize");
-    stages.push(("dcsim/tickets", tickets));
+    stages.push(("dcsim/tickets", format!("{:?}", output.tickets)));
 
     // The rack-day table q2 and q3 analyse.
     let table = rack_day_table(&output, FaultFilter::AllHardware, 1)

@@ -3,9 +3,10 @@
 //! hour and whose final ordering is `rma::sort_canonical`, both radix sorts.
 //!
 //! `sanitize_reference` is the map-based sanitizer: passes 1–4 look racks up
-//! in the manifest's map, and pass 6 keeps two `BTreeMap`s keyed on the
-//! dedup identity (the earliest `opened` per key, and how many reports of
-//! each key were already emitted). The sanitizer must return the same
+//! in its own `BTreeMap` built from the rack list the manifest is made of
+//! (not through `FleetManifest`, whose lookup is under test), and pass 6
+//! keeps two `BTreeMap`s keyed on the dedup identity (the earliest `opened`
+//! per key, and how many reports of each key were already emitted). The sanitizer must return the same
 //! stream and the same `DataQualityReport` (`==`) on every input, sorted
 //! or not: collision-dense random streams against a manifest with
 //! mislabeled and unknown racks, and the paper fleet's streams clean and
@@ -56,9 +57,10 @@ fn median_outage_by_fault(tickets: &[RmaTicket]) -> BTreeMap<FaultKind, u64> {
         .collect()
 }
 
-/// The map-based sanitizer, pass for pass.
+/// The map-based sanitizer, pass for pass; an empty `manifest` knows no
+/// rack and so repairs nothing.
 fn sanitize_reference(
-    manifest: &FleetManifest,
+    manifest: &BTreeMap<RackId, RackRecord>,
     span: &Range<SimTime>,
     tickets: &[RmaTicket],
 ) -> (Vec<RmaTicket>, DataQualityReport) {
@@ -73,7 +75,7 @@ fn sanitize_reference(
             continue;
         }
         let mut t = t.clone();
-        match manifest.get(t.location.rack) {
+        match manifest.get(&t.location.rack) {
             Some(rec) => {
                 if t.location.dc != rec.dc
                     || t.location.region != rec.region
@@ -150,14 +152,16 @@ fn sanitize_reference(
     (out, report)
 }
 
-/// Asserts the sanitizer matches the reference on `tickets` as given and
-/// in the simulator's sorted order.
-fn check(manifest: &FleetManifest, span: &Range<SimTime>, tickets: &[RmaTicket], what: &str) {
-    let sanitizer = Sanitizer::new(manifest.clone(), span.clone());
+/// Asserts the sanitizer over a manifest of `racks` (in fleet order)
+/// matches the reference over a map of the same racks, on `tickets` as
+/// given and in the simulator's sorted order.
+fn check(racks: &[(RackId, RackRecord)], span: &Range<SimTime>, tickets: &[RmaTicket], what: &str) {
+    let sanitizer = Sanitizer::new(FleetManifest::new(racks.to_vec()), span.clone());
+    let manifest: BTreeMap<RackId, RackRecord> = racks.iter().copied().collect();
     let mut sorted = tickets.to_vec();
     sorted.sort_by_key(|t| (t.opened, t.location.rack, t.device));
     for (order, stream) in [("as given", tickets), ("sorted", &sorted)] {
-        let (want, want_report) = sanitize_reference(manifest, span, stream);
+        let (want, want_report) = sanitize_reference(&manifest, span, stream);
         let (got, got_report) = sanitizer.sanitize(stream.to_vec());
         assert_eq!(got_report, want_report, "{what}, {order}: report");
         // `assert!`, not `assert_eq!`: a paper stream's Debug dump is huge.
@@ -166,19 +170,13 @@ fn check(manifest: &FleetManifest, span: &Range<SimTime>, tickets: &[RmaTicket],
 }
 
 /// Racks 1–4 in two DCs; racks 0 and 5 are unknown.
-fn manifest() -> FleetManifest {
-    let mut m = FleetManifest::new();
-    for rack in 1..=4u32 {
-        m.insert(
-            RackId(rack),
-            RackRecord {
-                dc: DcId(if rack <= 2 { 1 } else { 2 }),
-                region: RegionId(1),
-                row: RowId(1),
-            },
-        );
-    }
-    m
+fn racks() -> Vec<(RackId, RackRecord)> {
+    (1..=4u32)
+        .map(|rack| {
+            let dc = DcId(if rack <= 2 { 1 } else { 2 });
+            (RackId(rack), RackRecord { dc, region: RegionId(1), row: RowId(1) })
+        })
+        .collect()
 }
 
 /// One reported failure and its pipeline retries: a few devices, two
@@ -235,8 +233,8 @@ proptest! {
         let mut tickets: Vec<RmaTicket> = events.into_iter().flatten().collect();
         tickets.shuffle(&mut StdRng::seed_from_u64(shuffle_seed));
         let span = SimTime(0)..SimTime(36);
-        check(&manifest(), &span, &tickets, "manifest");
-        check(&FleetManifest::new(), &span, &tickets, "empty manifest");
+        check(&racks(), &span, &tickets, "manifest");
+        check(&[], &span, &tickets, "empty manifest");
     }
 }
 
@@ -249,13 +247,20 @@ proptest! {
 fn sanitizer_matches_the_reference_on_paper_streams() {
     for seed in [1, 2, 11] {
         let output = Simulation::new(FleetConfig::paper_scale(), seed).run();
+        let racks: Vec<(RackId, RackRecord)> = output
+            .fleet
+            .racks
+            .iter()
+            .map(|r| (r.id, RackRecord { dc: r.dc, region: r.region, row: r.row }))
+            .collect();
         let manifest = output.fleet.manifest();
+        assert!(manifest == FleetManifest::new(racks.clone()), "seed {seed}: manifest");
         let span = output.config.start..output.config.end;
-        check(&manifest, &span, &output.tickets, &format!("seed {seed}, clean"));
+        check(&racks, &span, &output.tickets, &format!("seed {seed}, clean"));
 
         // Fixed point: the simulation's clean stream is already sanitized,
         // so a second pass returns it bit for bit and records no defect.
-        let sanitizer = Sanitizer::new(manifest.clone(), span.clone());
+        let sanitizer = Sanitizer::new(manifest, span.clone());
         let (again, report) = sanitizer.sanitize(output.tickets.clone());
         assert!(again == output.tickets, "seed {seed}: re-sanitizing changed the clean stream");
         assert_eq!(report.total_detected(), 0, "seed {seed}: second pass {report:?}");
@@ -270,8 +275,8 @@ fn sanitizer_matches_the_reference_on_paper_streams() {
             &mut rng,
         );
         assert!(log.duplicates > 0 && log.censored > 0 && log.mislabeled > 0, "seed {seed}");
-        check(&manifest, &span, &dirty, &format!("seed {seed}, dirty_default"));
+        check(&racks, &span, &dirty, &format!("seed {seed}, dirty_default"));
         dirty.shuffle(&mut rng);
-        check(&manifest, &span, &dirty, &format!("seed {seed}, dirty_default shuffled"));
+        check(&racks, &span, &dirty, &format!("seed {seed}, dirty_default shuffled"));
     }
 }
